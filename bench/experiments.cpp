@@ -1312,7 +1312,7 @@ exp::figure_report run_fleet(const exp::run_options& options,
                              "admit_p50_us", "admit_p99_us"};
 
   table t({"fleet", "tenants", "ops", "admitted", "rejected", "evicted",
-           "fallbacks", "adm/s", "p50 (us)", "p99 (us)", "digest"});
+           "adm/s", "p50 (us)", "p99 (us)", "digest"});
   exp::report_panel panel;
   panel.name = "churn";
   panel.x_label = "fleet";
@@ -1378,10 +1378,8 @@ exp::figure_report run_fleet(const exp::run_options& options,
     };
     t.add_row({spec.name, count_cell(tenants), count_cell(totals.ops),
                count_cell(totals.admissions), count_cell(totals.rejections),
-               count_cell(totals.evictions),
-               count_cell(totals.repair_fallbacks),
-               cell(best_adm_per_s, 0), cell(p50_us, 1), cell(p99_us, 1),
-               cell(digest53, 0)});
+               count_cell(totals.evictions), cell(best_adm_per_s, 0),
+               cell(p50_us, 1), cell(p99_us, 1), cell(digest53, 0)});
     exp::report_point rp;
     rp.x = pi;
     rp.values = {{"tenants", static_cast<double>(tenants)},
@@ -1389,8 +1387,6 @@ exp::figure_report run_fleet(const exp::run_options& options,
                  {"admissions", static_cast<double>(totals.admissions)},
                  {"rejections", static_cast<double>(totals.rejections)},
                  {"evictions", static_cast<double>(totals.evictions)},
-                 {"repair_fallbacks",
-                  static_cast<double>(totals.repair_fallbacks)},
                  {"rescheduled_flows",
                   static_cast<double>(totals.rescheduled_flows)},
                  {"schedulable_tenants",
@@ -1433,10 +1429,10 @@ exp::figure_report run_fleet(const exp::run_options& options,
     out << "\nwrote per-point series to " << series_file << "\n";
   }
   out << "\nEvery admission resumes the greedy scheduler against the "
-         "tenant's existing occupancy index and every eviction repairs "
-         "the schedule in place (core/delta.h); 'fallbacks' counts the "
-         "ops that still needed a full reschedule (hyperperiod "
-         "changes). The op counts and the state digest are "
+         "tenant's existing occupancy index and every eviction replays "
+         "only the lower-priority suffix (core/delta.h); hyperperiod "
+         "changes are repaired in place too, so no op reruns the full "
+         "scheduler. The op counts and the state digest are "
          "bit-identical at any --jobs value "
          "(tests/fleet_equivalence_test.cpp).\n";
   return report;
@@ -1464,7 +1460,6 @@ bool replay_fleet(const exp::run_options& options, const cli_args& args,
       << " admitted=" << stats.admissions
       << " rejected=" << stats.rejections
       << " evicted=" << stats.evictions
-      << " fallbacks=" << stats.repair_fallbacks
       << " final_flows=" << ten.delta().size() << " digest="
       << fleet::tenant_state_digest(tenant_id, ten.delta()) << "\n";
   return true;

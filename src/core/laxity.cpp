@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <vector>
 
 #include "common/error.h"
 #include "core/constraints.h"
@@ -18,7 +19,7 @@ namespace {
 /// unusable if it is management-reserved or conflicts with at least one
 /// remaining transmission — and counts once either way.
 long long count_unusable_naive(const tsch::schedule& sched,
-                               const std::vector<tsch::transmission>& post,
+                               std::span<const tsch::transmission> post,
                                slot_t s, slot_t end, int period) {
   long long unusable = 0;
   for (slot_t k = s + 1; k <= end; ++k) {
@@ -43,7 +44,7 @@ long long count_unusable_naive(const tsch::schedule& sched,
 /// OR mask marks exactly the conflicting slots.
 long long count_unusable_indexed(
     const tsch::schedule& sched,
-    const std::vector<tsch::transmission>& post, slot_t s, slot_t end,
+    std::span<const tsch::transmission> post, slot_t s, slot_t end,
     int period) {
   // Row pointers for every endpoint of the remaining sequence.
   // Duplicates only re-OR identical words, so instead of a full dedup
@@ -101,7 +102,7 @@ long long count_unusable_indexed(
 }  // namespace
 
 long long calculate_laxity(const tsch::schedule& sched,
-                           const std::vector<tsch::transmission>& post,
+                           std::span<const tsch::transmission> post,
                            slot_t s, slot_t deadline_slot,
                            int management_slot_period, bool use_index,
                            probe_counters* probes) {

@@ -17,7 +17,7 @@
 // rest of this instance.
 #pragma once
 
-#include <vector>
+#include <span>
 
 #include "core/probe_counters.h"
 #include "tsch/schedule.h"
@@ -35,7 +35,7 @@ namespace wsan::core {
 /// return identical values. `probes`, when non-null, accumulates
 /// hot-path counters.
 long long calculate_laxity(const tsch::schedule& sched,
-                           const std::vector<tsch::transmission>& post,
+                           std::span<const tsch::transmission> post,
                            slot_t s, slot_t deadline_slot,
                            int management_slot_period = 0,
                            bool use_index = true,

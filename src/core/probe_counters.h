@@ -6,7 +6,8 @@
 // This is the hot-path accumulator only — a plain per-trial value with
 // no atomics. The observability surface for these totals is the obs
 // metrics registry (core.probes.*), flushed once per schedule_flows run
-// and read via --metrics FILE / `wsanctl obs`; the old tsch::probe_stats
+// and once per delta_scheduler admit or evict, and read via --metrics
+// FILE / `wsanctl obs`; the old tsch::probe_stats
 // façade that mirrored them was removed after its deprecation release
 // (DESIGN.md "Observability").
 #pragma once

@@ -1,6 +1,7 @@
 #include "core/scheduler.h"
 
 #include <optional>
+#include <span>
 
 #include "common/error.h"
 #include "core/laxity.h"
@@ -14,47 +15,13 @@ namespace wsan::core {
 
 namespace {
 
-/// End-of-run metrics flush. The hot path keeps accumulating into the
-/// plain scheduler_stats struct (deterministic per trial and cheap);
-/// the registry only sees the totals, once per schedule_flows call.
-/// This is also where the probe_counters totals surface under their
-/// registry names (core.probes.*) — the sole observability surface for
-/// them now that the tsch::probe_stats façade is gone.
-void flush_scheduler_metrics(const scheduler_stats& stats,
-                             bool schedulable) {
-  if (!obs::enabled()) return;
-  obs::add_counter("core.sched.runs");
-  obs::add_counter(schedulable ? "core.sched.runs_schedulable"
-                               : "core.sched.runs_unschedulable");
-  obs::add_counter("core.sched.total_transmissions",
-                   stats.total_transmissions);
-  obs::add_counter("core.sched.reuse_placements", stats.reuse_placements);
-  obs::add_counter("core.sched.find_slot_calls", stats.find_slot_calls);
-  obs::add_counter("core.sched.laxity_evaluations",
-                   stats.laxity_evaluations);
-  obs::add_counter("core.sched.reuse_activations",
-                   stats.reuse_activations);
-  obs::add_counter("core.probes.slots_scanned",
-                   stats.probes.slots_scanned);
-  obs::add_counter("core.probes.cells_probed", stats.probes.cells_probed);
-  obs::add_counter("core.probes.index_hits", stats.probes.index_hits);
-}
-
-/// Distribution of the reuse distance each flow ended up with; an
-/// infinite rho (reuse never activated) lands in the overflow bucket.
-void observe_final_rho(int rho) {
-  static const obs::histogram h = obs::register_histogram(
-      "core.sched.final_rho", {0, 1, 2, 3, 4, 5, 6, 8, 10, 12, 16});
-  h.observe(static_cast<double>(rho));
-}
-
-/// Expands one flow instance into its transmission sequence: every route
-/// link in order, each with (1 + retries) attempts.
-std::vector<tsch::transmission> instance_transmissions(
-    const flow::flow& f, int instance, int retries_per_link) {
-  std::vector<tsch::transmission> txs;
-  txs.reserve(f.route.size() *
-              static_cast<std::size_t>(1 + retries_per_link));
+/// Expands one flow instance into its transmission sequence — every
+/// route link in order, each with (1 + retries) attempts — overwriting
+/// `txs`, whose capacity is kept across instances.
+void instance_transmissions(const flow::flow& f, int instance,
+                            int retries_per_link,
+                            std::vector<tsch::transmission>& txs) {
+  txs.clear();
   for (int li = 0; li < static_cast<int>(f.route.size()); ++li) {
     for (int a = 0; a <= retries_per_link; ++a) {
       tsch::transmission tx;
@@ -67,10 +34,60 @@ std::vector<tsch::transmission> instance_transmissions(
       txs.push_back(tx);
     }
   }
-  return txs;
 }
 
 }  // namespace
+
+void flush_scheduler_metrics(const scheduler_stats& stats,
+                             bool schedulable) {
+  if (!obs::enabled()) return;
+  // Interned once: the delta scheduler flushes on every admit and evict,
+  // where obs::add_counter's registry lock would show up.
+  struct handles {
+    obs::counter runs = obs::register_counter("core.sched.runs");
+    obs::counter runs_schedulable =
+        obs::register_counter("core.sched.runs_schedulable");
+    obs::counter runs_unschedulable =
+        obs::register_counter("core.sched.runs_unschedulable");
+    obs::counter total_transmissions =
+        obs::register_counter("core.sched.total_transmissions");
+    obs::counter reuse_placements =
+        obs::register_counter("core.sched.reuse_placements");
+    obs::counter find_slot_calls =
+        obs::register_counter("core.sched.find_slot_calls");
+    obs::counter laxity_evaluations =
+        obs::register_counter("core.sched.laxity_evaluations");
+    obs::counter reuse_activations =
+        obs::register_counter("core.sched.reuse_activations");
+    obs::counter slots_scanned =
+        obs::register_counter("core.probes.slots_scanned");
+    obs::counter cells_probed =
+        obs::register_counter("core.probes.cells_probed");
+    obs::counter index_hits = obs::register_counter("core.probes.index_hits");
+  };
+  static const handles h;
+  h.runs.add();
+  (schedulable ? h.runs_schedulable : h.runs_unschedulable).add();
+  h.total_transmissions.add(stats.total_transmissions);
+  h.reuse_placements.add(stats.reuse_placements);
+  h.find_slot_calls.add(stats.find_slot_calls);
+  h.laxity_evaluations.add(stats.laxity_evaluations);
+  h.reuse_activations.add(stats.reuse_activations);
+  h.slots_scanned.add(stats.probes.slots_scanned);
+  h.cells_probed.add(stats.probes.cells_probed);
+  h.index_hits.add(stats.probes.index_hits);
+}
+
+void record_placed_flow(const flow::flow& f, int rho, int instances) {
+  static const obs::histogram final_rho = obs::register_histogram(
+      "core.sched.final_rho", {0, 1, 2, 3, 4, 5, 6, 8, 10, 12, 16});
+  final_rho.observe(static_cast<double>(rho));
+  if (obs::events_enabled())
+    obs::emit(obs::severity::info, "core", "flow_admitted",
+              {{"flow", f.id},
+               {"rho", rho == k_infinite_hops ? -1 : rho},
+               {"instances", instances}});
+}
 
 std::string to_string(algorithm algo) {
   switch (algo) {
@@ -106,11 +123,7 @@ std::string to_string(channel_policy policy) {
   WSAN_CHECK(false, "unknown channel policy");
 }
 
-schedule_result schedule_flows(const std::vector<flow::flow>& flows,
-                               const graph::hop_matrix& reuse_hops,
-                               const scheduler_config& config) {
-  OBS_SPAN("core.schedule_flows");
-  WSAN_REQUIRE(!flows.empty(), "flow set must be non-empty");
+void validate_config(const scheduler_config& config) {
   WSAN_REQUIRE(config.num_channels >= 1 &&
                    config.num_channels <= phy::k_max_channels,
                "channel count must be in [1, 16]");
@@ -119,6 +132,14 @@ schedule_result schedule_flows(const std::vector<flow::flow>& flows,
                "retries must be non-negative");
   WSAN_REQUIRE(config.management_slot_period >= 0,
                "management slot period must be non-negative");
+}
+
+schedule_result schedule_flows(const std::vector<flow::flow>& flows,
+                               const graph::hop_matrix& reuse_hops,
+                               const scheduler_config& config) {
+  OBS_SPAN("core.schedule_flows");
+  WSAN_REQUIRE(!flows.empty(), "flow set must be non-empty");
+  validate_config(config);
   for (std::size_t i = 0; i < flows.size(); ++i) {
     flow::validate_flow(flows[i]);
     WSAN_REQUIRE(flows[i].id == static_cast<flow_id>(i),
@@ -131,13 +152,17 @@ schedule_result schedule_flows(const std::vector<flow::flow>& flows,
   result.sched = tsch::schedule(hp, config.num_channels);
 
   for (const auto& f : flows) {
-    if (!schedule_flow_into(result.sched, f, reuse_hops, config,
-                            result.stats)) {
+    // Algorithm 1: rho starts at infinity for each flow.
+    int rho = k_infinite_hops;
+    const int instances = f.instances_in(hp);
+    if (!schedule_flow_into(result.sched, f, 0, instances, rho, reuse_hops,
+                            config, result.stats)) {
       result.schedulable = false;
       result.first_failed_flow = f.id;
       flush_scheduler_metrics(result.stats, false);
       return result;
     }
+    record_placed_flow(f, rho, instances);
   }
 
   result.schedulable = true;
@@ -146,26 +171,27 @@ schedule_result schedule_flows(const std::vector<flow::flow>& flows,
 }
 
 bool schedule_flow_into(tsch::schedule& sched, const flow::flow& f,
+                        int first_instance, int end_instance, int& rho,
                         const graph::hop_matrix& reuse_hops,
                         const scheduler_config& config,
                         scheduler_stats& stats) {
+  WSAN_REQUIRE(0 <= first_instance && first_instance <= end_instance &&
+                   end_instance <= f.instances_in(sched.num_slots()),
+               "instance range outside the schedule's hyperperiod");
   const int lambda_r = reuse_hops.diameter();
-  // Algorithm 1: rho starts at infinity for each flow.
-  int rho = k_infinite_hops;
-  const int instances = f.instances_in(sched.num_slots());
-  for (int r = 0; r < instances; ++r) {
-    const auto txs =
-        instance_transmissions(f, r, config.retries_per_link);
+  // One instance buffer per thread, refilled per instance; T_post is a
+  // view of its tail, so placing a transmission allocates nothing.
+  static thread_local std::vector<tsch::transmission> txs;
+  for (int r = first_instance; r < end_instance; ++r) {
+    instance_transmissions(f, r, config.retries_per_link, txs);
     slot_t earliest = f.release_slot(r);
     const slot_t d_i = f.deadline_slot(r);
 
     for (std::size_t ti = 0; ti < txs.size(); ++ti) {
       const auto& tx = txs[ti];
       // T_post: the remaining transmissions of this instance.
-      const std::vector<tsch::transmission> post(txs.begin() +
-                                                     static_cast<long>(ti) +
-                                                     1,
-                                                 txs.end());
+      const auto post =
+          std::span<const tsch::transmission>(txs).subspan(ti + 1);
 
       std::optional<slot_assignment> found;
       switch (config.algo) {
@@ -252,12 +278,6 @@ bool schedule_flow_into(tsch::schedule& sched, const flow::flow& f,
       earliest = found->slot + 1;
     }
   }
-  observe_final_rho(rho);
-  if (obs::events_enabled())
-    obs::emit(obs::severity::info, "core", "flow_admitted",
-              {{"flow", f.id},
-               {"rho", rho == k_infinite_hops ? -1 : rho},
-               {"instances", instances}});
   return true;
 }
 

@@ -94,15 +94,10 @@ void tenant::apply_op(std::uint64_t tenant_id, std::uint64_t op,
       ++stats.rejections;
       obs::add_counter("fleet.rejections");
     }
-    if (out.full_reschedule) {
-      ++stats.repair_fallbacks;
-      obs::add_counter("fleet.repair_fallbacks");
-    }
     if (obs::events_enabled())
       obs::emit(obs::severity::info, "fleet", "admit",
                 {{"tenant", static_cast<long long>(tenant_id)},
-                 {"admitted", out.admitted ? 1 : 0},
-                 {"full_reschedule", out.full_reschedule ? 1 : 0}});
+                 {"admitted", out.admitted ? 1 : 0}});
     return;
   }
 
@@ -116,15 +111,10 @@ void tenant::apply_op(std::uint64_t tenant_id, std::uint64_t op,
   stats.rescheduled_flows +=
       static_cast<std::int64_t>(out.rescheduled_flows);
   obs::add_counter("fleet.evictions");
-  if (out.full_reschedule) {
-    ++stats.repair_fallbacks;
-    obs::add_counter("fleet.repair_fallbacks");
-  }
   if (obs::events_enabled())
     obs::emit(obs::severity::info, "fleet", "evict",
               {{"tenant", static_cast<long long>(tenant_id)},
-               {"victim", victim},
-               {"full_reschedule", out.full_reschedule ? 1 : 0}});
+               {"victim", victim}});
 }
 
 std::uint64_t tenant_state_digest(std::uint64_t tenant_id,
@@ -199,8 +189,6 @@ fleet_result fleet_manager::run_churn(int jobs,
       w.values["admissions"] = static_cast<double>(stats[t].admissions);
       w.values["rejections"] = static_cast<double>(stats[t].rejections);
       w.values["evictions"] = static_cast<double>(stats[t].evictions);
-      w.values["repair_fallbacks"] =
-          static_cast<double>(stats[t].repair_fallbacks);
       w.values["schedulable"] = schedulable[t] ? 1.0 : 0.0;
       w.values["flows"] = static_cast<double>(flows[t]);
       recorder->record_window(w);

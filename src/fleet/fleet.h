@@ -22,10 +22,9 @@
 //     full run.
 //
 // Admissions and evictions go through the incremental delta-scheduling
-// API (core/delta.h) rather than full schedule_flows reruns; the
-// fleet.repair_fallbacks counter tracks how often a full rerun was
-// still needed (hyperperiod changes). Tenant flow priorities are
-// arrival-order (dense ids), matching the delta scheduler's model.
+// API (core/delta.h), which repairs every request in place rather than
+// rerunning schedule_flows. Tenant flow priorities are arrival-order
+// (dense ids), matching the delta scheduler's model.
 #pragma once
 
 #include <cstdint>
@@ -79,7 +78,9 @@ struct tenant_stats {
   std::int64_t evictions = 0;
   std::int64_t placed = 0;      ///< transmissions placed by admissions
   std::int64_t freed = 0;       ///< transmissions freed by evictions
-  std::int64_t repair_fallbacks = 0;  ///< ops that needed a full rerun
+  /// Ops that needed a full rerun: always 0 since the delta scheduler
+  /// repairs every request in place. perfbench still reads it.
+  std::int64_t repair_fallbacks = 0;
   std::int64_t rescheduled_flows = 0;  ///< suffix flows replayed in place
 
   tenant_stats& operator+=(const tenant_stats& other);

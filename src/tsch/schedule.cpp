@@ -1,7 +1,7 @@
 #include "tsch/schedule.h"
 
 #include <algorithm>
-#include <set>
+#include <cstddef>
 
 #include "common/error.h"
 
@@ -38,53 +38,46 @@ void schedule::add(const transmission& tx, slot_t slot, offset_t offset) {
   mark_busy(tx.receiver, slot);
 }
 
-std::size_t schedule::remove_flow(flow_id flow) {
-  const auto is_flows = [flow](const transmission& tx) {
-    return tx.flow == flow;
+void schedule::clear_busy(node_id node, slot_t slot) {
+  const auto row = static_cast<std::size_t>(node) * words_per_node_;
+  node_busy_[row + static_cast<std::size_t>(slot) / k_word_bits] &=
+      ~(std::uint64_t{1} << (static_cast<std::size_t>(slot) % k_word_bits));
+}
+
+std::size_t schedule::remove_flows_from(flow_id first) {
+  const auto removed_flow = [first](const transmission& tx) {
+    return tx.flow >= first;
   };
-  // Touched slots/cells, deduplicated so each container is compacted
-  // once; the affected node set per slot drives the busy-bit repair.
-  std::set<std::size_t> touched_cells;
-  std::set<slot_t> touched_slots;
-  std::size_t removed = 0;
-  std::vector<placement> kept;
-  kept.reserve(placements_.size());
-  for (const auto& p : placements_) {
-    if (p.tx.flow != flow) {
-      kept.push_back(p);
+  // Survivors are compacted in place; a removed placement's cell and
+  // slot vectors drop every removed transmission at once, so a later
+  // removed placement of the same cell or slot finds nothing left to
+  // erase there.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < placements_.size(); ++i) {
+    const placement p = placements_[i];
+    if (!removed_flow(p.tx)) {
+      placements_[kept++] = p;
       continue;
     }
-    ++removed;
-    touched_cells.insert(cell_index(p.slot, p.offset));
-    touched_slots.insert(p.slot);
-  }
-  if (removed == 0) return 0;
-  placements_ = std::move(kept);
-  for (const std::size_t ci : touched_cells) {
-    auto& cell = cells_[ci];
-    cell.erase(std::remove_if(cell.begin(), cell.end(), is_flows),
-               cell.end());
-    cell_load_[ci] = static_cast<int>(cell.size());
-  }
-  for (const slot_t slot : touched_slots) {
-    auto& txs = slot_all_[static_cast<std::size_t>(slot)];
-    txs.erase(std::remove_if(txs.begin(), txs.end(), is_flows), txs.end());
-    // Re-derive the slot's busy bits from the survivors: clear every
-    // allocated node's bit for this slot, then re-mark the remaining
-    // transmissions. A conflict-free schedule has at most one
-    // transmission per node per slot, but deriving from ground truth
-    // keeps the index right for any add() history.
-    const std::size_t word = static_cast<std::size_t>(slot) / k_word_bits;
-    const std::uint64_t mask =
-        ~(std::uint64_t{1} << (static_cast<std::size_t>(slot) % k_word_bits));
-    for (std::size_t row = word; row < node_busy_.size();
-         row += words_per_node_)
-      node_busy_[row] &= mask;
-    for (const auto& tx : txs) {
-      mark_busy(tx.sender, slot);
-      mark_busy(tx.receiver, slot);
+    const std::size_t ci = cell_index(p.slot, p.offset);
+    std::erase_if(cells_[ci], removed_flow);
+    cell_load_[ci] = static_cast<int>(cells_[ci].size());
+    auto& txs = slot_all_[static_cast<std::size_t>(p.slot)];
+    std::erase_if(txs, removed_flow);
+    // A conflict-free schedule has at most one transmission per node per
+    // slot, so the removed endpoints are free now; checking the slot's
+    // survivors keeps the index right for any add() history.
+    for (const node_id node : {p.tx.sender, p.tx.receiver}) {
+      const bool kept_busy = std::any_of(
+          txs.begin(), txs.end(), [node](const transmission& tx) {
+            return tx.sender == node || tx.receiver == node;
+          });
+      if (!kept_busy) clear_busy(node, p.slot);
     }
   }
+  const std::size_t removed = placements_.size() - kept;
+  placements_.erase(placements_.begin() + static_cast<std::ptrdiff_t>(kept),
+                    placements_.end());
   return removed;
 }
 

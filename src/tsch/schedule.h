@@ -39,15 +39,17 @@ class schedule {
   /// that is the scheduler's job.
   void add(const transmission& tx, slot_t slot, offset_t offset);
 
-  /// Removes every placement of the given flow — the eviction primitive
-  /// of incremental delta-scheduling (core::delta_scheduler). Cost is
-  /// O(total placements + touched cells): the freed cells' vectors and
-  /// load counters shrink, and busy bits are cleared per touched slot by
-  /// re-deriving them from the slot's surviving transmissions (correct
-  /// even if the caller ever placed conflicting transmissions). The
-  /// relative order of the surviving placements() is preserved. Returns
-  /// the number of placements removed (0 when the flow is absent).
-  std::size_t remove_flow(flow_id flow);
+  /// Removes every placement of the flows with id >= `first` in one pass
+  /// — the eviction and rollback primitive of incremental
+  /// delta-scheduling (core::delta_scheduler), where those flows are the
+  /// lower-priority suffix. Cost is O(placements + removed x slot
+  /// occupancy): each removed placement leaves its cell and slot vectors
+  /// (the load counter follows), and its endpoints' busy bits are
+  /// cleared unless a survivor in the slot uses the node (correct even
+  /// if the caller ever placed conflicting transmissions). The relative
+  /// order of the surviving placements() is preserved. Returns the
+  /// number of placements removed (0 when no flow id reaches `first`).
+  std::size_t remove_flows_from(flow_id first);
 
   /// Transmissions already assigned to one cell (T_sc in the paper).
   const std::vector<transmission>& cell(slot_t slot, offset_t offset) const;
@@ -124,6 +126,7 @@ class schedule {
     WSAN_REQUIRE(slot >= 0 && slot < num_slots_, "slot out of range");
   }
   void mark_busy(node_id node, slot_t slot);
+  void clear_busy(node_id node, slot_t slot);
 
   slot_t num_slots_ = 0;
   int num_offsets_ = 0;

@@ -113,46 +113,59 @@ TEST(Schedule, ShiftedScheduleRebuildsItsIndex) {
   EXPECT_EQ(shifted.cell_load(3, 0), 1);
 }
 
-// -------------------------------------------------------- remove_flow --
+// -------------------------------------------------- remove_flows_from --
 
-TEST(Schedule, RemoveFlowFreesCellsAndCounts) {
+TEST(Schedule, RemoveFlowsFromFreesCellsAndCounts) {
   schedule s(10, 2);
   s.add(make_tx(0, 1, /*f=*/0), 0, 0);
   s.add(make_tx(2, 3, /*f=*/1), 0, 0);  // shares the cell with flow 0
-  s.add(make_tx(1, 2, /*f=*/0), 1, 1);
-  s.add(make_tx(4, 5, /*f=*/1), 2, 0);
+  s.add(make_tx(6, 7, /*f=*/0), 2, 0);
+  s.add(make_tx(1, 2, /*f=*/2), 1, 1);
+  s.add(make_tx(4, 5, /*f=*/0), 3, 1);
 
-  EXPECT_EQ(s.remove_flow(0), 2u);
-  EXPECT_EQ(s.num_transmissions(), 2u);
-  // Flow 1's placements survive, in their original relative order.
-  ASSERT_EQ(s.placements().size(), 2u);
-  EXPECT_EQ(s.placements()[0].tx.flow, 1);
+  EXPECT_EQ(s.remove_flows_from(1), 2u);
+  EXPECT_EQ(s.num_transmissions(), 3u);
+  // Flow 0's placements survive, in their original relative order.
+  ASSERT_EQ(s.placements().size(), 3u);
+  for (const auto& p : s.placements()) EXPECT_EQ(p.tx.flow, 0);
   EXPECT_EQ(s.placements()[0].slot, 0);
   EXPECT_EQ(s.placements()[1].slot, 2);
-  // Cell vectors and load counters shrank together.
-  EXPECT_EQ(s.cell_size(0, 0), 1);
+  EXPECT_EQ(s.placements()[2].slot, 3);
+  // The shared cell keeps its survivor's load; freed cells are empty.
   EXPECT_EQ(s.cell_load(0, 0), 1);
-  EXPECT_EQ(s.cell_size(1, 1), 0);
+  EXPECT_EQ(s.cell(0, 0).front().flow, 0);
   EXPECT_EQ(s.cell_load(1, 1), 0);
   EXPECT_EQ(s.slot_transmissions(1).size(), 0u);
-  // Removing an absent flow is a no-op.
-  EXPECT_EQ(s.remove_flow(0), 0u);
-  EXPECT_EQ(s.remove_flow(7), 0u);
+  for (slot_t slot = 0; slot < 10; ++slot)
+    for (offset_t c = 0; c < 2; ++c)
+      EXPECT_EQ(s.cell_load(slot, c), s.cell_size(slot, c));
+  // Removing from an id above every flow is a no-op.
+  const auto before = s.placements();
+  EXPECT_EQ(s.remove_flows_from(1), 0u);
+  EXPECT_EQ(s.remove_flows_from(7), 0u);
+  EXPECT_EQ(s.placements(), before);
 }
 
-TEST(Schedule, RemoveFlowClearsBusyBitsButKeepsSharedSlots) {
+TEST(Schedule, RemoveFlowsFromClearsBusyBitsButKeepsSharedSlots) {
   schedule s(10, 2);
-  s.add(make_tx(0, 1, /*f=*/0), 4, 0);
-  s.add(make_tx(2, 3, /*f=*/1), 4, 1);  // flow 1 also busy in slot 4
-  s.add(make_tx(1, 2, /*f=*/0), 6, 0);
+  s.add(make_tx(2, 3, /*f=*/0), 4, 1);  // flow 0 also busy in slot 4
+  s.add(make_tx(0, 1, /*f=*/1), 4, 0);
+  // Shares node 3 with flow 0 in slot 4: a conflict only add() allows,
+  // so clearing its endpoints must not free the survivor's node.
+  s.add(make_tx(3, 7, /*f=*/2), 4, 0);
+  s.add(make_tx(1, 2, /*f=*/1), 6, 0);
+  s.add(make_tx(5, 6, /*f=*/2), 6, 1);
 
-  ASSERT_EQ(s.remove_flow(0), 2u);
-  // Flow 0's endpoints are free again everywhere...
+  ASSERT_EQ(s.remove_flows_from(1), 4u);
+  // The removed endpoints are free again everywhere...
   EXPECT_FALSE(s.node_busy(0, 4));
   EXPECT_FALSE(s.node_busy(1, 4));
+  EXPECT_FALSE(s.node_busy(7, 4));
   EXPECT_FALSE(s.node_busy(1, 6));
   EXPECT_FALSE(s.node_busy(2, 6));
-  // ...but flow 1's occupancy in the shared slot is retained.
+  EXPECT_FALSE(s.node_busy(5, 6));
+  EXPECT_FALSE(s.node_busy(6, 6));
+  // ...but flow 0's occupancy in the shared slot is retained.
   EXPECT_TRUE(s.node_busy(2, 4));
   EXPECT_TRUE(s.node_busy(3, 4));
   EXPECT_TRUE(s.slot_conflict_free(make_tx(0, 1), 4));

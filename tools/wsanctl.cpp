@@ -359,8 +359,7 @@ int cmd_fleet(const cli_args& args) {
     std::cout << "tenant " << tenant_id << " replay (seed "
               << config.seed << "): " << stats.ops << " ops, "
               << stats.admissions << " admitted, " << stats.rejections
-              << " rejected, " << stats.evictions << " evicted, "
-              << stats.repair_fallbacks << " full reschedules\n"
+              << " rejected, " << stats.evictions << " evicted\n"
               << "final state: " << ten.delta().size() << " flows, "
               << ten.delta().sched().num_transmissions()
               << " transmissions, digest "
@@ -384,7 +383,7 @@ int cmd_fleet(const cli_args& args) {
   };
 
   table t({"tenants", "ops", "admitted", "rejected", "evicted",
-           "fallbacks", "final flows", "digest"});
+           "final flows", "digest"});
   const auto count_cell = [](std::int64_t v) {
     return cell(static_cast<long long>(v));
   };
@@ -392,7 +391,6 @@ int cmd_fleet(const cli_args& args) {
              count_cell(result.totals.admissions),
              count_cell(result.totals.rejections),
              count_cell(result.totals.evictions),
-             count_cell(result.totals.repair_fallbacks),
              count_cell(result.final_flows),
              std::to_string(result.state_digest)});
   t.print(std::cout);
