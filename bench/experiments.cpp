@@ -482,7 +482,13 @@ exp::figure_report run_fig6(const exp::run_options& options,
                  {"rc_naive_ms", rc_naive_ms},
                  {"speedup", rc_ms > 0.0 ? rc_naive_ms / rc_ms : 0.0},
                  {"rc_schedulable", rc_sched},
-                 {"generated", static_cast<double>(generated)}};
+                 {"generated", static_cast<double>(generated)},
+                 {"slots_scanned",
+                  static_cast<double>(agg.count("probe_slots"))},
+                 {"cells_probed",
+                  static_cast<double>(agg.count("probe_cells"))},
+                 {"index_hits",
+                  static_cast<double>(agg.count("probe_index_hits"))}};
     panel.points.push_back(std::move(rp));
   }
   t.print(out);
@@ -492,7 +498,8 @@ exp::figure_report run_fig6(const exp::run_options& options,
       << " cells=" << total_probes.cells_probed
       << " index_hits=" << total_probes.index_hits << "\n";
   if (wsan::obs::enabled()) {
-    out << "\nPer-phase scheduler breakdown (observability spans):\n";
+    out << "\nObservability spans (per-transmission phases are "
+           "counters in the metrics file, not spans):\n";
     exp::print_span_table(wsan::obs::take_snapshot(), out);
   }
   out << "\nPaper shape: NR is fastest (well under a millisecond at "

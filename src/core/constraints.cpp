@@ -1,26 +1,11 @@
 #include "core/constraints.h"
 
-#include "common/error.h"
-
 namespace wsan::core {
 
 bool conflict_free(const tsch::transmission& tx,
                    const std::vector<tsch::transmission>& slot_txs) {
   for (const auto& other : slot_txs)
     if (tx.conflicts_with(other)) return false;
-  return true;
-}
-
-bool channel_constraint_ok(const tsch::transmission& tx,
-                           const std::vector<tsch::transmission>& cell_txs,
-                           int rho, const graph::hop_matrix& reuse_hops) {
-  WSAN_REQUIRE(rho >= 0, "rho must be non-negative");
-  if (cell_txs.empty()) return true;
-  if (rho == k_infinite_hops) return false;  // 2a: cell must be empty
-  for (const auto& other : cell_txs) {       // 2b
-    if (reuse_hops.hops(tx.sender, other.receiver) < rho) return false;
-    if (reuse_hops.hops(other.sender, tx.receiver) < rho) return false;
-  }
   return true;
 }
 

@@ -12,6 +12,7 @@
 
 #include <vector>
 
+#include "common/error.h"
 #include "graph/hop_matrix.h"
 #include "tsch/transmission.h"
 
@@ -25,9 +26,21 @@ bool conflict_free(const tsch::transmission& tx,
                    const std::vector<tsch::transmission>& slot_txs);
 
 /// Constraint 2: true iff tx may join the cell under hop threshold rho
-/// (pass k_infinite_hops for "no reuse allowed").
-bool channel_constraint_ok(const tsch::transmission& tx,
-                           const std::vector<tsch::transmission>& cell_txs,
-                           int rho, const graph::hop_matrix& reuse_hops);
+/// (pass k_infinite_hops for "no reuse allowed"). The one copy of 2b,
+/// shared by find_slot's indexed and naive paths and the exhaustive
+/// search; inline because the slot search probes it per occupied cell.
+inline bool channel_constraint_ok(
+    const tsch::transmission& tx,
+    const std::vector<tsch::transmission>& cell_txs, int rho,
+    const graph::hop_matrix& reuse_hops) {
+  WSAN_REQUIRE(rho >= 0, "rho must be non-negative");
+  if (cell_txs.empty()) return true;
+  if (rho == k_infinite_hops) return false;  // 2a: cell must be empty
+  for (const auto& other : cell_txs) {       // 2b
+    if (reuse_hops.hops(tx.sender, other.receiver) < rho) return false;
+    if (reuse_hops.hops(other.sender, tx.receiver) < rho) return false;
+  }
+  return true;
+}
 
 }  // namespace wsan::core

@@ -8,7 +8,6 @@
 #include "common/error.h"
 #include "core/constraints.h"
 #include "core/slot_finder.h"
-#include "obs/trace.h"
 #include "core/probe_counters.h"
 
 namespace wsan::core {
@@ -77,24 +76,11 @@ long long count_unusable_indexed(
   for (std::size_t w = first; w <= last && !rows.empty(); ++w) {
     std::uint64_t mask = 0;
     for (const std::uint64_t* row : rows) mask |= row[w];
-    if (w == first)
-      mask &= ~std::uint64_t{0} << (static_cast<std::size_t>(s + 1) % wb);
-    if (w == last) {
-      const std::size_t top = static_cast<std::size_t>(end) % wb;
-      if (top + 1 < wb) mask &= (std::uint64_t{1} << (top + 1)) - 1;
-    }
-    if (mask == 0) continue;
-    if (period > 0) {
-      // Management slots are already counted above; a conflicting
-      // management slot must not be counted twice.
-      for (std::uint64_t bits = mask; bits != 0; bits &= bits - 1) {
-        const slot_t k = static_cast<slot_t>(w * wb) +
-                         std::countr_zero(bits);
-        if (!is_management_slot(k, period)) ++unusable;
-      }
-    } else {
-      unusable += std::popcount(mask);
-    }
+    // Management slots are already counted above; a conflicting
+    // management slot must not be counted twice.
+    mask &= tsch::schedule::slot_range_bits(w, s + 1, end) &
+            ~management_slot_bits(w, period);
+    unusable += std::popcount(mask);
   }
   return unusable;
 }
@@ -106,7 +92,6 @@ long long calculate_laxity(const tsch::schedule& sched,
                            slot_t s, slot_t deadline_slot,
                            int management_slot_period, bool use_index,
                            probe_counters* probes) {
-  OBS_SPAN("core.laxity");
   WSAN_REQUIRE(s >= 0, "slot must be non-negative");
   WSAN_REQUIRE(management_slot_period >= 0,
                "management slot period must be non-negative");

@@ -219,7 +219,6 @@ bool schedule_flow_into(tsch::schedule& sched, const flow::flow& f,
           // Algorithm 1 inner loop: try the current rho; on negative
           // laxity enable reuse at the network diameter and tighten
           // one hop at a time until laxity >= 0 or rho < rho_t.
-          OBS_SPAN("core.rc_relaxation");
           static const obs::counter relaxation_rounds =
               obs::register_counter("core.sched.relaxation_rounds");
           while (true) {

@@ -2,6 +2,8 @@
 // channel reuse constraints (Section V-C).
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <set>
 #include <utility>
@@ -34,10 +36,16 @@ struct slot_assignment {
 /// accept empty cells, and cells holding a listed link's transmission
 /// accept nobody else (reschedule-after-detection, Section VI).
 ///
-/// With `use_index` (the default) the transmission-conflict test and
-/// the per-offset loads come from the schedule's occupancy index; the
-/// naive scan over slot_transmissions() remains as the reference
-/// oracle. `probes`, when non-null, accumulates hot-path counters.
+/// With `use_index` (the default) the search runs over the schedule's
+/// occupancy index a 64-slot word at a time: the endpoints' busy
+/// bitsets give the conflict-free slots of a word at once, the
+/// full-slot bitset rules out every slot without an empty cell when
+/// rho is infinite, and only the remaining candidates have their cells
+/// probed, with cached loads. The naive scan over slot_transmissions()
+/// remains as the reference oracle; both paths share one offset choice
+/// and place identically. `probes`, when non-null, accumulates
+/// hot-path counters, equal on both paths (the indexed path counts the
+/// slots and cells it rules out in bulk).
 std::optional<slot_assignment> find_slot(
     const tsch::schedule& sched, const tsch::transmission& tx,
     slot_t earliest, slot_t latest, int rho,
@@ -52,6 +60,21 @@ std::optional<slot_assignment> find_slot(
 inline bool is_management_slot(slot_t slot, int management_slot_period) {
   return management_slot_period > 0 &&
          slot % management_slot_period == 0;
+}
+
+/// The reserved management slots among the 64 slots of occupancy-index
+/// bitset word `w` (0 when nothing is reserved).
+inline std::uint64_t management_slot_bits(std::size_t w,
+                                          int management_slot_period) {
+  if (management_slot_period <= 0) return 0;
+  constexpr int wb = tsch::schedule::k_word_bits;
+  const auto base = static_cast<long long>(w) * wb;
+  std::uint64_t bits = 0;
+  for (long long k = (base + management_slot_period - 1) /
+                     management_slot_period * management_slot_period;
+       k < base + wb; k += management_slot_period)
+    bits |= std::uint64_t{1} << (k - base);
+  return bits;
 }
 
 }  // namespace wsan::core

@@ -19,15 +19,22 @@ std::vector<node_id> pick_access_points(const graph::graph& comm,
                                         int count) {
   WSAN_REQUIRE(count >= 1 && count <= comm.num_nodes(),
                "access point count out of range");
-  std::vector<node_id> ids(static_cast<std::size_t>(comm.num_nodes()));
-  for (int i = 0; i < comm.num_nodes(); ++i)
+  // Degree descending, then id ascending, is a total order, so sorting
+  // only the first `count` nodes picks the same ones in the same order.
+  const auto n = static_cast<std::size_t>(comm.num_nodes());
+  std::vector<int> degree(n);
+  std::vector<node_id> ids(n);
+  for (node_id i = 0; i < comm.num_nodes(); ++i) {
+    degree[static_cast<std::size_t>(i)] = comm.degree(i);
     ids[static_cast<std::size_t>(i)] = i;
-  std::stable_sort(ids.begin(), ids.end(), [&](node_id a, node_id b) {
-    if (comm.degree(a) != comm.degree(b))
-      return comm.degree(a) > comm.degree(b);
-    return a < b;
+  }
+  const auto top = ids.begin() + count;
+  std::partial_sort(ids.begin(), top, ids.end(), [&](node_id a, node_id b) {
+    const int da = degree[static_cast<std::size_t>(a)];
+    const int db = degree[static_cast<std::size_t>(b)];
+    return da != db ? da > db : a < b;
   });
-  ids.resize(static_cast<std::size_t>(count));
+  ids.erase(top, ids.end());
   return ids;
 }
 

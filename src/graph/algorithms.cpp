@@ -36,28 +36,30 @@ std::optional<std::vector<node_id>> shortest_path(const graph& g,
   WSAN_REQUIRE(target >= 0 && target < g.num_nodes(),
                "target id out of range");
   if (source == target) return std::vector<node_id>{source};
-  std::vector<node_id> prev(static_cast<std::size_t>(g.num_nodes()),
-                            k_invalid_node);
-  std::vector<bool> seen(static_cast<std::size_t>(g.num_nodes()), false);
-  std::queue<node_id> queue;
-  seen[static_cast<std::size_t>(source)] = true;
-  queue.push(source);
-  while (!queue.empty()) {
-    const node_id u = queue.front();
-    queue.pop();
+  // prev doubles as the visited mark (the source is its own
+  // predecessor), and the FIFO is a flat array: each node enters once.
+  const auto n = static_cast<std::size_t>(g.num_nodes());
+  std::vector<node_id> prev(n, k_invalid_node);
+  std::vector<node_id> queue;
+  queue.reserve(n);
+  prev[static_cast<std::size_t>(source)] = source;
+  queue.push_back(source);
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const node_id u = queue[head];
     if (u == target) break;
     for (node_id v : g.neighbors(u)) {  // sorted -> deterministic ties
-      if (seen[static_cast<std::size_t>(v)]) continue;
-      seen[static_cast<std::size_t>(v)] = true;
+      if (prev[static_cast<std::size_t>(v)] != k_invalid_node) continue;
       prev[static_cast<std::size_t>(v)] = u;
-      queue.push(v);
+      queue.push_back(v);
     }
   }
-  if (!seen[static_cast<std::size_t>(target)]) return std::nullopt;
+  if (prev[static_cast<std::size_t>(target)] == k_invalid_node)
+    return std::nullopt;
   std::vector<node_id> path;
-  for (node_id at = target; at != k_invalid_node;
+  for (node_id at = target; at != source;
        at = prev[static_cast<std::size_t>(at)])
     path.push_back(at);
+  path.push_back(source);
   std::reverse(path.begin(), path.end());
   return path;
 }

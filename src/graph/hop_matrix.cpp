@@ -22,12 +22,4 @@ hop_matrix::hop_matrix(const graph& g) : num_nodes_(g.num_nodes()) {
   }
 }
 
-int hop_matrix::hops(node_id u, node_id v) const {
-  WSAN_REQUIRE(u >= 0 && u < num_nodes_, "node id out of range");
-  WSAN_REQUIRE(v >= 0 && v < num_nodes_, "node id out of range");
-  return dist_[static_cast<std::size_t>(u) *
-                   static_cast<std::size_t>(num_nodes_) +
-               static_cast<std::size_t>(v)];
-}
-
 }  // namespace wsan::graph

@@ -1,6 +1,6 @@
 // Scoped tracing spans (DESIGN.md §9).
 //
-// OBS_SPAN("core.find_slot"); opens an RAII span that, when
+// OBS_SPAN("core.schedule_flows"); opens an RAII span that, when
 // observability is enabled at runtime, records one steady-clock
 // duration into the metrics registry's per-thread shard (two counter
 // slots: invocation count and total nanoseconds). Spans nest freely —
@@ -9,6 +9,13 @@
 // registry's merge machinery, so span *counts* are deterministic for
 // deterministic workloads while total_ns is a measurement and lives in
 // the clearly non-deterministic "timings" section of reports.
+//
+// Spans sit at layer granularity: around a public call of a pipeline
+// layer (a schedule_flows run, a delta admit or evict, a simulation, a
+// manager step), never around per-transmission work. A sub-microsecond
+// span costs about as much as the two clock reads that time it, so it
+// distorts what it measures; count such work with a counter instead
+// (core.sched.find_slot_calls, core.probes.*).
 //
 // When the library is compiled with WSAN_OBS=OFF the macro expands to
 // nothing and the span class is an empty shell, so instrumented hot

@@ -17,6 +17,7 @@ schedule::schedule(slot_t num_slots, int num_offsets)
   words_per_node_ =
       (static_cast<std::size_t>(num_slots) + k_word_bits - 1) / k_word_bits;
   cell_load_.assign(cells_.size(), 0);
+  full_.assign(words_per_node_, 0);
 }
 
 void schedule::mark_busy(node_id node, slot_t slot) {
@@ -25,7 +26,7 @@ void schedule::mark_busy(node_id node, slot_t slot) {
   if (row + words_per_node_ > node_busy_.size())
     node_busy_.resize(row + words_per_node_, 0);
   node_busy_[row + static_cast<std::size_t>(slot) / k_word_bits] |=
-      std::uint64_t{1} << (static_cast<std::size_t>(slot) % k_word_bits);
+      slot_bit(slot);
 }
 
 void schedule::add(const transmission& tx, slot_t slot, offset_t offset) {
@@ -33,7 +34,14 @@ void schedule::add(const transmission& tx, slot_t slot, offset_t offset) {
   cells_[ci].push_back(tx);
   slot_all_[static_cast<std::size_t>(slot)].push_back(tx);
   placements_.push_back(placement{tx, slot, offset});
-  ++cell_load_[ci];
+  if (cell_load_[ci]++ == 0) {
+    // An empty cell filled: the slot is full if no cell in it is empty.
+    const auto loads = cell_load_.begin() +
+                       static_cast<std::ptrdiff_t>(cell_index(slot, 0));
+    if (std::all_of(loads, loads + num_offsets_,
+                    [](int load) { return load > 0; }))
+      full_[static_cast<std::size_t>(slot) / k_word_bits] |= slot_bit(slot);
+  }
   mark_busy(tx.sender, slot);
   mark_busy(tx.receiver, slot);
 }
@@ -41,7 +49,7 @@ void schedule::add(const transmission& tx, slot_t slot, offset_t offset) {
 void schedule::clear_busy(node_id node, slot_t slot) {
   const auto row = static_cast<std::size_t>(node) * words_per_node_;
   node_busy_[row + static_cast<std::size_t>(slot) / k_word_bits] &=
-      ~(std::uint64_t{1} << (static_cast<std::size_t>(slot) % k_word_bits));
+      ~slot_bit(slot);
 }
 
 std::size_t schedule::remove_flows_from(flow_id first) {
@@ -62,6 +70,9 @@ std::size_t schedule::remove_flows_from(flow_id first) {
     const std::size_t ci = cell_index(p.slot, p.offset);
     std::erase_if(cells_[ci], removed_flow);
     cell_load_[ci] = static_cast<int>(cells_[ci].size());
+    if (cell_load_[ci] == 0)
+      full_[static_cast<std::size_t>(p.slot) / k_word_bits] &=
+          ~slot_bit(p.slot);
     auto& txs = slot_all_[static_cast<std::size_t>(p.slot)];
     std::erase_if(txs, removed_flow);
     // A conflict-free schedule has at most one transmission per node per
@@ -79,11 +90,6 @@ std::size_t schedule::remove_flows_from(flow_id first) {
   placements_.erase(placements_.begin() + static_cast<std::ptrdiff_t>(kept),
                     placements_.end());
   return removed;
-}
-
-const std::vector<transmission>& schedule::cell(slot_t slot,
-                                                offset_t offset) const {
-  return cells_[cell_index(slot, offset)];
 }
 
 const std::vector<transmission>& schedule::slot_transmissions(

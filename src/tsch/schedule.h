@@ -13,7 +13,10 @@
 //     O(1) bit tests instead of a scan of slot_transmissions(s) — two
 //     transmissions conflict iff they share a node (Section III-B);
 //   * per-cell load counters, so channel-selection policies read a
-//     cached integer instead of measuring the cell vector.
+//     cached integer instead of measuring the cell vector;
+//   * a full-slot bitset (bit k set iff every offset of slot k holds at
+//     least one transmission), so a search that needs an empty cell
+//     skips full slots a word at a time.
 // The index is derived state only; the vectors remain the ground truth
 // and the naive scans stay available as a reference oracle.
 #pragma once
@@ -52,7 +55,9 @@ class schedule {
   std::size_t remove_flows_from(flow_id first);
 
   /// Transmissions already assigned to one cell (T_sc in the paper).
-  const std::vector<transmission>& cell(slot_t slot, offset_t offset) const;
+  const std::vector<transmission>& cell(slot_t slot, offset_t offset) const {
+    return cells_[cell_index(slot, offset)];
+  }
 
   /// All transmissions in a slot across every offset (T_s in the paper).
   const std::vector<transmission>& slot_transmissions(slot_t slot) const;
@@ -66,6 +71,19 @@ class schedule {
 
   /// Number of 64-bit words in each node's busy-slot bitset.
   std::size_t words_per_node() const { return words_per_node_; }
+
+  /// The bits of bitset word `w` that stand for slots in [first, last]
+  /// (the range must reach into the word).
+  static std::uint64_t slot_range_bits(std::size_t w, slot_t first,
+                                       slot_t last) {
+    const auto lo = static_cast<std::size_t>(first);
+    const auto hi = static_cast<std::size_t>(last);
+    std::uint64_t bits = ~std::uint64_t{0};
+    if (w == lo / k_word_bits) bits <<= lo % k_word_bits;
+    if (w == hi / k_word_bits)
+      bits &= ~std::uint64_t{0} >> (k_word_bits - 1 - hi % k_word_bits);
+    return bits;
+  }
 
   /// The node's busy-slot bitset (bit k set iff the node sends or
   /// receives in slot k), or nullptr if no row was ever allocated for
@@ -101,6 +119,19 @@ class schedule {
     return cell_load_[cell_index(slot, offset)];
   }
 
+  /// The full-slot bitset, words_per_node() words: bit k is set iff
+  /// every offset of slot k holds a transmission. add() sets a slot's
+  /// bit when its last empty cell fills; remove_flows_from() clears it
+  /// when a cell empties.
+  const std::uint64_t* full_slot_words() const { return full_.data(); }
+
+  /// True iff every offset of the slot holds a transmission. O(1).
+  bool slot_full(slot_t slot) const {
+    check_slot(slot);
+    return (full_[static_cast<std::size_t>(slot) / k_word_bits] &
+            slot_bit(slot)) != 0;
+  }
+
   /// A placement record, in insertion order.
   struct placement {
     transmission tx;
@@ -125,6 +156,10 @@ class schedule {
   void check_slot(slot_t slot) const {
     WSAN_REQUIRE(slot >= 0 && slot < num_slots_, "slot out of range");
   }
+  /// The slot's bit within its bitset word.
+  static std::uint64_t slot_bit(slot_t slot) {
+    return std::uint64_t{1} << (static_cast<std::size_t>(slot) % k_word_bits);
+  }
   void mark_busy(node_id node, slot_t slot);
   void clear_busy(node_id node, slot_t slot);
 
@@ -136,6 +171,7 @@ class schedule {
   std::size_t words_per_node_ = 0;
   std::vector<std::uint64_t> node_busy_;  // nodes x words_per_node_
   std::vector<int> cell_load_;            // slots x offsets
+  std::vector<std::uint64_t> full_;       // words_per_node_ words
 };
 
 /// Rebuilds the schedule with every transmission's node ids shifted by

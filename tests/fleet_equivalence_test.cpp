@@ -63,16 +63,21 @@ core::schedule_result expect_canonical(const core::delta_scheduler& delta,
 }
 
 /// Spot-checks the occupancy index against the ground-truth vectors:
-/// every placement's endpoints are busy in its slot, and cell_load
-/// matches cell_size.
+/// every placement's endpoints are busy in its slot, cell_load matches
+/// cell_size, and a slot is marked full iff none of its cells is empty.
 void expect_index_consistent(const tsch::schedule& sched) {
   for (const auto& p : sched.placements()) {
     EXPECT_TRUE(sched.node_busy(p.tx.sender, p.slot));
     EXPECT_TRUE(sched.node_busy(p.tx.receiver, p.slot));
   }
-  for (slot_t s = 0; s < sched.num_slots(); ++s)
-    for (offset_t c = 0; c < sched.num_offsets(); ++c)
+  for (slot_t s = 0; s < sched.num_slots(); ++s) {
+    bool every_offset_used = true;
+    for (offset_t c = 0; c < sched.num_offsets(); ++c) {
       EXPECT_EQ(sched.cell_load(s, c), sched.cell_size(s, c));
+      every_offset_used = every_offset_used && sched.cell_size(s, c) > 0;
+    }
+    EXPECT_EQ(sched.slot_full(s), every_offset_used) << "slot " << s;
+  }
 }
 
 /// What a randomized trace exercised. The delta scheduler never falls

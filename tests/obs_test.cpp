@@ -245,7 +245,9 @@ TEST_F(ObsTest, ExponentialHistogramAssignsBoundariesInclusively) {
   h.observe(4.0);   // bucket 1
   h.observe(16.0);  // bucket 2
   h.observe(16.5);  // overflow
-  const auto& hist = obs::take_snapshot().histograms.at("test.expo.hist");
+  // Hold the snapshot: a reference into the temporary would dangle.
+  const auto snap = obs::take_snapshot();
+  const auto& hist = snap.histograms.at("test.expo.hist");
   EXPECT_EQ(hist.upper_bounds, (std::vector<double>{1.0, 4.0, 16.0}));
   EXPECT_EQ(hist.counts, (std::vector<std::uint64_t>{1, 2, 1, 1}));
 }

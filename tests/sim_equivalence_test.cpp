@@ -38,14 +38,30 @@ namespace {
 std::atomic<std::uint64_t> g_allocations{0};
 }  // namespace
 
-void* operator new(std::size_t size) {
+// The scalar replacements stay out of line. Inlined, GCC 12 sees the
+// malloc inside operator new reach operator delete, or operator new's
+// pointer reach the free inside operator delete, and raises
+// -Wmismatched-new-delete.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
+// The nothrow forms (std::stable_sort's temporary buffer) must come
+// from malloc too: the replaced deletes free every pointer.
+[[gnu::noinline]] void* operator new(std::size_t size,
+                                     const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size == 0 ? 1 : size);
+}
 void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return ::operator new(size, std::nothrow);
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 

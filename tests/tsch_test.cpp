@@ -69,6 +69,27 @@ TEST(Schedule, BoundsAreChecked) {
 
 // ---------------------------------------------------- occupancy index --
 
+/// Checks every part of the occupancy index against the ground-truth
+/// vectors: a node is busy in a slot iff a transmission there uses it,
+/// cell_load equals cell_size, and a slot is full iff no cell is empty.
+void expect_index_consistent(const schedule& s, node_id max_node) {
+  for (slot_t slot = 0; slot < s.num_slots(); ++slot) {
+    for (node_id n = 0; n <= max_node; ++n) {
+      bool used = false;
+      for (const auto& tx : s.slot_transmissions(slot))
+        used = used || tx.sender == n || tx.receiver == n;
+      EXPECT_EQ(s.node_busy(n, slot), used)
+          << "node " << n << " slot " << slot;
+    }
+    bool every_offset_used = true;
+    for (offset_t c = 0; c < s.num_offsets(); ++c) {
+      EXPECT_EQ(s.cell_load(slot, c), s.cell_size(slot, c));
+      every_offset_used = every_offset_used && s.cell_size(slot, c) > 0;
+    }
+    EXPECT_EQ(s.slot_full(slot), every_offset_used) << "slot " << slot;
+  }
+}
+
 TEST(Schedule, OccupancyIndexTracksBusyNodes) {
   schedule s(100, 2);
   s.add(make_tx(3, 7), 64, 1);  // word boundary of the per-node bitset
@@ -98,9 +119,41 @@ TEST(Schedule, CellLoadMatchesCellSize) {
   s.add(make_tx(0, 1), 1, 0);
   s.add(make_tx(4, 5), 1, 0);
   s.add(make_tx(7, 8), 1, 1);
-  for (slot_t slot = 0; slot < 5; ++slot)
-    for (offset_t c = 0; c < 2; ++c)
-      EXPECT_EQ(s.cell_load(slot, c), s.cell_size(slot, c));
+  expect_index_consistent(s, 8);
+}
+
+TEST(Schedule, FullSlotBitTracksEveryOffset) {
+  schedule s(130, 3);
+  // Slots 63 and 64 straddle a bitset word boundary; 129 is the last.
+  for (const slot_t slot : {63, 64, 129}) {
+    s.add(make_tx(0, 1, /*f=*/0), slot, 0);
+    s.add(make_tx(2, 3, /*f=*/1), slot, 2);
+    EXPECT_FALSE(s.slot_full(slot));  // offset 1 still empty
+    s.add(make_tx(4, 5, /*f=*/2), slot, 1);
+    EXPECT_TRUE(s.slot_full(slot));
+    s.add(make_tx(6, 7, /*f=*/3), slot, 1);  // reuse keeps it full
+    EXPECT_TRUE(s.slot_full(slot));
+  }
+  EXPECT_FALSE(s.slot_full(62));
+  EXPECT_FALSE(s.slot_full(65));
+  ASSERT_NE(s.full_slot_words(), nullptr);
+  EXPECT_EQ(s.full_slot_words()[0], std::uint64_t{1} << 63);
+  EXPECT_EQ(s.full_slot_words()[1], std::uint64_t{1});
+  EXPECT_EQ(s.full_slot_words()[2], std::uint64_t{2});
+  expect_index_consistent(s, 7);
+
+  // Flow 3 shared offset 1 with flow 2: its removal keeps every cell
+  // occupied. Removing flow 2 too empties offset 1.
+  s.remove_flows_from(3);
+  for (const slot_t slot : {63, 64, 129}) EXPECT_TRUE(s.slot_full(slot));
+  expect_index_consistent(s, 7);
+  s.remove_flows_from(2);
+  for (const slot_t slot : {63, 64, 129}) EXPECT_FALSE(s.slot_full(slot));
+  expect_index_consistent(s, 7);
+  // Refilling the emptied cell marks the slot full again.
+  s.add(make_tx(4, 5, /*f=*/2), 64, 1);
+  EXPECT_TRUE(s.slot_full(64));
+  expect_index_consistent(s, 7);
 }
 
 TEST(Schedule, ShiftedScheduleRebuildsItsIndex) {
@@ -136,9 +189,7 @@ TEST(Schedule, RemoveFlowsFromFreesCellsAndCounts) {
   EXPECT_EQ(s.cell(0, 0).front().flow, 0);
   EXPECT_EQ(s.cell_load(1, 1), 0);
   EXPECT_EQ(s.slot_transmissions(1).size(), 0u);
-  for (slot_t slot = 0; slot < 10; ++slot)
-    for (offset_t c = 0; c < 2; ++c)
-      EXPECT_EQ(s.cell_load(slot, c), s.cell_size(slot, c));
+  expect_index_consistent(s, 7);
   // Removing from an id above every flow is a no-op.
   const auto before = s.placements();
   EXPECT_EQ(s.remove_flows_from(1), 0u);
@@ -155,6 +206,8 @@ TEST(Schedule, RemoveFlowsFromClearsBusyBitsButKeepsSharedSlots) {
   s.add(make_tx(3, 7, /*f=*/2), 4, 0);
   s.add(make_tx(1, 2, /*f=*/1), 6, 0);
   s.add(make_tx(5, 6, /*f=*/2), 6, 1);
+  ASSERT_TRUE(s.slot_full(4));
+  ASSERT_TRUE(s.slot_full(6));
 
   ASSERT_EQ(s.remove_flows_from(1), 4u);
   // The removed endpoints are free again everywhere...
@@ -170,6 +223,9 @@ TEST(Schedule, RemoveFlowsFromClearsBusyBitsButKeepsSharedSlots) {
   EXPECT_TRUE(s.node_busy(3, 4));
   EXPECT_TRUE(s.slot_conflict_free(make_tx(0, 1), 4));
   EXPECT_FALSE(s.slot_conflict_free(make_tx(3, 5), 4));
+  // Offset 0 of slot 4 emptied, so the slot is no longer full.
+  EXPECT_FALSE(s.slot_full(4));
+  expect_index_consistent(s, 7);
 }
 
 // ------------------------------------------------------------ hopping --
