@@ -11,8 +11,8 @@
 // exactly one relaxed atomic load + branch per instrumentation site.
 // The bench (a) calibrates that per-site cost with a tight loop of
 // disabled spans, (b) counts the sites one schedule actually executes
-// from an enabled metrics snapshot (span entries, per-round counters,
-// histogram observations, end-of-run flush), and (c) expresses
+// from an enabled metrics snapshot (span entries, histogram
+// observations, end-of-run counter flush), and (c) expresses
 // sites × cost as a fraction of the measured disabled schedule time.
 //
 // The enabled/disabled wall-time ratio is also printed: that is the
@@ -84,17 +84,22 @@ double window_record_cost_us() {
 }
 
 /// Instrumentation sites executed by one schedule, from an enabled-run
-/// snapshot: every span entry, every unit counter increment
-/// (relaxation rounds), every histogram observation, plus one flush
-/// call per counter at the end of the run.
+/// snapshot: every span entry, every histogram observation, plus one
+/// flush call per counter at the end of the run. The scheduler's
+/// counters, relaxation rounds included, accumulate in
+/// core::scheduler_stats and reach the registry only in that flush.
 std::uint64_t count_sites(const obs::snapshot& snap) {
   std::uint64_t sites = 0;
   for (const auto& [name, s] : snap.spans) sites += s.count;
   for (const auto& [name, h] : snap.histograms) sites += h.total();
-  const auto rounds = snap.counters.find("core.sched.relaxation_rounds");
-  if (rounds != snap.counters.end()) sites += rounds->second;
   sites += snap.counters.size();
   return sites;
+}
+
+/// RC relaxation rounds recorded in an enabled-run snapshot.
+std::uint64_t relaxation_rounds(const obs::snapshot& snap) {
+  const auto rounds = snap.counters.find("core.sched.relaxation_rounds");
+  return rounds == snap.counters.end() ? 0 : rounds->second;
 }
 
 }  // namespace
@@ -126,6 +131,7 @@ int main(int argc, char** argv) {
   double disabled_ms = 0.0;
   double enabled_ms = 0.0;
   std::uint64_t sites = 0;
+  std::uint64_t rounds = 0;
   int measured = 0;
   for (int w = 0; w < workloads; ++w) {
     rng gen(derive_seed(seed, 0, static_cast<std::uint64_t>(w)));
@@ -145,8 +151,9 @@ int main(int argc, char** argv) {
     obs::set_enabled(false);
     // The enabled reps left reps× counts in the registry; scale down to
     // the per-schedule site count.
-    sites += count_sites(obs::take_snapshot()) /
-             static_cast<std::uint64_t>(reps);
+    const auto snap = obs::take_snapshot();
+    sites += count_sites(snap) / static_cast<std::uint64_t>(reps);
+    rounds += relaxation_rounds(snap) / static_cast<std::uint64_t>(reps);
     ++measured;
   }
   obs::reset_metrics();
@@ -171,6 +178,8 @@ int main(int argc, char** argv) {
             << "% tracing cost, informational)\n"
             << "instrumentation sites : " << sites << " @ " << site_ns
             << " ns/site disabled\n"
+            << "relaxation rounds     : " << rounds
+            << " (counted in scheduler_stats, flushed once per run)\n"
             << "series window record  : " << window_record_cost_us()
             << " us/window (time-series layer compiled in; per-epoch, "
                "off the hot path)\n"

@@ -54,9 +54,10 @@ struct scheduler_config {
   /// framing; the ablation bench quantifies its cost).
   int management_slot_period = 0;
   /// When true (the default), the scheduler's transmission-conflict
-  /// checks and laxity accounting run on the schedule's incremental
-  /// occupancy index (per-node busy-slot bitsets + per-cell load
-  /// counters). When false, they fall back to the naive scans over
+  /// checks, channel constraint and laxity accounting run on the
+  /// schedule's incremental occupancy index (per-node busy-slot
+  /// bitsets, per-cell load counters and node masks) and the hop
+  /// matrix's balls. When false, they fall back to the naive scans over
   /// slot_transmissions()/cell() — the reference oracle the equivalence
   /// tests compare against. Both paths must produce placement-identical
   /// schedules.

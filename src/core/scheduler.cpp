@@ -59,6 +59,8 @@ void flush_scheduler_metrics(const scheduler_stats& stats,
         obs::register_counter("core.sched.laxity_evaluations");
     obs::counter reuse_activations =
         obs::register_counter("core.sched.reuse_activations");
+    obs::counter relaxation_rounds =
+        obs::register_counter("core.sched.relaxation_rounds");
     obs::counter slots_scanned =
         obs::register_counter("core.probes.slots_scanned");
     obs::counter cells_probed =
@@ -73,6 +75,7 @@ void flush_scheduler_metrics(const scheduler_stats& stats,
   h.find_slot_calls.add(stats.find_slot_calls);
   h.laxity_evaluations.add(stats.laxity_evaluations);
   h.reuse_activations.add(stats.reuse_activations);
+  h.relaxation_rounds.add(stats.relaxation_rounds);
   h.slots_scanned.add(stats.probes.slots_scanned);
   h.cells_probed.add(stats.probes.cells_probed);
   h.index_hits.add(stats.probes.index_hits);
@@ -179,20 +182,24 @@ bool schedule_flow_into(tsch::schedule& sched, const flow::flow& f,
                    end_instance <= f.instances_in(sched.num_slots()),
                "instance range outside the schedule's hyperperiod");
   const int lambda_r = reuse_hops.diameter();
+  const bool indexed_laxity =
+      config.algo == algorithm::rc && config.use_occupancy_index;
   // One instance buffer per thread, refilled per instance; T_post is a
-  // view of its tail, so placing a transmission allocates nothing.
+  // view of its tail, so placing a transmission allocates nothing. RC's
+  // laxity snapshot is refilled with it: each placement lands before
+  // the next search starts, so no slot a later Eq. 1 evaluation of the
+  // instance reads changes after the instance begins.
   static thread_local std::vector<tsch::transmission> txs;
+  static thread_local instance_laxity eq1;
   for (int r = first_instance; r < end_instance; ++r) {
     instance_transmissions(f, r, config.retries_per_link, txs);
     slot_t earliest = f.release_slot(r);
     const slot_t d_i = f.deadline_slot(r);
+    if (indexed_laxity)
+      eq1.snapshot(sched, txs, earliest, d_i, config.management_slot_period);
 
     for (std::size_t ti = 0; ti < txs.size(); ++ti) {
       const auto& tx = txs[ti];
-      // T_post: the remaining transmissions of this instance.
-      const auto post =
-          std::span<const tsch::transmission>(txs).subspan(ti + 1);
-
       std::optional<slot_assignment> found;
       switch (config.algo) {
         case algorithm::nr: {
@@ -219,10 +226,8 @@ bool schedule_flow_into(tsch::schedule& sched, const flow::flow& f,
           // Algorithm 1 inner loop: try the current rho; on negative
           // laxity enable reuse at the network diameter and tighten
           // one hop at a time until laxity >= 0 or rho < rho_t.
-          static const obs::counter relaxation_rounds =
-              obs::register_counter("core.sched.relaxation_rounds");
           while (true) {
-            relaxation_rounds.add();
+            ++stats.relaxation_rounds;
             ++stats.find_slot_calls;
             found = find_slot(sched, tx, earliest, d_i, rho,
                               reuse_hops, config.policy,
@@ -232,12 +237,19 @@ bool schedule_flow_into(tsch::schedule& sched, const flow::flow& f,
                               &stats.probes);
             bool laxity_ok = false;
             if (found) {
+              // Eq. 1 with T_post = txs[ti + 1..], the remaining
+              // transmissions of this instance.
               ++stats.laxity_evaluations;
-              laxity_ok =
-                  calculate_laxity(sched, post, found->slot, d_i,
-                                   config.management_slot_period,
-                                   config.use_occupancy_index,
-                                   &stats.probes) >= 0;
+              const long long laxity =
+                  indexed_laxity
+                      ? eq1.laxity(ti + 1, found->slot, &stats.probes)
+                      : calculate_laxity(
+                            sched,
+                            std::span<const tsch::transmission>(txs)
+                                .subspan(ti + 1),
+                            found->slot, d_i, config.management_slot_period,
+                            false, &stats.probes);
+              laxity_ok = laxity >= 0;
             }
             if (laxity_ok) break;
             if (rho == k_infinite_hops) {

@@ -20,6 +20,8 @@ struct scheduler_stats {
   std::size_t laxity_evaluations = 0;
   /// Times RC switched a transmission from rho = infinity to reuse.
   std::size_t reuse_activations = 0;
+  /// Rounds of RC's relaxation loop: one find_slot try at one rho each.
+  std::size_t relaxation_rounds = 0;
   /// Hot-path work: slots scanned, cells probed, checks answered by the
   /// occupancy index (see scheduler_config::use_occupancy_index).
   probe_counters probes;

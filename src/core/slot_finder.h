@@ -40,12 +40,17 @@ struct slot_assignment {
 /// occupancy index a 64-slot word at a time: the endpoints' busy
 /// bitsets give the conflict-free slots of a word at once, the
 /// full-slot bitset rules out every slot without an empty cell when
-/// rho is infinite, and only the remaining candidates have their cells
-/// probed, with cached loads. The naive scan over slot_transmissions()
-/// remains as the reference oracle; both paths share one offset choice
-/// and place identically. `probes`, when non-null, accumulates
-/// hot-path counters, equal on both paths (the indexed path counts the
-/// slots and cells it rules out in bulk).
+/// rho is infinite, and each remaining candidate slot is judged whole —
+/// every offset at once, from the cached loads and, at finite rho, the
+/// cells' sender and receiver node masks against the endpoints' hop
+/// balls (graph::hop_matrix::ball), so constraint 2b costs a few word
+/// operations per cell instead of two distance lookups per occupant.
+/// The naive scan over slot_transmissions(), probing one cell at a
+/// time with channel_constraint_ok, remains as the reference oracle;
+/// both paths place identically. `probes`, when non-null, accumulates
+/// hot-path counters, equal on both paths: the indexed path adds the
+/// slots and cells the naive scan would examine, in bulk. Finite rho
+/// needs every node id in the schedule inside the hop matrix.
 std::optional<slot_assignment> find_slot(
     const tsch::schedule& sched, const tsch::transmission& tx,
     slot_t earliest, slot_t latest, int rho,

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 
 #include "common/error.h"
 
@@ -137,6 +138,25 @@ void write_indented(const value& v, std::ostream& os, int depth) {
   }
 }
 
+/// Appends the code point UTF-8-encoded.
+void append_utf8(std::string& out, unsigned code) {
+  if (code < 0x80) {
+    out += static_cast<char>(code);
+  } else if (code < 0x800) {
+    out += static_cast<char>(0xc0 | (code >> 6));
+    out += static_cast<char>(0x80 | (code & 0x3f));
+  } else if (code < 0x10000) {
+    out += static_cast<char>(0xe0 | (code >> 12));
+    out += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
+    out += static_cast<char>(0x80 | (code & 0x3f));
+  } else {
+    out += static_cast<char>(0xf0 | (code >> 18));
+    out += static_cast<char>(0x80 | ((code >> 12) & 0x3f));
+    out += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
+    out += static_cast<char>(0x80 | (code & 0x3f));
+  }
+}
+
 /// Recursive-descent parser over a string view with a cursor.
 class parser {
  public:
@@ -199,11 +219,21 @@ class parser {
     }
   }
 
+  /// Enters one array or object level; the recursion stops at
+  /// k_max_depth instead of running out of stack.
+  void descend() {
+    if (++depth_ > k_max_depth)
+      fail("nesting deeper than " + std::to_string(k_max_depth) +
+           " levels");
+  }
+
   value parse_object() {
     expect('{');
+    descend();
     object obj;
     if (peek() == '}') {
       ++pos_;
+      --depth_;
       return value(std::move(obj));
     }
     for (;;) {
@@ -212,23 +242,31 @@ class parser {
       obj[key] = parse_value();
       const char c = peek();
       ++pos_;
-      if (c == '}') return value(std::move(obj));
+      if (c == '}') {
+        --depth_;
+        return value(std::move(obj));
+      }
       if (c != ',') fail("expected ',' or '}' in object");
     }
   }
 
   value parse_array() {
     expect('[');
+    descend();
     array arr;
     if (peek() == ']') {
       ++pos_;
+      --depth_;
       return value(std::move(arr));
     }
     for (;;) {
       arr.push_back(parse_value());
       const char c = peek();
       ++pos_;
-      if (c == ']') return value(std::move(arr));
+      if (c == ']') {
+        --depth_;
+        return value(std::move(arr));
+      }
       if (c != ',') fail("expected ',' or ']' in array");
     }
   }
@@ -255,28 +293,27 @@ class parser {
           case 'b': out += '\b'; break;
           case 'f': out += '\f'; break;
           case 'u': {
-            if (pos_ + 4 > text_.size()) fail("bad \\u escape");
-            unsigned code = 0;
-            const auto res = std::from_chars(
-                text_.data() + pos_, text_.data() + pos_ + 4, code, 16);
-            if (res.ptr != text_.data() + pos_ + 4) fail("bad \\u escape");
-            pos_ += 4;
-            // The reports are ASCII; non-ASCII escapes are preserved
-            // UTF-8-encoded for the BMP only.
-            if (code < 0x80) {
-              out += static_cast<char>(code);
-            } else if (code < 0x800) {
-              out += static_cast<char>(0xc0 | (code >> 6));
-              out += static_cast<char>(0x80 | (code & 0x3f));
-            } else {
-              out += static_cast<char>(0xe0 | (code >> 12));
-              out += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
-              out += static_cast<char>(0x80 | (code & 0x3f));
+            unsigned code = parse_hex4();
+            // A code point above the BMP is a UTF-16 surrogate pair: a
+            // high surrogate escape followed by a low surrogate escape.
+            if (code >= 0xdc00 && code <= 0xdfff)
+              fail("unpaired low surrogate");
+            if (code >= 0xd800 && code <= 0xdbff) {
+              if (text_.compare(pos_, 2, "\\u") != 0)
+                fail("unpaired high surrogate");
+              pos_ += 2;
+              const unsigned low = parse_hex4();
+              if (low < 0xdc00 || low > 0xdfff)
+                fail("unpaired high surrogate");
+              code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
             }
+            append_utf8(out, code);
             break;
           }
           default: fail("unknown escape");
         }
+      } else if (static_cast<unsigned char>(c) < 0x20) {
+        fail("unescaped control character in string");
       } else {
         out += c;
       }
@@ -284,26 +321,53 @@ class parser {
     fail("unterminated string");
   }
 
+  /// The four hex digits after a backslash-u escape.
+  unsigned parse_hex4() {
+    if (pos_ + 4 > text_.size()) fail("bad \\u escape");
+    unsigned code = 0;
+    const auto res = std::from_chars(text_.data() + pos_,
+                                     text_.data() + pos_ + 4, code, 16);
+    if (res.ptr != text_.data() + pos_ + 4) fail("bad \\u escape");
+    pos_ += 4;
+    return code;
+  }
+
+  /// True iff the next character is `c`; consumes it then.
+  bool accept(char c) {
+    if (pos_ >= text_.size() || text_[pos_] != c) return false;
+    ++pos_;
+    return true;
+  }
+
+  /// Consumes a run of decimal digits; returns its length.
+  std::size_t digits() {
+    const std::size_t from = pos_;
+    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9')
+      ++pos_;
+    return pos_ - from;
+  }
+
+  /// RFC 8259: [ "-" ] ( "0" / digit1-9 *DIGIT ) [ "." 1*DIGIT ]
+  /// [ ( "e" / "E" ) [ "+" / "-" ] 1*DIGIT ].
   value parse_number() {
     const std::size_t start = pos_;
-    if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+'))
-      ++pos_;
+    accept('-');
+    if (!accept('0') && digits() == 0) fail("expected a number");
     bool is_double = false;
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (std::isdigit(static_cast<unsigned char>(c))) {
-        ++pos_;
-      } else if (c == '.' || c == 'e' || c == 'E' || c == '-' || c == '+') {
-        is_double = c == '.' || c == 'e' || c == 'E' ? true : is_double;
-        ++pos_;
-      } else {
-        break;
-      }
+    if (accept('.')) {
+      is_double = true;
+      if (digits() == 0) fail("expected a digit after '.'");
     }
-    if (start == pos_) fail("expected a number");
+    if (accept('e') || accept('E')) {
+      is_double = true;
+      if (!accept('+')) accept('-');
+      if (digits() == 0) fail("expected a digit in the exponent");
+    }
     const char* first = text_.data() + start;
     const char* last = text_.data() + pos_;
-    if (!is_double) {
+    // write() emits -0.0 as "-0"; reading it as the integer 0 would
+    // lose the sign.
+    if (!is_double && std::string_view(first, last) != "-0") {
       std::int64_t i = 0;
       const auto res = std::from_chars(first, last, i);
       if (res.ec == std::errc() && res.ptr == last) return value(i);
@@ -316,6 +380,7 @@ class parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // arrays and objects open at the cursor
 };
 
 }  // namespace

@@ -73,8 +73,17 @@ class value {
 void write(const value& v, std::ostream& os);
 std::string to_string(const value& v);
 
-/// Parses a complete JSON document; throws std::invalid_argument with a
-/// byte offset on malformed input or trailing garbage.
+/// Deepest array and object nesting parse() accepts: far beyond any
+/// document the repo writes, and shallow enough that the recursive
+/// descent cannot exhaust the stack.
+inline constexpr int k_max_depth = 512;
+
+/// Parses a complete RFC 8259 JSON document; throws
+/// std::invalid_argument with a byte offset on malformed input, trailing
+/// garbage, nesting deeper than k_max_depth, numbers outside the RFC
+/// grammar (a leading '+' or zero, a bare '.', an empty exponent),
+/// unescaped control characters, and unpaired UTF-16 surrogate escapes.
+/// Surrogate pairs decode to UTF-8.
 value parse(const std::string& text);
 
 }  // namespace wsan::exp::json

@@ -1,8 +1,10 @@
 #include "exp/obs_io.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <fstream>
 #include <ostream>
+#include <string>
 #include <vector>
 
 #include "common/error.h"
@@ -353,10 +355,12 @@ std::string sparkline(const std::vector<double>& values) {
   std::string out;
   for (const double v : values) {
     const double span = hi - lo;
-    const int level =
-        span > 0.0
-            ? std::min(7, static_cast<int>((v - lo) / span * 8.0))
-            : 0;
+    // An overflowing span makes the ratio NaN: lowest block, like a
+    // flat series.
+    const double scaled = span > 0.0 ? (v - lo) / span * 8.0 : 0.0;
+    const int level = scaled >= 7.0  ? 7
+                      : scaled > 0.0 ? static_cast<int>(scaled)
+                                     : 0;
     out += k_blocks[level];
   }
   return out;
@@ -385,6 +389,78 @@ void print_series_table(const obs::series& s, std::ostream& os) {
                cell(hi, 3), cell(values.back(), 3), sparkline(values)});
   }
   t.print(os);
+}
+
+bool print_flight_dump(const json::value& doc, std::ostream& os) {
+  const auto* schema = doc.find("schema");
+  if (schema == nullptr || !schema->is_string() ||
+      schema->as_string() != "wsan-flight-recorder/1")
+    return false;
+
+  const auto int_or = [&doc](const char* key, std::int64_t fallback) {
+    const auto* v = doc.find(key);
+    return v != nullptr && v->is_int() ? v->as_int() : fallback;
+  };
+  const auto field_text = [](const json::value& v) -> std::string {
+    if (v.is_string()) return v.as_string();
+    if (v.is_int()) return std::to_string(v.as_int());
+    if (v.is_number()) return cell(v.as_double(), 4);
+    return "?";
+  };
+  const auto event_line = [&field_text](const json::value& ev) {
+    std::string line;
+    const auto* sev = ev.find("severity");
+    const auto* component = ev.find("component");
+    const auto* name = ev.find("event");
+    line += sev != nullptr && sev->is_string() ? sev->as_string() : "?";
+    line += " ";
+    line += component != nullptr && component->is_string()
+                ? component->as_string()
+                : "?";
+    line += "/";
+    line += name != nullptr && name->is_string() ? name->as_string() : "?";
+    if (const auto* fields = ev.find("fields");
+        fields != nullptr && fields->is_object()) {
+      for (const auto& [key, val] : fields->as_object())
+        line += " " + key + "=" + field_text(val);
+    }
+    return line;
+  };
+
+  if (const auto* trigger = doc.find("trigger"); trigger != nullptr)
+    os << "trigger:  " << event_line(*trigger) << "\n";
+  os << "triggers: " << int_or("trigger_count", 0)
+     << "  dropped events: " << int_or("dropped_events", 0)
+     << "  dropped windows: " << int_or("dropped_windows", 0) << "\n";
+
+  if (const auto* windows = doc.find("windows");
+      windows != nullptr && windows->is_array() &&
+      !windows->as_array().empty()) {
+    obs::series series;
+    series.name = "flight";
+    for (const auto& w : windows->as_array()) {
+      obs::series_window window;
+      if (const auto* index = w.find("index");
+          index != nullptr && index->is_int())
+        window.index = index->as_int();
+      if (const auto* values = w.find("values");
+          values != nullptr && values->is_object())
+        for (const auto& [key, val] : values->as_object())
+          if (val.is_number()) window.values[key] = val.as_double();
+      series.windows.push_back(std::move(window));
+    }
+    os << "\nlast " << series.windows.size() << " window(s):\n";
+    print_series_table(series, os);
+  }
+
+  if (const auto* events = doc.find("events");
+      events != nullptr && events->is_array() &&
+      !events->as_array().empty()) {
+    os << "\nlast " << events->as_array().size() << " event(s):\n";
+    for (const auto& ev : events->as_array())
+      os << "  " << event_line(ev) << "\n";
+  }
+  return true;
 }
 
 obs_session::obs_session(const run_options& options)

@@ -79,6 +79,13 @@ bool print_health_block(const json::value& health, std::ostream& os);
 /// plus a unicode sparkline over the windows (the `wsanctl top` view).
 void print_series_table(const obs::series& s, std::ostream& os);
 
+/// Renders a wsan-flight-recorder/1 post-mortem dump
+/// (obs::flight_recorder): the trigger, the drop counters, the retained
+/// windows as a series table, and the retained event tail (the
+/// `wsanctl flight` view). Returns false, printing nothing, when the
+/// document is not such a dump.
+bool print_flight_dump(const json::value& doc, std::ostream& os);
+
 /// Per-run observability session. When the options request any
 /// observability output, the constructor resets the metrics registry,
 /// enables recording, and — for --trace — installs a JSONL event sink.

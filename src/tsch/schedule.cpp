@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <utility>
 
 #include "common/error.h"
 
@@ -29,6 +31,29 @@ void schedule::mark_busy(node_id node, slot_t slot) {
       slot_bit(slot);
 }
 
+void schedule::mask_in(std::size_t ci, const transmission& tx) {
+  std::uint64_t* senders = cell_masks_.data() + ci * 2 * mask_words_;
+  const auto set = [](std::uint64_t* mask, node_id node) {
+    mask[static_cast<std::size_t>(node) / k_word_bits] |=
+        std::uint64_t{1} << (static_cast<std::size_t>(node) % k_word_bits);
+  };
+  set(senders, tx.sender);
+  set(senders + mask_words_, tx.receiver);
+}
+
+void schedule::fit_masks(node_id node) {
+  const std::size_t words = static_cast<std::size_t>(node) / k_word_bits + 1;
+  if (words <= mask_words_) return;
+  std::vector<std::uint64_t> wider(cells_.size() * 2 * words, 0);
+  for (std::size_t m = 0; m < cells_.size() * 2; ++m)
+    std::copy_n(cell_masks_.begin() +
+                    static_cast<std::ptrdiff_t>(m * mask_words_),
+                mask_words_,
+                wider.begin() + static_cast<std::ptrdiff_t>(m * words));
+  cell_masks_ = std::move(wider);
+  mask_words_ = words;
+}
+
 void schedule::add(const transmission& tx, slot_t slot, offset_t offset) {
   const std::size_t ci = cell_index(slot, offset);
   cells_[ci].push_back(tx);
@@ -44,6 +69,15 @@ void schedule::add(const transmission& tx, slot_t slot, offset_t offset) {
   }
   mark_busy(tx.sender, slot);
   mark_busy(tx.receiver, slot);
+  fit_masks(std::max(tx.sender, tx.receiver));
+  mask_in(ci, tx);
+}
+
+void schedule::rebuild_masks(std::size_t ci) {
+  std::fill_n(cell_masks_.begin() +
+                  static_cast<std::ptrdiff_t>(ci * 2 * mask_words_),
+              2 * mask_words_, 0);
+  for (const transmission& tx : cells_[ci]) mask_in(ci, tx);
 }
 
 void schedule::clear_busy(node_id node, slot_t slot) {
@@ -68,11 +102,13 @@ std::size_t schedule::remove_flows_from(flow_id first) {
       continue;
     }
     const std::size_t ci = cell_index(p.slot, p.offset);
-    std::erase_if(cells_[ci], removed_flow);
-    cell_load_[ci] = static_cast<int>(cells_[ci].size());
-    if (cell_load_[ci] == 0)
-      full_[static_cast<std::size_t>(p.slot) / k_word_bits] &=
-          ~slot_bit(p.slot);
+    if (std::erase_if(cells_[ci], removed_flow) > 0) {
+      cell_load_[ci] = static_cast<int>(cells_[ci].size());
+      if (cell_load_[ci] == 0)
+        full_[static_cast<std::size_t>(p.slot) / k_word_bits] &=
+            ~slot_bit(p.slot);
+      rebuild_masks(ci);
+    }
     auto& txs = slot_all_[static_cast<std::size_t>(p.slot)];
     std::erase_if(txs, removed_flow);
     // A conflict-free schedule has at most one transmission per node per

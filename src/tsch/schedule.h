@@ -16,7 +16,15 @@
 //     cached integer instead of measuring the cell vector;
 //   * a full-slot bitset (bit k set iff every offset of slot k holds at
 //     least one transmission), so a search that needs an empty cell
-//     skips full slots a word at a time.
+//     skips full slots a word at a time;
+//   * per-cell sender and receiver node masks (bit y set iff node y
+//     sends, respectively receives, in the cell), so constraint 2b for
+//     a whole cell is a few word operations against the reuse graph's
+//     hop balls (graph::hop_matrix::ball) instead of a distance lookup
+//     per occupant. add() sets the bits; remove_flows_from() rebuilds
+//     the masks of every cell it touches from the survivors. The mask
+//     width grows with the largest node id added, like the busy-slot
+//     rows.
 // The index is derived state only; the vectors remain the ground truth
 // and the naive scans stay available as a reference oracle.
 #pragma once
@@ -132,6 +140,25 @@ class schedule {
             slot_bit(slot)) != 0;
   }
 
+  /// 64-bit words per cell node mask: enough for every node id added
+  /// so far (0 before the first add()).
+  std::size_t node_mask_words() const { return mask_words_; }
+
+  /// The cell's sender mask (bit y set iff node y sends in the cell),
+  /// node_mask_words() words, immediately followed by its receiver
+  /// mask. A slot's cells follow one another in offset order, so cell
+  /// (slot, c)'s masks start 2 * c * node_mask_words() words after
+  /// cell (slot, 0)'s. The pointer is invalidated by the next add().
+  const std::uint64_t* cell_senders(slot_t slot, offset_t offset) const {
+    return cell_masks_.data() + cell_index(slot, offset) * 2 * mask_words_;
+  }
+
+  /// The cell's receiver mask (bit y set iff node y receives in the
+  /// cell), node_mask_words() words.
+  const std::uint64_t* cell_receivers(slot_t slot, offset_t offset) const {
+    return cell_senders(slot, offset) + mask_words_;
+  }
+
   /// A placement record, in insertion order.
   struct placement {
     transmission tx;
@@ -162,6 +189,12 @@ class schedule {
   }
   void mark_busy(node_id node, slot_t slot);
   void clear_busy(node_id node, slot_t slot);
+  /// Widens the cell node masks to hold `node`.
+  void fit_masks(node_id node);
+  /// Sets tx's sender and receiver bits in cell `ci`'s node masks.
+  void mask_in(std::size_t ci, const transmission& tx);
+  /// Recomputes cell `ci`'s node masks from its transmissions.
+  void rebuild_masks(std::size_t ci);
 
   slot_t num_slots_ = 0;
   int num_offsets_ = 0;
@@ -172,6 +205,8 @@ class schedule {
   std::vector<std::uint64_t> node_busy_;  // nodes x words_per_node_
   std::vector<int> cell_load_;            // slots x offsets
   std::vector<std::uint64_t> full_;       // words_per_node_ words
+  std::size_t mask_words_ = 0;
+  std::vector<std::uint64_t> cell_masks_;  // cells x 2 x mask_words_
 };
 
 /// Rebuilds the schedule with every transmission's node ids shifted by

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <stdexcept>
+#include <vector>
+
+#include "common/rng.h"
 #include "core/constraints.h"
 #include "core/laxity.h"
 #include "core/slot_finder.h"
@@ -320,6 +326,73 @@ TEST(Laxity, IndexedAndNaivePathsAgree) {
           << "period=" << period << " deadline=" << deadline;
     }
   }
+
+  // The per-instance snapshot is the third input: over a randomly
+  // filled schedule, every suffix start and every candidate slot of the
+  // window (and past it), with windows ending on and around the bitset
+  // word boundaries, all three paths agree, probe counts included.
+  tsch::schedule busy(200, 2);
+  rng gen(41);
+  for (slot_t k = 0; k < 200; ++k) {
+    if (!gen.bernoulli(0.6)) continue;
+    const auto u = static_cast<node_id>(gen.uniform_int(0, 11));
+    const auto v = static_cast<node_id>((u + 1 + gen.uniform_int(0, 10)) % 12);
+    busy.add(make_tx(u, v), k, static_cast<offset_t>(gen.uniform_int(0, 1)));
+  }
+  // Retry attempts repeat a link, a link is revisited later on, and two
+  // neighbours share a sender but not a receiver.
+  const std::vector<tsch::transmission> txs{
+      make_tx(1, 2), make_tx(1, 2), make_tx(2, 3), make_tx(2, 3),
+      make_tx(3, 4), make_tx(3, 9), make_tx(1, 2), make_tx(5, 13)};
+  instance_laxity snapshot;
+  for (const int period : {0, 5, 7, 64}) {
+    for (const slot_t first : {0, 1, 40, 63, 64}) {
+      for (const slot_t deadline : {20, 63, 64, 65, 127, 128, 199, 250}) {
+        snapshot.snapshot(busy, txs, first, deadline, period);
+        for (std::size_t j = 0; j <= txs.size(); ++j) {
+          const auto post =
+              std::span<const tsch::transmission>(txs).subspan(j);
+          for (slot_t s = std::max<slot_t>(first - 1, 0); s <= deadline + 2;
+               ++s) {
+            probe_counters naive_probes;
+            probe_counters indexed_probes;
+            probe_counters instance_probes;
+            const long long naive = calculate_laxity(
+                busy, post, s, deadline, period, false, &naive_probes);
+            const auto context = ::testing::Message()
+                                 << "period=" << period << " first=" << first
+                                 << " deadline=" << deadline << " j=" << j
+                                 << " s=" << s;
+            ASSERT_EQ(calculate_laxity(busy, post, s, deadline, period, true,
+                                       &indexed_probes),
+                      naive)
+                << context;
+            ASSERT_EQ(snapshot.laxity(j, s, &instance_probes), naive)
+                << context;
+            EXPECT_EQ(indexed_probes.slots_scanned,
+                      naive_probes.slots_scanned)
+                << context;
+            EXPECT_EQ(instance_probes.slots_scanned,
+                      naive_probes.slots_scanned)
+                << context;
+            EXPECT_EQ(instance_probes.index_hits,
+                      instance_probes.slots_scanned)
+                << context;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Laxity, SnapshotRejectsSlotsBeforeItsWindow) {
+  tsch::schedule sched(100, 2);
+  const std::vector<tsch::transmission> txs{make_tx(1, 2)};
+  instance_laxity snapshot;
+  snapshot.snapshot(sched, txs, 10, 50, 0);
+  EXPECT_EQ(snapshot.laxity(0, 9), 40);  // (50 - 9) - 0 - 1
+  EXPECT_THROW(snapshot.laxity(0, 8), std::invalid_argument);
+  EXPECT_THROW(snapshot.laxity(2, 20), std::invalid_argument);
 }
 
 TEST(Laxity, CanGoNegative) {

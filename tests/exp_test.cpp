@@ -14,11 +14,13 @@
 
 #include <array>
 #include <atomic>
+#include <cmath>
 #include <fstream>
 #include <iterator>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "bench_common.h"
@@ -365,6 +367,74 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_THROW(exp::json::parse("[1,]"), std::invalid_argument);
   EXPECT_THROW(exp::json::parse("{} trailing"), std::invalid_argument);
   EXPECT_THROW(exp::json::parse("nul"), std::invalid_argument);
+}
+
+TEST(Json, BoundsNestingDepth) {
+  const auto nested = [](int depth, char open, char close) {
+    std::string text;
+    for (int i = 0; i < depth; ++i)
+      text += open == '{' ? std::string("{\"k\":") : std::string(1, open);
+    text += "0";
+    text += std::string(static_cast<std::size_t>(depth), close);
+    return text;
+  };
+  const int limit = exp::json::k_max_depth;
+  EXPECT_NO_THROW(exp::json::parse(nested(limit, '[', ']')));
+  EXPECT_NO_THROW(exp::json::parse(nested(limit, '{', '}')));
+  EXPECT_THROW(exp::json::parse(nested(limit + 1, '[', ']')),
+               std::invalid_argument);
+  EXPECT_THROW(exp::json::parse(nested(limit + 1, '{', '}')),
+               std::invalid_argument);
+  // Deep input fails loudly instead of overflowing the stack.
+  EXPECT_THROW(exp::json::parse(std::string(100000, '[')),
+               std::invalid_argument);
+  // Depth is nesting, not the number of containers.
+  std::string wide = "[";
+  for (int i = 0; i < 2 * limit; ++i) wide += "[[]],";
+  wide += "[]]";
+  EXPECT_NO_THROW(exp::json::parse(wide));
+}
+
+TEST(Json, NumberGrammarIsRfc8259Strict) {
+  for (const char* bad : {"1.", "01", "-01", "+1", ".5", "-", "--1", "1e",
+                          "1e+", "1.e5", "0x10", "1.5.2", "1e5e5", "- 1",
+                          "[1.]", "[01]", "{\"a\":+1}"})
+    EXPECT_THROW(exp::json::parse(bad), std::invalid_argument) << bad;
+  EXPECT_EQ(exp::json::parse("0").as_int(), 0);
+  EXPECT_EQ(exp::json::parse("-12").as_int(), -12);
+  EXPECT_EQ(exp::json::parse("1.5").as_double(), 1.5);
+  EXPECT_EQ(exp::json::parse("1E-5").as_double(), 1e-5);
+  EXPECT_EQ(exp::json::parse("1e+20").as_double(), 1e20);
+  EXPECT_EQ(exp::json::parse("-0.0").as_double(), 0.0);
+  // write() emits -0.0 as "-0": it reads back with its sign.
+  const auto negative_zero =
+      exp::json::parse(exp::json::to_string(exp::json::value(-0.0)));
+  EXPECT_FALSE(negative_zero.is_int());
+  EXPECT_TRUE(std::signbit(negative_zero.as_double()));
+}
+
+TEST(Json, DecodesSurrogatePairsAndRejectsLoneSurrogates) {
+  EXPECT_EQ(exp::json::parse("\"\\ud83d\\ude00\"").as_string(),
+            "\xf0\x9f\x98\x80");
+  EXPECT_EQ(exp::json::parse("\"\\u00e9\\u20ac\"").as_string(),
+            "\xc3\xa9\xe2\x82\xac");
+  for (const char* bad : {"\"\\ud800\"", "\"\\udc00\"",
+                          "\"\\ud800\\u0041\"", "\"\\ud800x\"",
+                          "\"\\udbff\\ud800\"", "\"\\u12\"",
+                          "\"a\x01b\"", "\"tab\there\""})
+    EXPECT_THROW(exp::json::parse(bad), std::invalid_argument) << bad;
+}
+
+TEST(Json, CommittedBaselinesRoundTrip) {
+  for (const char* name : {"/fig6_smoke.json", "/fleet_reuse_smoke.json",
+                           "/sim_throughput_smoke.json"}) {
+    std::ifstream in(std::string(WSAN_BASELINE_DIR) + name);
+    ASSERT_TRUE(in.good()) << name;
+    const std::string doc{std::istreambuf_iterator<char>(in),
+                          std::istreambuf_iterator<char>()};
+    const std::string text = exp::json::to_string(exp::json::parse(doc));
+    EXPECT_EQ(exp::json::to_string(exp::json::parse(text)), text) << name;
+  }
 }
 
 exp::figure_report sample_report() {

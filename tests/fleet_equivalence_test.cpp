@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "cell_mask_check.h"
 #include "common/rng.h"
 #include "core/delta.h"
 #include "core/scheduler.h"
@@ -64,7 +65,8 @@ core::schedule_result expect_canonical(const core::delta_scheduler& delta,
 
 /// Spot-checks the occupancy index against the ground-truth vectors:
 /// every placement's endpoints are busy in its slot, cell_load matches
-/// cell_size, and a slot is marked full iff none of its cells is empty.
+/// cell_size, a slot is marked full iff none of its cells is empty, and
+/// each cell's node masks hold exactly its senders and receivers.
 void expect_index_consistent(const tsch::schedule& sched) {
   for (const auto& p : sched.placements()) {
     EXPECT_TRUE(sched.node_busy(p.tx.sender, p.slot));
@@ -78,6 +80,7 @@ void expect_index_consistent(const tsch::schedule& sched) {
     }
     EXPECT_EQ(sched.slot_full(s), every_offset_used) << "slot " << s;
   }
+  tsch::expect_cell_masks_match(sched);
 }
 
 /// What a randomized trace exercised. The delta scheduler never falls
@@ -364,6 +367,13 @@ TEST(DeltaMetrics, AdmitOnlyTraceFlushesTheOracleTotals) {
             oracle.stats.laxity_evaluations);
   EXPECT_EQ(counter("core.probes.cells_probed"),
             oracle.stats.probes.cells_probed);
+  // RC's relaxation rounds reach the registry through the same flush:
+  // one find_slot call per round.
+  EXPECT_EQ(counter("core.sched.relaxation_rounds"),
+            oracle.stats.relaxation_rounds);
+  EXPECT_EQ(oracle.stats.relaxation_rounds, oracle.stats.find_slot_calls);
+  EXPECT_EQ(oracle_snap.counters.at("core.sched.relaxation_rounds"),
+            oracle.stats.relaxation_rounds);
   // One final-rho observation per flow, as schedule_flows records.
   EXPECT_EQ(flushed.histograms.at("core.sched.final_rho").counts,
             oracle_snap.histograms.at("core.sched.final_rho").counts);

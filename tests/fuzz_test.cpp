@@ -3,9 +3,14 @@
 // never crashes, hangs, or silent corruption.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
 #include <sstream>
+#include <string>
 
 #include "common/rng.h"
+#include "exp/json.h"
+#include "exp/obs_io.h"
 #include "flow/flow_io.h"
 #include "graph/hop_matrix.h"
 #include "sim/faults.h"
@@ -83,6 +88,139 @@ TEST(Fuzz, FaultPlanLoaderSurvivesGarbage) {
   expect_clean_failure_or_success(
       [](std::istream& is) { return sim::load_fault_plan(is); }, 4000,
       300);
+}
+
+// ------------------------------------- mutated committed documents --
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << "cannot open " << path;
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
+}
+
+/// One to eight random edits of a valid document: flipped bytes, erased
+/// or duplicated spans, truncation, inserted fragments aimed at the
+/// JSON grammar's edges (unbalanced brackets, surrogate escapes, non-RFC
+/// numbers, control characters, deep nesting), and numbers swapped for
+/// extreme ones, which keep the document valid.
+std::string mutate(std::string doc, rng& gen) {
+  static const std::string numbers[] = {
+      "1.7e308", "-1.7e308", "4.9e-324", "-0", "0", "1e20",
+      "9223372036854775807", "-9223372036854775808"};
+  static const std::string fragments[] = {
+      "[", "]", "{", "}", "\"", ",", ":", "\\", "\\u", "\\ud800",
+      "\\udc00", "\\ud83d\\ude00", "\\ud800\\u0041", "1.", "01", "-",
+      "+1", "1e", ".5", "1e999", "-0", "-0.0", "99999999999999999999",
+      "null", "true", "\x01", "\x7f", "\xff", std::string(40, '['),
+      std::string(600, '['), std::string(600, '{')};
+  const int edits = static_cast<int>(gen.uniform_int(1, 8));
+  for (int e = 0; e < edits; ++e) {
+    const auto pos = static_cast<std::size_t>(
+        gen.uniform_int(0, static_cast<std::int64_t>(doc.size())));
+    const auto len = static_cast<std::size_t>(gen.uniform_int(1, 16));
+    switch (gen.uniform_int(0, 5)) {
+      case 0:
+        if (pos < doc.size())
+          doc[pos] = static_cast<char>(gen.uniform_int(0, 255));
+        break;
+      case 1:
+        doc.erase(pos, len);
+        break;
+      case 2:
+        doc.insert(pos, fragments[gen.uniform_int(
+                            0, static_cast<std::int64_t>(
+                                   std::size(fragments)) - 1)]);
+        break;
+      case 3:
+        doc.insert(pos, doc.substr(static_cast<std::size_t>(gen.uniform_int(
+                                       0, static_cast<std::int64_t>(
+                                              doc.size()))),
+                                   len));
+        break;
+      case 4: {
+        const auto number = doc.find_first_of("-0123456789", pos);
+        if (number == std::string::npos) break;
+        const auto end = doc.find_first_not_of("-+.eE0123456789", number);
+        doc.replace(number,
+                    (end == std::string::npos ? doc.size() : end) - number,
+                    numbers[gen.uniform_int(
+                        0, static_cast<std::int64_t>(std::size(numbers)) -
+                               1)]);
+        break;
+      }
+      default:
+        doc.resize(pos);
+    }
+  }
+  return doc;
+}
+
+/// Feeds `iterations` mutants of `doc` to `reader`: each must either be
+/// read or fail with std::invalid_argument (std::logic_error for a
+/// reader invariant). Returns how many were read.
+template <typename Reader>
+int read_mutants(const std::string& doc, std::uint64_t seed, int iterations,
+                 Reader reader) {
+  int read = 0;
+  for (int i = 0; i < iterations; ++i) {
+    rng gen(seed + static_cast<std::uint64_t>(i));
+    const std::string mutant = mutate(doc, gen);
+    try {
+      reader(mutant);
+      ++read;
+    } catch (const std::invalid_argument&) {
+      // expected for malformed input
+    } catch (const std::logic_error&) {
+      // acceptable: an invariant caught the nonsense
+    }
+  }
+  return read;
+}
+
+TEST(Fuzz, JsonParserSurvivesMutatedBaselines) {
+  const std::string dir = WSAN_BASELINE_DIR;
+  std::uint64_t seed = 6000;
+  for (const char* name : {"/fig6_smoke.json", "/fleet_reuse_smoke.json",
+                           "/sim_throughput_smoke.json"}) {
+    const std::string doc = read_file(dir + name);
+    ASSERT_TRUE(exp::json::parse(doc).is_object()) << name;
+    // Whatever parses also survives a write/parse round trip unchanged.
+    const int read = read_mutants(doc, seed, 700, [](const std::string& m) {
+      const std::string text = exp::json::to_string(exp::json::parse(m));
+      EXPECT_EQ(exp::json::to_string(exp::json::parse(text)), text);
+    });
+    EXPECT_GT(read, 0) << name;  // some mutants stay valid JSON
+    seed += 1000;
+  }
+}
+
+TEST(Fuzz, SeriesReaderSurvivesMutatedSeries) {
+  const std::string doc =
+      read_file(std::string(WSAN_TEST_DATA_DIR) + "/series_fixture.jsonl");
+  {
+    std::istringstream in(doc);
+    ASSERT_EQ(exp::series_from_jsonl(in).windows.size(), 3u);
+  }
+  read_mutants(doc, 9000, 800, [](const std::string& m) {
+    std::istringstream in(m);
+    const auto series = exp::series_from_jsonl(in);
+    std::ostringstream sink;
+    exp::print_series_table(series, sink);
+  });
+}
+
+TEST(Fuzz, FlightDumpReaderSurvivesMutatedDumps) {
+  const std::string doc =
+      read_file(std::string(WSAN_TEST_DATA_DIR) + "/flight_fixture.json");
+  {
+    std::ostringstream sink;
+    ASSERT_TRUE(exp::print_flight_dump(exp::json::parse(doc), sink));
+  }
+  read_mutants(doc, 11000, 800, [](const std::string& m) {
+    std::ostringstream sink;
+    exp::print_flight_dump(exp::json::parse(m), sink);
+  });
 }
 
 TEST(Fuzz, FaultPlanRoundTripsRandomValidPlans) {

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <stdexcept>
+#include <vector>
 
 #include "common/rng.h"
 #include "graph/algorithms.h"
@@ -162,6 +165,56 @@ TEST(HopMatrix, IsSymmetric) {
   const hop_matrix hm(g);
   for (node_id u = 0; u < 7; ++u)
     for (node_id v = 0; v < 7; ++v) EXPECT_EQ(hm.hops(u, v), hm.hops(v, u));
+}
+
+TEST(HopMatrix, BallsHoldExactlyTheNodesCloserThanRho) {
+  // A 70-node path (balls span two words), a random 90-node graph with
+  // chords, and both with a few unreachable nodes left out of every
+  // edge.
+  std::vector<graph> graphs;
+  graphs.push_back(make_path(70));
+  rng gen(11);
+  graph random(90);
+  for (int e = 0; e < 150; ++e) {
+    const auto u = static_cast<node_id>(gen.uniform_int(0, 85));
+    const auto v = static_cast<node_id>(gen.uniform_int(0, 85));
+    if (u != v) random.add_edge(u, v);  // nodes 86..89 stay isolated
+  }
+  graphs.push_back(random);
+  graph split(68);
+  for (node_id u = 0; u + 1 < 66; ++u) split.add_edge(u, u + 1);
+  split.add_edge(66, 67);  // a second component beyond the first word
+  graphs.push_back(split);
+
+  for (const graph& g : graphs) {
+    const hop_matrix hm(g);
+    const int n = hm.num_nodes();
+    ASSERT_EQ(hm.ball_words(), static_cast<std::size_t>((n + 63) / 64));
+    for (node_id u = 0; u < n; ++u)
+      for (node_id y = 0; y < n; ++y)
+        ASSERT_EQ(hm.hops(u, y), hm.hops(y, u)) << u << "," << y;
+    for (int rho = 0; rho <= hm.diameter() + 2; ++rho) {
+      for (node_id u = 0; u < n; ++u) {
+        const std::uint64_t* ball = hm.ball(u, rho);
+        for (std::size_t y = 0; y < hm.ball_words() * 64; ++y) {
+          const bool inside = (ball[y / 64] >> (y % 64)) & 1;
+          const bool closer =
+              y < static_cast<std::size_t>(n) &&
+              hm.hops(u, static_cast<node_id>(y)) < rho;
+          EXPECT_EQ(inside, closer)
+              << "n=" << n << " u=" << u << " y=" << y << " rho=" << rho;
+        }
+      }
+    }
+  }
+}
+
+TEST(HopMatrix, BallRejectsInfiniteRadiusAndBadIds) {
+  const hop_matrix hm(make_path(5));
+  EXPECT_THROW(hm.ball(0, k_infinite_hops), std::invalid_argument);
+  EXPECT_THROW(hm.ball(0, -1), std::invalid_argument);
+  EXPECT_THROW(hm.ball(5, 2), std::invalid_argument);
+  EXPECT_THROW(hm.ball(-1, 2), std::invalid_argument);
 }
 
 // --------------------------------------------- comm and reuse builders --

@@ -16,6 +16,7 @@
 // Everything here is cold-path tooling that works under WSAN_OBS=OFF
 // too (sinks are driven by direct consume(), the recorder by explicit
 // calls), so none of these tests gate on obs::k_compiled_in.
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -137,6 +138,22 @@ TEST(SeriesFormats, JsonlRoundTripsBitExactly) {
   // A malformed header is rejected loudly.
   std::istringstream bad("{\"schema\":\"other/1\"}\n");
   EXPECT_THROW(exp::series_from_jsonl(bad), std::exception);
+}
+
+TEST(SeriesFormats, TableSurvivesValuesWhoseRangeOverflows) {
+  // max - min overflows to infinity: the sparkline must still pick a
+  // block instead of indexing with a NaN-derived level.
+  obs::series s;
+  s.name = "extreme";
+  for (const double v : {1.7e308, -1.7e308, 0.0, 1.7e308}) {
+    obs::series_window w;
+    w.index = static_cast<std::int64_t>(s.windows.size());
+    w.values["x"] = v;
+    s.windows.push_back(w);
+  }
+  std::ostringstream os;
+  exp::print_series_table(s, os);
+  EXPECT_NE(os.str().find("\xe2\x96\x81"), std::string::npos);  // "▁"
 }
 
 TEST(SeriesFormats, OpenMetricsExpositionIsWellFormed) {

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
 
+#include "cell_mask_check.h"
 #include "graph/hop_matrix.h"
 #include "tsch/hopping.h"
 #include "tsch/schedule.h"
@@ -71,7 +73,8 @@ TEST(Schedule, BoundsAreChecked) {
 
 /// Checks every part of the occupancy index against the ground-truth
 /// vectors: a node is busy in a slot iff a transmission there uses it,
-/// cell_load equals cell_size, and a slot is full iff no cell is empty.
+/// cell_load equals cell_size, a slot is full iff no cell is empty, and
+/// each cell's node masks hold exactly its senders and receivers.
 void expect_index_consistent(const schedule& s, node_id max_node) {
   for (slot_t slot = 0; slot < s.num_slots(); ++slot) {
     for (node_id n = 0; n <= max_node; ++n) {
@@ -88,6 +91,7 @@ void expect_index_consistent(const schedule& s, node_id max_node) {
     }
     EXPECT_EQ(s.slot_full(slot), every_offset_used) << "slot " << slot;
   }
+  expect_cell_masks_match(s);
 }
 
 TEST(Schedule, OccupancyIndexTracksBusyNodes) {
@@ -226,6 +230,34 @@ TEST(Schedule, RemoveFlowsFromClearsBusyBitsButKeepsSharedSlots) {
   // Offset 0 of slot 4 emptied, so the slot is no longer full.
   EXPECT_FALSE(s.slot_full(4));
   expect_index_consistent(s, 7);
+}
+
+TEST(Schedule, CellNodeMasksGrowAndFollowRemovals) {
+  schedule s(70, 2);
+  EXPECT_EQ(s.node_mask_words(), 0u);
+  s.add(make_tx(3, 5, /*f=*/0), 64, 0);
+  s.add(make_tx(9, 12, /*f=*/1), 64, 0);  // shares the cell with flow 0
+  EXPECT_EQ(s.node_mask_words(), 1u);
+  EXPECT_EQ(s.cell_senders(64, 0)[0], (std::uint64_t{1} << 3) | (1u << 9));
+  EXPECT_EQ(s.cell_receivers(64, 0)[0],
+            (std::uint64_t{1} << 5) | (1u << 12));
+  // A node id past the first word widens every cell's masks and keeps
+  // the bits already set.
+  s.add(make_tx(70, 1, /*f=*/2), 64, 1);
+  s.add(make_tx(2, 130, /*f=*/2), 69, 1);
+  EXPECT_EQ(s.node_mask_words(), 3u);
+  EXPECT_EQ(s.cell_senders(64, 0)[0], (std::uint64_t{1} << 3) | (1u << 9));
+  EXPECT_EQ(s.cell_senders(64, 1)[1], std::uint64_t{1} << 6);
+  EXPECT_EQ(s.cell_receivers(69, 1)[2], std::uint64_t{1} << 2);
+  expect_index_consistent(s, 130);
+  // Removing flow 1 and up rebuilds the shared cell from its survivor
+  // and empties the others.
+  s.remove_flows_from(1);
+  EXPECT_EQ(s.cell_senders(64, 0)[0], std::uint64_t{1} << 3);
+  EXPECT_EQ(s.cell_receivers(64, 0)[0], std::uint64_t{1} << 5);
+  EXPECT_EQ(s.cell_senders(64, 1)[1], 0u);
+  EXPECT_EQ(s.cell_receivers(69, 1)[2], 0u);
+  expect_index_consistent(s, 130);
 }
 
 // ------------------------------------------------------------ hopping --

@@ -954,78 +954,9 @@ int cmd_flight(int argc, char** argv) {
   }
   exp::json::value doc;
   if (!parse_json_file(path, doc)) return 1;
-  const auto* schema = doc.find("schema");
-  if (schema == nullptr || !schema->is_string() ||
-      schema->as_string() != "wsan-flight-recorder/1") {
+  if (!exp::print_flight_dump(doc, std::cout)) {
     std::cerr << path << ": not a wsan-flight-recorder/1 dump\n";
     return 1;
-  }
-
-  const auto int_or = [&doc](const char* key, std::int64_t fallback) {
-    const auto* v = doc.find(key);
-    return v != nullptr && v->is_int() ? v->as_int() : fallback;
-  };
-  const auto field_text = [](const exp::json::value& v) -> std::string {
-    if (v.is_string()) return v.as_string();
-    if (v.is_int()) return std::to_string(v.as_int());
-    if (v.is_number()) return cell(v.as_double(), 4);
-    return "?";
-  };
-  const auto event_line = [&field_text](const exp::json::value& ev) {
-    std::string line;
-    const auto* sev = ev.find("severity");
-    const auto* component = ev.find("component");
-    const auto* name = ev.find("event");
-    line += sev != nullptr && sev->is_string() ? sev->as_string() : "?";
-    line += " ";
-    line += component != nullptr && component->is_string()
-                ? component->as_string()
-                : "?";
-    line += "/";
-    line += name != nullptr && name->is_string() ? name->as_string()
-                                                 : "?";
-    if (const auto* fields = ev.find("fields");
-        fields != nullptr && fields->is_object()) {
-      for (const auto& [key, val] : fields->as_object())
-        line += " " + key + "=" + field_text(val);
-    }
-    return line;
-  };
-
-  if (const auto* trigger = doc.find("trigger"); trigger != nullptr)
-    std::cout << "trigger:  " << event_line(*trigger) << "\n";
-  std::cout << "triggers: " << int_or("trigger_count", 0)
-            << "  dropped events: " << int_or("dropped_events", 0)
-            << "  dropped windows: " << int_or("dropped_windows", 0)
-            << "\n";
-
-  if (const auto* windows = doc.find("windows");
-      windows != nullptr && windows->is_array() &&
-      !windows->as_array().empty()) {
-    obs::series series;
-    series.name = "flight";
-    for (const auto& w : windows->as_array()) {
-      obs::series_window window;
-      if (const auto* index = w.find("index");
-          index != nullptr && index->is_int())
-        window.index = index->as_int();
-      if (const auto* values = w.find("values");
-          values != nullptr && values->is_object())
-        for (const auto& [key, val] : values->as_object())
-          if (val.is_number()) window.values[key] = val.as_double();
-      series.windows.push_back(std::move(window));
-    }
-    std::cout << "\nlast " << series.windows.size() << " window(s):\n";
-    exp::print_series_table(series, std::cout);
-  }
-
-  if (const auto* events = doc.find("events");
-      events != nullptr && events->is_array() &&
-      !events->as_array().empty()) {
-    std::cout << "\nlast " << events->as_array().size()
-              << " event(s):\n";
-    for (const auto& ev : events->as_array())
-      std::cout << "  " << event_line(ev) << "\n";
   }
   return 0;
 }
