@@ -6,14 +6,13 @@
 //
 // WSAN_BATCH_CLONES adds GCC function multi-versioning on x86-64
 // Linux: the same source compiles for baseline x86-64 (SSE2, 2-wide
-// doubles), x86-64-v3 (AVX2 + FMA, 4-wide), and x86-64-v4 (AVX-512,
-// 8-wide), with the loader's ifunc resolver picking the widest
-// supported clone at startup. No intrinsics, no build-flag
-// requirements, graceful
-// fallback everywhere else. Clones may differ from each other in the
-// last ulp (FMA contraction), which the batched tier's statistical-
-// equivalence contract absorbs — determinism per (machine, config,
-// seed) is unaffected because the dispatch is fixed at process start.
+// doubles), x86-64-v3 (AVX2, 4-wide), and x86-64-v4 (AVX-512, 8-wide),
+// with the loader's ifunc resolver picking the widest supported clone
+// at startup. No intrinsics, no build-flag requirements, graceful
+// fallback everywhere else. The clones are kept for their vector
+// width only: the top-level build turns FMA contraction off, so every
+// clone computes the scalar definitions bit for bit and the CPU's
+// choice of clone cannot change a result.
 #include "common/batch_rng.h"
 
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \

@@ -1,7 +1,7 @@
 // Batched, counter-based RNG and transcendental kernels for the
-// simulator's `batched` fade-kernel tier (DESIGN.md §10).
+// simulator's fast engine (DESIGN.md §10).
 //
-// The oracle tier draws each derived-RNG value through a full xoshiro
+// The naive engine draws each derived-RNG value through a full xoshiro
 // construction plus libm Box-Muller — correct, bit-stable, and serial:
 // every value costs a data-dependent rejection loop and two libm calls
 // that the compiler cannot vectorize. This header provides the batched
@@ -24,16 +24,19 @@
 //     (u64_to_double / int-in-mantissa tricks), reinterpreting casts
 //     (std::bit_cast) are free.
 //
-// The batched transforms are NOT bit-identical to the oracle tier (the
-// polynomials agree with libm only to ~1e-12 relative, and u1 is mapped
-// to (0, 1] instead of rejection-sampled); they are *statistically*
-// equivalent, which is the batched tier's contract — enforced by the
-// K-S equivalence gate in src/stats/equivalence.h + tests.
+// The batched transforms are NOT bit-identical to the naive engine's
+// (the polynomials agree with libm only to ~1e-12 relative, and u1 is
+// mapped to (0, 1] instead of rejection-sampled); they are
+// *statistically* equivalent, which is the fast engine's contract —
+// enforced by the K-S equivalence gate in src/stats/equivalence.h +
+// tests/fade_equivalence_test.cpp.
 //
 // Every batch function is elementwise-pure: batch_normals(seeds, n, out)
 // computes out[i] = batch_normal(seeds[i]) for the scalar function
-// defined here, so lazy single-coordinate fills and bulk prefills draw
-// from one definition.
+// defined here, bit for bit: the build turns off FMA contraction
+// (-ffp-contract=off), so the vectorized clones round every operation
+// exactly as the scalar code does. Lazy single-coordinate fills and
+// bulk fills therefore draw from one definition on every host.
 #pragma once
 
 #include <bit>
@@ -192,7 +195,7 @@ WSAN_BATCH_FORCE_INLINE double u64_to_unit_double(std::uint64_t z) {
 /// Takes the first two counter-based splitmix64 outputs of the seed —
 /// the same two words a sequential splitmix64 chain would produce — and
 /// applies the cosine Box-Muller half. u1 is mapped to (0, 1] by the
-/// "+1 before scaling" trick instead of the oracle's rejection loop, so
+/// "+1 before scaling" trick instead of rng's rejection loop, so
 /// the function is loop-free; the 2^-53 shift in u1's distribution is
 /// far below the statistical-equivalence gate's resolution.
 WSAN_BATCH_FORCE_INLINE double batch_normal(std::uint64_t seed) {
@@ -229,14 +232,16 @@ WSAN_BATCH_FORCE_INLINE double batch_uniform01(std::uint64_t seed) {
   return u64_to_unit_double(z);
 }
 
-/// Logistic sigmoid 1 / (1 + e^-x) with the simulator's +-8 saturation
-/// (the fast engine's inline PRR kernel clamps the normalized argument
-/// too; this one returns sigmoid(+-8) = 1 -+ 3.4e-4 at the rails
-/// instead of exactly 1/0 — a sub-gate-resolution difference that
-/// keeps the body select-free: fmin/fmax are single instructions).
+/// Logistic sigmoid 1 / (1 + e^-x) with phy::clamped_sigmoid's rails:
+/// exactly 1 above +8 and exactly 0 below -8, so strong links are
+/// loss-free and dead links silent, as in the naive engine. The clamp
+/// keeps poly_exp's argument in range (fmin/fmax are single
+/// instructions) and the snap is a select after it, so the body stays
+/// branch-free and vectorizes (compare and blend).
 WSAN_BATCH_FORCE_INLINE double batch_sigmoid(double x) {
   const double c = std::fmax(-8.0, std::fmin(8.0, x));
-  return 1.0 / (1.0 + batch_detail::poly_exp(-c));
+  const double s = 1.0 / (1.0 + batch_detail::poly_exp(-c));
+  return x > 8.0 ? 1.0 : (x < -8.0 ? 0.0 : s);
 }
 
 /// out[i] = batch_normal(seeds[i]). Compiled with -O3 -fno-math-errno
@@ -249,16 +254,16 @@ void batch_normals(const std::uint64_t* seeds, std::size_t n,
 void batch_fade_normals(const std::uint64_t* pre, const std::uint64_t* ch,
                         std::size_t n, double* out);
 
-/// Fused whole-table coordinate fill for the simulator's batched
-/// tier: the per-coordinate pre-key is folded inside the loop from the
+/// Fused whole-table coordinate fill for the simulator's fast engine:
+/// the per-coordinate pre-key is folded inside the loop from the
 /// run prefix (state, z) and the setup-time pair keys, so one run's
 /// refill is a single call over run-invariant arrays covering the
 /// whole fade -> signal -> clean-PRR chain:
 ///   pre    = state ^ (z + pk[i])
 ///   sig[i] = base[i] + sigma * batch_fade_normal(pre, ch[i])
 ///   p0[i]  = batch_sigmoid((sig[i] - sens) / scale)
-/// Same expressions, same order as the simulator's lazy element
-/// transforms, so per-coordinate values are unchanged by batching.
+/// Same expressions, same order as the element transforms, so
+/// per-coordinate values are unchanged by batching.
 void batch_fade_fill(std::uint64_t state, std::uint64_t z,
                      const std::uint64_t* pk, const std::uint64_t* ch,
                      const double* base, std::size_t n, double sigma,

@@ -37,12 +37,11 @@ inline std::uint64_t splitmix64(std::uint64_t& state) {
 }
 
 /// The two halves of the Box-Muller transform for uniforms u1 in (0, 1]
-/// and u2 in [0, 1). Each half re-derives radius and angle from the same
-/// inputs; because the libm calls are deterministic functions of their
-/// argument bits, recomputing them yields the same values as sharing the
-/// intermediates, so callers that need only one half (the fast path's
-/// fade kernel, rng::first_normal) skip the other half's sin/cos
-/// entirely without breaking bit-identity with rng::normal().
+/// and u2 in [0, 1): rng::normal() returns the first and keeps the
+/// second as its spare. Each half re-derives radius and angle from the
+/// same inputs; the libm calls are deterministic functions of their
+/// argument bits, so this yields the same values as sharing the
+/// intermediates.
 inline double box_muller_first(double u1, double u2) {
   return std::sqrt(-2.0 * std::log(u1)) *
          std::cos(2.0 * std::numbers::pi * u2);
@@ -155,22 +154,6 @@ class rng {
     WSAN_REQUIRE(!v.empty(), "cannot pick from an empty vector");
     return v[static_cast<std::size_t>(
         uniform_int(0, static_cast<std::int64_t>(v.size()) - 1))];
-  }
-
-  /// First Box-Muller normal of a fresh generator seeded with `seed`.
-  ///
-  /// Bit-identical to `rng(seed).normal()` — same state expansion, same
-  /// u1-rejection loop, same transform — but computes only the cosine
-  /// half, so the sine spare (which a throwaway generator never reads)
-  /// is elided entirely. This is the shared scalar fade kernel: the
-  /// oracle engine reaches it through rng::normal() and the fast path
-  /// calls it directly per (run, pair, channel) seed.
-  static double first_normal(std::uint64_t seed) {
-    rng gen(seed);
-    double u1 = 0.0;
-    while (u1 == 0.0) u1 = gen.uniform01();
-    const double u2 = gen.uniform01();
-    return box_muller_first(u1, u2);
   }
 
   /// Derives an independent child generator by consuming one output.

@@ -34,11 +34,6 @@ run_options parse_run_options(const cli_args& args) {
   options.metrics_path = args.get("metrics", "");
   options.trace_path = args.get("trace", "");
   options.series_path = args.get("series", "");
-  options.fade_kernel = args.get("fade-kernel", "oracle");
-  WSAN_REQUIRE(options.fade_kernel == "oracle" ||
-                   options.fade_kernel == "batched",
-               "--fade-kernel must be 'oracle' or 'batched', got: " +
-                   options.fade_kernel);
   if (args.has("replay"))
     options.replay = parse_replay_target(args.get("replay", ""));
   return options;

@@ -13,10 +13,6 @@
 //   --series FILE       write per-epoch series files (wsan-series/1
 //                       JSONL); figures that have no epoch dimension
 //                       ignore it
-//   --fade-kernel K     derived-RNG kernel tier for simulator-backed
-//                       figures: "oracle" (default, bit-identity) or
-//                       "batched" (statistically equivalent, faster);
-//                       figures without a simulator ignore it
 #pragma once
 
 #include <cstdint>
@@ -46,14 +42,6 @@ struct run_options {
   /// are built from deterministic aggregates, so this does not enable
   /// the obs runtime.
   std::string series_path;
-  /// Derived-RNG kernel tier ("oracle" or "batched", validated at
-  /// parse time). Kept as a string so the experiment layer stays free
-  /// of simulator types; simulator-backed figures map it onto
-  /// sim::fade_kernel_kind. Defaults to the bit-identity oracle tier
-  /// so every digest baseline is unchanged unless explicitly asked.
-  std::string fade_kernel = "oracle";
-
-  bool batched_fade_kernel() const { return fade_kernel == "batched"; }
 
   /// True when any observability output was asked for; the harness
   /// enables the obs runtime for the run exactly in this case.

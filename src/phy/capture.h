@@ -36,11 +36,10 @@ struct capture_params {
 double reception_probability(const capture_params& params, double signal_dbm,
                              const std::vector<double>& interference_dbm);
 
-/// Allocation-free variant over a raw interferer array: the simulator's
-/// hot path hands sub-ranges of one pre-reserved scratch buffer instead
-/// of materialising vectors per reception. `interference_dbm` may be
-/// nullptr when `count` is 0. Bit-identical to the vector overload on
-/// the same values in the same order.
+/// Allocation-free variant over a raw interferer array, which the
+/// vector overload delegates to. `interference_dbm` may be nullptr when
+/// `count` is 0. Bit-identical to the vector overload on the same
+/// values in the same order.
 double reception_probability(const capture_params& params, double signal_dbm,
                              const double* interference_dbm,
                              std::size_t count);

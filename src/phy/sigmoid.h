@@ -1,6 +1,6 @@
 // The clamped logistic shared by every PRR-shaped curve in the PHY
-// layer (prr_from_rssi, the capture-probability transition) and by the
-// simulator's inlined clean-PRR kernel.
+// layer (prr_from_rssi, the capture-probability transition), and the
+// reference for the simulator's batch_sigmoid.
 #pragma once
 
 #include <cmath>
@@ -11,10 +11,9 @@ namespace wsan::phy {
 /// within 3.4e-4 of its asymptote, and the scalar models snap to
 /// exactly 0/1 there so strong links are genuinely loss-free in
 /// expectation and dead links genuinely dead (keeps graph construction
-/// crisp). The batched fade-kernel tier's branch-free batch_sigmoid
-/// (common/batch_rng.h) clamps its argument at this same rail but
-/// returns the logistic value instead of snapping — a difference below
-/// the statistical-equivalence gate's resolution (DESIGN.md §10).
+/// crisp). The fast simulator engine's branch-free batch_sigmoid
+/// (common/batch_rng.h) snaps at this same rail, so both engines agree
+/// exactly on strong and dead links (DESIGN.md §10).
 inline constexpr double k_sigmoid_clamp = 8.0;
 
 /// Logistic sigmoid with the 0/1 snap at the ±k_sigmoid_clamp rails.

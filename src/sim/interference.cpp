@@ -64,13 +64,6 @@ std::vector<bool> interference_field::sample_active(rng& gen) const {
   return active;
 }
 
-void interference_field::sample_active(rng& gen,
-                                       std::vector<char>& active) const {
-  active.resize(interferers_.size());
-  for (std::size_t i = 0; i < interferers_.size(); ++i)
-    active[i] = gen.bernoulli(interferers_[i].duty_cycle) ? 1 : 0;
-}
-
 std::vector<external_interferer> one_interferer_per_floor(
     const topo::topology& topo, double duty_cycle, double tx_power_dbm,
     int wifi_channel) {

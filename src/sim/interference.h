@@ -59,11 +59,6 @@ class interference_field {
   /// Samples which interferers are active this slot.
   std::vector<bool> sample_active(rng& gen) const;
 
-  /// Allocation-free variant: resizes `active` to num_interferers()
-  /// (a no-op in steady state) and fills it in place. Consumes exactly
-  /// the same RNG draws in the same order as the vector overload.
-  void sample_active(rng& gen, std::vector<char>& active) const;
-
  private:
   std::vector<external_interferer> interferers_;
   std::vector<double> received_dbm_;  // interferer-major, node-minor

@@ -13,7 +13,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "phy/channel.h"
-#include "phy/sigmoid.h"
 #include "tsch/hopping.h"
 
 namespace wsan::sim {
@@ -25,23 +24,7 @@ struct slot_entry {
   tsch::transmission tx;
   offset_t offset = k_invalid_offset;
   bool reuse_cell = false;  ///< scheduled cell holds >= 2 transmissions
-  // Fast-path fields, filled by the engine setup:
-  int link = -1;   ///< dense link index over the schedule's distinct links
   int so_mod = 0;  ///< (slot + offset) mod |channels|
-};
-
-/// Fast-engine memo state for one (sender, receiver, channel-position)
-/// coordinate. Packing the run-invariant base, the epoch-stamped live
-/// signal, and the epoch-stamped clean reception probability into one
-/// struct keeps a hot-path query (and its miss path) on one or two
-/// cache lines instead of six parallel arrays.
-struct coord_cache {
-  double base = 0.0;  ///< measured RSSI + drift (run-invariant)
-  double sig = 0.0;   ///< base + fade, valid when sig_epoch matches
-  double p0 = 0.0;    ///< clean PRR, valid when p0_epoch matches
-  std::uint32_t sig_epoch = 0;
-  std::uint32_t p0_epoch = 0;
-  std::uint8_t base_ready = 0;
 };
 
 /// Per-run accumulation of one link's attempts/successes by slot kind.
@@ -84,8 +67,8 @@ std::vector<std::vector<slot_entry>> flatten_schedule(
                          tx.receiver >= 0 && tx.receiver < num_nodes,
                      "schedule transmission references a node outside "
                      "the topology");
-        slot_entry entry{tx, c, cell.size() >= 2, -1, 0};
-        entry.so_mod = static_cast<int>((s + c) % num_channels);
+        slot_entry entry{tx, c, cell.size() >= 2,
+                         static_cast<int>((s + c) % num_channels)};
         by_slot[static_cast<std::size_t>(s)].push_back(entry);
       }
     }
@@ -93,11 +76,11 @@ std::vector<std::vector<slot_entry>> flatten_schedule(
   return by_slot;
 }
 
-// Seed chains for the derived-RNG kernels. Both tiers share these
-// integer chains verbatim — the tiers differ only in the transform
-// applied to the final 64-bit seed (xoshiro + libm Box-Muller for the
-// oracle, the counter-based batched kernels for batched), so a
-// coordinate's identity is tier-independent.
+// Seed chains for the derived-RNG kernels. Both engines share these
+// integer chains verbatim and differ only in the transform applied to
+// the final 64-bit seed (xoshiro + libm Box-Muller in the naive engine,
+// the counter-based batch kernels in the fast one), so a coordinate's
+// identity is engine-independent.
 
 /// Run-level prefix of the fade chain: everything that does not depend
 /// on the pair/channel, hoisted so the fast engine computes it once per
@@ -147,8 +130,9 @@ inline std::uint64_t drift_chan_seed(std::uint64_t pair_state,
   return splitmix64(state);
 }
 
-/// Drift sigma selection shared by both tiers up to the intermittence
-/// draw, which each tier takes from its own transform of the pair seed.
+/// Drift sigma selection shared by both engines up to the intermittence
+/// draw, which each engine takes from its own transform of the pair
+/// seed.
 inline double drift_sigma(const sim_config& config, bool maintained,
                           double intermittent_u) {
   if (maintained) {
@@ -162,26 +146,26 @@ inline double drift_sigma(const sim_config& config, bool maintained,
              : config.calibration_drift_sigma_db;
 }
 
-/// Stream index for the batched tier's derived per-run interferer
+/// Stream index for the fast engine's derived per-run interferer
 /// activity stream: derive_seed(config.seed, k_interferer_stream, run).
 /// Any fixed value distinct from the point indexes the experiment
 /// harness feeds derive_seed works; collisions would only correlate
 /// streams, not break determinism.
 inline constexpr std::uint64_t k_interferer_stream = 0x1f7eedULL;
 
-/// Stream index for the batched tier's derived per-run probe stream
+/// Stream index for the fast engine's derived per-run probe stream
 /// (channel picks and Bernoulli thresholds; same derivation pattern as
 /// the interferer stream above).
 inline constexpr std::uint64_t k_probe_stream = 0x9b0be5ULL;
 
-/// dBm <-> mW conversion constants for the batched tier's poly SINR
-/// path: pow(10, x/10) == exp(x * ln10/10) and 10*log10(m) ==
-/// 10/ln10 * ln(m), routed through batch_detail's poly_exp/poly_log.
+/// dBm <-> mW conversion constants for the fast engine's SINR path:
+/// pow(10, x/10) == exp(x * ln10/10) and 10*log10(m) == 10/ln10 *
+/// ln(m), routed through batch_detail's poly_exp/poly_log.
 inline constexpr double k_ln10_over_10 = std::numbers::ln10 / 10.0;
 inline constexpr double k_10_over_ln10 = 10.0 / std::numbers::ln10;
 
-/// Batched-tier drift: same seed chain as compute_drift_db, with the
-/// xoshiro/Box-Muller transform replaced by the batched kernels.
+/// The fast engine's drift: same seed chain as compute_drift_db, with
+/// the xoshiro/Box-Muller transform replaced by the batch kernels.
 double compute_drift_db_batched(const sim_config& config, bool maintained,
                                 node_id a, node_id b, channel_t ch) {
   const std::uint64_t pair_state = drift_pair_state(config.seed, a, b);
@@ -233,8 +217,9 @@ void finalize_result(sim_result& result,
 }
 
 // ---------------------------------------------------------------------
-// Oracle engine: the original implementation, kept verbatim as the
-// reference the fast path is tested against (sim_equivalence_test).
+// Naive engine: the original implementation, kept verbatim as the
+// reference the fast engine is tested against (sim_equivalence_test,
+// fade_equivalence_test).
 // Every live_rssi call re-seeds derived splitmix64 RNGs and samples
 // normals; accumulators are per-run std::map/std::set; every slot
 // allocates its scratch vectors.
@@ -506,31 +491,25 @@ sim_result run_simulation_naive(const topo::topology& topo,
 }
 
 // ---------------------------------------------------------------------
-// Fast engine (DESIGN.md §10): allocation-free in steady state and
-// memoized. drift_db is pure per (unordered pair, channel) and
-// temporal_fade_db pure per (run, unordered pair, channel), so both are
-// cached in flat tables — replacing a splitmix64 re-seed plus a
-// Box-Muller normal per live_rssi call (including the O(active²)
-// internal-interference cross products) with an array read. Per-link
-// statistics accumulate in dense arrays over links interned once at
-// setup, and every per-slot scratch vector is hoisted into a reusable
-// pre-reserved buffer. The caches only memoize values drawn from
-// *derived* RNGs keyed by their coordinates; in the default oracle
-// tier every draw from the main `gen` stream (interferer activity,
-// reception Bernoullis, probe channels) happens in exactly the naive
-// order, so the sample path — and therefore every output — is
-// bit-identical to the oracle engine.
+// Fast engine (DESIGN.md §10): allocation-free in steady state, with
+// every derived value drawn through the counter-based kernels of
+// common/batch_rng.h. Per-link statistics accumulate in dense arrays
+// over links interned once at setup, and every per-slot scratch vector
+// is hoisted into a reusable pre-reserved buffer. The schedule links'
+// live signals and clean reception probabilities form one dense
+// (link, channel position) table: one fused batch_fade_fill call
+// refills it per run with fading on, and setup fills it once with
+// fading off. Interferer duty cycles, and probe draws when no
+// interferer is configured, come from derived per-run streams, so
+// they bulk-generate instead of interleaving with the slot loop.
 //
-// The batched tier (config.fade_kernel == batched) keeps the engine
-// structure and the coordinate-keyed seed chains but swaps the scalar
-// xoshiro + libm transforms for the vectorized counter-based kernels
-// of common/batch_rng.h: a dense whole-table refill per run
-// (batch_fade_fill over run-invariant pair-key/channel/base arrays), a
-// drift-table setup batch (prefill_drift_batched), and derived per-run
-// streams for interferer duty-cycle activity
-// (refresh_interferer_rows) and probe draws. Outputs are then
-// statistically — not bitwise — equivalent to the oracle, which the
-// K-S gate in stats/equivalence.h enforces.
+// The engine consumes the main `gen` stream for the slot loop's
+// reception Bernoullis (and, with interferers, the probes' channel
+// picks and outcomes) in the naive engine's order, so with drift,
+// fading, interferers and probes off both engines draw the same
+// sample path; sim_equivalence_test pins that bitwise. Everywhere
+// else the outputs are statistically equivalent to the naive
+// engine's, which the K-S gate in fade_equivalence_test enforces.
 
 /// Compact per-transmission record for the fast engine's hyperperiod
 /// scan. Everything the slot loop reads per entry, packed into 24
@@ -564,14 +543,10 @@ class fast_engine {
         field_(topo, config.interferers, config.seed ^ 0x5eedULL),
         faults_(config.faults, topo.num_nodes()),
         faults_on_(faults_.any()) {
-    capture_.capture_threshold_db = config.capture_threshold_db;
-    capture_.transition_width_db = config.capture_transition_db;
-    capture_.link = topo.link_model();
-
     auto by_slot = flatten_schedule(sched, flows, n_, ncl_);
 
     // Link interning: dense indices assigned in link_key order, so the
-    // per-run flush below walks links exactly as the oracle's
+    // per-run flush below walks links exactly as the naive engine's
     // std::map<link_key, ...> iteration does.
     std::map<link_key, int> interned;
     for (const auto& p : sched.placements())
@@ -637,80 +612,92 @@ class fast_engine {
     for (const auto& key : link_keys_)
       maintained_[pair_offset(key.sender, key.receiver)] = 1;
 
-    // Channel list positions -> physical channel value. All memo tables
-    // are keyed by list position (0..|channels|-1) rather than the
-    // 16-wide IEEE channel index: the list is what the hopping loop and
-    // the probe draw actually index, and the narrow dimension keeps the
-    // tables a few hundred KB instead of several MB. A channel value
-    // that appears at two list positions just gets the same pure value
-    // recomputed once per position.
+    // Channel list positions -> physical channel value. All tables are
+    // keyed by list position (0..|channels|-1) rather than the 16-wide
+    // IEEE channel index: the list is what the hopping loop and the
+    // probe draw actually index, and the narrow dimension keeps the
+    // tables small. A channel value that appears at two list positions
+    // just gets the same pure value computed once per position.
     list_chan_.resize(static_cast<std::size_t>(ncl_));
     for (int i = 0; i < ncl_; ++i)
       list_chan_[static_cast<std::size_t>(i)] =
           channels[static_cast<std::size_t>(i)];
+    coord_count_ = link_keys_.size() * static_cast<std::size_t>(ncl_);
 
-    // Memoization tables, lazily filled: (unordered pair, channel) for
-    // drift, epoch-stamped (run, unordered pair, channel) for fading.
-    // The double arrays are left uninitialized on purpose — the ready /
-    // epoch bytes gate every read — so construction does not touch
-    // megabytes of memory it will never fully use.
+    // Drift memo over (unordered pair, channel position): one
+    // vectorized batch for the schedule links here, lazy fills for the
+    // non-link pairs the cross-interference memo touches. The double
+    // array is left uninitialized on purpose — the ready bytes gate
+    // every read — so construction does not touch megabytes of memory
+    // it will never fully use.
     drift_zero_ = config.calibration_drift_sigma_db <= 0.0 &&
                   config.maintained_drift_sigma_db <= 0.0 &&
                   (config.intermittent_fraction <= 0.0 ||
                    config.intermittent_sigma_db <= 0.0);
-    const std::size_t pair_channels = static_cast<std::size_t>(n_) *
-                                      static_cast<std::size_t>(n_) *
-                                      static_cast<std::size_t>(ncl_);
     if (!drift_zero_) {
+      const std::size_t pair_channels = static_cast<std::size_t>(n_) *
+                                        static_cast<std::size_t>(n_) *
+                                        static_cast<std::size_t>(ncl_);
       drift_.reset(new double[pair_channels]);
       drift_ready_.assign(pair_channels, 0);
+      prefill_link_drift();
     }
     fade_on_ = config.temporal_fading_sigma_db > 0.0;
-    // Directed memo state, keyed by (schedule link, channel position):
-    // every hot-path query — reception signal, clean reception
-    // probability, probe probability — is for a link the schedule
-    // carries, so the cache is sized |links| * |channels| (tens of KB,
-    // resident in L1/L2) instead of nodes^2 * |channels| (megabytes of
-    // address space whose touched lines keep falling out of cache).
-    // Each struct holds the run-invariant base (RSSI + drift), the
-    // epoch-stamped live signal, and the epoch-stamped clean reception
-    // probability, so a query and its miss path stay on one cache
-    // line. Fading is the only run-dependent input: with fading off
-    // entries stay valid for the whole simulation (epoch 1); with
-    // fading on they are stamped per run. The only query this cache
-    // cannot serve — the cross RSSI of a concurrent sender into
-    // another link's receiver — has its own lazily allocated memo
-    // (see cross_rssi).
-    link_coords_.reset(
-        new coord_cache[link_keys_.size() *
-                        static_cast<std::size_t>(ncl_)]());
-    // The zero-interference reception probability is
-    // prr_from_rssi(link, signal): both parameter validations and the
-    // sigmoid constants are hoisted here so the per-miss work is just
-    // the clamped sigmoid itself. If either transition width is
-    // invalid the miss path falls back to phy::reception_probability,
-    // which throws exactly as the oracle does.
-    p0_inline_ok_ = capture_.transition_width_db > 0.0 &&
-                    capture_.link.transition_width_db > 0.0;
-    p0_scale_ = capture_.link.transition_width_db / 4.0;
-    p0_sens_ = capture_.link.sensitivity_dbm;
 
-    // Probe channel draw, inlined from rng::uniform_int(0, ncl-1): the
-    // Lemire rejection threshold only depends on the range, so it is
-    // computed once instead of per probe.
-    probe_range_ = static_cast<std::uint64_t>(ncl_);
-    probe_threshold_ = (0 - probe_range_) % probe_range_;
+    // Sigmoid constants of the clean PRR and of the capture
+    // transition. Both widths are positive: validate_sim_config checks
+    // the capture width and run_simulation the link model's. The
+    // noise-floor term of the SINR denominator is run-invariant, so it
+    // is converted to milliwatts once here.
+    const auto& link_model = topo.link_model();
+    p0_sens_ = link_model.sensitivity_dbm;
+    p0_scale_ = link_model.transition_width_db / 4.0;
+    cap_thresh_ = config.capture_threshold_db;
+    cap_scale_ = config.capture_transition_db / 4.0;
+    noise_mw_ =
+        batch_detail::poly_exp(link_model.noise_floor_dbm * k_ln10_over_10);
+
+    // The dense link-coordinate store. Pair keys, channels and bases
+    // (RSSI + drift) never change across runs; with fading on, the
+    // run prefix enters inside batch_fade_fill, and with fading off
+    // the signals are the bases for the whole simulation.
+    dense_pk_.resize(coord_count_);
+    dense_ch_.resize(coord_count_);
+    dense_base_.resize(coord_count_);
+    dense_sig_.resize(coord_count_);
+    dense_p0_.resize(coord_count_);
+    for (std::size_t li = 0; li < link_keys_.size(); ++li) {
+      const link_key& key = link_keys_[li];
+      const auto lo = static_cast<std::uint64_t>(
+          key.sender < key.receiver ? key.sender : key.receiver);
+      const auto hi = static_cast<std::uint64_t>(
+          key.sender < key.receiver ? key.receiver : key.sender);
+      for (int ci = 0; ci < ncl_; ++ci) {
+        const std::size_t id = li * static_cast<std::size_t>(ncl_) +
+                               static_cast<std::size_t>(ci);
+        const channel_t ch = list_chan_[static_cast<std::size_t>(ci)];
+        dense_pk_[id] = lo << 32 | hi;
+        dense_ch_[id] = static_cast<std::uint64_t>(ch);
+        dense_base_[id] = topo_.rssi_dbm(key.sender, key.receiver, ch) +
+                          drift(key.sender, key.receiver, ci, ch);
+      }
+    }
+    if (!fade_on_) {
+      dense_sig_ = dense_base_;
+      for (std::size_t id = 0; id < coord_count_; ++id)
+        dense_p0_[id] = batch_sigmoid((dense_sig_[id] - p0_sens_) / p0_scale_);
+    }
 
     // External interferers: overlap per (interferer, list position) and
-    // received power per (interferer, node), so the hot loop reads two
-    // arrays instead of calling power_at.
+    // received power in milliwatts per (interferer, node), so the hot
+    // loop reads two arrays instead of calling power_at.
     const int num_intf = field_.num_interferers();
     ext_overlap_.assign(
         static_cast<std::size_t>(num_intf) * static_cast<std::size_t>(ncl_),
         0);
-    ext_power_.assign(static_cast<std::size_t>(num_intf) *
-                          static_cast<std::size_t>(n_),
-                      0.0);
+    ext_power_mw_.assign(static_cast<std::size_t>(num_intf) *
+                             static_cast<std::size_t>(n_),
+                         0.0);
     for (int k = 0; k < num_intf; ++k) {
       for (int ci = 0; ci < ncl_; ++ci)
         ext_overlap_[static_cast<std::size_t>(k) *
@@ -721,108 +708,41 @@ class fast_engine {
                 ? 1
                 : 0;
       for (node_id v = 0; v < n_; ++v)
-        ext_power_[static_cast<std::size_t>(k) *
-                       static_cast<std::size_t>(n_) +
-                   static_cast<std::size_t>(v)] = field_.received_dbm(k, v);
+        ext_power_mw_[static_cast<std::size_t>(k) *
+                          static_cast<std::size_t>(n_) +
+                      static_cast<std::size_t>(v)] =
+            batch_detail::poly_exp(field_.received_dbm(k, v) *
+                                   k_ln10_over_10);
     }
 
-    // Hopping-class prefill logs and probe-batch scratch, sized so the
-    // steady-state loops never allocate.
-    coord_count_ = link_keys_.size() * static_cast<std::size_t>(ncl_);
-    prefill_on_ = fade_on_ && p0_inline_ok_;
-    class_log_.resize(static_cast<std::size_t>(ncl_));
-    for (auto& log : class_log_) log.reserve(coord_count_);
-    run_used_mark_.assign(coord_count_, 0);
-    run_used_ids_.reserve(coord_count_);
     const std::size_t max_probes =
         link_keys_.size() *
         static_cast<std::size_t>(
             config.probes_per_run > 0 ? config.probes_per_run : 0);
-    probe_ci_.resize(max_probes);
-    probe_u_.resize(max_probes);
-    miss_queue_.reserve(coord_count_);
+    if (num_intf == 0) {
+      probe_uu_.resize(2 * max_probes);
+    } else {
+      // One activity row per possible sample point of a run: every
+      // slot of the hyperperiod plus every probe. A run consumes at
+      // most that many rows (slots without active transmissions and
+      // muted links skip theirs).
+      const std::size_t rows = static_cast<std::size_t>(hp_) + max_probes;
+      intf_active_.resize(rows * static_cast<std::size_t>(num_intf));
+      intf_u_.resize(rows * static_cast<std::size_t>(num_intf));
+      intf_duty_.resize(static_cast<std::size_t>(num_intf));
+      for (int k = 0; k < num_intf; ++k)
+        intf_duty_[static_cast<std::size_t>(k)] =
+            field_.interferer(k).duty_cycle;
+    }
 
     // Scratch buffers, reserved once; the slot loop only clear()s them.
     active_.reserve(max_entries);
     active_chan_pos_.reserve(max_entries);
     active_chan_val_.reserve(max_entries);
     success_.reserve(max_entries);
-    powers_.reserve(max_entries + static_cast<std::size_t>(num_intf));
-    interferers_active_.reserve(static_cast<std::size_t>(num_intf));
+    powers_mw_.reserve(max_entries + static_cast<std::size_t>(num_intf));
     counts_.assign(link_keys_.size(), link_run_counts{});
     obs_cache_.assign(link_keys_.size(), nullptr);
-
-    // Batched tier setup (everything above is tier-independent).
-    batched_ = config.fade_kernel == fade_kernel_kind::batched;
-    if (batched_) {
-      // Poly SINR path: the interference branch of the reception
-      // probability re-expressed through the batch poly kernels (see
-      // reception_probability below). Gated on the same width
-      // validation as the inline p0; the noise-floor term of the SINR
-      // denominator is run-invariant, so it is converted once here.
-      poly_rx_ = p0_inline_ok_;
-      cap_thresh_ = capture_.capture_threshold_db;
-      cap_scale_ = capture_.transition_width_db / 4.0;
-      noise_mw_ = batch_detail::poly_exp(capture_.link.noise_floor_dbm *
-                                         k_ln10_over_10);
-      if (poly_rx_) {
-        powers_mw_.reserve(powers_.capacity());
-        ext_power_mw_.resize(ext_power_.size());
-        for (std::size_t i = 0; i < ext_power_.size(); ++i)
-          ext_power_mw_[i] =
-              batch_detail::poly_exp(ext_power_[i] * k_ln10_over_10);
-      }
-      probe_uu_.resize(2 * max_probes);
-      if (!drift_zero_) prefill_drift_batched();
-      // Dense refill mode: with fading on, nearly every (link, channel)
-      // coordinate is touched every run (the slot working set plus the
-      // probes' uniform channel picks cover the table), so the batched
-      // tier refills the whole table once per run with one fused
-      // kernel call over run-invariant arrays instead of tracking
-      // misses. Pair keys, channels and bases (rssi + drift) never
-      // change across runs; the run prefix enters inside the kernel.
-      dense_on_ = fade_on_ && p0_inline_ok_;
-      if (dense_on_) {
-        prefill_on_ = false;  // subsumed: no used-set tracking needed
-        dense_pk_.resize(coord_count_);
-        dense_ch_.resize(coord_count_);
-        dense_base_.resize(coord_count_);
-        dense_sig_.resize(coord_count_);
-        dense_p0_.resize(coord_count_);
-        for (std::size_t li = 0; li < link_keys_.size(); ++li) {
-          const link_key& key = link_keys_[li];
-          const auto lo = static_cast<std::uint64_t>(
-              key.sender < key.receiver ? key.sender : key.receiver);
-          const auto hi = static_cast<std::uint64_t>(
-              key.sender < key.receiver ? key.receiver : key.sender);
-          for (int ci = 0; ci < ncl_; ++ci) {
-            const std::size_t id = li * static_cast<std::size_t>(ncl_) +
-                                   static_cast<std::size_t>(ci);
-            const channel_t ch =
-                list_chan_[static_cast<std::size_t>(ci)];
-            dense_pk_[id] = lo << 32 | hi;
-            dense_ch_[id] = static_cast<std::uint64_t>(ch);
-            dense_base_[id] =
-                topo_.rssi_dbm(key.sender, key.receiver, ch) +
-                drift(key.sender, key.receiver, ci, ch);
-          }
-        }
-      }
-      if (num_intf > 0) {
-        // One activity row per possible sample point of a run: every
-        // slot of the hyperperiod plus every probe. A run consumes at
-        // most that many rows (slots without active transmissions and
-        // muted links skip theirs).
-        const std::size_t rows =
-            static_cast<std::size_t>(hp_) + max_probes;
-        intf_active_.resize(rows * static_cast<std::size_t>(num_intf));
-        intf_u_.resize(rows * static_cast<std::size_t>(num_intf));
-        intf_duty_.resize(static_cast<std::size_t>(num_intf));
-        for (int k = 0; k < num_intf; ++k)
-          intf_duty_[static_cast<std::size_t>(k)] =
-              field_.interferer(k).duty_cycle;
-      }
-    }
   }
 
   sim_result run() {
@@ -847,52 +767,11 @@ class fast_engine {
       // folded out of the per-entry work.
       const int run_base = static_cast<int>(
           (static_cast<std::int64_t>(run) * hp_) % ncl_);
-      run_class_ = run_base;
-      epoch_ = fade_on_ ? static_cast<std::uint32_t>(run) + 1 : 1;
-      if (fade_on_) {
-        // Hoist the run-only prefix of compute_fade_db's seed chain:
-        // the first splitmix64 step mutates the state by a constant and
-        // mixes a value that depends only on the run, so both halves
-        // can be computed once here and xor-combined with the pair key
-        // per miss.
-        fade_prefix_ = fade_prefix(config_.seed, run);
-        // Prefill the coordinates the slot loop used in the previous
-        // run of this hopping class (the (slot, offset) -> channel
-        // mapping repeats with period |channels|, so the used set is a
-        // high-accuracy predictor). Batching the fills lets the fade
-        // kernels' splitmix/log/cos chains pipeline across independent
-        // coordinates, where the lazy miss path pays each chain's full
-        // serial latency — and in the batched tier the whole working
-        // set goes through one vectorized normal + sigmoid pass.
-        // Prefilled values are pure derived data: a retry coordinate
-        // that does not fire this run wastes a kernel but cannot
-        // perturb the main gen stream.
-        if (dense_on_) {
-          // Whole-table refill, one fused vectorized pass: fade chain,
-          // sigma scale, base add and clean-PRR sigmoid for every
-          // coordinate. Readers then index dense_sig_/dense_p0_
-          // directly — no epochs, no used-set tracking, no miss
-          // queues. Per-coordinate values match the lazy element
-          // transforms exactly (same chain, same expression order).
-          batch_fade_fill(fade_prefix_.state, fade_prefix_.z,
-                          dense_pk_.data(), dense_ch_.data(),
-                          dense_base_.data(), coord_count_,
-                          config_.temporal_fading_sigma_db, p0_sens_,
-                          p0_scale_, dense_sig_.data(),
-                          dense_p0_.data());
-          obs_fade_kernels_ += coord_count_;
-        } else if (prefill_on_) {
-          for (const int packed :
-               class_log_[static_cast<std::size_t>(run_class_)]) {
-            const std::size_t idx =
-                static_cast<std::size_t>(packed >> 8) *
-                    static_cast<std::size_t>(ncl_) +
-                static_cast<std::size_t>(packed & 255);
-            if (link_coords_[idx].sig_epoch != epoch_) fill_coord(packed);
-          }
-        }
+      if (fade_on_ || num_intf > 0) {
+        OBS_SPAN("sim.fade_fill");
+        if (fade_on_) refill_dense(run);
+        if (num_intf > 0) refresh_interferer_rows(run);
       }
-      if (batched_ && num_intf > 0) refresh_interferer_rows(run);
 
       {
         OBS_SPAN("sim.slot_loop");
@@ -927,105 +806,65 @@ class fast_engine {
           }
           if (active_.empty()) continue;
           obs_active_transmissions_ += active_.size();
-
-          if (num_intf > 0) {
-            // With no interferers the oracle's sample_active draws
-            // nothing and fills nothing, so the call is elided. The
-            // batched tier reads the next pre-generated activity row
-            // instead of consuming main-stream draws (its derived
-            // per-run stream; see refresh_interferer_rows).
-            if (batched_) {
-              next_interferer_row();
-            } else {
-              field_.sample_active(gen, interferers_active_);
-              if (run < config_.interferer_start_run)
-                std::fill(interferers_active_.begin(),
-                          interferers_active_.end(), char{0});
-            }
-          }
+          // Every slot with a transmission on the air is one sample
+          // point of the interferer duty-cycle process (no row, and no
+          // read of one, without interferers).
+          const char* intf_row =
+              num_intf > 0 ? next_interferer_row() : nullptr;
 
           success_.assign(active_.size(), 0);
           for (std::size_t i = 0; i < active_.size(); ++i) {
             const auto& tx = *active_[i];
-            const int li = tx.link;
             const channel_t ch = active_chan_val_[i];
             const int ci = active_chan_pos_[i];
-            // One scratch buffer, internal powers first then external:
-            // sub-ranges feed the counterfactual reception probabilities
-            // in exactly the oracle's vector order.
-            powers_.clear();
+            const std::size_t id =
+                static_cast<std::size_t>(tx.link) *
+                    static_cast<std::size_t>(ncl_) +
+                static_cast<std::size_t>(ci);
+            // One milliwatt scratch buffer, internal powers first then
+            // external: sub-ranges feed the counterfactual reception
+            // probabilities.
             powers_mw_.clear();
             for (std::size_t j = 0; j < active_.size(); ++j) {
               if (j == i || active_chan_val_[j] != ch) continue;
-              powers_.push_back(cross_rssi(active_[j]->sender,
-                                           tx.receiver, ci, ch));
-              if (poly_rx_)
-                powers_mw_.push_back(
-                    cross_mw_[cross_index(active_[j]->sender,
-                                          tx.receiver, ci)]);
+              powers_mw_.push_back(
+                  cross_mw(active_[j]->sender, tx.receiver, ci, ch));
             }
-            const std::size_t internal_count = powers_.size();
+            const std::size_t internal_count = powers_mw_.size();
             obs_internal_pairs_ += internal_count;
-            for (int k = 0; k < num_intf; ++k) {
-              if (!interferers_active_[static_cast<std::size_t>(k)])
-                continue;
-              if (!ext_overlap_[static_cast<std::size_t>(k) *
-                                    static_cast<std::size_t>(ncl_) +
-                                static_cast<std::size_t>(ci)])
-                continue;
-              const std::size_t pi =
-                  static_cast<std::size_t>(k) *
-                      static_cast<std::size_t>(n_) +
-                  static_cast<std::size_t>(tx.receiver);
-              powers_.push_back(ext_power_[pi]);
-              if (poly_rx_) powers_mw_.push_back(ext_power_mw_[pi]);
-            }
+            push_external_mw(intf_row, ci, tx.receiver);
             const std::size_t external_count =
-                powers_.size() - internal_count;
-            // Interference-free receptions — the bulk of a
-            // contention-free schedule — collapse to one cached
-            // probability; the signal is only assembled when a
-            // counterfactual needs it.
-            double p;
-            if (powers_.empty()) {
-              p = p0<true>(li, tx.sender, tx.receiver, ci, ch);
-            } else {
-              const double signal =
-                  link_signal<true>(li, tx.sender, tx.receiver, ci, ch);
-              p = rx_prob<true>(li, tx.sender, tx.receiver, ci, ch,
-                                signal, 0, powers_.size());
-              auto& counts = counts_[static_cast<std::size_t>(li)];
-              const bool faulted =
-                  faults_on_ &&
-                  (faults_.node_down(tx.receiver) ||
-                   faults_.link_down(tx.sender, tx.receiver) ||
-                   faults_.slot_jammed(s));
-              if (internal_count > 0 && !faulted) {
-                // Counterfactual without the in-network interferers:
-                // the external sub-span alone, or the cached p0 when
-                // nothing external is active.
-                const double without_internal =
-                    external_count > 0
-                        ? rx_prob<true>(li, tx.sender, tx.receiver, ci,
-                                        ch, signal, internal_count,
-                                        external_count)
-                        : p0<true>(li, tx.sender, tx.receiver, ci, ch);
-                counts.loss_internal += without_internal - p;
-              }
-              if (external_count > 0 && !faulted) {
-                const double without_external =
-                    internal_count > 0
-                        ? rx_prob<true>(li, tx.sender, tx.receiver, ci,
-                                        ch, signal, 0, internal_count)
-                        : p0<true>(li, tx.sender, tx.receiver, ci, ch);
-                counts.loss_external += without_external - p;
-              }
-            }
+                powers_mw_.size() - internal_count;
             const bool faulted_rx =
                 faults_on_ &&
                 (faults_.node_down(tx.receiver) ||
                  faults_.link_down(tx.sender, tx.receiver) ||
                  faults_.slot_jammed(s));
+            // Interference-free receptions — the bulk of a
+            // contention-free schedule — read the clean PRR directly.
+            double p = dense_p0_[id];
+            if (!powers_mw_.empty()) {
+              p = rx_prob(id, 0, powers_mw_.size());
+              // Ground-truth attribution: each counterfactual drops one
+              // interference source (the other sub-span alone, or the
+              // clean PRR when the other source is silent). Fault
+              // losses are neither internal nor external interference.
+              auto& counts = counts_[static_cast<std::size_t>(tx.link)];
+              if (internal_count > 0 && !faulted_rx) {
+                const double without_internal =
+                    external_count > 0
+                        ? rx_prob(id, internal_count, external_count)
+                        : dense_p0_[id];
+                counts.loss_internal += without_internal - p;
+              }
+              if (external_count > 0 && !faulted_rx) {
+                const double without_external =
+                    internal_count > 0
+                        ? rx_prob(id, 0, internal_count)
+                        : dense_p0_[id];
+                counts.loss_external += without_external - p;
+              }
+            }
             success_[i] = (gen.bernoulli(p) && !faulted_rx) ? 1 : 0;
           }
 
@@ -1061,301 +900,19 @@ class fast_engine {
         }
       }
 
-      if (prefill_on_) {
-        // This run's used set becomes the next same-class run's
-        // prefill list; the scratch bitmap is wiped by walking the
-        // same list (never the full table).
-        auto& log = class_log_[static_cast<std::size_t>(run_class_)];
-        log.assign(run_used_ids_.begin(), run_used_ids_.end());
-        for (const int packed : run_used_ids_) {
-          run_used_mark_[static_cast<std::size_t>(packed >> 8) *
-                             static_cast<std::size_t>(ncl_) +
-                         static_cast<std::size_t>(packed & 255)] = 0;
-        }
-        run_used_ids_.clear();
+      if (config_.probes_per_run > 0) {
+        OBS_SPAN("sim.probe_loop");
+        if (num_intf == 0)
+          run_clean_probes(run, energy);
+        else
+          run_interfered_probes(gen, energy);
       }
 
-      if (config_.probes_per_run > 0 && num_intf == 0) {
-        OBS_SPAN("sim.probe_loop");
-        // With no external interferers a probe's outcome is just its
-        // clean reception probability, and the gen draw sequence —
-        // channel pick then Bernoulli uniform per probe — does not
-        // depend on any reception probability. So the draws are
-        // consumed up front in exactly the oracle's order, the missing
-        // (link, channel) table entries are filled in one batch whose
-        // independent fade kernels pipeline, and the outcomes are then
-        // evaluated from the warm table.
-        std::size_t np = 0;
-        miss_queue_.clear();
-        if (batched_) {
-          // The batched tier takes probe channel picks and Bernoulli
-          // thresholds from a derived per-run stream generated in one
-          // vectorized uniform pass (same pattern as the interferer
-          // rows) instead of draw-by-draw from the main gen stream:
-          // the first |links|*probes values are the channel uniforms,
-          // the second half the outcome thresholds, indexed by (link,
-          // probe) so muted links skip their entries without shifting
-          // anyone else's. Channel picks map through floor(u * ncl)
-          // rather than the oracle's rejection loop — both are uniform
-          // over the list, which is all the statistical contract asks.
-          // Since the dense refill already warmed every coordinate,
-          // pick, compare and accounting fuse into one pass — no
-          // recorded draw arrays, no deferred fill.
-          const std::size_t np_total =
-              link_keys_.size() *
-              static_cast<std::size_t>(config_.probes_per_run);
-          batch_uniform01s(derive_seed(config_.seed, k_probe_stream,
-                                       static_cast<std::uint64_t>(run)),
-                           2 * np_total, probe_uu_.data());
-          const double* uch = probe_uu_.data();
-          const double* uth = probe_uu_.data() + np_total;
-          const double dncl = static_cast<double>(ncl_);
-          for (std::size_t li = 0; li < link_keys_.size(); ++li) {
-            const auto& link = link_keys_[li];
-            if (faults_on_ && faults_.node_down(link.sender))
-              continue;  // mute
-            const bool probe_faulted =
-                faults_on_ &&
-                (faults_.node_down(link.receiver) ||
-                 faults_.link_down(link.sender, link.receiver));
-            const bool rx_alive =
-                !faults_on_ || !faults_.node_down(link.receiver);
-            auto& counts = counts_[li];
-            const std::size_t base =
-                li * static_cast<std::size_t>(config_.probes_per_run);
-            for (int probe = 0; probe < config_.probes_per_run;
-                 ++probe) {
-              int ci = static_cast<int>(
-                  uch[base + static_cast<std::size_t>(probe)] * dncl);
-              // u < 1 keeps u*ncl < ncl except for a possible
-              // round-to-even at the very top of the range; clamp the
-              // (never-taken in practice) overflow instead of trusting
-              // the rounding mode.
-              if (ci >= ncl_) ci = ncl_ - 1;
-              const double p =
-                  dense_on_
-                      ? dense_p0_[li * static_cast<std::size_t>(ncl_) +
-                                  static_cast<std::size_t>(ci)]
-                      : p0(static_cast<int>(li), link.sender,
-                           link.receiver, ci,
-                           list_chan_[static_cast<std::size_t>(ci)]);
-              // Same validation gen.bernoulli(p) performs before the
-              // comparison.
-              WSAN_REQUIRE(p >= 0.0 && p <= 1.0,
-                           "bernoulli requires p in [0, 1]");
-              ++counts.cf_attempts;
-              counts.cf_successes +=
-                  (uth[base + static_cast<std::size_t>(probe)] < p &&
-                   !probe_faulted)
-                      ? 1
-                      : 0;
-              energy.per_node_mj[static_cast<std::size_t>(
-                  link.sender)] += em.tx_packet_mj;  // broadcast: no ACK
-              if (rx_alive) {
-                energy.per_node_mj[static_cast<std::size_t>(
-                    link.receiver)] += em.rx_packet_mj;
-              }
-              ++energy.data_transmissions;
-            }
-          }
-        } else {
-          for (std::size_t li = 0; li < link_keys_.size(); ++li) {
-            if (faults_on_ && faults_.node_down(link_keys_[li].sender))
-              continue;  // mute
-            for (int probe = 0; probe < config_.probes_per_run;
-                 ++probe) {
-              // Inline of gen.uniform_int(0, ncl-1): identical
-              // rejection loop consuming identical draws, with the
-              // range-dependent threshold precomputed at setup.
-              int ci;
-              for (;;) {
-                const std::uint64_t r = gen();
-                if (r >= probe_threshold_) {
-                  ci = static_cast<int>(r % probe_range_);
-                  break;
-                }
-              }
-              probe_ci_[np] = ci;
-              // The draw gen.bernoulli(p) would consume, recorded
-              // before p is known (the comparison happens in the last
-              // phase).
-              probe_u_[np] = gen.uniform01();
-              ++np;
-              if (p0_inline_ok_) {
-                coord_cache& c =
-                    link_coords_[li * static_cast<std::size_t>(ncl_) +
-                                 static_cast<std::size_t>(ci)];
-                if (c.p0_epoch != epoch_) {
-                  // Stamp now so duplicates queue once; the value
-                  // lands in the fill pass below, before anything
-                  // reads it.
-                  c.p0_epoch = epoch_;
-                  miss_queue_.push_back((static_cast<int>(li) << 8) |
-                                        ci);
-                }
-              }
-            }
-          }
-          for (const int id : miss_queue_) fill_coord(id);
-          std::size_t pi = 0;
-          for (std::size_t li = 0; li < link_keys_.size(); ++li) {
-            const auto& link = link_keys_[li];
-            if (faults_on_ && faults_.node_down(link.sender)) continue;
-            const bool probe_faulted =
-                faults_on_ &&
-                (faults_.node_down(link.receiver) ||
-                 faults_.link_down(link.sender, link.receiver));
-            const bool rx_alive =
-                !faults_on_ || !faults_.node_down(link.receiver);
-            auto& counts = counts_[li];
-            for (int probe = 0; probe < config_.probes_per_run;
-                 ++probe, ++pi) {
-              const int ci = probe_ci_[pi];
-              // With the inline sigmoid available, every probe
-              // coordinate was stamped and filled above, so the table
-              // read needs no epoch check; otherwise the regular
-              // memoized query runs.
-              const double p =
-                  p0_inline_ok_
-                      ? link_coords_[li * static_cast<std::size_t>(
-                                              ncl_) +
-                                     static_cast<std::size_t>(ci)]
-                            .p0
-                      : p0(static_cast<int>(li), link.sender,
-                           link.receiver, ci,
-                           list_chan_[static_cast<std::size_t>(ci)]);
-              // Same validation gen.bernoulli(p) performs before its
-              // comparison against the (here pre-recorded) uniform
-              // draw.
-              WSAN_REQUIRE(p >= 0.0 && p <= 1.0,
-                           "bernoulli requires p in [0, 1]");
-              ++counts.cf_attempts;
-              counts.cf_successes +=
-                  (probe_u_[pi] < p && !probe_faulted) ? 1 : 0;
-              energy.per_node_mj[static_cast<std::size_t>(
-                  link.sender)] += em.tx_packet_mj;  // broadcast: no ACK
-              if (rx_alive) {
-                energy.per_node_mj[static_cast<std::size_t>(
-                    link.receiver)] += em.rx_packet_mj;
-              }
-              ++energy.data_transmissions;
-            }
-          }
-          // Warm-table reads above are cache hits; account them in
-          // bulk rather than per probe on the hot path.
-          if (p0_inline_ok_) obs_cache_hits_ += pi;
-        }
-      } else if (config_.probes_per_run > 0) {
-        OBS_SPAN("sim.probe_loop");
-        for (std::size_t li = 0; li < link_keys_.size(); ++li) {
-          const auto& link = link_keys_[li];
-          if (faults_.node_down(link.sender)) continue;  // mute
-          const bool probe_faulted =
-              faults_on_ && (faults_.node_down(link.receiver) ||
-                             faults_.link_down(link.sender, link.receiver));
-          auto& counts = counts_[li];
-          for (int probe = 0; probe < config_.probes_per_run; ++probe) {
-            // Inline of gen.uniform_int(0, ncl-1): identical rejection
-            // loop consuming identical draws, with the range-dependent
-            // threshold precomputed at setup.
-            int ci;
-            for (;;) {
-              const std::uint64_t r = gen();
-              if (r >= probe_threshold_) {
-                ci = static_cast<int>(r % probe_range_);
-                break;
-              }
-            }
-            const channel_t ch = list_chan_[static_cast<std::size_t>(ci)];
-            if (num_intf > 0) {
-              if (batched_) {
-                next_interferer_row();
-              } else {
-                field_.sample_active(gen, interferers_active_);
-                if (run < config_.interferer_start_run)
-                  std::fill(interferers_active_.begin(),
-                            interferers_active_.end(), char{0});
-              }
-            }
-            powers_.clear();
-            powers_mw_.clear();
-            for (int k = 0; k < num_intf; ++k) {
-              if (!interferers_active_[static_cast<std::size_t>(k)])
-                continue;
-              if (!ext_overlap_[static_cast<std::size_t>(k) *
-                                    static_cast<std::size_t>(ncl_) +
-                                static_cast<std::size_t>(ci)])
-                continue;
-              const std::size_t pi =
-                  static_cast<std::size_t>(k) *
-                      static_cast<std::size_t>(n_) +
-                  static_cast<std::size_t>(link.receiver);
-              powers_.push_back(ext_power_[pi]);
-              if (poly_rx_) powers_mw_.push_back(ext_power_mw_[pi]);
-            }
-            double p;
-            if (powers_.empty()) {
-              p = p0(static_cast<int>(li), link.sender, link.receiver,
-                     ci, ch);
-            } else {
-              p = rx_prob<false>(
-                  static_cast<int>(li), link.sender, link.receiver, ci,
-                  ch,
-                  link_signal<false>(static_cast<int>(li), link.sender,
-                                     link.receiver, ci, ch),
-                  0, powers_.size());
-            }
-            ++counts.cf_attempts;
-            counts.cf_successes +=
-                (gen.bernoulli(p) && !probe_faulted) ? 1 : 0;
-            energy.per_node_mj[static_cast<std::size_t>(link.sender)] +=
-                em.tx_packet_mj;  // broadcast: no ACK
-            if (!faults_.node_down(link.receiver)) {
-              energy.per_node_mj[static_cast<std::size_t>(
-                  link.receiver)] += em.rx_packet_mj;
-            }
-            ++energy.data_transmissions;
-            if (!powers_.empty() && !probe_faulted) {
-              counts.loss_external +=
-                  p0(static_cast<int>(li), link.sender, link.receiver,
-                     ci, ch) -
-                  p;
-            }
-          }
-        }
-      }
-
-      // Flush this run's accumulators, in link_key order (== the
-      // oracle's std::map iteration order).
-      for (std::size_t li = 0; li < link_keys_.size(); ++li) {
-        const auto& counts = counts_[li];
-        if (counts.reuse_attempts == 0 && counts.cf_attempts == 0)
-          continue;
-        if (faults_.reports_withheld(link_keys_[li].sender)) continue;
-        link_observations* obs = obs_cache_[li];
-        if (obs == nullptr) {
-          obs = &result.links[link_keys_[li]];
-          obs_cache_[li] = obs;
-        }
-        if (counts.reuse_attempts > 0) {
-          obs->reuse_samples.emplace_back(
-              run, static_cast<double>(counts.reuse_successes) /
-                       static_cast<double>(counts.reuse_attempts));
-          obs->reuse_attempts += counts.reuse_attempts;
-          obs->reuse_successes += counts.reuse_successes;
-        }
-        if (counts.cf_attempts > 0) {
-          obs->cf_samples.emplace_back(
-              run, static_cast<double>(counts.cf_successes) /
-                       static_cast<double>(counts.cf_attempts));
-          obs->cf_attempts += counts.cf_attempts;
-          obs->cf_successes += counts.cf_successes;
-        }
-        obs->expected_loss_internal += counts.loss_internal;
-        obs->expected_loss_external += counts.loss_external;
-      }
+      OBS_SPAN("sim.finalize");
+      flush_run(run, result);
     }
 
+    OBS_SPAN("sim.finalize");
     finalize_result(result, flows_, released, delivered, config_);
     if (wsan::obs::enabled()) {
       wsan::obs::add_counter("sim.active_transmissions",
@@ -1386,118 +943,62 @@ class fast_engine {
       return drift_[idx];
     }
     drift_[idx] =
-        batched_
-            ? compute_drift_db_batched(config_, maintained_[pair] != 0, a,
-                                       b, ch)
-            : compute_drift_db(config_, maintained_[pair] != 0, a, b, ch);
+        compute_drift_db_batched(config_, maintained_[pair] != 0, a, b, ch);
     drift_ready_[idx] = 1;
     return drift_[idx];
   }
 
-  /// Temporal fade for the current run: compute_fade_db's seed chain
-  /// with its run-only prefix hoisted into fade_prefix_ (see run()).
-  /// Oracle tier: the derived rng's Box-Muller collapsed into the
-  /// spare-free shared kernel rng::first_normal — bit-identical to
-  /// `sigma * rng(seed).normal()`. Batched tier: the same seed through
-  /// the counter-based batch_normal element transform, so a lazy miss
-  /// produces exactly what the bulk fill would have. Pure per (pair,
-  /// channel) within a run, so live_rssi's coordinate cache absorbs
-  /// repeats; a dedicated fade table was measured slower (the extra
-  /// cache lines per miss cost more than the rare cross-direction
-  /// reuse saved).
+  /// Temporal fade for the current run: the fade seed chain with its
+  /// run-only prefix hoisted into fade_prefix_ (see refill_dense),
+  /// through the batch_normal element transform, so a lazy cross-pair
+  /// fade equals what the bulk fill computes for a link coordinate.
   double fade(node_id a, node_id b, channel_t ch) {
     ++obs_fade_kernels_;
     const std::uint64_t seed = fade_seed(fade_prefix_, a, b, ch);
-    return batched_
-               ? config_.temporal_fading_sigma_db * batch_normal(seed)
-               : config_.temporal_fading_sigma_db * rng::first_normal(seed);
+    return config_.temporal_fading_sigma_db * batch_normal(seed);
   }
 
-  /// Reception probability under interference over the sub-range
-  /// [begin, begin + count) of this slot's collected powers,
-  /// dispatched per tier. Oracle: phy::reception_probability verbatim
-  /// over powers_ (bit-identity). Batched: the same standalone x
-  /// capture-sigmoid product with every libm call eliminated — the
-  /// standalone sigmoid is the cached p0 (dense table or epoch memo),
-  /// the SINR denominator sums the pre-converted milliwatt mirror
-  /// powers_mw_ (interferer conversions are memoized at their source:
-  /// ext_power_mw_ at setup, cross_mw_ per run), and mw_to_dbm plus
-  /// the capture sigmoid go through the branch-free poly_log /
-  /// batch_sigmoid kernels. Elementwise pure and deterministic per
-  /// (config, seed); within ~1e-13 relative of the oracle away from
-  /// the sigmoid clamp rails, which the tier's statistical-equivalence
-  /// gate absorbs. poly_rx_ is false when the transition widths failed
-  /// setup validation, so the batched tier still throws exactly as
-  /// the oracle does.
-  template <bool kLog>
-  double rx_prob(int li, node_id sender, node_id receiver, int ci,
-                 channel_t ch, double signal, std::size_t begin,
-                 std::size_t count) {
-    if (!poly_rx_)
-      return phy::reception_probability(capture_, signal,
-                                        powers_.data() + begin, count);
+  /// Reception probability of link coordinate `id` under interference
+  /// over the sub-range [begin, begin + count) of the collected
+  /// milliwatt powers: the clean PRR times the capture sigmoid of the
+  /// SINR margin, as in phy::reception_probability, with every libm
+  /// call replaced by the batch kernels (poly_log for mw_to_dbm,
+  /// batch_sigmoid for the capture transition). Interferer powers
+  /// arrive pre-converted (ext_power_mw_ at setup, cross_mw_ per run).
+  double rx_prob(std::size_t id, std::size_t begin,
+                 std::size_t count) const {
     double denom_mw = noise_mw_;
     const double* mw = powers_mw_.data() + begin;
     for (std::size_t k = 0; k < count; ++k) denom_mw += mw[k];
     const double sinr =
-        signal - batch_detail::poly_log(denom_mw) * k_10_over_ln10;
-    return p0<kLog>(li, sender, receiver, ci, ch) *
+        dense_sig_[id] - batch_detail::poly_log(denom_mw) * k_10_over_ln10;
+    return dense_p0_[id] *
            batch_sigmoid((sinr - cap_thresh_) / cap_scale_);
   }
 
-  /// Marks a (link, channel) coordinate as used by this run's slot
-  /// loop. The per-run used set feeds the next same-class run's
-  /// prefill: the (slot, offset) -> channel mapping repeats with
-  /// period |channels|, and the set of coordinates that actually fire
-  /// (primaries plus the retries whose primary failed) is far smaller
-  /// than the union of all entry coordinates, so tracking last use
-  /// keeps the prefill from wasting kernels on retries that rarely
-  /// fire.
-  void mark_used(int id, int packed) {
-    char& mark = run_used_mark_[static_cast<std::size_t>(id)];
-    if (!mark) {
-      mark = 1;
-      run_used_ids_.push_back(packed);
-    }
+  /// Per-run refill of the dense link-coordinate store (fading on):
+  /// one fused vectorized pass computes the fade chain, sigma scale,
+  /// base add and clean-PRR sigmoid for every coordinate. The run-only
+  /// prefix of the fade seed chain is computed once here; cross pairs
+  /// reuse it through fade().
+  void refill_dense(int run) {
+    fade_prefix_ = fade_prefix(config_.seed, run);
+    epoch_ = static_cast<std::uint32_t>(run) + 1;
+    batch_fade_fill(fade_prefix_.state, fade_prefix_.z, dense_pk_.data(),
+                    dense_ch_.data(), dense_base_.data(), coord_count_,
+                    config_.temporal_fading_sigma_db, p0_sens_, p0_scale_,
+                    dense_sig_.data(), dense_p0_.data());
+    obs_fade_kernels_ += coord_count_;
   }
 
-  /// Batch fill of one coordinate's signal and clean reception
-  /// probability (prefill and probe-batch path; requires
-  /// p0_inline_ok_). Iterations over distinct coordinates are
-  /// independent, so consecutive fills pipeline the fade kernels'
-  /// log/cos chains instead of paying their serial latency per miss.
-  /// `packed` is (li << 8) | ci — channel positions fit 8 bits — so
-  /// unpacking is shift/mask instead of division by a runtime ncl.
-  void fill_coord(int packed) {
-    const int li = packed >> 8;
-    const int ci = packed & 255;
-    coord_cache& c =
-        link_coords_[static_cast<std::size_t>(li) *
-                         static_cast<std::size_t>(ncl_) +
-                     static_cast<std::size_t>(ci)];
-    const link_key& key = link_keys_[static_cast<std::size_t>(li)];
-    const channel_t ch = list_chan_[static_cast<std::size_t>(ci)];
-    if (!c.base_ready) {
-      c.base = topo_.rssi_dbm(key.sender, key.receiver, ch) +
-               drift(key.sender, key.receiver, ci, ch);
-      c.base_ready = 1;
-    }
-    c.sig = c.base + (fade_on_ ? fade(key.sender, key.receiver, ch) : 0.0);
-    c.sig_epoch = epoch_;
-    c.p0 = phy::clamped_sigmoid((c.sig - p0_sens_) / p0_scale_);
-    c.p0_epoch = epoch_;
-  }
-
-  /// Batched-tier setup pass: fills the drift table for every
-  /// (schedule link, channel) coordinate with one vectorized normal
-  /// batch over the drift seed chains. Link pairs are maintained by
-  /// construction (the bitmap is built from the same link set), so the
-  /// sigma is uniform and the intermittence draw does not apply; the
-  /// quadratic non-link pairs that cross_rssi touches stay lazy and go
-  /// through the batched element transform on miss, producing the same
-  /// values this pass would (compute_drift_db_batched is the element
-  /// function of this batch).
-  void prefill_drift_batched() {
+  /// Setup pass: fills the drift table for every (schedule link,
+  /// channel) coordinate with one vectorized normal batch over the
+  /// drift seed chains. Link pairs are maintained by construction (the
+  /// bitmap is built from the same link set), so the sigma is uniform
+  /// and the intermittence draw does not apply; the non-link pairs
+  /// that cross_mw touches stay lazy and go through
+  /// compute_drift_db_batched, the element function of this batch.
+  void prefill_link_drift() {
     const double sigma = config_.maintained_drift_sigma_db;
     std::vector<std::uint64_t> seeds;
     std::vector<std::size_t> idxs;
@@ -1528,14 +1029,13 @@ class fast_engine {
       drift_[idxs[j]] = sigma * vals[j];
   }
 
-  /// Batched-tier interferer activity: the duty-cycle Bernoullis for a
-  /// whole run are generated here in one vectorized uniform pass from
-  /// a derived per-run stream — derive_seed(seed, interferer stream,
-  /// run) — instead of draw-by-draw from the main gen stream. Row r is
-  /// the activity vector handed out by the r-th sample point of the
-  /// run (slot loop first, then probes), so the process keeps the
-  /// oracle's structure: independent Bernoulli(duty_cycle) per
-  /// interferer per sample point, deterministic per (config, run).
+  /// Interferer activity: the duty-cycle Bernoullis for a whole run,
+  /// generated in one vectorized uniform pass from a derived per-run
+  /// stream — derive_seed(seed, interferer stream, run). Row r is the
+  /// activity vector of the r-th sample point of the run (slot loop
+  /// first, then probes), so the process keeps the naive engine's
+  /// structure: an independent Bernoulli(duty_cycle) per interferer
+  /// per sample point, deterministic per (config, run).
   void refresh_interferer_rows(int run) {
     intf_cursor_ = 0;
     const std::size_t total = intf_u_.size();
@@ -1553,127 +1053,190 @@ class fast_engine {
     }
   }
 
-  /// Copies the next pre-generated activity row into the shared
-  /// interferers_active_ scratch (same buffer both tiers read).
-  void next_interferer_row() {
+  /// Appends to powers_mw_ the milliwatt power, at `receiver`, of
+  /// every interferer that `row` marks active and whose WiFi channel
+  /// overlaps list position `ci`.
+  void push_external_mw(const char* row, int ci, node_id receiver) {
     const std::size_t num_intf = intf_duty_.size();
-    const char* row = intf_active_.data() + intf_cursor_ * num_intf;
+    for (std::size_t k = 0; k < num_intf; ++k) {
+      if (!row[k]) continue;
+      if (!ext_overlap_[k * static_cast<std::size_t>(ncl_) +
+                        static_cast<std::size_t>(ci)])
+        continue;
+      powers_mw_.push_back(ext_power_mw_[k * static_cast<std::size_t>(n_) +
+                                         static_cast<std::size_t>(receiver)]);
+    }
+  }
+
+  /// The next pre-generated activity row, one flag per interferer.
+  const char* next_interferer_row() {
+    const char* row =
+        intf_active_.data() + intf_cursor_ * intf_duty_.size();
     ++intf_cursor_;
-    interferers_active_.assign(row, row + num_intf);
+    return row;
   }
 
-  /// Effective RSSI at experiment time for a schedule link: same sum,
-  /// same order as the oracle's live_rssi (base + drift + fade),
-  /// cached per (link, channel position, fade epoch). kLog tracks the
-  /// coordinate in the per-run used set feeding the hopping-class
-  /// prefill (slot-loop callers only; probe channels are uniform
-  /// draws with no cross-run structure).
-  template <bool kLog>
-  double link_signal(int li, node_id sender, node_id receiver, int ci,
-                     channel_t ch) {
-    const int id = li * ncl_ + ci;
-    if (dense_on_) return dense_sig_[static_cast<std::size_t>(id)];
-    coord_cache& c = link_coords_[static_cast<std::size_t>(id)];
-    if constexpr (kLog) {
-      if (prefill_on_) mark_used(id, (li << 8) | ci);
-    }
-    if (c.sig_epoch == epoch_) {
-      ++obs_cache_hits_;
-      return c.sig;
-    }
-    // The oracle sums (rssi + drift) + fade; the run-invariant left
-    // half is cached so a fade epoch rollover is one add plus the
-    // fade kernel.
-    if (!c.base_ready) {
-      c.base = topo_.rssi_dbm(sender, receiver, ch) +
-               drift(sender, receiver, ci, ch);
-      c.base_ready = 1;
-    }
-    c.sig = c.base + (fade_on_ ? fade(sender, receiver, ch) : 0.0);
-    c.sig_epoch = epoch_;
-    return c.sig;
-  }
-
-  /// Effective RSSI of a concurrent sender into another link's
-  /// receiver (in-network interference cross product). These pairs are
-  /// not schedule links, so the link-coordinate table has no slot for
-  /// them, but the sum is still pure per (sender, receiver, position)
-  /// within a run — the same collisions repeat every period of a
-  /// hyperperiod, so an epoch-gated memo over the directed pair space
-  /// turns all repeats into a table read (the first touch computes the
-  /// identical oracle sum, so bit-identity is unaffected). The table
-  /// is allocated on first collision: contention-free schedules never
-  /// pay the quadratic footprint.
-  std::size_t cross_index(node_id sender, node_id receiver,
-                          int ci) const {
-    return (static_cast<std::size_t>(sender) *
-                static_cast<std::size_t>(n_) +
-            static_cast<std::size_t>(receiver)) *
-               static_cast<std::size_t>(ncl_) +
-           static_cast<std::size_t>(ci);
-  }
-
-  double cross_rssi(node_id sender, node_id receiver, int ci,
-                    channel_t ch) {
+  /// Milliwatt power of a concurrent sender at another link's
+  /// receiver (the in-network interference cross product). These pairs
+  /// are not schedule links, so the dense table has no slot for them,
+  /// but the value is pure per (sender, receiver, position) within a
+  /// run — the same collisions repeat every period of a hyperperiod —
+  /// so an epoch-gated memo over the directed pair space turns the
+  /// repeats into a table read. The memo is allocated on first
+  /// collision: contention-free schedules never pay its quadratic
+  /// footprint.
+  double cross_mw(node_id sender, node_id receiver, int ci, channel_t ch) {
     if (cross_epoch_.empty()) {
       const std::size_t cells = static_cast<std::size_t>(n_) *
                                 static_cast<std::size_t>(n_) *
                                 static_cast<std::size_t>(ncl_);
-      // Uninitialized like drift_: the zeroed epoch bytes gate reads.
-      cross_sig_.reset(new double[cells]);
-      if (poly_rx_) cross_mw_.reset(new double[cells]);
+      // Uninitialized like drift_: the zeroed epoch words gate reads.
+      cross_mw_.reset(new double[cells]);
       cross_epoch_.assign(cells, 0);
     }
-    const std::size_t idx = cross_index(sender, receiver, ci);
+    const std::size_t idx =
+        (static_cast<std::size_t>(sender) * static_cast<std::size_t>(n_) +
+         static_cast<std::size_t>(receiver)) *
+            static_cast<std::size_t>(ncl_) +
+        static_cast<std::size_t>(ci);
     if (cross_epoch_[idx] == epoch_) {
       ++obs_cache_hits_;
-      return cross_sig_[idx];
+      return cross_mw_[idx];
     }
     const double sig = topo_.rssi_dbm(sender, receiver, ch) +
                        drift(sender, receiver, ci, ch) +
                        (fade_on_ ? fade(sender, receiver, ch) : 0.0);
-    cross_sig_[idx] = sig;
-    // The poly SINR path consumes interference in milliwatts; convert
-    // once per (pair, position, run) here instead of per reception.
-    if (poly_rx_)
-      cross_mw_[idx] = batch_detail::poly_exp(sig * k_ln10_over_10);
+    cross_mw_[idx] = batch_detail::poly_exp(sig * k_ln10_over_10);
     cross_epoch_[idx] = epoch_;
-    return sig;
+    return cross_mw_[idx];
   }
 
-  /// Reception probability with zero concurrent interference — the
-  /// common case on contention-free cells and probes. Bit-identical to
-  /// phy::reception_probability(capture, live_rssi, {}) by construction
-  /// (the empty-interference path of the same function), cached like
-  /// the signal itself.
-  template <bool kLog = false>
-  double p0(int li, node_id sender, node_id receiver, int ci,
-            channel_t ch) {
-    const int id = li * ncl_ + ci;
-    if (dense_on_) return dense_p0_[static_cast<std::size_t>(id)];
-    coord_cache& c = link_coords_[static_cast<std::size_t>(id)];
-    if constexpr (kLog) {
-      if (prefill_on_) mark_used(id, (li << 8) | ci);
+  /// Probes without external interferers: a probe's outcome is its
+  /// clean reception probability, so channel picks and Bernoulli
+  /// thresholds come from a derived per-run stream generated in one
+  /// vectorized uniform pass (same pattern as the interferer rows).
+  /// The first |links|*probes values are the channel uniforms, the
+  /// second half the outcome thresholds, indexed by (link, probe) so
+  /// muted links skip their entries without shifting anyone else's.
+  /// Channel picks map through floor(u * ncl), uniform over the list.
+  void run_clean_probes(int run, energy_report& energy) {
+    const auto& em = config_.energy;
+    const std::size_t np_total =
+        link_keys_.size() * static_cast<std::size_t>(config_.probes_per_run);
+    batch_uniform01s(derive_seed(config_.seed, k_probe_stream,
+                                 static_cast<std::uint64_t>(run)),
+                     2 * np_total, probe_uu_.data());
+    const double* uch = probe_uu_.data();
+    const double* uth = probe_uu_.data() + np_total;
+    const double dncl = static_cast<double>(ncl_);
+    for (std::size_t li = 0; li < link_keys_.size(); ++li) {
+      const auto& link = link_keys_[li];
+      if (faults_on_ && faults_.node_down(link.sender))
+        continue;  // dead nodes are mute
+      const bool probe_faulted =
+          faults_on_ && (faults_.node_down(link.receiver) ||
+                         faults_.link_down(link.sender, link.receiver));
+      const bool rx_alive = !faults_on_ || !faults_.node_down(link.receiver);
+      auto& counts = counts_[li];
+      const std::size_t base =
+          li * static_cast<std::size_t>(config_.probes_per_run);
+      for (int probe = 0; probe < config_.probes_per_run; ++probe) {
+        int ci = static_cast<int>(
+            uch[base + static_cast<std::size_t>(probe)] * dncl);
+        // u < 1 keeps u*ncl < ncl except for a possible round-to-even
+        // at the very top of the range; clamp the (never-taken in
+        // practice) overflow instead of trusting the rounding mode.
+        if (ci >= ncl_) ci = ncl_ - 1;
+        const double p = dense_p0_[li * static_cast<std::size_t>(ncl_) +
+                                   static_cast<std::size_t>(ci)];
+        // Same validation gen.bernoulli(p) performs before comparing.
+        WSAN_REQUIRE(p >= 0.0 && p <= 1.0, "bernoulli requires p in [0, 1]");
+        ++counts.cf_attempts;
+        counts.cf_successes +=
+            (uth[base + static_cast<std::size_t>(probe)] < p &&
+             !probe_faulted)
+                ? 1
+                : 0;
+        energy.per_node_mj[static_cast<std::size_t>(link.sender)] +=
+            em.tx_packet_mj;  // broadcast: no ACK
+        if (rx_alive) {
+          energy.per_node_mj[static_cast<std::size_t>(link.receiver)] +=
+              em.rx_packet_mj;
+        }
+        ++energy.data_transmissions;
+      }
     }
-    if (c.p0_epoch == epoch_) {
-      ++obs_cache_hits_;
-      return c.p0;
+  }
+
+  /// Probes under external interference: channel picks and outcomes
+  /// are main-stream draws in the naive engine's order, and each probe
+  /// is one sample point of the interferer activity rows.
+  void run_interfered_probes(rng& gen, energy_report& energy) {
+    const auto& em = config_.energy;
+    for (std::size_t li = 0; li < link_keys_.size(); ++li) {
+      const auto& link = link_keys_[li];
+      if (faults_on_ && faults_.node_down(link.sender))
+        continue;  // dead nodes are mute
+      const bool probe_faulted =
+          faults_on_ && (faults_.node_down(link.receiver) ||
+                         faults_.link_down(link.sender, link.receiver));
+      const bool rx_alive = !faults_on_ || !faults_.node_down(link.receiver);
+      auto& counts = counts_[li];
+      for (int probe = 0; probe < config_.probes_per_run; ++probe) {
+        const int ci = static_cast<int>(gen.uniform_int(0, ncl_ - 1));
+        const std::size_t id = li * static_cast<std::size_t>(ncl_) +
+                               static_cast<std::size_t>(ci);
+        powers_mw_.clear();
+        push_external_mw(next_interferer_row(), ci, link.receiver);
+        const double p = powers_mw_.empty()
+                             ? dense_p0_[id]
+                             : rx_prob(id, 0, powers_mw_.size());
+        ++counts.cf_attempts;
+        counts.cf_successes += (gen.bernoulli(p) && !probe_faulted) ? 1 : 0;
+        energy.per_node_mj[static_cast<std::size_t>(link.sender)] +=
+            em.tx_packet_mj;  // broadcast: no ACK
+        if (rx_alive) {
+          energy.per_node_mj[static_cast<std::size_t>(link.receiver)] +=
+              em.rx_packet_mj;
+        }
+        ++energy.data_transmissions;
+        if (!powers_mw_.empty() && !probe_faulted)
+          counts.loss_external += dense_p0_[id] - p;
+      }
     }
-    const double signal =
-        link_signal<false>(li, sender, receiver, ci, ch);
-    if (p0_inline_ok_) {
-      // Inline of phy::reception_probability's zero-interference path,
-      // i.e. prr_from_rssi: identical expressions with the parameter
-      // checks and the sigmoid scale hoisted to setup. The batched
-      // tier routes the sigmoid through the batch element kernel so a
-      // lazy miss and a bulk fill produce the same value.
-      const double x = (signal - p0_sens_) / p0_scale_;
-      c.p0 = batched_ ? batch_sigmoid(x) : phy::clamped_sigmoid(x);
-    } else {
-      c.p0 = phy::reception_probability(capture_, signal, nullptr, 0);
+  }
+
+  /// Flushes this run's accumulators into the result, in link_key
+  /// order (== the naive engine's std::map iteration order).
+  void flush_run(int run, sim_result& result) {
+    for (std::size_t li = 0; li < link_keys_.size(); ++li) {
+      const auto& counts = counts_[li];
+      if (counts.reuse_attempts == 0 && counts.cf_attempts == 0) continue;
+      // Health reports are the sender's to deliver: a crashed or
+      // suppressed sender's statistics never reach the manager.
+      if (faults_.reports_withheld(link_keys_[li].sender)) continue;
+      link_observations* obs = obs_cache_[li];
+      if (obs == nullptr) {
+        obs = &result.links[link_keys_[li]];
+        obs_cache_[li] = obs;
+      }
+      if (counts.reuse_attempts > 0) {
+        obs->reuse_samples.emplace_back(
+            run, static_cast<double>(counts.reuse_successes) /
+                     static_cast<double>(counts.reuse_attempts));
+        obs->reuse_attempts += counts.reuse_attempts;
+        obs->reuse_successes += counts.reuse_successes;
+      }
+      if (counts.cf_attempts > 0) {
+        obs->cf_samples.emplace_back(
+            run, static_cast<double>(counts.cf_successes) /
+                     static_cast<double>(counts.cf_attempts));
+        obs->cf_attempts += counts.cf_attempts;
+        obs->cf_successes += counts.cf_successes;
+      }
+      obs->expected_loss_internal += counts.loss_internal;
+      obs->expected_loss_external += counts.loss_external;
     }
-    c.p0_epoch = epoch_;
-    return c.p0;
   }
 
   const topo::topology& topo_;
@@ -1684,92 +1247,64 @@ class fast_engine {
   const slot_t hp_;
   interference_field field_;
   fault_state faults_;
-  const bool faults_on_;  ///< plan non-empty: gates the link_down calls
-  phy::capture_params capture_;
+  const bool faults_on_;  ///< plan non-empty: gates the fault queries
 
   std::vector<fast_entry> entries_;  ///< all transmissions, slot-major
   std::vector<int> slot_begin_;  ///< slot -> [begin, end) into entries_
   std::vector<link_key> link_keys_;  ///< dense link index -> key, sorted
   std::vector<char> maintained_;     ///< unordered pair bitmap (lo*n+hi)
   std::vector<channel_t> list_chan_;  ///< list position -> channel value
-
-  bool drift_zero_ = false;
-  bool fade_on_ = false;
-  // Memo tables, all keyed by channel-list position. The drift double
-  // array is allocated uninitialized and gated by its ready bytes; the
-  // coordinate structs are value-initialized (epochs at 0 gate every
-  // read).
-  std::unique_ptr<double[]> drift_;  ///< (pair, position) -> drift dB
-  std::vector<char> drift_ready_;
-  // Cross-interference memo (directed pair, position), allocated on
-  // first collision; epoch-gated like the link coordinate caches.
-  std::unique_ptr<double[]> cross_sig_;
-  std::unique_ptr<double[]> cross_mw_;  ///< poly path: dbm_to_mw memo
-  std::vector<std::uint32_t> cross_epoch_;
-  std::unique_ptr<coord_cache[]> link_coords_;  ///< (link, position)
-  bool p0_inline_ok_ = false;  ///< transition widths validated at setup
-  double p0_scale_ = 1.0;      ///< link transition width / 4
-  double p0_sens_ = 0.0;       ///< link sensitivity dBm
-  std::uint64_t probe_range_ = 1;      ///< |channels| for probe draws
-  std::uint64_t probe_threshold_ = 0;  ///< Lemire rejection threshold
-  fade_run_prefix fade_prefix_;  ///< per-run fade seed chain prefix
-  std::uint32_t epoch_ = 1;  ///< current cache epoch (run+1 with fading)
-  int run_class_ = 0;        ///< (run * hp) mod |channels|
-  std::size_t coord_count_ = 0;  ///< |links| * |channels|
-  // Per-hopping-class prefill logs: the coordinate working set of the
-  // last run in each class, batch-filled at the start of the next run
-  // of the same class (the (slot, offset) -> channel mapping repeats
-  // with period |channels|, so the working set is near-stationary).
-  bool prefill_on_ = false;  ///< fade_on_ && p0_inline_ok_
-  std::vector<std::vector<int>> class_log_;  ///< class -> packed ids
-  std::vector<char> run_used_mark_;  ///< per-run coord usage bitmap
-  std::vector<int> run_used_ids_;    ///< packed ids used this run
-  // Probe-batch scratch (pre-reserved): recorded channel picks and
-  // Bernoulli uniforms, and the deduplicated coordinate fill queue.
-  std::vector<int> probe_ci_;
-  std::vector<double> probe_u_;
-  std::vector<int> miss_queue_;
+  std::size_t coord_count_ = 0;       ///< |links| * |channels|
   std::vector<int> prog_offset_;     ///< flow -> progress_ base index
   std::vector<int> flow_instances_;  ///< flow -> instances per hyperperiod
   std::vector<int> route_len_;       ///< flow -> route length
   std::vector<int> progress_;  ///< flat (flow, instance) hop progress
 
-  std::vector<char> ext_overlap_;   ///< (interferer, list position)
-  std::vector<double> ext_power_;   ///< (interferer, node) -> dBm
-  std::vector<double> ext_power_mw_;  ///< poly path: same table in mW
+  bool drift_zero_ = false;
+  bool fade_on_ = false;
+  std::unique_ptr<double[]> drift_;  ///< (pair, position) -> drift dB
+  std::vector<char> drift_ready_;
+  // Cross-interference memo (directed pair, position) in milliwatts,
+  // allocated on first collision and gated by the run epoch.
+  std::unique_ptr<double[]> cross_mw_;
+  std::vector<std::uint32_t> cross_epoch_;
+  std::uint32_t epoch_ = 1;  ///< memo epoch (run + 1 with fading, else 1)
+  fade_run_prefix fade_prefix_;  ///< per-run fade seed chain prefix
+
+  // Sigmoid and SINR constants.
+  double p0_sens_ = 0.0;     ///< link sensitivity dBm
+  double p0_scale_ = 1.0;    ///< link transition width / 4
+  double cap_thresh_ = 0.0;  ///< capture threshold dB
+  double cap_scale_ = 1.0;   ///< capture transition width / 4
+  double noise_mw_ = 0.0;    ///< poly_exp image of the noise floor, mW
+
+  // Dense link-coordinate store, (link, position).
+  std::vector<std::uint64_t> dense_pk_;  ///< pair key per coordinate
+  std::vector<std::uint64_t> dense_ch_;  ///< channel per coordinate
+  std::vector<double> dense_base_;  ///< rssi + drift per coordinate
+  std::vector<double> dense_sig_;   ///< this run's signals
+  std::vector<double> dense_p0_;    ///< this run's clean PRRs
+
+  std::vector<char> ext_overlap_;     ///< (interferer, list position)
+  std::vector<double> ext_power_mw_;  ///< (interferer, node) -> mW
+  // Derived per-run streams: probe draws (no interferers) or the
+  // interferer activity rows, sized at setup.
+  std::vector<double> probe_uu_;
+  std::vector<char> intf_active_;  ///< (sample row, interferer) activity
+  std::vector<double> intf_u_;     ///< uniform scratch for the rows
+  std::vector<double> intf_duty_;  ///< interferer -> duty cycle
+  std::size_t intf_cursor_ = 0;    ///< next unread activity row
 
   // Reusable per-slot scratch (pre-reserved, cleared in place).
   std::vector<const fast_entry*> active_;
   std::vector<int> active_chan_pos_;  ///< active entry -> list position
   std::vector<channel_t> active_chan_val_;
   std::vector<char> success_;
-  std::vector<double> powers_;
-  std::vector<double> powers_mw_;  ///< poly path: powers_ mirror in mW
-  std::vector<char> interferers_active_;
+  std::vector<double> powers_mw_;  ///< interference powers, mW
 
   // Dense per-link accumulators and result-map pointer cache.
   std::vector<link_run_counts> counts_;
   std::vector<link_observations*> obs_cache_;
-
-  // Batched-tier state (DESIGN.md §10): bulk-fill scratch and the
-  // per-run pre-generated interferer activity table. All sized at
-  // setup; the steady-state loops never allocate in either tier.
-  bool batched_ = false;  ///< config.fade_kernel == batched
-  bool poly_rx_ = false;   ///< batched && p0_inline_ok_: poly SINR path
-  double cap_thresh_ = 0.0;  ///< capture threshold dB
-  double cap_scale_ = 1.0;   ///< capture transition width / 4
-  double noise_mw_ = 0.0;    ///< poly_exp image of the noise floor, mW
-  std::vector<double> probe_uu_;  ///< derived probe stream scratch
-  bool dense_on_ = false;  ///< batched && fade_on_ && p0_inline_ok_
-  std::vector<std::uint64_t> dense_pk_;  ///< pair key per coordinate
-  std::vector<std::uint64_t> dense_ch_;  ///< channel per coordinate
-  std::vector<double> dense_base_;  ///< rssi + drift per coordinate
-  std::vector<double> dense_sig_;   ///< this run's signals
-  std::vector<double> dense_p0_;    ///< this run's clean PRRs
-  std::vector<char> intf_active_;  ///< (sample row, interferer) activity
-  std::vector<double> intf_u_;     ///< uniform scratch for the rows
-  std::vector<double> intf_duty_;  ///< interferer -> duty cycle
-  std::size_t intf_cursor_ = 0;    ///< next unread activity row
 
   std::uint64_t obs_active_transmissions_ = 0;
   std::uint64_t obs_internal_pairs_ = 0;
@@ -1835,8 +1370,8 @@ void validate_sim_config(const sim_config& config) {
   WSAN_REQUIRE(std::isfinite(config.capture_threshold_db),
                "capture threshold must be finite");
   WSAN_REQUIRE(std::isfinite(config.capture_transition_db) &&
-                   config.capture_transition_db >= 0.0,
-               "capture transition width must be finite and non-negative");
+                   config.capture_transition_db > 0.0,
+               "capture transition width must be finite and positive");
   validate_fault_plan(config.faults);
 }
 
@@ -1851,14 +1386,15 @@ sim_result run_simulation(const topo::topology& topo,
   WSAN_REQUIRE(static_cast<int>(channels.size()) == sched.num_offsets(),
                "channel list size must equal the schedule's offset count");
   validate_sim_config(config);
-  WSAN_REQUIRE(config.use_fast_path ||
-                   config.fade_kernel == fade_kernel_kind::oracle,
-               "the batched fade-kernel tier is a mode of the fast "
-               "engine; the naive engine is the bit-identity oracle");
+  WSAN_REQUIRE(topo.link_model().transition_width_db > 0.0,
+               "link-model transition width must be positive");
 
   if (!config.use_fast_path)
     return run_simulation_naive(topo, sched, flows, channels, config);
-  fast_engine engine(topo, sched, flows, channels, config);
+  auto engine = [&] {
+    OBS_SPAN("sim.setup");
+    return fast_engine(topo, sched, flows, channels, config);
+  }();
   return engine.run();
 }
 

@@ -25,26 +25,6 @@
 
 namespace wsan::sim {
 
-/// Correctness tier of the derived-RNG kernels (temporal fades,
-/// calibration drift, interferer duty cycles) — DESIGN.md §10.
-///
-///  * oracle — every derived value reproduces the naive engine's RNG
-///    chain bit-for-bit (xoshiro construction + libm Box-Muller per
-///    value). Both engines stay bit-identical in every output; this is
-///    what sim_equivalence_test pins and what every digest-style
-///    baseline assumes.
-///  * batched — derived values come from the counter-based batched
-///    kernels in common/batch_rng.h, generated in vectorized batches
-///    over the same coordinate-keyed seed chains. Outputs are NOT
-///    bitwise comparable to the oracle tier (different transform, and
-///    interferer activity moves off the main RNG stream onto a derived
-///    per-run stream) but are drawn from the same distributions; the
-///    contract is statistical equivalence, enforced by the K-S gate in
-///    stats/equivalence.h + tests/fade_equivalence_test.cpp. Still
-///    fully deterministic: a (config, seed) pair always produces the
-///    same sim_result.
-enum class fade_kernel_kind { oracle, batched };
-
 struct sim_config {
   /// Number of schedule executions ("the network executes the schedule
   /// 100 times", Section VII-D). ASN runs continuously across
@@ -106,23 +86,19 @@ struct sim_config {
   /// empty plan is a strict no-op: the output is bit-identical to a run
   /// without fault support, so every figure and bench is unaffected.
   fault_plan faults;
-  /// Selects the memoized, allocation-free simulation engine (dense
-  /// link accumulators, per-(pair, channel) drift/fade tables, reusable
-  /// scratch buffers). The naive engine — one derived-RNG re-seed per
-  /// live_rssi call, per-run std::map accumulators, per-slot vectors —
-  /// remains compiled in as the reference oracle, exactly like the
-  /// scheduler's use_occupancy_index: both engines are bit-identical in
-  /// every output (same main-RNG draw order, same sim_result), which
-  /// tests/sim_equivalence_test.cpp enforces across seeds, faults,
-  /// interferers, and probe settings.
+  /// Selects the fast engine (DESIGN.md §10): allocation-free in steady
+  /// state, with dense per-link tables and every derived value (fades,
+  /// drift, interferer activity, probe draws) taken from the
+  /// counter-based kernels of common/batch_rng.h. The naive engine —
+  /// one derived-RNG re-seed per live_rssi call, per-run std::map
+  /// accumulators, per-slot vectors — remains compiled in as the
+  /// reference, like the scheduler's use_occupancy_index. The fast
+  /// engine draws the same distributions through different transforms
+  /// and streams, so the two agree bitwise only on the mechanics they
+  /// share (tests/sim_equivalence_test.cpp) and statistically
+  /// everywhere else (tests/fade_equivalence_test.cpp). Each engine is
+  /// deterministic per (config, seed) on every host.
   bool use_fast_path = true;
-  /// Derived-RNG kernel tier (see fade_kernel_kind). The default keeps
-  /// the bit-identity contract; `batched` trades it for statistical
-  /// equivalence and an order-of-magnitude faster fading path. The
-  /// batched tier is a mode of the fast engine only — combining it with
-  /// use_fast_path = false is rejected by run_simulation (the naive
-  /// engine *is* the bit-identity oracle).
-  fade_kernel_kind fade_kernel = fade_kernel_kind::oracle;
   /// Neighbor-discovery probe transmissions per link per run. The
   /// WirelessHART manager reserves contention-free slots for periodic
   /// neighbor-discovery broadcasts (Section VI); these give every link —
@@ -192,7 +168,7 @@ struct link_observations {
                                   static_cast<double>(cf_attempts);
   }
 
-  /// Exact equality (bitwise on doubles) for the fast/oracle oracle.
+  /// Exact equality (bitwise on doubles), for the engine gates.
   friend bool operator==(const link_observations&,
                          const link_observations&) = default;
 };
@@ -221,9 +197,9 @@ struct sim_result {
 };
 
 /// Temporal fading in dB: deterministic per (run, unordered pair,
-/// channel), zero when the configured sigma is. This is the oracle-tier
-/// kernel both engines share; exposed for the drift/fade corner tests
-/// and for consumers that need the ground-truth fade of a coordinate.
+/// channel), zero when the configured sigma is. The naive engine's
+/// kernel (xoshiro + libm Box-Muller over the coordinate's seed chain);
+/// exposed for the drift/fade corner tests.
 double compute_fade_db(const sim_config& config, int run, node_id a,
                        node_id b, channel_t ch);
 
@@ -231,20 +207,22 @@ double compute_fade_db(const sim_config& config, int run, node_id a,
 /// `maintained` selects the small maintained sigma; unmaintained pairs
 /// draw their intermittence class from a pair-level (channel
 /// independent) stream. Returns exactly 0.0 when the selected sigma is
-/// <= 0. Oracle-tier kernel, exposed like compute_fade_db.
+/// <= 0. The naive engine's kernel, exposed like compute_fade_db.
 double compute_drift_db(const sim_config& config, bool maintained,
                         node_id a, node_id b, channel_t ch);
 
 /// Validates the configuration's numeric invariants (positive run count,
 /// non-negative and finite sigmas, intermittent fraction in [0, 1],
-/// non-negative probe count and interferer onset, a structurally valid
-/// fault plan). Throws std::invalid_argument on violation — hostile
+/// non-negative probe count and interferer onset, a finite capture
+/// threshold, a positive finite capture transition width, a
+/// structurally valid fault plan). Throws std::invalid_argument on violation — hostile
 /// configurations must fail loudly, never silently produce garbage.
 void validate_sim_config(const sim_config& config);
 
 /// Runs the simulation. The schedule must have been produced for exactly
 /// these flows (validated: every placement must reference a known flow),
-/// and the configuration must pass validate_sim_config.
+/// the configuration must pass validate_sim_config, and the topology's
+/// link model must have a positive transition width.
 sim_result run_simulation(const topo::topology& topo,
                           const tsch::schedule& sched,
                           const std::vector<flow::flow>& flows,

@@ -2,13 +2,14 @@
 // Bonferroni-adjusted per-group level plus one pooled test (DESIGN.md
 // §10).
 //
-// The batched fade-kernel tier (sim::fade_kernel_kind::batched) is not
-// bit-comparable to the oracle tier — it draws the same distributions
-// through different transforms — so its correctness contract is
-// statistical: for every observable sample stream (per-link PRR in
-// reuse and contention-free slots, pooled across seeds), a two-sample
-// K-S test between the oracle's stream and the candidate's stream must
-// fail to reject the null "same distribution". With m testable groups
+// The simulator's fast engine is not bit-comparable to the naive
+// reference engine once fading, drift, interferers or probes are on —
+// it draws the same distributions through different transforms and
+// streams — so its correctness contract there is statistical: for
+// every observable sample stream (per-link PRR in reuse and
+// contention-free slots, pooled across seeds), a two-sample K-S test
+// between the reference's stream and the candidate's stream must fail
+// to reject the null "same distribution". With m testable groups
 // the per-group level is alpha / m (Bonferroni), so the family-wise
 // false-alarm rate stays at alpha no matter how many links the
 // scenario produces; the pooled stream is additionally tested at the

@@ -78,6 +78,8 @@ topology load_topology(std::istream& is) {
           pl.channel_fading_sigma_db >> lm.sensitivity_dbm >>
           lm.noise_floor_dbm >> lm.transition_width_db >> tx_power;
       WSAN_REQUIRE(static_cast<bool>(ls), "malformed params line" + where);
+      WSAN_REQUIRE(lm.transition_width_db > 0.0,
+                   "link-model transition width must be positive" + where);
       topo.set_path_loss(pl);
       topo.set_link_model(lm);
       topo.set_tx_power_dbm(tx_power);

@@ -427,7 +427,8 @@ TEST(Json, DecodesSurrogatePairsAndRejectsLoneSurrogates) {
 
 TEST(Json, CommittedBaselinesRoundTrip) {
   for (const char* name : {"/fig6_smoke.json", "/fleet_reuse_smoke.json",
-                           "/sim_throughput_smoke.json"}) {
+                           "/sim_throughput_smoke.json",
+                           "/fig8_smoke.json"}) {
     std::ifstream in(std::string(WSAN_BASELINE_DIR) + name);
     ASSERT_TRUE(in.good()) << name;
     const std::string doc{std::istreambuf_iterator<char>(in),

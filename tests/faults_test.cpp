@@ -533,9 +533,21 @@ TEST(SimConfig, ValidatesNumericInvariants) {
     c.capture_threshold_db = std::numeric_limits<double>::infinity();
   });
   expect_rejected([](sim_config& c) { c.capture_transition_db = -1.0; });
+  expect_rejected([](sim_config& c) { c.capture_transition_db = 0.0; });
   expect_rejected([](sim_config& c) {
     c.faults.crashes.push_back(node_crash{0, -1, -1});
   });
+  // A zero-width link-model transition is rejected before any engine
+  // runs, on both engines.
+  for (const bool fast : {true, false}) {
+    relay_world w;
+    auto lm = w.t.link_model();
+    lm.transition_width_db = 0.0;
+    w.t.set_link_model(lm);
+    auto config = quick_config(10);
+    config.use_fast_path = fast;
+    EXPECT_THROW(w.run(config), std::invalid_argument);
+  }
   // The defaults, and an onset beyond the horizon ("never"), are valid.
   EXPECT_NO_THROW(validate_sim_config(sim_config{}));
   sim_config never;

@@ -182,7 +182,8 @@ TEST(Fuzz, JsonParserSurvivesMutatedBaselines) {
   const std::string dir = WSAN_BASELINE_DIR;
   std::uint64_t seed = 6000;
   for (const char* name : {"/fig6_smoke.json", "/fleet_reuse_smoke.json",
-                           "/sim_throughput_smoke.json"}) {
+                           "/sim_throughput_smoke.json",
+                           "/fig8_smoke.json"}) {
     const std::string doc = read_file(dir + name);
     ASSERT_TRUE(exp::json::parse(doc).is_object()) << name;
     // Whatever parses also survives a write/parse round trip unchanged.

@@ -244,10 +244,9 @@ TEST(Capture, PointerOverloadMatchesVectorOnEdgeCases) {
 }
 
 TEST(Capture, PointerOverloadMatchesVectorOnRandomInputs) {
-  // Bit-identical on random signal/interferer sets: the simulator's fast
-  // engine hands sub-ranges of one scratch buffer to the pointer
-  // overload and relies on exact agreement with the vector path the
-  // naive oracle engine uses.
+  // Bit-identical on random signal/interferer sets: the vector overloads
+  // the naive simulator engine calls delegate to the pointer overloads,
+  // and both forms must agree exactly.
   capture_params p;
   rng gen(4242);
   for (int trial = 0; trial < 200; ++trial) {

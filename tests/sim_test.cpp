@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "sim/interference.h"
 #include "sim/simulator.h"
 #include "topo/testbeds.h"
@@ -357,6 +359,45 @@ TEST(Simulator, ProbesProvideContentionFreeSamples) {
   EXPECT_DOUBLE_EQ(obs.overall_cf_prr(), 1.0);
 }
 
+TEST(Simulator, ProbeOutcomeIsIndependentOfItsChannel) {
+  // A probe picks a channel uniformly and then succeeds with that
+  // channel's PRR, so over many probes the success rate is the mean PRR
+  // across channels. An outcome drawn from the same uniform as the
+  // channel pick would drift from that mean when PRRs differ by
+  // channel (here to 0.25). Both data slots are jammed: they count as
+  // failed contention-free attempts, so cf_successes counts probes
+  // alone.
+  auto t = line_topology(2);
+  const auto channels = phy::channels(4);
+  const double prr[] = {0.9, 0.1, 0.1, 0.1};
+  for (std::size_t c = 0; c < channels.size(); ++c) {
+    t.set_prr(0, 1, channels[c], prr[c]);
+    t.set_prr(1, 0, channels[c], prr[c]);
+  }
+  const auto f = one_link_flow(0, 0, 1, 10, 10);
+  tsch::schedule sched(10, 4);
+  sched.add(make_tx(0, 0, 0, 0, 0, 1), 0, 0);
+  sched.add(make_tx(0, 0, 0, 1, 0, 1), 1, 0);
+
+  constexpr int runs = 1000;
+  constexpr int probes = 20;
+  auto config = quick_config(runs);
+  config.probes_per_run = probes;
+  config.faults.jams.push_back({0, 0, -1});
+  config.faults.jams.push_back({1, 0, -1});
+  for (const bool fast : {true, false}) {
+    config.use_fast_path = fast;
+    const auto result = run_simulation(t, sched, {f}, channels, config);
+    const auto& obs = result.links.at(link_key{0, 1});
+    ASSERT_EQ(obs.cf_attempts, runs * (probes + 2));
+    // Mean PRR 0.3; the binomial standard error over 20,000 probes is
+    // 0.0032.
+    EXPECT_NEAR(static_cast<double>(obs.cf_successes) / (runs * probes),
+                0.3, 0.02)
+        << (fast ? "fast" : "naive") << " engine";
+  }
+}
+
 TEST(Simulator, TemporalFadingWidensOutcomeSpread) {
   // With slow fading, a borderline link's per-run PRR varies run to run;
   // without it the variation is pure Bernoulli noise around a constant.
@@ -381,6 +422,47 @@ TEST(Simulator, TemporalFadingWidensOutcomeSpread) {
   // the static channel (0.95 with retry ~ 0.9975).
   EXPECT_LT(fading_run.flow_pdr[0], static_run.flow_pdr[0]);
   EXPECT_GT(static_run.flow_pdr[0], 0.98);
+}
+
+TEST(Simulator, TemporalFadingIsRedrawnEveryRun) {
+  // Each run draws fresh fades. On a link whose clean PRR is 0.5, a
+  // 6 dB fade pushes each channel near 0 or 1, so the per-run PRR over
+  // 40 probes swings from run to run (standard deviation ~0.2); fades
+  // frozen after the first run would leave only the spread of channel
+  // picks and Bernoulli outcomes (~0.08, as without fading). Both data
+  // slots are jammed so the per-run samples hold probes only.
+  auto t = line_topology(2);
+  const auto channels = phy::channels(4);
+  set_link_all_channels(t, 0, 1, 0.5, channels);
+  const auto f = one_link_flow(0, 0, 1, 10, 10);
+  tsch::schedule sched(10, 4);
+  sched.add(make_tx(0, 0, 0, 0, 0, 1), 0, 0);
+  sched.add(make_tx(0, 0, 0, 1, 0, 1), 1, 0);
+
+  constexpr int runs = 300;
+  constexpr int probes = 40;
+  auto config = quick_config(runs, 21);
+  config.temporal_fading_sigma_db = 6.0;
+  config.probes_per_run = probes;
+  config.faults.jams.push_back({0, 0, -1});
+  config.faults.jams.push_back({1, 0, -1});
+  for (const bool fast : {true, false}) {
+    config.use_fast_path = fast;
+    const auto result = run_simulation(t, sched, {f}, channels, config);
+    const auto& samples = result.links.at(link_key{0, 1}).cf_samples;
+    ASSERT_EQ(samples.size(), static_cast<std::size_t>(runs));
+    double sum = 0.0;
+    double sum_sq = 0.0;
+    for (const auto& [run, prr] : samples) {
+      // Undo the two jammed data attempts: probe successes per probe.
+      const double probe_prr = prr * (probes + 2) / probes;
+      sum += probe_prr;
+      sum_sq += probe_prr * probe_prr;
+    }
+    const double mean = sum / runs;
+    const double sd = std::sqrt(sum_sq / runs - mean * mean);
+    EXPECT_GT(sd, 0.15) << (fast ? "fast" : "naive") << " engine";
+  }
 }
 
 TEST(Simulator, CalibrationDriftIsStaticAcrossRuns) {
@@ -504,6 +586,41 @@ TEST(Interference, OnsetRunDelaysTheImpact) {
   ASSERT_GT(late_n, 0);
   EXPECT_GT(early_sum / early_n, 0.9);  // clean half
   EXPECT_LT(late_sum / late_n, 0.5);    // jammed half
+}
+
+TEST(Interference, ActivityIsDrawnPerSamplePoint) {
+  // A duty-cycled interferer is an independent Bernoulli at every
+  // sample point (each slot with traffic, each probe), not once per
+  // run: with a 50% duty cycle that wipes the link out when active,
+  // the per-run contention-free PRR over 22 attempts concentrates
+  // around one half instead of splitting the runs into clean and
+  // jammed ones.
+  auto t = line_topology(2, 10.0);
+  const auto channels = phy::channels(4);
+  set_link_all_channels(t, 0, 1, 0.99, channels);
+
+  const auto f = one_link_flow(0, 0, 1, 10, 10);
+  tsch::schedule sched(10, 4);
+  sched.add(make_tx(0, 0, 0, 0, 0, 1), 0, 0);
+  sched.add(make_tx(0, 0, 0, 1, 0, 1), 1, 0);
+
+  auto config = quick_config(300, 9);
+  external_interferer intf;
+  intf.pos = {5.0, 0.0, 0};  // right next to the receiver
+  intf.duty_cycle = 0.5;
+  intf.tx_power_dbm = 20.0;
+  config.interferers = {intf};
+  config.probes_per_run = 20;
+  for (const bool fast : {true, false}) {
+    config.use_fast_path = fast;
+    const auto result = run_simulation(t, sched, {f}, channels, config);
+    const auto& samples = result.links.at(link_key{0, 1}).cf_samples;
+    ASSERT_EQ(samples.size(), 300u);
+    int mixed = 0;
+    for (const auto& [run, prr] : samples)
+      if (prr > 0.2 && prr < 0.8) ++mixed;
+    EXPECT_GT(mixed, 270) << (fast ? "fast" : "naive") << " engine";
+  }
 }
 
 TEST(Interference, ExternalInterferenceDegradesMarginalLink) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "graph/algorithms.h"
 #include "graph/comm_graph.h"
@@ -205,6 +206,20 @@ TEST(TopologyIo, LoadRejectsMalformedInput) {
   EXPECT_THROW(load_topology(bad2), std::invalid_argument);
   std::stringstream bad3("node 1 0 0 0\n");  // non-dense ids
   EXPECT_THROW(load_topology(bad3), std::invalid_argument);
+}
+
+TEST(TopologyIo, LoadRejectsNonPositiveTransitionWidth) {
+  // The link model's grey-region width divides every PRR sigmoid
+  // argument; a zero or negative width must fail at load time.
+  const auto params = [](const std::string& width) {
+    return "params 40 1 3 10 4 2 -88 -95 " + width + " 0\n";
+  };
+  for (const std::string width : {"0", "-1.5"}) {
+    std::stringstream in(params(width));
+    EXPECT_THROW(load_topology(in), std::invalid_argument) << width;
+  }
+  std::stringstream ok(params("5"));
+  EXPECT_NO_THROW(load_topology(ok));
 }
 
 TEST(TopologyIo, CommentsAndBlankLinesAreIgnored) {

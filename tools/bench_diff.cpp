@@ -9,11 +9,11 @@
 //     — must match BIT-EXACTLY by default; any difference is a
 //     "science change" (the workload, seed, or algorithm changed, or
 //     determinism broke). --science-tol S relaxes this to a relative
-//     band, which is the right oracle for the batched fade-kernel tier
-//     (DESIGN.md §10): its contract is statistical equivalence, so
-//     oracle-vs-batched panel deltas are gated on |rel change| <= S
-//     instead of bit-exactness. S = 0 (the default) keeps the strict
-//     contract.
+//     band, which is the right oracle across simulator engines
+//     (DESIGN.md §10): the fast engine's contract with the naive one
+//     is statistical equivalence, so panel deltas between them are
+//     gated on |rel change| <= S instead of bit-exactness. S = 0 (the
+//     default) keeps the strict contract.
 //   * measurement values — wall_seconds and every panel series listed
 //     in a report's measurement_keys — are wall-clock noise; they are
 //     compared with a relative tolerance (--rel-tol, default 0.10)
