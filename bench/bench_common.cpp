@@ -206,10 +206,11 @@ std::string ratio_cell(int successes, int trials) {
          cell(ci.high, 2) + "]";
 }
 
-void print_banner(const std::string& figure, const std::string& what) {
-  std::cout << "==========================================================\n"
-            << figure << ": " << what << "\n"
-            << "==========================================================\n";
+void print_banner(std::ostream& out, const std::string& figure,
+                  const std::string& what) {
+  out << "==========================================================\n"
+      << figure << ": " << what << "\n"
+      << "==========================================================\n";
 }
 
 }  // namespace wsan::bench

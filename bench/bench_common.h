@@ -1,26 +1,24 @@
-// Shared experiment harness for the paper-reproduction benches.
-//
-// Each bench binary prints the series of one figure of the paper.
-// Common mechanics — building a testbed environment, sweeping flow sets,
-// running the three schedulers, and accumulating statistics — live here.
-//
-// Monte-Carlo sweeps run on exp::trial_runner: every trial's RNG stream
-// is derived counter-style from (experiment_seed, point_index,
-// trial_index) (see common/rng.h), so results are bit-identical at any
-// --jobs value and any single trial can be replayed in isolation.
+// Shared mechanics of the bench experiments (bench/experiments.h):
+// testbed environments, flow-set sweeps on exp::trial_runner (trial
+// streams derived from (seed, point, trial), so results are the same at
+// any --jobs and any trial replays alone), and report helpers.
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
 #include "common/histogram.h"
 #include "core/scheduler.h"
+#include "exp/options.h"
+#include "exp/report.h"
 #include "exp/runner.h"
 #include "flow/flow_generator.h"
 #include "graph/comm_graph.h"
 #include "graph/hop_matrix.h"
 #include "graph/reuse_graph.h"
+#include "obs/timeseries.h"
 #include "topo/testbeds.h"
 
 namespace wsan::bench {
@@ -75,10 +73,9 @@ struct efficiency_accumulator {
   efficiency_accumulator& operator+=(const efficiency_accumulator& other);
 };
 
-/// One schedulable-ratio trial: generates a flow set from `gen` and
-/// runs it through NR, RA (rho_t), and RC (rho_t). This is the unit of
-/// work that schedulable_ratio fans out and that --replay re-runs in
-/// isolation.
+/// One schedulable-ratio trial: a flow set from `gen` through NR, RA
+/// and RC at rho_t; the unit schedulable_ratio fans out and --replay
+/// re-runs.
 struct ratio_trial_outcome {
   bool generated = false;  ///< false: unroutable workload (all fail)
   bool nr_ok = false;
@@ -101,13 +98,11 @@ ratio_point schedulable_ratio(const experiment_env& env,
                               efficiency_accumulator* acc = nullptr,
                               int jobs = 1, std::uint64_t point_index = 0);
 
-/// Finds `count` flow sets that are schedulable under NR, RA, and RC at
-/// once (the reliability experiments compare the three algorithms on the
-/// same workloads). Attempts are evaluated in parallel waves but
-/// qualifying sets are taken in attempt order, so the selection is
-/// independent of `jobs`. If too few qualify within max_seeds, retries
-/// with progressively fewer flows. Returns the sets plus the flow count
-/// actually used.
+/// Finds `count` flow sets schedulable under NR, RA and RC at once, for
+/// experiments that compare the three on the same workloads. Attempts
+/// run in parallel waves but qualify in attempt order, so the selection
+/// is independent of `jobs`. Too few within max_seeds: retries with
+/// fewer flows.
 struct reliability_workloads {
   std::vector<flow::flow_set> sets;
   int flows_used = 0;
@@ -129,6 +124,41 @@ double time_schedule_ms(const std::vector<flow::flow>& flows,
 std::string ratio_cell(int successes, int trials);
 
 /// Standard banner so bench outputs are self-describing.
-void print_banner(const std::string& figure, const std::string& what);
+void print_banner(std::ostream& out, const std::string& figure,
+                  const std::string& what);
+
+// Helpers of the experiment registry, defined in experiments.cpp so
+// that code linking only the mechanics above (the repo benchmark) does
+// not carry them.
+
+/// Peer-to-peer flow-set parameters with periods in
+/// [2^min_exp, 2^max_exp] s.
+flow::flow_set_params p2p_params(int flows, int min_exp, int max_exp);
+
+/// Draws a flow set into `set`; false for an unroutable draw.
+bool draw(const experiment_env& env, const flow::flow_set_params& fsp,
+          rng& gen, flow::flow_set& set,
+          const flow::etx_weights* weights = nullptr);
+
+/// Adds a ratio with its 95% Wilson interval to a report point as
+/// `key`, `key`_low and `key`_high.
+void add_ratio(exp::report_point& rp, const std::string& key, int successes,
+               int trials);
+
+/// Copies every window value and histogram of `part` into `merged` under
+/// `prefix`, growing `merged` to cover part's windows.
+void merge_series(obs::series& merged, const obs::series& part,
+                  const std::string& prefix);
+
+/// Writes `s` to the figure's --series file (options.series_file_for)
+/// and records the path in the report; no-op without --series.
+void write_series(const exp::run_options& options, const obs::series& s,
+                  exp::figure_report& report, std::ostream& out);
+
+/// A report with its identity and run provenance filled in (jobs is
+/// resolved as exp::resolve_jobs does).
+exp::figure_report new_report(const std::string& id,
+                              const std::string& title, std::uint64_t seed,
+                              int jobs, int trials);
 
 }  // namespace wsan::bench

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <iostream>
+#include <fstream>
 #include <map>
-#include <optional>
-#include <sstream>
 #include <utility>
 
 #include "bench_common.h"
@@ -13,7 +11,6 @@
 #include "common/rng.h"
 #include "common/table.h"
 #include "core/probe_counters.h"
-#include "detect/evaluation.h"
 #include "exp/aggregator.h"
 #include "exp/obs_io.h"
 #include "exp/runner.h"
@@ -22,322 +19,82 @@
 #include "scenario/scenario.h"
 #include "sim/coexistence.h"
 #include "sim/simulator.h"
-#include "stats/summary.h"
 #include "topo/merge.h"
 
 namespace wsan::bench {
+
+flow::flow_set_params p2p_params(int flows, int min_exp, int max_exp) {
+  flow::flow_set_params fsp;
+  fsp.type = flow::traffic_type::peer_to_peer;
+  fsp.num_flows = flows;
+  fsp.period_min_exp = min_exp;
+  fsp.period_max_exp = max_exp;
+  return fsp;
+}
+
+bool draw(const experiment_env& env, const flow::flow_set_params& fsp,
+          rng& gen, flow::flow_set& set, const flow::etx_weights* weights) {
+  try {
+    set = flow::generate_flow_set(env.comm, fsp, gen, weights);
+  } catch (const std::runtime_error&) {
+    return false;
+  }
+  return true;
+}
+
+void add_ratio(exp::report_point& rp, const std::string& key, int successes,
+               int trials) {
+  const auto ci = stats::wilson_interval(successes, trials);
+  rp.values[key] = ci.estimate;
+  rp.values[key + "_low"] = ci.low;
+  rp.values[key + "_high"] = ci.high;
+}
+
+void merge_series(obs::series& merged, const obs::series& part,
+                  const std::string& prefix) {
+  merged.windows.resize(std::max(merged.windows.size(), part.windows.size()));
+  for (std::size_t w = 0; w < part.windows.size(); ++w) {
+    auto& window = merged.windows[w];
+    window.index = part.windows[w].index;
+    for (const auto& [key, value] : part.windows[w].values)
+      window.values[prefix + key] = value;
+    for (const auto& [key, h] : part.windows[w].histograms)
+      window.histograms[prefix + key] = h;
+  }
+}
+
+void write_series(const exp::run_options& options, const obs::series& s,
+                  exp::figure_report& report, std::ostream& out) {
+  const auto path = options.series_file_for(report.figure);
+  if (path.empty()) return;
+  std::ofstream file(path);
+  WSAN_REQUIRE(file.good(), "cannot open for writing: " + path);
+  obs::write_series_jsonl(s, file);
+  report.series_path = path;
+  out << "\nwrote per-" << s.index_unit << " series to " << path << "\n";
+}
+
+exp::figure_report new_report(const std::string& id,
+                              const std::string& title, std::uint64_t seed,
+                              int jobs, int trials) {
+  exp::figure_report report;
+  report.figure = id;
+  report.title = title;
+  report.seed = seed;
+  report.jobs = exp::resolve_jobs(jobs);
+  report.trials = trials;
+  return report;
+}
 
 namespace {
 
 // Default experiment seeds, one per figure, so separate figures never
 // share derived trial streams even at equal (point, trial) coordinates.
-constexpr std::uint64_t k_fig1_seed = 901;
-constexpr std::uint64_t k_fig2_seed = 902;
-constexpr std::uint64_t k_fig3_seed = 903;
 constexpr std::uint64_t k_fig6_seed = 906;
-constexpr std::uint64_t k_fig8_seed = 908;
-constexpr std::uint64_t k_detector_seed = 917;
 constexpr std::uint64_t k_coexistence_seed = 931;
 constexpr std::uint64_t k_simthroughput_seed = 941;
 constexpr std::uint64_t k_fleet_seed = 951;
 constexpr std::uint64_t k_churn_seed = 961;
-
-/// Builds testbed environments lazily; ratio sweeps revisit the same
-/// (testbed, channels) combination across panels.
-class env_cache {
- public:
-  const experiment_env& get(const std::string& testbed, int channels) {
-    const auto key = std::make_pair(testbed, channels);
-    auto it = envs_.find(key);
-    if (it == envs_.end())
-      it = envs_.emplace(key, make_env(testbed, channels)).first;
-    return it->second;
-  }
-
- private:
-  std::map<std::pair<std::string, int>, experiment_env> envs_;
-};
-
-// ---------------------------------------------------------------------
-// Schedulable-ratio figures (1-3): shared sweep machinery.
-
-struct ratio_point_spec {
-  double x = 0.0;
-  std::string testbed;
-  int channels = 0;
-  flow::flow_set_params fsp;
-};
-
-struct ratio_panel_spec {
-  std::string name;    ///< short panel id for the report
-  std::string desc;    ///< printed header (without the trial count)
-  std::string x_label;
-  std::vector<ratio_point_spec> points;
-};
-
-struct ratio_figure_spec {
-  std::string title;
-  std::string note;  ///< trailing "Paper shape" commentary
-  std::map<std::string, std::string> parameters;
-  std::vector<ratio_panel_spec> panels;
-};
-
-std::vector<const ratio_point_spec*> flatten(
-    const ratio_figure_spec& spec) {
-  std::vector<const ratio_point_spec*> flat;
-  for (const auto& panel : spec.panels)
-    for (const auto& point : panel.points) flat.push_back(&point);
-  return flat;
-}
-
-exp::figure_report run_ratio_figure(const std::string& id,
-                                    std::uint64_t default_seed,
-                                    const ratio_figure_spec& spec,
-                                    const exp::run_options& options,
-                                    std::ostream& out) {
-  const int trials = options.trials_or(50);
-  const std::uint64_t seed = options.seed_or(default_seed);
-  print_banner("Figure " + id.substr(3), spec.title);
-
-  exp::figure_report report;
-  report.figure = id;
-  report.title = spec.title;
-  report.seed = seed;
-  report.jobs = exp::resolve_jobs(options.jobs);
-  report.trials = trials;
-  report.parameters = spec.parameters;
-
-  env_cache envs;
-  std::uint64_t point_index = 0;
-  for (const auto& panel : spec.panels) {
-    out << "\nPanel " << panel.desc << ", " << trials
-        << " flow sets per point\n";
-    table t({panel.x_label, "NR", "RA", "RC"});
-    exp::report_panel report_panel;
-    report_panel.name = panel.name;
-    report_panel.x_label = panel.x_label;
-    for (const auto& point : panel.points) {
-      const auto& env = envs.get(point.testbed, point.channels);
-      const auto result =
-          schedulable_ratio(env, point.fsp, trials, seed, 2, nullptr,
-                            options.jobs, point_index);
-      ++point_index;
-      t.add_row({cell(static_cast<int>(point.x)),
-                 ratio_cell(result.nr_ok, result.trials),
-                 ratio_cell(result.ra_ok, result.trials),
-                 ratio_cell(result.rc_ok, result.trials)});
-      exp::report_point rp;
-      rp.x = point.x;
-      const struct {
-        const char* name;
-        int ok;
-      } algos[] = {{"nr", result.nr_ok},
-                   {"ra", result.ra_ok},
-                   {"rc", result.rc_ok}};
-      for (const auto& algo : algos) {
-        const auto ci = stats::wilson_interval(algo.ok, result.trials);
-        rp.values[algo.name] = ci.estimate;
-        rp.values[std::string(algo.name) + "_low"] = ci.low;
-        rp.values[std::string(algo.name) + "_high"] = ci.high;
-      }
-      report_panel.points.push_back(std::move(rp));
-    }
-    t.print(out);
-    report.panels.push_back(std::move(report_panel));
-  }
-  out << spec.note;
-  return report;
-}
-
-bool replay_ratio_figure(std::uint64_t default_seed,
-                         const ratio_figure_spec& spec,
-                         const exp::run_options& options,
-                         std::ostream& out) {
-  const auto flat = flatten(spec);
-  const auto& target = options.replay;
-  if (target.point >= static_cast<int>(flat.size())) return false;
-  const auto& point = *flat[static_cast<std::size_t>(target.point)];
-  const auto env = make_env(point.testbed, point.channels);
-  rng gen(derive_seed(options.seed_or(default_seed),
-                      static_cast<std::uint64_t>(target.point),
-                      static_cast<std::uint64_t>(target.trial)));
-  const auto outcome = run_ratio_trial(env, point.fsp, 2, gen);
-  out << "replay point " << target.point << " (" << point.testbed << ", "
-      << point.channels << " channels, x=" << static_cast<int>(point.x)
-      << ") trial " << target.trial << ":\n"
-      << "  generated=" << (outcome.generated ? "yes" : "no")
-      << " nr=" << (outcome.nr_ok ? "yes" : "no")
-      << " ra=" << (outcome.ra_ok ? "yes" : "no")
-      << " rc=" << (outcome.rc_ok ? "yes" : "no") << "\n";
-  return true;
-}
-
-ratio_figure_spec fig1_spec(const cli_args& args) {
-  const int fixed_flows = static_cast<int>(args.get_int("flows", 40));
-  ratio_figure_spec spec;
-  spec.title = "schedulable ratio, centralized traffic (Indriya)";
-  spec.note =
-      "\nPaper shape: RA and RC track each other and dominate "
-      "NR, most visibly at 3-5 channels and high flow counts.\n";
-  spec.parameters = {{"testbed", "indriya"},
-                     {"traffic", "centralized"},
-                     {"flows", std::to_string(fixed_flows)}};
-
-  flow::flow_set_params fsp;
-  fsp.type = flow::traffic_type::centralized;
-  fsp.num_flows = fixed_flows;
-
-  const struct {
-    const char* label;
-    int min_exp;
-    int max_exp;
-  } panels[] = {{"(a) P=[2^0,2^2]s", 0, 2}, {"(b) P=[2^-1,2^3]s", -1, 3}};
-  for (const auto& panel : panels) {
-    ratio_panel_spec p;
-    p.name = panel.label;
-    p.desc = std::string(panel.label) + ", " +
-             std::to_string(fixed_flows) + " flows";
-    p.x_label = "#channels";
-    for (int ch = 3; ch <= 8; ++ch) {
-      fsp.period_min_exp = panel.min_exp;
-      fsp.period_max_exp = panel.max_exp;
-      p.points.push_back({double(ch), "indriya", ch, fsp});
-    }
-    spec.panels.push_back(std::move(p));
-  }
-
-  ratio_panel_spec c;
-  c.name = "(c) varying flows";
-  c.desc = "(c) varying flows, 5 channels, P=[2^0,2^2]s";
-  c.x_label = "#flows";
-  fsp.period_min_exp = 0;
-  fsp.period_max_exp = 2;
-  for (int flows = 10; flows <= 60; flows += 10) {
-    fsp.num_flows = flows;
-    c.points.push_back({double(flows), "indriya", 5, fsp});
-  }
-  spec.panels.push_back(std::move(c));
-  return spec;
-}
-
-ratio_figure_spec fig2_spec(const cli_args& args) {
-  const int fixed_flows = static_cast<int>(args.get_int("flows", 60));
-  ratio_figure_spec spec;
-  spec.title = "schedulable ratio, peer-to-peer traffic (Indriya)";
-  spec.note =
-      "\nPaper shape: the peer-to-peer margin of RA/RC over NR "
-      "is larger than under centralized traffic; with the tight "
-      "period range NR collapses while RA/RC stay near 100% "
-      "until very high loads.\n";
-  spec.parameters = {{"testbed", "indriya"},
-                     {"traffic", "p2p"},
-                     {"flows", std::to_string(fixed_flows)}};
-
-  flow::flow_set_params fsp;
-  fsp.type = flow::traffic_type::peer_to_peer;
-  fsp.num_flows = fixed_flows;
-
-  const struct {
-    const char* label;
-    int min_exp;
-    int max_exp;
-  } panels[] = {{"(a) P=[2^0,2^2]s", 0, 2}, {"(b) P=[2^-1,2^3]s", -1, 3}};
-  for (const auto& panel : panels) {
-    ratio_panel_spec p;
-    p.name = panel.label;
-    p.desc = std::string(panel.label) + ", " +
-             std::to_string(fixed_flows) + " flows";
-    p.x_label = "#channels";
-    for (int ch = 3; ch <= 8; ++ch) {
-      fsp.period_min_exp = panel.min_exp;
-      fsp.period_max_exp = panel.max_exp;
-      p.points.push_back({double(ch), "indriya", ch, fsp});
-    }
-    spec.panels.push_back(std::move(p));
-  }
-
-  ratio_panel_spec c;
-  c.name = "(c) varying flows";
-  c.desc = "(c) varying flows, 5 channels, P=[2^0,2^2]s";
-  c.x_label = "#flows";
-  fsp.period_min_exp = 0;
-  fsp.period_max_exp = 2;
-  for (int flows = 40; flows <= 160; flows += 20) {
-    fsp.num_flows = flows;
-    c.points.push_back({double(flows), "indriya", 5, fsp});
-  }
-  spec.panels.push_back(std::move(c));
-  return spec;
-}
-
-ratio_figure_spec fig3_spec(const cli_args& args) {
-  const int fixed_flows = static_cast<int>(args.get_int("flows", 90));
-  ratio_figure_spec spec;
-  spec.title = "schedulable ratio, peer-to-peer traffic (WUSTL)";
-  spec.note =
-      "\nPaper shape: same ordering as on Indriya — RA/RC over "
-      "NR; RC may trail RA slightly in the worst case (the "
-      "paper reports up to 22% on this testbed).\n";
-  spec.parameters = {{"testbed", "wustl"},
-                     {"traffic", "p2p"},
-                     {"flows", std::to_string(fixed_flows)}};
-
-  flow::flow_set_params fsp;
-  fsp.type = flow::traffic_type::peer_to_peer;
-  fsp.period_min_exp = 0;
-  fsp.period_max_exp = 2;
-  fsp.num_flows = fixed_flows;
-
-  ratio_panel_spec a;
-  a.name = "(a) varying channels";
-  a.desc = "(a) varying channels, " + std::to_string(fixed_flows) +
-           " flows, P=[2^0,2^2]s";
-  a.x_label = "#channels";
-  for (int ch = 3; ch <= 8; ++ch)
-    a.points.push_back({double(ch), "wustl", ch, fsp});
-  spec.panels.push_back(std::move(a));
-
-  ratio_panel_spec b;
-  b.name = "(b) varying flows";
-  b.desc = "(b) varying flows, 5 channels, P=[2^0,2^2]s";
-  b.x_label = "#flows";
-  for (int flows = 20; flows <= 120; flows += 20) {
-    fsp.num_flows = flows;
-    b.points.push_back({double(flows), "wustl", 5, fsp});
-  }
-  spec.panels.push_back(std::move(b));
-  return spec;
-}
-
-exp::figure_report run_fig1(const exp::run_options& options,
-                            const cli_args& args, std::ostream& out) {
-  return run_ratio_figure("fig1", k_fig1_seed, fig1_spec(args), options,
-                          out);
-}
-bool replay_fig1(const exp::run_options& options, const cli_args& args,
-                 std::ostream& out) {
-  return replay_ratio_figure(k_fig1_seed, fig1_spec(args), options, out);
-}
-
-exp::figure_report run_fig2(const exp::run_options& options,
-                            const cli_args& args, std::ostream& out) {
-  return run_ratio_figure("fig2", k_fig2_seed, fig2_spec(args), options,
-                          out);
-}
-bool replay_fig2(const exp::run_options& options, const cli_args& args,
-                 std::ostream& out) {
-  return replay_ratio_figure(k_fig2_seed, fig2_spec(args), options, out);
-}
-
-exp::figure_report run_fig3(const exp::run_options& options,
-                            const cli_args& args, std::ostream& out) {
-  return run_ratio_figure("fig3", k_fig3_seed, fig3_spec(args), options,
-                          out);
-}
-bool replay_fig3(const exp::run_options& options, const cli_args& args,
-                 std::ostream& out) {
-  return replay_ratio_figure(k_fig3_seed, fig3_spec(args), options, out);
-}
 
 // ---------------------------------------------------------------------
 // Figure 6: scheduler execution time.
@@ -354,12 +111,8 @@ fig6_trial_result run_fig6_trial(const experiment_env& env,
                                  rng& gen) {
   fig6_trial_result result;
   flow::flow_set set;
-  try {
-    set = flow::generate_flow_set(env.comm, fsp, gen);
-  } catch (const std::runtime_error&) {
-    return result;
-  }
-  result.generated = true;
+  result.generated = draw(env, fsp, gen, set);
+  if (!result.generated) return result;
   // Best-of-k timing per workload: the indexed/naive comparison should
   // reflect algorithmic work, not scheduler jitter on a loaded machine.
   const auto timed = [&](const core::scheduler_config& config,
@@ -391,30 +144,18 @@ fig6_trial_result run_fig6_trial(const experiment_env& env,
   return result;
 }
 
-flow::flow_set_params fig6_params(int flows) {
-  flow::flow_set_params fsp;
-  fsp.type = flow::traffic_type::peer_to_peer;
-  fsp.num_flows = flows;
-  fsp.period_min_exp = 0;
-  fsp.period_max_exp = 2;
-  return fsp;
-}
-
 exp::figure_report run_fig6(const exp::run_options& options,
                             const cli_args& args, std::ostream& out) {
   (void)args;
   const int trials = options.trials_or(5);
   const std::uint64_t seed = options.seed_or(k_fig6_seed);
-  print_banner("Figure 6",
+  print_banner(out, "Figure 6",
                "scheduler execution time in ms (Indriya, p2p, "
                "5 channels, P=[2^0,2^2]s)");
 
-  exp::figure_report report;
-  report.figure = "fig6";
-  report.title = "scheduler execution time (Indriya, p2p, 5 channels)";
-  report.seed = seed;
-  report.jobs = exp::resolve_jobs(options.jobs);
-  report.trials = trials;
+  auto report = new_report(
+      "fig6", "scheduler execution time (Indriya, p2p, 5 channels)", seed,
+      options.jobs, trials);
   report.parameters = {{"testbed", "indriya"}, {"traffic", "p2p"}};
   // The figure's point is the timing itself; declare the timed series
   // as measurements so science_payload() knows they are not expected
@@ -433,7 +174,7 @@ exp::figure_report run_fig6(const exp::run_options& options,
   core::probe_counters total_probes;
   std::uint64_t point_index = 0;
   for (int flows = 40; flows <= 160; flows += 20) {
-    const auto fsp = fig6_params(flows);
+    const auto fsp = p2p_params(flows, 0, 2);
     const auto agg = runner.run_point<exp::aggregator>(
         seed, point_index, trials,
         [&](int trial, rng& gen, exp::aggregator& local) {
@@ -525,7 +266,7 @@ bool replay_fig6(const exp::run_options& options, const cli_args& args,
   rng gen(derive_seed(options.seed_or(k_fig6_seed),
                       static_cast<std::uint64_t>(target.point),
                       static_cast<std::uint64_t>(target.trial)));
-  const auto result = run_fig6_trial(env, fig6_params(flows), gen);
+  const auto result = run_fig6_trial(env, p2p_params(flows, 0, 2), gen);
   out << "replay point " << target.point << " (" << flows
       << " flows) trial " << target.trial << ":\n"
       << "  generated=" << (result.generated ? "yes" : "no");
@@ -537,150 +278,6 @@ bool replay_fig6(const exp::run_options& options, const cli_args& args,
         << " rc_sched=" << (result.rc_ok ? "yes" : "no");
   }
   out << "\n";
-  return true;
-}
-
-// ---------------------------------------------------------------------
-// Figure 8: PDR box plots of NR/RA/RC over distinct flow sets.
-
-struct fig8_setup {
-  experiment_env env;
-  reliability_workloads workloads;
-  int runs = 0;
-  sim::sim_config base_sim;
-};
-
-fig8_setup make_fig8_setup(const exp::run_options& options,
-                           const cli_args& args) {
-  fig8_setup setup;
-  setup.env = make_env("wustl", 4);
-  const int flows = static_cast<int>(args.get_int("flows", 50));
-  const int num_sets =
-      static_cast<int>(args.get_int("sets", options.trials_or(5)));
-  setup.runs = static_cast<int>(args.get_int("runs", 100));
-  flow::flow_set_params fsp;
-  fsp.type = flow::traffic_type::peer_to_peer;
-  fsp.num_flows = flows;
-  fsp.period_min_exp = -1;  // 0.5 s
-  fsp.period_max_exp = 0;   // 1 s
-  setup.workloads = find_reliability_sets(
-      setup.env, fsp, num_sets, options.seed_or(k_fig8_seed), 2, 200,
-      options.jobs);
-  setup.base_sim.runs = setup.runs;
-  setup.base_sim.capture_threshold_db = args.get_double("capture", 4.0);
-  setup.base_sim.temporal_fading_sigma_db =
-      args.get_double("fading", 2.0);
-  setup.base_sim.calibration_drift_sigma_db =
-      args.get_double("drift", 6.0);
-  setup.base_sim.maintained_drift_sigma_db =
-      args.get_double("mdrift", 1.0);
-  setup.base_sim.intermittent_fraction =
-      args.get_double("intermittent", 0.15);
-  return setup;
-}
-
-constexpr core::algorithm k_algos[] = {
-    core::algorithm::nr, core::algorithm::ra, core::algorithm::rc};
-
-/// One (flow set, algorithm) unit: schedule and simulate. The sim seed
-/// is shared by the three algorithms of a set (paired comparison, like
-/// the paper's fixed workloads).
-stats::box_stats run_fig8_unit(const fig8_setup& setup,
-                               std::uint64_t seed, int set_index,
-                               core::algorithm algo) {
-  const auto& set =
-      setup.workloads.sets[static_cast<std::size_t>(set_index)];
-  const auto config = core::make_config(algo, 4);
-  const auto scheduled =
-      core::schedule_flows(set.flows, setup.env.reuse_hops, config);
-  sim::sim_config sim_config = setup.base_sim;
-  sim_config.seed =
-      derive_seed(seed, 100 + static_cast<std::uint64_t>(set_index), 0);
-  const auto result =
-      sim::run_simulation(setup.env.topology, scheduled.sched, set.flows,
-                          setup.env.channels, sim_config);
-  return stats::make_box_stats(result.flow_pdr);
-}
-
-exp::figure_report run_fig8(const exp::run_options& options,
-                            const cli_args& args, std::ostream& out) {
-  const std::uint64_t seed = options.seed_or(k_fig8_seed);
-  print_banner("Figure 8",
-               "PDR box plots of NR/RA/RC over distinct flow sets "
-               "(WUSTL, 4 channels)");
-  const auto setup = make_fig8_setup(options, args);
-  const int num_sets = static_cast<int>(setup.workloads.sets.size());
-  out << "\nUsing " << num_sets << " flow sets of "
-      << setup.workloads.flows_used << " flows (each schedulable under "
-      << "NR, RA, and RC); " << setup.runs << " schedule executions\n\n";
-
-  exp::figure_report report;
-  report.figure = "fig8";
-  report.title = "PDR box plots of NR/RA/RC (WUSTL, 4 channels)";
-  report.seed = seed;
-  report.jobs = exp::resolve_jobs(options.jobs);
-  report.trials = num_sets;
-  report.parameters = {
-      {"testbed", "wustl"},
-      {"runs", std::to_string(setup.runs)},
-      {"flows_used", std::to_string(setup.workloads.flows_used)}};
-
-  // All (set, algo) units in parallel; results land in their slot, so
-  // completion order is irrelevant.
-  const int units = num_sets * 3;
-  std::vector<stats::box_stats> boxes(static_cast<std::size_t>(units));
-  exp::parallel_trials(units, options.jobs, [&](int, int unit) {
-    boxes[static_cast<std::size_t>(unit)] = run_fig8_unit(
-        setup, seed, unit / 3, k_algos[unit % 3]);
-  });
-
-  table t({"flow set", "algo", "min", "q1", "median", "q3", "max"});
-  std::vector<exp::report_panel> panels(3);
-  for (int a = 0; a < 3; ++a) {
-    panels[static_cast<std::size_t>(a)].name =
-        core::to_string(k_algos[a]);
-    panels[static_cast<std::size_t>(a)].x_label = "flow set";
-  }
-  for (int unit = 0; unit < units; ++unit) {
-    const int si = unit / 3;
-    const int a = unit % 3;
-    const auto& box = boxes[static_cast<std::size_t>(unit)];
-    t.add_row({cell(si + 1), core::to_string(k_algos[a]),
-               cell(box.min, 3), cell(box.q1, 3), cell(box.median, 3),
-               cell(box.q3, 3), cell(box.max, 3)});
-    exp::report_point rp;
-    rp.x = si + 1;
-    rp.values = {{"min", box.min},
-                 {"q1", box.q1},
-                 {"median", box.median},
-                 {"q3", box.q3},
-                 {"max", box.max}};
-    panels[static_cast<std::size_t>(a)].points.push_back(std::move(rp));
-  }
-  t.print(out);
-  for (auto& panel : panels) report.panels.push_back(std::move(panel));
-  out << "\nPaper shape: medians of all three are within a couple "
-         "of percent; the separator is the worst case — RC's "
-         "minimum PDR stays within a few percent of NR's while "
-         "RA's drops by tens of percent.\n";
-  return report;
-}
-
-bool replay_fig8(const exp::run_options& options, const cli_args& args,
-                 std::ostream& out) {
-  const auto setup = make_fig8_setup(options, args);
-  const int units = static_cast<int>(setup.workloads.sets.size()) * 3;
-  const auto& target = options.replay;
-  if (target.point >= units) return false;
-  const auto box =
-      run_fig8_unit(setup, options.seed_or(k_fig8_seed),
-                    target.point / 3, k_algos[target.point % 3]);
-  out << "replay point " << target.point << " (flow set "
-      << target.point / 3 + 1 << ", "
-      << core::to_string(k_algos[target.point % 3])
-      << "): min=" << cell(box.min, 3) << " q1=" << cell(box.q1, 3)
-      << " median=" << cell(box.median, 3) << " q3=" << cell(box.q3, 3)
-      << " max=" << cell(box.max, 3) << "\n";
   return true;
 }
 
@@ -723,14 +320,10 @@ std::vector<flow::flow> find_reuse_flow_set(
     const experiment_env& env, const flow::flow_set_params& fsp,
     std::uint64_t base_seed) {
   const int channels = static_cast<int>(env.channels.size());
-  for (std::uint64_t draw = 0; draw < 200; ++draw) {
-    rng gen(derive_seed(base_seed, 0, draw));
+  for (std::uint64_t attempt = 0; attempt < 200; ++attempt) {
+    rng gen(derive_seed(base_seed, 0, attempt));
     flow::flow_set set;
-    try {
-      set = flow::generate_flow_set(env.comm, fsp, gen);
-    } catch (const std::runtime_error&) {
-      continue;  // an unroutable draw
-    }
+    if (!draw(env, fsp, gen, set)) continue;
     if (core::schedule_flows(
             set.flows, env.reuse_hops,
             core::make_config(core::algorithm::nr, channels))
@@ -751,11 +344,9 @@ simthroughput_setup make_simthroughput_setup(
     const exp::run_options& options, const cli_args& args, int point_index) {
   simthroughput_setup setup;
   setup.env = make_env(point.testbed, point.channels);
-  flow::flow_set_params fsp;
-  fsp.type = flow::traffic_type::peer_to_peer;
-  fsp.num_flows = static_cast<int>(args.get_int("flows", 50));
-  fsp.period_min_exp = -1;  // 0.5 s, the Figure 8 workload shape
-  fsp.period_max_exp = 0;   // 1 s
+  // The Figure 8 workload shape: periods of 0.5 s and 1 s.
+  const auto fsp =
+      p2p_params(static_cast<int>(args.get_int("flows", 50)), -1, 0);
   const std::uint64_t workload_seed =
       derive_seed(options.seed_or(k_simthroughput_seed),
                   500 + static_cast<std::uint64_t>(point_index), 0);
@@ -830,15 +421,12 @@ exp::figure_report run_simthroughput(const exp::run_options& options,
                                      std::ostream& out) {
   const int trials = options.trials_or(3);
   const std::uint64_t seed = options.seed_or(k_simthroughput_seed);
-  print_banner("Simulator throughput",
+  print_banner(out, "Simulator throughput",
                "fast engine vs naive reference engine, Figure 8 workload");
 
-  exp::figure_report report;
-  report.figure = "simthroughput";
-  report.title = "simulator throughput: fast vs naive engine";
-  report.seed = seed;
-  report.jobs = exp::resolve_jobs(options.jobs);
-  report.trials = trials;
+  auto report = new_report(
+      "simthroughput", "simulator throughput: fast vs naive engine", seed,
+      options.jobs, trials);
   report.parameters = {
       {"flows", std::to_string(args.get_int("flows", 50))},
       {"runs", std::to_string(args.get_int("runs", 100))}};
@@ -927,172 +515,6 @@ bool replay_simthroughput(const exp::run_options& options,
       << cell(result.fast_ms, 2) << " naive_ms="
       << cell(result.naive_ms, 2)
       << " network_pdr=" << cell(result.network_pdr, 6) << "\n";
-  return true;
-}
-
-// ---------------------------------------------------------------------
-// Detector quality: precision/recall vs simulator ground truth.
-
-struct detector_setup {
-  experiment_env env;
-  reliability_workloads workloads;
-  int epochs = 0;
-};
-
-detector_setup make_detector_setup(const exp::run_options& options,
-                                   const cli_args& args) {
-  detector_setup setup;
-  setup.env = make_env("wustl", 4);
-  setup.epochs = static_cast<int>(args.get_int("epochs", 6));
-  const int flows = static_cast<int>(args.get_int("flows", 50));
-  const int sets = options.trials_or(3);
-  flow::flow_set_params fsp;
-  fsp.type = flow::traffic_type::peer_to_peer;
-  fsp.num_flows = flows;
-  fsp.period_min_exp = 0;
-  fsp.period_max_exp = 0;
-  setup.workloads = find_reliability_sets(
-      setup.env, fsp, sets, options.seed_or(k_detector_seed), 2, 200,
-      options.jobs);
-  return setup;
-}
-
-constexpr detect::detection_test k_tests[] = {
-    detect::detection_test::kolmogorov_smirnov,
-    detect::detection_test::mann_whitney};
-
-/// One (wifi, flow set) unit: simulate once, classify with both tests.
-/// The sim seed ignores the wifi flag (paired clean/interfered runs,
-/// as in the original bench).
-std::array<detect::detector_score, 2> run_detector_unit(
-    const detector_setup& setup, std::uint64_t seed, bool with_wifi,
-    int set_index) {
-  const auto& set =
-      setup.workloads.sets[static_cast<std::size_t>(set_index)];
-  const auto scheduled = core::schedule_flows(
-      set.flows, setup.env.reuse_hops,
-      core::make_config(core::algorithm::ra, 4));
-  sim::sim_config sim_config;
-  sim_config.runs = setup.epochs * 18;
-  sim_config.seed =
-      derive_seed(seed, 300 + static_cast<std::uint64_t>(set_index), 0);
-  if (with_wifi)
-    sim_config.interferers =
-        sim::one_interferer_per_floor(setup.env.topology, 0.3, 8.0);
-  const auto result =
-      sim::run_simulation(setup.env.topology, scheduled.sched, set.flows,
-                          setup.env.channels, sim_config);
-  std::array<detect::detector_score, 2> scores;
-  for (std::size_t ti = 0; ti < 2; ++ti) {
-    detect::detection_policy policy;
-    policy.test = k_tests[ti];
-    const auto reports = detect::classify_links(result.links, policy);
-    scores[ti] = detect::score_detection(reports, result.links);
-  }
-  return scores;
-}
-
-exp::figure_report run_detector(const exp::run_options& options,
-                                const cli_args& args, std::ostream& out) {
-  const std::uint64_t seed = options.seed_or(k_detector_seed);
-  print_banner("Detector quality",
-               "precision/recall of the detection policy vs "
-               "simulator ground truth (WUSTL, 4 channels)");
-  const auto setup = make_detector_setup(options, args);
-  const int num_sets = static_cast<int>(setup.workloads.sets.size());
-  out << "\n" << num_sets << " workloads of "
-      << setup.workloads.flows_used << " flows, " << setup.epochs
-      << " epochs of 18 executions each, WiFi interference on\n\n";
-
-  exp::figure_report report;
-  report.figure = "detector";
-  report.title = "detection policy precision/recall vs ground truth";
-  report.seed = seed;
-  report.jobs = exp::resolve_jobs(options.jobs);
-  report.trials = num_sets;
-  report.parameters = {
-      {"testbed", "wustl"},
-      {"epochs", std::to_string(setup.epochs)},
-      {"flows_used", std::to_string(setup.workloads.flows_used)}};
-
-  // Units: (wifi, set). Each simulates once and scores both tests.
-  const int units = 2 * num_sets;
-  std::vector<std::array<detect::detector_score, 2>> scores(
-      static_cast<std::size_t>(units));
-  exp::parallel_trials(units, options.jobs, [&](int, int unit) {
-    scores[static_cast<std::size_t>(unit)] = run_detector_unit(
-        setup, seed, unit / num_sets == 1, unit % num_sets);
-  });
-
-  table t({"test", "environment", "scored links", "TP", "FP", "FN", "TN",
-           "precision", "recall", "F1"});
-  for (std::size_t ti = 0; ti < 2; ++ti) {
-    exp::report_panel panel;
-    panel.name = detect::to_string(k_tests[ti]);
-    panel.x_label = "wifi";
-    for (const bool with_wifi : {false, true}) {
-      detect::detector_score total;
-      for (int si = 0; si < num_sets; ++si) {
-        const auto& score =
-            scores[static_cast<std::size_t>((with_wifi ? num_sets : 0) +
-                                            si)][ti];
-        total.true_positives += score.true_positives;
-        total.false_positives += score.false_positives;
-        total.false_negatives += score.false_negatives;
-        total.true_negatives += score.true_negatives;
-        total.scored_links += score.scored_links;
-      }
-      t.add_row({detect::to_string(k_tests[ti]),
-                 with_wifi ? "WiFi interference" : "clean",
-                 cell(total.scored_links), cell(total.true_positives),
-                 cell(total.false_positives), cell(total.false_negatives),
-                 cell(total.true_negatives), cell(total.precision(), 2),
-                 cell(total.recall(), 2), cell(total.f1(), 2)});
-      exp::report_point rp;
-      rp.x = with_wifi ? 1.0 : 0.0;
-      rp.values = {
-          {"scored_links", static_cast<double>(total.scored_links)},
-          {"tp", static_cast<double>(total.true_positives)},
-          {"fp", static_cast<double>(total.false_positives)},
-          {"fn", static_cast<double>(total.false_negatives)},
-          {"tn", static_cast<double>(total.true_negatives)},
-          {"precision", total.precision()},
-          {"recall", total.recall()},
-          {"f1", total.f1()}};
-      panel.points.push_back(std::move(rp));
-    }
-    report.panels.push_back(std::move(panel));
-  }
-  t.print(out);
-  out << "\nExpected: high precision/recall in the clean "
-         "environment; under WiFi the task is harder (links suffer "
-         "both causes at once) but the classifier should remain "
-         "clearly better than chance. K-S and Mann-Whitney behave "
-         "similarly here; K-S additionally reacts to shape "
-         "changes, which justifies the paper's choice.\n";
-  return report;
-}
-
-bool replay_detector(const exp::run_options& options, const cli_args& args,
-                     std::ostream& out) {
-  const auto setup = make_detector_setup(options, args);
-  const int num_sets = static_cast<int>(setup.workloads.sets.size());
-  const auto& target = options.replay;
-  if (target.point >= 2 * num_sets) return false;
-  const bool with_wifi = target.point / num_sets == 1;
-  const int si = target.point % num_sets;
-  const auto scores = run_detector_unit(
-      setup, options.seed_or(k_detector_seed), with_wifi, si);
-  out << "replay point " << target.point << " ("
-      << (with_wifi ? "WiFi" : "clean") << ", flow set " << si + 1
-      << "):\n";
-  for (std::size_t ti = 0; ti < 2; ++ti) {
-    const auto& s = scores[ti];
-    out << "  " << detect::to_string(k_tests[ti]) << ": tp="
-        << s.true_positives << " fp=" << s.false_positives
-        << " fn=" << s.false_negatives << " tn=" << s.true_negatives
-        << " f1=" << cell(s.f1(), 2) << "\n";
-  }
   return true;
 }
 
@@ -1186,7 +608,7 @@ exp::figure_report run_coexistence(const exp::run_options& options,
                                    const cli_args& args,
                                    std::ostream& out) {
   const std::uint64_t seed = options.seed_or(k_coexistence_seed);
-  print_banner("Coexistence",
+  print_banner(out, "Coexistence",
                "two uncoordinated WirelessHART networks vs "
                "separation distance (WUSTL x2, 4 channels)");
   const auto setup = make_coexistence_setup(options, args);
@@ -1194,12 +616,9 @@ exp::figure_report run_coexistence(const exp::run_options& options,
       << " peer-to-peer flows at 1 s, RC schedules, " << setup.runs
       << " joint executions\n\n";
 
-  exp::figure_report report;
-  report.figure = "coexistence";
-  report.title = "uncoordinated coexistence vs separation distance";
-  report.seed = seed;
-  report.jobs = exp::resolve_jobs(options.jobs);
-  report.trials = k_num_separations;
+  auto report = new_report(
+      "coexistence", "uncoordinated coexistence vs separation distance", seed,
+      options.jobs, k_num_separations);
   report.parameters = {{"testbed", "wustl x2"},
                        {"flows", std::to_string(setup.flows)},
                        {"runs", std::to_string(setup.runs)}};
@@ -1307,17 +726,13 @@ exp::figure_report run_fleet(const exp::run_options& options,
                              const cli_args& args, std::ostream& out) {
   const int trials = options.trials_or(2);
   const std::uint64_t seed = options.seed_or(k_fleet_seed);
-  print_banner("Fleet service",
+  print_banner(out, "Fleet service",
                "incremental admission/eviction churn across tenant "
                "networks (delta scheduling)");
 
-  exp::figure_report report;
-  report.figure = "fleet";
-  report.title =
-      "fleet churn: incremental delta-scheduling across tenants";
-  report.seed = seed;
-  report.jobs = exp::resolve_jobs(options.jobs);
-  report.trials = trials;
+  auto report = new_report(
+      "fleet", "fleet churn: incremental delta-scheduling across tenants", seed,
+      options.jobs, trials);
   report.parameters = {
       {"tenants", std::to_string(args.get_int("tenants", 1024))},
       {"ops", std::to_string(args.get_int("ops", 32))},
@@ -1434,14 +849,7 @@ exp::figure_report run_fleet(const exp::run_options& options,
   report.panels.push_back(std::move(panel));
 
   report.health = exp::health_section(fleet_policy, verdicts);
-  const auto series_file = options.series_file_for("fleet");
-  if (!series_file.empty()) {
-    std::ofstream sout(series_file);
-    WSAN_REQUIRE(sout.good(), "cannot open for writing: " + series_file);
-    obs::write_series_jsonl(srec.result(), sout);
-    report.series_path = series_file;
-    out << "\nwrote per-point series to " << series_file << "\n";
-  }
+  write_series(options, srec.result(), report, out);
   out << "\nEvery admission resumes the greedy scheduler against the "
          "tenant's existing occupancy index and every eviction replays "
          "only the lower-priority suffix (core/delta.h); hyperperiod "
@@ -1543,17 +951,14 @@ exp::figure_report run_churn(const exp::run_options& options,
                              const cli_args& args, std::ostream& out) {
   const int trials = options.trials_or(3);
   const std::uint64_t seed = options.seed_or(k_churn_seed);
-  print_banner("Churn",
+  print_banner(out, "Churn",
                "scenario engine: arrivals/departures, node churn, "
                "timing-predicting jammer, SlotSwapper off vs on");
 
-  exp::figure_report report;
-  report.figure = "churn";
-  report.title =
-      "scenario churn: time-varying workloads and jammer randomization";
-  report.seed = seed;
-  report.jobs = exp::resolve_jobs(options.jobs);
-  report.trials = trials;
+  auto report = new_report(
+      "churn",
+      "scenario churn: time-varying workloads and jammer randomization", seed,
+      options.jobs, trials);
   report.parameters = {
       {"epochs", std::to_string(args.get_int("epochs", 12))},
       {"runs-per-epoch", std::to_string(args.get_int("runs-per-epoch", 6))},
@@ -1728,31 +1133,11 @@ exp::figure_report run_churn(const exp::run_options& options,
 
   // One merged epoch-indexed series file: every point's windows with
   // point-prefixed metric names, PDR histograms included.
-  const auto series_file = options.series_file_for("churn");
-  if (!series_file.empty()) {
-    obs::series merged;
-    merged.name = "churn";
-    merged.index_unit = "epoch";
-    merged.windows.resize(point_series.front().windows.size());
-    for (std::size_t w = 0; w < merged.windows.size(); ++w) {
-      merged.windows[w].index = point_series.front().windows[w].index;
-      for (std::size_t pi = 0; pi < point_series.size(); ++pi) {
-        const std::string prefix =
-            std::string(k_churn_points[pi].name) + ".";
-        if (w >= point_series[pi].windows.size()) continue;
-        const auto& window = point_series[pi].windows[w];
-        for (const auto& [key, val] : window.values)
-          merged.windows[w].values[prefix + key] = val;
-        for (const auto& [key, h] : window.histograms)
-          merged.windows[w].histograms[prefix + key] = h;
-      }
-    }
-    std::ofstream sout(series_file);
-    WSAN_REQUIRE(sout.good(), "cannot open for writing: " + series_file);
-    obs::write_series_jsonl(merged, sout);
-    report.series_path = series_file;
-    out << "wrote per-epoch series to " << series_file << "\n";
-  }
+  obs::series merged{.name = "churn", .index_unit = "epoch", .windows = {}};
+  for (std::size_t pi = 0; pi < point_series.size(); ++pi)
+    merge_series(merged, point_series[pi],
+                 std::string(k_churn_points[pi].name) + ".");
+  write_series(options, merged, report, out);
 
   out << "\nExpected: without randomization the jammer's hit rate is "
          "near-certain — the frame repeats, so last epoch's busiest "
@@ -1795,30 +1180,37 @@ bool replay_churn(const exp::run_options& options, const cli_args& args,
 
 }  // namespace
 
-const std::vector<figure_def>& figures() {
-  static const std::vector<figure_def> defs = {
-      {"fig1", "schedulable ratio, centralized traffic (Indriya)",
-       k_fig1_seed, run_fig1, replay_fig1},
-      {"fig2", "schedulable ratio, peer-to-peer traffic (Indriya)",
-       k_fig2_seed, run_fig2, replay_fig2},
-      {"fig3", "schedulable ratio, peer-to-peer traffic (WUSTL)",
-       k_fig3_seed, run_fig3, replay_fig3},
+std::vector<figure_def> harness_figures() {
+  return {
       {"fig6", "scheduler execution time (Indriya, p2p, 5 channels)",
-       k_fig6_seed, run_fig6, replay_fig6},
-      {"fig8", "PDR box plots of NR/RA/RC (WUSTL, 4 channels)",
-       k_fig8_seed, run_fig8, replay_fig8},
-      {"detector", "detection policy precision/recall vs ground truth",
-       k_detector_seed, run_detector, replay_detector},
+       run_fig6, replay_fig6},
       {"coexistence", "two uncoordinated networks vs separation",
-       k_coexistence_seed, run_coexistence, replay_coexistence},
-      {"simthroughput", "simulator throughput: fast (oracle/batched) vs naive",
-       k_simthroughput_seed, run_simthroughput, replay_simthroughput},
+       run_coexistence, replay_coexistence},
+      {"simthroughput", "simulator throughput: fast vs naive engine",
+       run_simthroughput, replay_simthroughput},
       {"fleet", "fleet churn: incremental delta-scheduling across tenants",
-       k_fleet_seed, run_fleet, replay_fleet},
-      {"churn", "scenario churn: time-varying workloads and jammer "
-       "randomization",
-       k_churn_seed, run_churn, replay_churn},
+       run_fleet, replay_fleet},
+      {"churn",
+       "scenario churn: time-varying workloads and jammer randomization",
+       run_churn, replay_churn},
   };
+}
+
+const std::vector<figure_def>& figures() {
+  static const std::vector<figure_def> defs = [] {
+    auto all = harness_figures();
+    for (auto part : {sweep_figures(), one_off_figures()})
+      all.insert(all.end(), part.begin(), part.end());
+    // Paper figures first, by number; the extensions keep their order.
+    const auto rank = [](const figure_def& def) {
+      return def.id.rfind("fig", 0) == 0 ? std::stoi(def.id.substr(3)) : 99;
+    };
+    std::stable_sort(all.begin(), all.end(),
+                     [&](const figure_def& a, const figure_def& b) {
+                       return rank(a) < rank(b);
+                     });
+    return all;
+  }();
   return defs;
 }
 
@@ -1826,52 +1218,6 @@ const figure_def* find_figure(const std::string& id) {
   for (const auto& def : figures())
     if (def.id == id) return &def;
   return nullptr;
-}
-
-int run_figure_main(const std::string& id, int argc, char** argv) {
-  try {
-    const cli_args args(argc, argv);
-    const auto options = exp::parse_run_options(args);
-    const auto* def = find_figure(id);
-    WSAN_CHECK(def != nullptr, "unknown figure id: " + id);
-    if (options.replay.requested()) {
-      if (!def->replay(options, args, std::cout)) {
-        std::cerr << "error: --replay point out of range for " << id
-                  << "\n";
-        return 1;
-      }
-      return 0;
-    }
-    const auto start = std::chrono::steady_clock::now();
-    exp::obs_session session(options);
-    auto report = def->run(options, args, std::cout);
-    report.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
-    const auto& snap = session.finish();
-    if (session.active()) {
-      std::cout << "\nobservability: per-phase timings\n";
-      exp::print_span_table(snap, std::cout);
-      if (!options.metrics_path.empty())
-        std::cout << "wrote metrics snapshot to " << options.metrics_path
-                  << "\n";
-      if (!options.trace_path.empty())
-        std::cout << "wrote event trace to " << options.trace_path << "\n";
-    }
-    if (!options.json_path.empty()) {
-      exp::write_reports_file(
-          {report},
-          session.active() ? exp::observability_section(snap)
-                           : exp::json::value(nullptr),
-          options.json_path);
-      std::cout << "\nwrote JSON report to " << options.json_path << "\n";
-    }
-    return 0;
-  } catch (const std::exception& error) {
-    std::cerr << "error: " << error.what() << "\n";
-    return 1;
-  }
 }
 
 }  // namespace wsan::bench

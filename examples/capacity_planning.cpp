@@ -48,9 +48,10 @@ bool admits(admission method, int flows, int trials, int channels,
             const graph::graph& comm, const graph::hop_matrix& hops,
             std::uint64_t seed) {
   int ok = 0;
-  rng gen(seed + static_cast<std::uint64_t>(flows) * 1000);
   for (int t = 0; t < trials; ++t) {
-    rng trial_gen = gen.fork();
+    // Trial t of this flow count draws its own counter-derived stream.
+    rng trial_gen(derive_seed(seed, static_cast<std::uint64_t>(flows),
+                              static_cast<std::uint64_t>(t)));
     flow::flow_set_params params;
     params.num_flows = flows;
     params.period_min_exp = 0;
@@ -129,6 +130,6 @@ int main(int argc, char** argv) {
                "instantly and with a hard guarantee; the NR scheduler "
                "finds the standard's real capacity; conservative reuse "
                "extends it further without giving up worst-case "
-               "reliability (see bench_fig8_pdr_boxplot).\n";
+               "reliability (see wsanctl bench --figure fig8).\n";
   return 0;
 }

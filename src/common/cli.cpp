@@ -6,6 +6,30 @@
 
 namespace wsan {
 
+namespace {
+
+/// Runs a std::sto* parser over the whole of `text`; a partial parse or
+/// a parse error throws, naming `what`.
+template <typename Parse>
+auto parse_whole(const std::string& text, const std::string& what,
+                 Parse parse) {
+  std::size_t used = 0;
+  try {
+    const auto value = parse(text, &used);
+    if (used == text.size()) return value;
+  } catch (const std::exception&) {
+  }
+  throw std::invalid_argument(what + ", got: " + text);
+}
+
+}  // namespace
+
+std::int64_t parse_int(const std::string& text, const std::string& what) {
+  return parse_whole(text, what, [](const std::string& t, std::size_t* used) {
+    return static_cast<std::int64_t>(std::stoll(t, used));
+  });
+}
+
 cli_args::cli_args(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -38,36 +62,30 @@ std::int64_t cli_args::get_int(const std::string& key,
                                std::int64_t fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  try {
-    return std::stoll(it->second);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("flag --" + key +
-                                " expects an integer, got: " + it->second);
-  }
+  return parse_int(it->second, "flag --" + key + " expects an integer");
 }
 
 std::uint64_t cli_args::get_uint64(const std::string& key,
                                    std::uint64_t fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  try {
-    return std::stoull(it->second);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("flag --" + key +
-                                " expects an unsigned integer, got: " +
-                                it->second);
-  }
+  const std::string what = "flag --" + key + " expects an unsigned integer";
+  // std::stoull accepts "-1" and wraps it to 2^64 - 1.
+  if (it->second.find('-') != std::string::npos)
+    throw std::invalid_argument(what + ", got: " + it->second);
+  return parse_whole(it->second, what,
+                     [](const std::string& t, std::size_t* used) {
+                       return static_cast<std::uint64_t>(std::stoull(t, used));
+                     });
 }
 
 double cli_args::get_double(const std::string& key, double fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  try {
-    return std::stod(it->second);
-  } catch (const std::exception&) {
-    throw std::invalid_argument("flag --" + key +
-                                " expects a number, got: " + it->second);
-  }
+  return parse_whole(it->second, "flag --" + key + " expects a number",
+                     [](const std::string& t, std::size_t* used) {
+                       return std::stod(t, used);
+                     });
 }
 
 bool cli_args::get_bool(const std::string& key, bool fallback) const {

@@ -7,10 +7,17 @@
 
 namespace wsan {
 
+/// Parses `text` as a whole base-10 integer. Throws std::invalid_argument
+/// naming `what` when anything is left over ("3x", "1e3") or the value
+/// is out of range.
+std::int64_t parse_int(const std::string& text, const std::string& what);
+
 /// Parses flags of the form "--key value" and bare "--key" booleans.
 /// Unknown positional arguments and repeated flags raise
 /// std::invalid_argument so typos in experiment invocations fail
-/// loudly instead of silently dropping a value.
+/// loudly instead of silently dropping a value. Numeric getters parse
+/// the whole value, and unsigned ones take no sign: "--trials 3x" and
+/// "--seed -1" are errors.
 class cli_args {
  public:
   cli_args(int argc, const char* const* argv);

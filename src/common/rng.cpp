@@ -56,6 +56,4 @@ double rng::normal(double mean, double stddev) {
   return mean + stddev * normal();
 }
 
-rng rng::fork() { return rng((*this)()); }
-
 }  // namespace wsan

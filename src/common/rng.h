@@ -57,12 +57,11 @@ inline double box_muller_second(double u1, double u2) {
 /// Maps (experiment_seed, point_index, trial_index) to a 64-bit stream
 /// seed by chaining the splitmix64 output of each coordinate into the
 /// state of the next, so the result depends on all three coordinates and
-/// on their order. Trial streams derived this way replace the older
-/// pattern of fork()-ing a shared sequential generator for two reasons:
+/// on their order. Trial streams are derived this way, never drawn from
+/// a shared sequential generator, for two reasons:
 ///
-///  1. Parallel determinism. fork() consumes an output of the parent
-///    generator, so the t-th trial's stream depends on how many forks
-///    happened before it — a shared parent is both a data race and an
+///  1. Parallel determinism. A stream taken from a shared parent depends
+///    on how many draws happened before it — both a data race and an
 ///    ordering hazard under a thread pool. derive_seed is a pure
 ///    function of the trial's coordinates: any thread can (re)compute
 ///    trial t's stream without touching shared state, which is what
@@ -155,14 +154,6 @@ class rng {
     return v[static_cast<std::size_t>(
         uniform_int(0, static_cast<std::int64_t>(v.size()) - 1))];
   }
-
-  /// Derives an independent child generator by consuming one output.
-  /// Note: fork() is inherently sequential — the child's stream depends
-  /// on how many outputs the parent produced before the call — so it is
-  /// unsuitable for seeding parallel experiment trials. Use
-  /// derive_seed(experiment_seed, point, trial) for trial streams (see
-  /// its documentation above).
-  rng fork();
 
  private:
   static constexpr std::uint64_t rotl_(std::uint64_t x, int k) {

@@ -1,6 +1,6 @@
 #include "exp/options.h"
 
-#include <stdexcept>
+#include <climits>
 
 #include "common/error.h"
 
@@ -10,17 +10,14 @@ replay_target parse_replay_target(const std::string& spec) {
   const auto colon = spec.find(':');
   WSAN_REQUIRE(colon != std::string::npos,
                "--replay expects POINT:TRIAL, got: " + spec);
-  replay_target target;
-  try {
-    target.point = std::stoi(spec.substr(0, colon));
-    target.trial = std::stoi(spec.substr(colon + 1));
-  } catch (const std::exception&) {
-    throw std::invalid_argument("--replay expects POINT:TRIAL, got: " +
-                                spec);
-  }
-  WSAN_REQUIRE(target.point >= 0 && target.trial >= 0,
+  const std::string what = "--replay expects POINT:TRIAL";
+  const auto point = parse_int(spec.substr(0, colon), what);
+  const auto trial = parse_int(spec.substr(colon + 1), what);
+  WSAN_REQUIRE(point >= 0 && trial >= 0,
                "--replay indices must be non-negative: " + spec);
-  return target;
+  WSAN_REQUIRE(point <= INT_MAX && trial <= INT_MAX,
+               "--replay index out of range: " + spec);
+  return {static_cast<int>(point), static_cast<int>(trial)};
 }
 
 run_options parse_run_options(const cli_args& args) {
@@ -28,6 +25,8 @@ run_options parse_run_options(const cli_args& args) {
   options.jobs = static_cast<int>(args.get_int("jobs", 1));
   WSAN_REQUIRE(options.jobs >= 0, "--jobs must be >= 0 (0 = all cores)");
   options.trials = static_cast<int>(args.get_int("trials", -1));
+  WSAN_REQUIRE(!args.has("trials") || options.trials >= 1,
+               "--trials must be >= 1");
   options.seed_overridden = args.has("seed");
   options.seed = args.get_uint64("seed", 0);
   options.json_path = args.get("json", "");

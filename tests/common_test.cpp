@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <set>
 #include <sstream>
 
@@ -133,16 +134,6 @@ TEST(Rng, PickCoversAllElements) {
   EXPECT_EQ(seen.size(), 3u);
 }
 
-TEST(Rng, ForkedGeneratorsDiverge) {
-  rng gen(41);
-  rng a = gen.fork();
-  rng b = gen.fork();
-  int equal = 0;
-  for (int i = 0; i < 100; ++i)
-    if (a() == b()) ++equal;
-  EXPECT_LT(equal, 3);
-}
-
 // -------------------------------------------------------------- table --
 
 TEST(Table, RejectsMismatchedRowWidth) {
@@ -258,6 +249,26 @@ TEST(Cli, RejectsMalformedNumbers) {
   cli_args args(3, argv);
   EXPECT_THROW(args.get_int("n", 0), std::invalid_argument);
   EXPECT_THROW(args.get_bool("n", false), std::invalid_argument);
+
+  // The whole token must parse: a numeric prefix is not a number.
+  const char* prefixes[] = {"prog",    "--runs",  "1e3",  "--trials",
+                            "3x",      "--duty",  "0.3abc", "--seed",
+                            "-1",      "--big",   "99999999999999999999"};
+  cli_args bad(static_cast<int>(std::size(prefixes)), prefixes);
+  EXPECT_THROW(bad.get_int("runs", 0), std::invalid_argument);
+  EXPECT_THROW(bad.get_int("trials", 0), std::invalid_argument);
+  EXPECT_THROW(bad.get_double("duty", 0.0), std::invalid_argument);
+  EXPECT_THROW(bad.get_uint64("seed", 0), std::invalid_argument);
+  EXPECT_THROW(bad.get_int("big", 0), std::invalid_argument);
+  EXPECT_THROW(parse_int("9x", "node id"), std::invalid_argument);
+
+  // Well-formed values still parse, signs and exponents where they fit.
+  const char* good[] = {"prog", "--n", "-4", "--x", "1e3", "--u", "18"};
+  cli_args ok(static_cast<int>(std::size(good)), good);
+  EXPECT_EQ(ok.get_int("n", 0), -4);
+  EXPECT_DOUBLE_EQ(ok.get_double("x", 0.0), 1000.0);
+  EXPECT_EQ(ok.get_uint64("u", 0), 18u);
+  EXPECT_EQ(parse_int("9", "node id"), 9);
 }
 
 TEST(Cli, RejectsDuplicateFlags) {

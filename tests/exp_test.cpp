@@ -298,6 +298,21 @@ TEST(RunOptions, ParsesHarnessFlags) {
   EXPECT_FALSE(options.replay.requested());
 }
 
+TEST(RunOptions, RejectsMalformedReplayAndNumbers) {
+  // Both indices must parse whole: "3:1x" is not trial 1.
+  EXPECT_THROW(exp::parse_replay_target("3:1x"), std::invalid_argument);
+  EXPECT_THROW(exp::parse_replay_target("3x:1"), std::invalid_argument);
+  EXPECT_THROW(exp::parse_replay_target("3:1:2"), std::invalid_argument);
+  EXPECT_THROW(exp::parse_replay_target("3:99999999999"),
+               std::invalid_argument);
+  const char* argv[] = {"prog", "--jobs", "2x"};
+  const cli_args args(3, const_cast<char**>(argv));
+  EXPECT_THROW(exp::parse_run_options(args), std::invalid_argument);
+  const char* zero[] = {"prog", "--trials", "0"};
+  const cli_args no_trials(3, const_cast<char**>(zero));
+  EXPECT_THROW(exp::parse_run_options(no_trials), std::invalid_argument);
+}
+
 TEST(RunOptions, DefaultsApplyWhenFlagsAbsent) {
   const char* argv[] = {"prog"};
   const cli_args args(1, const_cast<char**>(argv));

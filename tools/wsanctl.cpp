@@ -634,9 +634,9 @@ int cmd_faults(const cli_args& args) {
     std::string token;
     while (std::getline(ids, token, ',')) {
       WSAN_REQUIRE(!token.empty(), "empty node id in --crash list");
-      plan.crashes.push_back(
-          sim::node_crash{static_cast<node_id>(std::stol(token)),
-                          crash_run, -1});
+      plan.crashes.push_back(sim::node_crash{
+          static_cast<node_id>(parse_int(token, "--crash expects node ids")),
+          crash_run, -1});
     }
   }
   sim::validate_fault_plan(plan, topology.num_nodes());
@@ -772,6 +772,11 @@ int cmd_bench(const cli_args& args) {
     if (selected.size() != 1) {
       std::cerr << "--replay needs a single --figure\n";
       return 2;
+    }
+    if (selected.front()->replay == nullptr) {
+      std::cerr << "error: " << selected.front()->id
+                << " has no trials to replay\n";
+      return 1;
     }
     if (!selected.front()->replay(options, args, std::cout)) {
       std::cerr << "error: --replay point out of range for "
