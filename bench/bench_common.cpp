@@ -15,13 +15,7 @@ namespace wsan::bench {
 experiment_env make_env(const std::string& testbed, int num_channels,
                         double prr_threshold) {
   experiment_env env;
-  if (testbed == "indriya") {
-    env.topology = topo::make_indriya();
-  } else if (testbed == "wustl") {
-    env.topology = topo::make_wustl();
-  } else {
-    WSAN_REQUIRE(false, "unknown testbed: " + testbed);
-  }
+  env.topology = topo::make_named_testbed(testbed);
   env.channels = phy::channels(num_channels);
   graph::comm_graph_options comm_opts;
   comm_opts.prr_threshold = prr_threshold;

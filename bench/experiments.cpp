@@ -909,11 +909,6 @@ constexpr churn_point_spec k_churn_points[] = {
 };
 constexpr int k_num_churn_points = 4;
 
-topo::topology churn_topology(const std::string& testbed) {
-  // The fixed per-testbed deployment seeds every figure uses (make_env).
-  return testbed == "indriya" ? topo::make_indriya() : topo::make_wustl();
-}
-
 scenario::scenario_config make_churn_config(const churn_point_spec& spec,
                                             const cli_args& args,
                                             std::uint64_t run_seed) {
@@ -985,7 +980,7 @@ exp::figure_report run_churn(const exp::run_options& options,
         results[static_cast<std::size_t>(pi)]
                [static_cast<std::size_t>(trial)] =
                    scenario::scenario_engine(
-                       churn_topology(spec.testbed), config)
+                       topo::make_named_testbed(spec.testbed), config)
                        .run();
       });
 
@@ -1163,7 +1158,7 @@ bool replay_churn(const exp::run_options& options, const cli_args& args,
                   static_cast<std::uint64_t>(target.point), 0));
   if (target.trial >= config.epochs) return false;
   const auto rec = scenario::scenario_engine::replay(
-      churn_topology(spec.testbed), config, target.trial);
+      topo::make_named_testbed(spec.testbed), config, target.trial);
   out << "replay point " << target.point << " (" << spec.name
       << ") epoch " << target.trial << ":\n"
       << "  flows=" << rec.num_flows << " arrivals=" << rec.arrivals_accepted

@@ -20,6 +20,11 @@ enum class algorithm { nr, ra, rc };
 
 std::string to_string(algorithm algo);
 
+/// The algorithm named `name`: "nr", "ra" or "rc", in either case (so
+/// to_string's names parse back). Throws std::invalid_argument on any
+/// other name.
+algorithm parse_algorithm(const std::string& name);
+
 /// How findSlot picks among channel offsets that satisfy the channel
 /// reuse constraints in the chosen slot.
 enum class channel_policy {

@@ -104,6 +104,14 @@ std::string to_string(algorithm algo) {
   WSAN_CHECK(false, "unknown algorithm");
 }
 
+algorithm parse_algorithm(const std::string& name) {
+  if (name == "nr" || name == "NR") return algorithm::nr;
+  if (name == "ra" || name == "RA") return algorithm::ra;
+  if (name == "rc" || name == "RC") return algorithm::rc;
+  throw std::invalid_argument("unknown algorithm '" + name +
+                              "' (expected nr, ra or rc)");
+}
+
 scheduler_config make_config(algorithm algo, int num_channels, int rho_t) {
   scheduler_config config;
   config.algo = algo;

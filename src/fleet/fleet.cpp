@@ -25,13 +25,7 @@ network_blueprint make_blueprint(const fleet_config& config) {
   WSAN_REQUIRE(config.admit_bias >= 0.0 && config.admit_bias <= 1.0,
                "admit bias must be a probability");
   network_blueprint bp;
-  if (config.testbed == "indriya") {
-    bp.topology = topo::make_indriya();
-  } else if (config.testbed == "wustl") {
-    bp.topology = topo::make_wustl();
-  } else {
-    WSAN_REQUIRE(false, "unknown testbed: " + config.testbed);
-  }
+  bp.topology = topo::make_named_testbed(config.testbed);
   bp.channels = phy::channels(config.num_channels);
   graph::comm_graph_options comm_opts;
   comm_opts.prr_threshold = config.prr_threshold;

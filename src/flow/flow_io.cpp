@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/error.h"
+#include "common/record.h"
 
 namespace wsan::flow {
 
@@ -37,13 +38,12 @@ flow_set load_flow_set(std::istream& is) {
     if (kind == "flowset") {
       WSAN_REQUIRE(!have_header, "duplicate flowset header" + where);
       ls >> declared;
-      WSAN_REQUIRE(static_cast<bool>(ls), "malformed header" + where);
+      require_record_end(ls, "malformed header" + where);
       have_header = true;
     } else if (kind == "accesspoint") {
       node_id ap = k_invalid_node;
       ls >> ap;
-      WSAN_REQUIRE(static_cast<bool>(ls),
-                   "malformed accesspoint record" + where);
+      require_record_end(ls, "malformed accesspoint record" + where);
       set.access_points.push_back(ap);
     } else if (kind == "flow") {
       WSAN_REQUIRE(have_header, "flow record before header" + where);
@@ -64,6 +64,7 @@ flow_set load_flow_set(std::istream& is) {
                      "truncated route in flow record" + where);
         f.route.push_back(l);
       }
+      require_record_end(ls, "trailing input after flow route" + where);
       validate_flow(f);
       set.flows.push_back(std::move(f));
     } else {

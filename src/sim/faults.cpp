@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "common/error.h"
+#include "common/record.h"
 #include "obs/events.h"
 
 namespace wsan::sim {
@@ -127,33 +128,31 @@ fault_plan load_fault_plan(std::istream& is) {
     if (kind == "faultplan") {
       WSAN_REQUIRE(!have_header, "duplicate faultplan header" + where);
       ls >> declared;
-      WSAN_REQUIRE(static_cast<bool>(ls), "malformed header" + where);
+      require_record_end(ls, "malformed header" + where);
       have_header = true;
     } else if (kind == "crash") {
       WSAN_REQUIRE(have_header, "crash record before header" + where);
       node_crash c;
       ls >> c.node >> c.start_run >> c.restart_run;
-      WSAN_REQUIRE(static_cast<bool>(ls), "malformed crash record" + where);
+      require_record_end(ls, "malformed crash record" + where);
       plan.crashes.push_back(c);
     } else if (kind == "linkfail") {
       WSAN_REQUIRE(have_header, "linkfail record before header" + where);
       link_failure l;
       ls >> l.sender >> l.receiver >> l.start_run >> l.end_run;
-      WSAN_REQUIRE(static_cast<bool>(ls),
-                   "malformed linkfail record" + where);
+      require_record_end(ls, "malformed linkfail record" + where);
       plan.link_failures.push_back(l);
     } else if (kind == "suppress") {
       WSAN_REQUIRE(have_header, "suppress record before header" + where);
       report_suppression s;
       ls >> s.node >> s.start_run >> s.end_run;
-      WSAN_REQUIRE(static_cast<bool>(ls),
-                   "malformed suppress record" + where);
+      require_record_end(ls, "malformed suppress record" + where);
       plan.suppressions.push_back(s);
     } else if (kind == "jam") {
       WSAN_REQUIRE(have_header, "jam record before header" + where);
       jammed_slot j;
       ls >> j.slot >> j.start_run >> j.end_run;
-      WSAN_REQUIRE(static_cast<bool>(ls), "malformed jam record" + where);
+      require_record_end(ls, "malformed jam record" + where);
       plan.jams.push_back(j);
     } else {
       WSAN_REQUIRE(false, "unknown record kind '" + kind + "'" + where);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <memory>
 #include <numbers>
 #include <set>
 
@@ -163,21 +162,6 @@ inline constexpr std::uint64_t k_probe_stream = 0x9b0be5ULL;
 /// ln(m), routed through batch_detail's poly_exp/poly_log.
 inline constexpr double k_ln10_over_10 = std::numbers::ln10 / 10.0;
 inline constexpr double k_10_over_ln10 = 10.0 / std::numbers::ln10;
-
-/// The fast engine's drift: same seed chain as compute_drift_db, with
-/// the xoshiro/Box-Muller transform replaced by the batch kernels.
-double compute_drift_db_batched(const sim_config& config, bool maintained,
-                                node_id a, node_id b, channel_t ch) {
-  const std::uint64_t pair_state = drift_pair_state(config.seed, a, b);
-  double u = 0.0;
-  if (!maintained) {
-    std::uint64_t s = pair_state;
-    u = batch_uniform01(splitmix64(s));
-  }
-  const double sigma = drift_sigma(config, maintained, u);
-  if (sigma <= 0.0) return 0.0;
-  return sigma * batch_normal(drift_chan_seed(pair_state, ch));
-}
 
 /// Shared tail of both engines: totals, per-flow PDR, obs counters.
 void finalize_result(sim_result& result,
@@ -495,13 +479,18 @@ sim_result run_simulation_naive(const topo::topology& topo,
 // every derived value drawn through the counter-based kernels of
 // common/batch_rng.h. Per-link statistics accumulate in dense arrays
 // over links interned once at setup, and every per-slot scratch vector
-// is hoisted into a reusable pre-reserved buffer. The schedule links'
-// live signals and clean reception probabilities form one dense
-// (link, channel position) table: one fused batch_fade_fill call
-// refills it per run with fading on, and setup fills it once with
-// fading off. Interferer duty cycles, and probe draws when no
-// interferer is configured, come from derived per-run streams, so
-// they bulk-generate instead of interleaving with the slot loop.
+// is hoisted into a reusable pre-reserved buffer. Every signal the
+// engine reads lives in one coordinate store over (directed pair,
+// channel position), interned at setup: the schedule links, and the
+// cross pairs of the shared cells (a sender and the receiver of another
+// entry in its cell). One setup batch draws every coordinate's drift,
+// and one fused batch_fade_fill call refills every signal and clean
+// reception probability per run with fading on (setup fills them once
+// with fading off). Each entry lists its co-cell partners with their
+// cross coordinates, so the SINR sum is a gather over the partners on
+// the air. Interferer duty cycles, and probe draws when no interferer
+// is configured, come from derived per-run streams, so they
+// bulk-generate instead of interleaving with the slot loop.
 //
 // The engine consumes the main `gen` stream for the slot loop's
 // reception Bernoullis (and, with interferers, the probes' channel
@@ -534,8 +523,7 @@ class fast_engine {
               const std::vector<flow::flow>& flows,
               const std::vector<channel_t>& channels,
               const sim_config& config)
-      : topo_(topo),
-        flows_(flows),
+      : flows_(flows),
         config_(config),
         n_(topo.num_nodes()),
         ncl_(static_cast<int>(channels.size())),
@@ -576,15 +564,22 @@ class fast_engine {
     // One contiguous compact entry array with per-slot ranges: the
     // per-run scan reads every entry once, so the flat sequence and
     // the halved row size (24 bytes vs ~48 for slot_entry) halve the
-    // cache lines the scan streams per run.
+    // cache lines the scan streams per run. Each entry lists its
+    // co-cell partners in ascending entry order, the order in which the
+    // naive engine sums a receiver's interference (with distinct
+    // channels, two entries of a slot share a channel exactly when they
+    // share a cell), with the cross pair each partner makes: its sender
+    // and this entry's receiver.
+    std::vector<link_key> partner_pairs;
     std::size_t max_entries = 0;
     slot_begin_.resize(static_cast<std::size_t>(hp_) + 1);
     for (slot_t s = 0; s < hp_; ++s) {
       const auto& entries = by_slot[static_cast<std::size_t>(s)];
       max_entries = std::max(max_entries, entries.size());
-      slot_begin_[static_cast<std::size_t>(s)] =
-          static_cast<int>(entries_.size());
-      for (const auto& entry : entries) {
+      const int slot_base = static_cast<int>(entries_.size());
+      slot_begin_[static_cast<std::size_t>(s)] = slot_base;
+      for (std::size_t i = 0; i < entries.size(); ++i) {
+        const auto& entry = entries[i];
         WSAN_REQUIRE(entry.tx.link_index <=
                          std::numeric_limits<std::int16_t>::max(),
                      "route longer than the compact entry field");
@@ -601,48 +596,19 @@ class fast_engine {
         fe.so_mod = static_cast<std::uint8_t>(entry.so_mod);
         fe.reuse_cell = entry.reuse_cell ? 1 : 0;
         entries_.push_back(fe);
+
+        partner_begin_.push_back(static_cast<int>(partners_.size()));
+        for (std::size_t j = 0; j < entries.size(); ++j) {
+          if (j == i || entries[j].offset != entry.offset) continue;
+          partners_.push_back(slot_base + static_cast<int>(j));
+          partner_pairs.push_back(
+              link_key{entries[j].tx.sender, entry.tx.receiver});
+        }
       }
     }
     slot_begin_[static_cast<std::size_t>(hp_)] =
         static_cast<int>(entries_.size());
-
-    // Maintained unordered pairs as a dense bitmap (drift asymmetry).
-    maintained_.assign(
-        static_cast<std::size_t>(n_) * static_cast<std::size_t>(n_), 0);
-    for (const auto& key : link_keys_)
-      maintained_[pair_offset(key.sender, key.receiver)] = 1;
-
-    // Channel list positions -> physical channel value. All tables are
-    // keyed by list position (0..|channels|-1) rather than the 16-wide
-    // IEEE channel index: the list is what the hopping loop and the
-    // probe draw actually index, and the narrow dimension keeps the
-    // tables small. A channel value that appears at two list positions
-    // just gets the same pure value computed once per position.
-    list_chan_.resize(static_cast<std::size_t>(ncl_));
-    for (int i = 0; i < ncl_; ++i)
-      list_chan_[static_cast<std::size_t>(i)] =
-          channels[static_cast<std::size_t>(i)];
-    coord_count_ = link_keys_.size() * static_cast<std::size_t>(ncl_);
-
-    // Drift memo over (unordered pair, channel position): one
-    // vectorized batch for the schedule links here, lazy fills for the
-    // non-link pairs the cross-interference memo touches. The double
-    // array is left uninitialized on purpose — the ready bytes gate
-    // every read — so construction does not touch megabytes of memory
-    // it will never fully use.
-    drift_zero_ = config.calibration_drift_sigma_db <= 0.0 &&
-                  config.maintained_drift_sigma_db <= 0.0 &&
-                  (config.intermittent_fraction <= 0.0 ||
-                   config.intermittent_sigma_db <= 0.0);
-    if (!drift_zero_) {
-      const std::size_t pair_channels = static_cast<std::size_t>(n_) *
-                                        static_cast<std::size_t>(n_) *
-                                        static_cast<std::size_t>(ncl_);
-      drift_.reset(new double[pair_channels]);
-      drift_ready_.assign(pair_channels, 0);
-      prefill_link_drift();
-    }
-    fade_on_ = config.temporal_fading_sigma_db > 0.0;
+    partner_begin_.push_back(static_cast<int>(partners_.size()));
 
     // Sigmoid constants of the clean PRR and of the capture
     // transition. Both widths are positive: validate_sim_config checks
@@ -657,35 +623,119 @@ class fast_engine {
     noise_mw_ =
         batch_detail::poly_exp(link_model.noise_floor_dbm * k_ln10_over_10);
 
-    // The dense link-coordinate store. Pair keys, channels and bases
-    // (RSSI + drift) never change across runs; with fading on, the
-    // run prefix enters inside batch_fade_fill, and with fading off
-    // the signals are the bases for the whole simulation.
+    // The coordinate store over (directed pair, channel position):
+    // every link at every position (a probe may pick any), then the
+    // cross pairs at the positions their cells reach. Tables are keyed
+    // by list position rather than the 16-wide IEEE channel index: the
+    // list is what the hopping loop and the probe draw index, and the
+    // narrow dimension keeps the tables small.
+    std::vector<link_key> pairs = link_keys_;  // links, then cross pairs
+    std::vector<std::pair<std::size_t, int>> coords;  // (pair, position)
+    for (std::size_t li = 0; li < link_keys_.size(); ++li)
+      for (int ci = 0; ci < ncl_; ++ci) coords.push_back({li, ci});
+    cross_begin_ = coords.size();
+
+    // Cross pairs are interned in first-use order through a dense
+    // (sender, receiver) table. A cell's channel position shifts by
+    // (run * hp) mod |channels| from run to run, a sequence whose
+    // period divides |channels|, so the first runs visit every position
+    // a cell ever reaches; a cross pair gets a coordinate at each
+    // position one of its cells reaches and nowhere else.
+    std::vector<char> run_shift(static_cast<std::size_t>(ncl_), 0);
+    for (int run = 0; run < std::min(config.runs, ncl_); ++run)
+      run_shift[static_cast<std::size_t>(
+          (static_cast<std::int64_t>(run) * hp_) % ncl_)] = 1;
+    std::vector<int> pair_of(
+        partners_.empty() ? 0 : static_cast<std::size_t>(n_) * n_, -1);
+    std::vector<int> cross_coord;  // (cross pair, position) -> cross_mw_
+    partner_coord_.resize(partners_.size() * static_cast<std::size_t>(ncl_));
+    for (std::size_t k = 0; k < partners_.size(); ++k) {
+      const link_key& key = partner_pairs[k];
+      int& pair = pair_of[static_cast<std::size_t>(key.sender) *
+                              static_cast<std::size_t>(n_) +
+                          static_cast<std::size_t>(key.receiver)];
+      if (pair < 0) {
+        pair = static_cast<int>(pairs.size());
+        pairs.push_back(key);
+        cross_coord.resize(cross_coord.size() + static_cast<std::size_t>(ncl_),
+                           -1);
+      }
+      const std::size_t row = (static_cast<std::size_t>(pair) -
+                               link_keys_.size()) *
+                              static_cast<std::size_t>(ncl_);
+      const int so_mod =
+          entries_[static_cast<std::size_t>(partners_[k])].so_mod;
+      for (int shift = 0; shift < ncl_; ++shift) {
+        if (!run_shift[static_cast<std::size_t>(shift)]) continue;
+        const int ci = (so_mod + shift) % ncl_;
+        int& coord = cross_coord[row + static_cast<std::size_t>(ci)];
+        if (coord < 0) {
+          coord = static_cast<int>(coords.size() - cross_begin_);
+          coords.push_back({static_cast<std::size_t>(pair), ci});
+        }
+        partner_coord_[k * static_cast<std::size_t>(ncl_) +
+                       static_cast<std::size_t>(ci)] = coord;
+      }
+    }
+    coord_count_ = coords.size();
+
+    // Bases: RSSI plus calibration drift. A pair that carries a
+    // schedule link in either direction is maintained (re-measured,
+    // small drift); any other pair draws its intermittence class from
+    // its pair seed. Every drift normal comes from one batch over the
+    // coordinates' seed chains.
+    std::vector<std::uint64_t> pair_state(pairs.size());
+    std::vector<double> pair_sigma(pairs.size());
+    for (std::size_t pi = 0; pi < pairs.size(); ++pi) {
+      const link_key& key = pairs[pi];
+      const bool maintained =
+          pi < link_keys_.size() ||
+          std::binary_search(link_keys_.begin(), link_keys_.end(), key) ||
+          std::binary_search(link_keys_.begin(), link_keys_.end(),
+                             link_key{key.receiver, key.sender});
+      pair_state[pi] = drift_pair_state(config.seed, key.sender, key.receiver);
+      double u = 0.0;
+      if (!maintained) {
+        std::uint64_t st = pair_state[pi];
+        u = batch_uniform01(splitmix64(st));
+      }
+      pair_sigma[pi] = drift_sigma(config, maintained, u);
+    }
     dense_pk_.resize(coord_count_);
     dense_ch_.resize(coord_count_);
     dense_base_.resize(coord_count_);
     dense_sig_.resize(coord_count_);
     dense_p0_.resize(coord_count_);
-    for (std::size_t li = 0; li < link_keys_.size(); ++li) {
-      const link_key& key = link_keys_[li];
+    cross_mw_.resize(coord_count_ - cross_begin_);
+    std::vector<std::uint64_t> drift_seeds(coord_count_);
+    for (std::size_t id = 0; id < coord_count_; ++id) {
+      const auto [pi, ci] = coords[id];
+      const link_key& key = pairs[pi];
+      const channel_t ch = channels[static_cast<std::size_t>(ci)];
       const auto lo = static_cast<std::uint64_t>(
           key.sender < key.receiver ? key.sender : key.receiver);
       const auto hi = static_cast<std::uint64_t>(
           key.sender < key.receiver ? key.receiver : key.sender);
-      for (int ci = 0; ci < ncl_; ++ci) {
-        const std::size_t id = li * static_cast<std::size_t>(ncl_) +
-                               static_cast<std::size_t>(ci);
-        const channel_t ch = list_chan_[static_cast<std::size_t>(ci)];
-        dense_pk_[id] = lo << 32 | hi;
-        dense_ch_[id] = static_cast<std::uint64_t>(ch);
-        dense_base_[id] = topo_.rssi_dbm(key.sender, key.receiver, ch) +
-                          drift(key.sender, key.receiver, ci, ch);
-      }
+      dense_pk_[id] = lo << 32 | hi;
+      dense_ch_[id] = static_cast<std::uint64_t>(ch);
+      dense_base_[id] = topo.rssi_dbm(key.sender, key.receiver, ch);
+      drift_seeds[id] = drift_chan_seed(pair_state[pi], ch);
     }
+    std::vector<double> drift_normals(coord_count_);
+    batch_normals(drift_seeds.data(), coord_count_, drift_normals.data());
+    for (std::size_t id = 0; id < coord_count_; ++id) {
+      const double sigma = pair_sigma[coords[id].first];
+      dense_base_[id] += sigma > 0.0 ? sigma * drift_normals[id] : 0.0;
+    }
+    // With fading on, the run prefix enters inside batch_fade_fill;
+    // with fading off the signals are the bases for the whole
+    // simulation.
+    fade_on_ = config.temporal_fading_sigma_db > 0.0;
     if (!fade_on_) {
       dense_sig_ = dense_base_;
       for (std::size_t id = 0; id < coord_count_; ++id)
         dense_p0_[id] = batch_sigmoid((dense_sig_[id] - p0_sens_) / p0_scale_);
+      convert_cross_mw();
     }
 
     // External interferers: overlap per (interferer, list position) and
@@ -704,7 +754,7 @@ class fast_engine {
                          static_cast<std::size_t>(ncl_) +
                      static_cast<std::size_t>(ci)] =
             phy::wifi_overlaps(field_.interferer(k).wifi_channel,
-                               list_chan_[static_cast<std::size_t>(ci)])
+                               channels[static_cast<std::size_t>(ci)])
                 ? 1
                 : 0;
       for (node_id v = 0; v < n_; ++v)
@@ -738,7 +788,7 @@ class fast_engine {
     // Scratch buffers, reserved once; the slot loop only clear()s them.
     active_.reserve(max_entries);
     active_chan_pos_.reserve(max_entries);
-    active_chan_val_.reserve(max_entries);
+    on_air_.assign(entries_.size(), 0);
     success_.reserve(max_entries);
     powers_mw_.reserve(max_entries + static_cast<std::size_t>(num_intf));
     counts_.assign(link_keys_.size(), link_run_counts{});
@@ -769,7 +819,7 @@ class fast_engine {
           (static_cast<std::int64_t>(run) * hp_) % ncl_);
       if (fade_on_ || num_intf > 0) {
         OBS_SPAN("sim.fade_fill");
-        if (fade_on_) refill_dense(run);
+        if (fade_on_) refill_store(run);
         if (num_intf > 0) refresh_interferer_rows(run);
       }
 
@@ -782,7 +832,6 @@ class fast_engine {
 
           active_.clear();
           active_chan_pos_.clear();
-          active_chan_val_.clear();
           for (int e = eb; e < ee; ++e) {
             const auto& entry = entries_[static_cast<std::size_t>(e)];
             const int prog =
@@ -790,6 +839,7 @@ class fast_engine {
             const bool sender_crashed =
                 faults_on_ && faults_.node_down(entry.sender);
             if (prog != entry.link_index || sender_crashed) {
+              on_air_[static_cast<std::size_t>(e)] = 0;
               if (!faults_on_ || !faults_.node_down(entry.receiver)) {
                 energy.per_node_mj[static_cast<std::size_t>(
                     entry.receiver)] += em.idle_listen_mj;
@@ -797,12 +847,11 @@ class fast_engine {
               }
               continue;  // done, dead, past, or crashed
             }
-            active_.push_back(&entry);
+            on_air_[static_cast<std::size_t>(e)] = 1;
+            active_.push_back(e);
             int ci = run_base + entry.so_mod;
             if (ci >= ncl_) ci -= ncl_;
             active_chan_pos_.push_back(ci);
-            active_chan_val_.push_back(
-                list_chan_[static_cast<std::size_t>(ci)]);
           }
           if (active_.empty()) continue;
           obs_active_transmissions_ += active_.size();
@@ -814,8 +863,8 @@ class fast_engine {
 
           success_.assign(active_.size(), 0);
           for (std::size_t i = 0; i < active_.size(); ++i) {
-            const auto& tx = *active_[i];
-            const channel_t ch = active_chan_val_[i];
+            const int e = active_[i];
+            const auto& tx = entries_[static_cast<std::size_t>(e)];
             const int ci = active_chan_pos_[i];
             const std::size_t id =
                 static_cast<std::size_t>(tx.link) *
@@ -825,10 +874,19 @@ class fast_engine {
             // external: sub-ranges feed the counterfactual reception
             // probabilities.
             powers_mw_.clear();
-            for (std::size_t j = 0; j < active_.size(); ++j) {
-              if (j == i || active_chan_val_[j] != ch) continue;
-              powers_mw_.push_back(
-                  cross_mw(active_[j]->sender, tx.receiver, ci, ch));
+            if (tx.reuse_cell) {
+              // The partners on the air, in entry order, all at this
+              // entry's channel position.
+              const auto ue = static_cast<std::size_t>(e);
+              const auto pe = static_cast<std::size_t>(partner_begin_[ue + 1]);
+              for (auto k = static_cast<std::size_t>(partner_begin_[ue]);
+                   k < pe; ++k) {
+                if (!on_air_[static_cast<std::size_t>(partners_[k])])
+                  continue;
+                powers_mw_.push_back(cross_mw_[static_cast<std::size_t>(
+                    partner_coord_[k * static_cast<std::size_t>(ncl_) +
+                                   static_cast<std::size_t>(ci)])]);
+              }
             }
             const std::size_t internal_count = powers_mw_.size();
             obs_internal_pairs_ += internal_count;
@@ -869,7 +927,7 @@ class fast_engine {
           }
 
           for (std::size_t i = 0; i < active_.size(); ++i) {
-            const auto& tx = *active_[i];
+            const auto& tx = entries_[static_cast<std::size_t>(active_[i])];
             const auto fi = static_cast<std::size_t>(tx.flow);
             auto& prog =
                 progress_[static_cast<std::size_t>(tx.prog_index)];
@@ -919,45 +977,12 @@ class fast_engine {
                              obs_active_transmissions_);
       wsan::obs::add_counter("sim.internal_interference_pairs",
                              obs_internal_pairs_);
-      wsan::obs::add_counter("sim.rssi_cache_hits", obs_cache_hits_);
       wsan::obs::add_counter("sim.fade_kernels", obs_fade_kernels_);
     }
     return result;
   }
 
  private:
-  std::size_t pair_offset(node_id a, node_id b) const {
-    const node_id lo = a < b ? a : b;
-    const node_id hi = a < b ? b : a;
-    return static_cast<std::size_t>(lo) * static_cast<std::size_t>(n_) +
-           static_cast<std::size_t>(hi);
-  }
-
-  double drift(node_id a, node_id b, int ci, channel_t ch) {
-    if (drift_zero_) return 0.0;
-    const std::size_t pair = pair_offset(a, b);
-    const std::size_t idx = pair * static_cast<std::size_t>(ncl_) +
-                            static_cast<std::size_t>(ci);
-    if (drift_ready_[idx]) {
-      ++obs_cache_hits_;
-      return drift_[idx];
-    }
-    drift_[idx] =
-        compute_drift_db_batched(config_, maintained_[pair] != 0, a, b, ch);
-    drift_ready_[idx] = 1;
-    return drift_[idx];
-  }
-
-  /// Temporal fade for the current run: the fade seed chain with its
-  /// run-only prefix hoisted into fade_prefix_ (see refill_dense),
-  /// through the batch_normal element transform, so a lazy cross-pair
-  /// fade equals what the bulk fill computes for a link coordinate.
-  double fade(node_id a, node_id b, channel_t ch) {
-    ++obs_fade_kernels_;
-    const std::uint64_t seed = fade_seed(fade_prefix_, a, b, ch);
-    return config_.temporal_fading_sigma_db * batch_normal(seed);
-  }
-
   /// Reception probability of link coordinate `id` under interference
   /// over the sub-range [begin, begin + count) of the collected
   /// milliwatt powers: the clean PRR times the capture sigmoid of the
@@ -976,57 +1001,26 @@ class fast_engine {
            batch_sigmoid((sinr - cap_thresh_) / cap_scale_);
   }
 
-  /// Per-run refill of the dense link-coordinate store (fading on):
-  /// one fused vectorized pass computes the fade chain, sigma scale,
-  /// base add and clean-PRR sigmoid for every coordinate. The run-only
-  /// prefix of the fade seed chain is computed once here; cross pairs
-  /// reuse it through fade().
-  void refill_dense(int run) {
-    fade_prefix_ = fade_prefix(config_.seed, run);
-    epoch_ = static_cast<std::uint32_t>(run) + 1;
-    batch_fade_fill(fade_prefix_.state, fade_prefix_.z, dense_pk_.data(),
+  /// Per-run refill of the coordinate store (fading on): one fused
+  /// vectorized pass computes the fade chain, sigma scale, base add and
+  /// clean-PRR sigmoid for every coordinate, links and cross pairs
+  /// alike.
+  void refill_store(int run) {
+    const fade_run_prefix prefix = fade_prefix(config_.seed, run);
+    batch_fade_fill(prefix.state, prefix.z, dense_pk_.data(),
                     dense_ch_.data(), dense_base_.data(), coord_count_,
                     config_.temporal_fading_sigma_db, p0_sens_, p0_scale_,
                     dense_sig_.data(), dense_p0_.data());
     obs_fade_kernels_ += coord_count_;
+    convert_cross_mw();
   }
 
-  /// Setup pass: fills the drift table for every (schedule link,
-  /// channel) coordinate with one vectorized normal batch over the
-  /// drift seed chains. Link pairs are maintained by construction (the
-  /// bitmap is built from the same link set), so the sigma is uniform
-  /// and the intermittence draw does not apply; the non-link pairs
-  /// that cross_mw touches stay lazy and go through
-  /// compute_drift_db_batched, the element function of this batch.
-  void prefill_link_drift() {
-    const double sigma = config_.maintained_drift_sigma_db;
-    std::vector<std::uint64_t> seeds;
-    std::vector<std::size_t> idxs;
-    seeds.reserve(coord_count_);
-    idxs.reserve(coord_count_);
-    for (const auto& key : link_keys_) {
-      const std::size_t pair = pair_offset(key.sender, key.receiver);
-      const std::uint64_t pair_state =
-          drift_pair_state(config_.seed, key.sender, key.receiver);
-      for (int ci = 0; ci < ncl_; ++ci) {
-        const std::size_t idx = pair * static_cast<std::size_t>(ncl_) +
-                                static_cast<std::size_t>(ci);
-        if (drift_ready_[idx]) continue;  // both link directions share it
-        drift_ready_[idx] = 1;
-        if (sigma <= 0.0) {
-          drift_[idx] = 0.0;  // the element function's early-out
-          continue;
-        }
-        seeds.push_back(drift_chan_seed(
-            pair_state, list_chan_[static_cast<std::size_t>(ci)]));
-        idxs.push_back(idx);
-      }
-    }
-    if (seeds.empty()) return;
-    std::vector<double> vals(seeds.size());
-    batch_normals(seeds.data(), seeds.size(), vals.data());
-    for (std::size_t j = 0; j < idxs.size(); ++j)
-      drift_[idxs[j]] = sigma * vals[j];
+  /// The cross-pair signals in milliwatts: the interference powers the
+  /// slot loop gathers.
+  void convert_cross_mw() {
+    const double* sig = dense_sig_.data() + cross_begin_;
+    for (std::size_t k = 0; k < cross_mw_.size(); ++k)
+      cross_mw_[k] = batch_detail::poly_exp(sig[k] * k_ln10_over_10);
   }
 
   /// Interferer activity: the duty-cycle Bernoullis for a whole run,
@@ -1074,41 +1068,6 @@ class fast_engine {
         intf_active_.data() + intf_cursor_ * intf_duty_.size();
     ++intf_cursor_;
     return row;
-  }
-
-  /// Milliwatt power of a concurrent sender at another link's
-  /// receiver (the in-network interference cross product). These pairs
-  /// are not schedule links, so the dense table has no slot for them,
-  /// but the value is pure per (sender, receiver, position) within a
-  /// run — the same collisions repeat every period of a hyperperiod —
-  /// so an epoch-gated memo over the directed pair space turns the
-  /// repeats into a table read. The memo is allocated on first
-  /// collision: contention-free schedules never pay its quadratic
-  /// footprint.
-  double cross_mw(node_id sender, node_id receiver, int ci, channel_t ch) {
-    if (cross_epoch_.empty()) {
-      const std::size_t cells = static_cast<std::size_t>(n_) *
-                                static_cast<std::size_t>(n_) *
-                                static_cast<std::size_t>(ncl_);
-      // Uninitialized like drift_: the zeroed epoch words gate reads.
-      cross_mw_.reset(new double[cells]);
-      cross_epoch_.assign(cells, 0);
-    }
-    const std::size_t idx =
-        (static_cast<std::size_t>(sender) * static_cast<std::size_t>(n_) +
-         static_cast<std::size_t>(receiver)) *
-            static_cast<std::size_t>(ncl_) +
-        static_cast<std::size_t>(ci);
-    if (cross_epoch_[idx] == epoch_) {
-      ++obs_cache_hits_;
-      return cross_mw_[idx];
-    }
-    const double sig = topo_.rssi_dbm(sender, receiver, ch) +
-                       drift(sender, receiver, ci, ch) +
-                       (fade_on_ ? fade(sender, receiver, ch) : 0.0);
-    cross_mw_[idx] = batch_detail::poly_exp(sig * k_ln10_over_10);
-    cross_epoch_[idx] = epoch_;
-    return cross_mw_[idx];
   }
 
   /// Probes without external interferers: a probe's outcome is its
@@ -1239,7 +1198,6 @@ class fast_engine {
     }
   }
 
-  const topo::topology& topo_;
   const std::vector<flow::flow>& flows_;
   const sim_config& config_;
   const int n_;
@@ -1251,25 +1209,16 @@ class fast_engine {
 
   std::vector<fast_entry> entries_;  ///< all transmissions, slot-major
   std::vector<int> slot_begin_;  ///< slot -> [begin, end) into entries_
+  std::vector<int> partner_begin_;  ///< entry -> [begin, end) of partners_
+  std::vector<int> partners_;  ///< co-cell partner entries, ascending
+  std::vector<int> partner_coord_;  ///< (partner, position) -> cross_mw_
   std::vector<link_key> link_keys_;  ///< dense link index -> key, sorted
-  std::vector<char> maintained_;     ///< unordered pair bitmap (lo*n+hi)
-  std::vector<channel_t> list_chan_;  ///< list position -> channel value
-  std::size_t coord_count_ = 0;       ///< |links| * |channels|
   std::vector<int> prog_offset_;     ///< flow -> progress_ base index
   std::vector<int> flow_instances_;  ///< flow -> instances per hyperperiod
   std::vector<int> route_len_;       ///< flow -> route length
   std::vector<int> progress_;  ///< flat (flow, instance) hop progress
 
-  bool drift_zero_ = false;
   bool fade_on_ = false;
-  std::unique_ptr<double[]> drift_;  ///< (pair, position) -> drift dB
-  std::vector<char> drift_ready_;
-  // Cross-interference memo (directed pair, position) in milliwatts,
-  // allocated on first collision and gated by the run epoch.
-  std::unique_ptr<double[]> cross_mw_;
-  std::vector<std::uint32_t> cross_epoch_;
-  std::uint32_t epoch_ = 1;  ///< memo epoch (run + 1 with fading, else 1)
-  fade_run_prefix fade_prefix_;  ///< per-run fade seed chain prefix
 
   // Sigmoid and SINR constants.
   double p0_sens_ = 0.0;     ///< link sensitivity dBm
@@ -1278,12 +1227,16 @@ class fast_engine {
   double cap_scale_ = 1.0;   ///< capture transition width / 4
   double noise_mw_ = 0.0;    ///< poly_exp image of the noise floor, mW
 
-  // Dense link-coordinate store, (link, position).
+  // The coordinate store, (pair, position): links below cross_begin_,
+  // the reachable cross coordinates from it.
+  std::size_t coord_count_ = 0;
+  std::size_t cross_begin_ = 0;  ///< |links| * |channels|
   std::vector<std::uint64_t> dense_pk_;  ///< pair key per coordinate
   std::vector<std::uint64_t> dense_ch_;  ///< channel per coordinate
   std::vector<double> dense_base_;  ///< rssi + drift per coordinate
   std::vector<double> dense_sig_;   ///< this run's signals
   std::vector<double> dense_p0_;    ///< this run's clean PRRs
+  std::vector<double> cross_mw_;    ///< this run's cross signals, mW
 
   std::vector<char> ext_overlap_;     ///< (interferer, list position)
   std::vector<double> ext_power_mw_;  ///< (interferer, node) -> mW
@@ -1296,9 +1249,9 @@ class fast_engine {
   std::size_t intf_cursor_ = 0;    ///< next unread activity row
 
   // Reusable per-slot scratch (pre-reserved, cleared in place).
-  std::vector<const fast_entry*> active_;
+  std::vector<int> active_;  ///< entries on the air this slot
   std::vector<int> active_chan_pos_;  ///< active entry -> list position
-  std::vector<channel_t> active_chan_val_;
+  std::vector<char> on_air_;  ///< entry -> on the air in its slot
   std::vector<char> success_;
   std::vector<double> powers_mw_;  ///< interference powers, mW
 
@@ -1308,7 +1261,6 @@ class fast_engine {
 
   std::uint64_t obs_active_transmissions_ = 0;
   std::uint64_t obs_internal_pairs_ = 0;
-  std::uint64_t obs_cache_hits_ = 0;
   std::uint64_t obs_fade_kernels_ = 0;
 };
 
@@ -1385,6 +1337,11 @@ sim_result run_simulation(const topo::topology& topo,
   WSAN_REQUIRE(!channels.empty(), "channel set must be non-empty");
   WSAN_REQUIRE(static_cast<int>(channels.size()) == sched.num_offsets(),
                "channel list size must equal the schedule's offset count");
+  // Two offsets of one slot on the same physical channel would
+  // interfere across cells.
+  WSAN_REQUIRE(std::set<channel_t>(channels.begin(), channels.end()).size() ==
+                   channels.size(),
+               "channel list must not repeat a channel");
   validate_sim_config(config);
   WSAN_REQUIRE(topo.link_model().transition_width_db > 0.0,
                "link-model transition width must be positive");

@@ -188,4 +188,12 @@ topology make_wustl(std::uint64_t seed) {
   return make_testbed(params, seed);
 }
 
+topology make_named_testbed(const std::string& name,
+                            std::optional<std::uint64_t> seed) {
+  if (name == "indriya") return seed ? make_indriya(*seed) : make_indriya();
+  if (name == "wustl") return seed ? make_wustl(*seed) : make_wustl();
+  throw std::invalid_argument("unknown testbed '" + name +
+                              "' (expected indriya or wustl)");
+}
+
 }  // namespace wsan::topo

@@ -11,6 +11,8 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <string>
 
 #include "topo/topology.h"
 
@@ -38,5 +40,11 @@ topology make_indriya(std::uint64_t seed = 1);
 
 /// 60-node, 3-floor deployment modeled on the WUSTL testbed's scale.
 topology make_wustl(std::uint64_t seed = 2);
+
+/// The testbed called `name` ("indriya" or "wustl"), built from `seed`,
+/// or without one from that testbed's default seed above — the seed
+/// every figure uses. Throws std::invalid_argument on any other name.
+topology make_named_testbed(const std::string& name,
+                            std::optional<std::uint64_t> seed = {});
 
 }  // namespace wsan::topo

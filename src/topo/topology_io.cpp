@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "common/error.h"
+#include "common/record.h"
 
 namespace wsan::topo {
 
@@ -68,6 +69,7 @@ topology load_topology(std::istream& is) {
     if (kind == "topology") {
       std::string name;
       ls >> name;
+      require_record_end(ls, "malformed topology line" + where);
       topo.set_name(name);
     } else if (kind == "params") {
       phy::path_loss_params pl;
@@ -77,7 +79,7 @@ topology load_topology(std::istream& is) {
           pl.floor_attenuation_db >> pl.shadow_sigma_db >>
           pl.channel_fading_sigma_db >> lm.sensitivity_dbm >>
           lm.noise_floor_dbm >> lm.transition_width_db >> tx_power;
-      WSAN_REQUIRE(static_cast<bool>(ls), "malformed params line" + where);
+      require_record_end(ls, "malformed params line" + where);
       WSAN_REQUIRE(lm.transition_width_db > 0.0,
                    "link-model transition width must be positive" + where);
       topo.set_path_loss(pl);
@@ -87,14 +89,14 @@ topology load_topology(std::istream& is) {
       node_id id = k_invalid_node;
       phy::position pos;
       ls >> id >> pos.x >> pos.y >> pos.floor;
-      WSAN_REQUIRE(static_cast<bool>(ls), "malformed node line" + where);
+      require_record_end(ls, "malformed node line" + where);
       WSAN_REQUIRE(nodes.count(id) == 0, "duplicate node id" + where);
       nodes[id] = pos;
     } else if (kind == "rssi") {
       pending_rssi entry{};
       ls >> entry.u >> entry.v;
       for (double& value : entry.values) ls >> value;
-      WSAN_REQUIRE(static_cast<bool>(ls), "malformed rssi line" + where);
+      require_record_end(ls, "malformed rssi line" + where);
       pending.push_back(entry);
     } else {
       WSAN_REQUIRE(false, "unknown record kind '" + kind + "'" + where);

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/error.h"
+#include "common/record.h"
 
 namespace wsan::tsch {
 
@@ -35,7 +36,7 @@ schedule load_schedule(std::istream& is) {
       slot_t num_slots = 0;
       int num_offsets = 0;
       ls >> num_slots >> num_offsets;
-      WSAN_REQUIRE(static_cast<bool>(ls), "malformed header" + where);
+      require_record_end(ls, "malformed header" + where);
       sched = schedule(num_slots, num_offsets);
       have_header = true;
     } else if (kind == "tx") {
@@ -45,7 +46,7 @@ schedule load_schedule(std::istream& is) {
       offset_t offset = k_invalid_offset;
       ls >> tx.flow >> tx.instance >> tx.link_index >> tx.attempt >>
           tx.sender >> tx.receiver >> slot >> offset;
-      WSAN_REQUIRE(static_cast<bool>(ls), "malformed tx record" + where);
+      require_record_end(ls, "malformed tx record" + where);
       sched.add(tx, slot, offset);
     } else {
       WSAN_REQUIRE(false, "unknown record kind '" + kind + "'" + where);

@@ -175,6 +175,17 @@ TEST(Scheduler, ZeroRetriesConfiguration) {
   EXPECT_TRUE(tsch::validate_schedule(result.sched, {f}, hops, opts).ok);
 }
 
+TEST(Scheduler, ParseAlgorithmReadsEachName) {
+  EXPECT_EQ(parse_algorithm("nr"), algorithm::nr);
+  EXPECT_EQ(parse_algorithm("ra"), algorithm::ra);
+  EXPECT_EQ(parse_algorithm("rc"), algorithm::rc);
+  for (const algorithm algo : {algorithm::nr, algorithm::ra, algorithm::rc})
+    EXPECT_EQ(parse_algorithm(to_string(algo)), algo);
+  EXPECT_THROW(parse_algorithm("xx"), std::invalid_argument);
+  EXPECT_THROW(parse_algorithm(""), std::invalid_argument);
+  EXPECT_THROW(parse_algorithm("rc "), std::invalid_argument);
+}
+
 TEST(Scheduler, RejectsBadInputs) {
   const auto hops = path_hops(4);
   const auto f = make_flow(0, {{0, 1}}, 10, 10);

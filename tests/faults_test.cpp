@@ -168,6 +168,8 @@ TEST(FaultPlan, LoaderRejectsMalformedInput) {
   EXPECT_THROW(load("faultplan 1\ncrash 1 zero -1\n"),
                std::invalid_argument);
   EXPECT_THROW(load("faultplan 1\nreboot 1 0 -1\n"), std::invalid_argument);
+  EXPECT_THROW(load("faultplan 1\ncrash 3 0 -1 extra\n"),
+               std::invalid_argument);  // trailing input
   EXPECT_THROW(load("faultplan 1\ncrash 1 5 5\n"),
                std::invalid_argument);  // semantic validation runs too
   // Comments and blank lines are fine.

@@ -61,6 +61,10 @@ TEST(FlowIo, RejectsMalformedInput) {
   EXPECT_THROW(flow::load_flow_set(truncated_route),
                std::invalid_argument);
 
+  std::stringstream trailing_route(
+      "flowset 1\nflow 0 1 2 100 80 peer-to-peer 1 1 1 2x\n");
+  EXPECT_THROW(flow::load_flow_set(trailing_route), std::invalid_argument);
+
   std::stringstream count_mismatch("flowset 2\n");
   EXPECT_THROW(flow::load_flow_set(count_mismatch),
                std::invalid_argument);

@@ -70,6 +70,12 @@ TEST(ScheduleIo, RejectsMalformedInput) {
   std::stringstream bad_record("schedule 10 2\ntx 0 0 0\n");
   EXPECT_THROW(load_schedule(bad_record), std::invalid_argument);
 
+  std::stringstream trailing_header("schedule 4 2 9\n");
+  EXPECT_THROW(load_schedule(trailing_header), std::invalid_argument);
+
+  std::stringstream trailing_field("schedule 10 2\ntx 0 0 0 0 1 2 3 1x\n");
+  EXPECT_THROW(load_schedule(trailing_field), std::invalid_argument);
+
   std::stringstream bad_kind("schedule 10 2\nbogus 1 2 3\n");
   EXPECT_THROW(load_schedule(bad_kind), std::invalid_argument);
 

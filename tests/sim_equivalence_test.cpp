@@ -21,10 +21,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <map>
 #include <new>
+#include <set>
 #include <string>
 #include <tuple>
 
@@ -33,6 +35,7 @@
 #include "flow/flow_generator.h"
 #include "graph/comm_graph.h"
 #include "graph/reuse_graph.h"
+#include "obs/metrics.h"
 #include "sim/simulator.h"
 #include "topo/testbeds.h"
 
@@ -82,6 +85,25 @@ struct world {
   std::vector<flow::flow> flows;
 };
 
+world make_world(core::algorithm algo, int num_channels,
+                 const flow::flow_set_params& params) {
+  world w;
+  w.topology = topo::make_wustl();
+  w.channels = phy::channels(num_channels);
+  const auto comm = graph::build_communication_graph(w.topology, w.channels);
+  const auto reuse_hops = graph::hop_matrix(
+      graph::build_channel_reuse_graph(w.topology, w.channels));
+  rng gen(977);
+  auto set = flow::generate_flow_set(comm, params, gen);
+  const auto result = core::schedule_flows(
+      set.flows, reuse_hops, core::make_config(algo, num_channels));
+  if (!result.schedulable)
+    throw std::runtime_error("equivalence workload must be schedulable");
+  w.sched = result.sched;
+  w.flows = set.flows;
+  return w;
+}
+
 /// One scheduled WUSTL workload per (algorithm, flow count), cached: the
 /// expensive part of every parameterized case is identical.
 const world& shared_world(core::algorithm algo, int flows) {
@@ -89,30 +111,85 @@ const world& shared_world(core::algorithm algo, int flows) {
   const auto key = std::make_pair(static_cast<int>(algo), flows);
   auto it = cache.find(key);
   if (it == cache.end()) {
-    world w;
-    w.topology = topo::make_wustl();
-    w.channels = phy::channels(4);
-    const auto comm =
-        graph::build_communication_graph(w.topology, w.channels);
-    const auto reuse_hops = graph::hop_matrix(
-        graph::build_channel_reuse_graph(w.topology, w.channels));
     flow::flow_set_params params;
     params.num_flows = flows;
     params.type = flow::traffic_type::peer_to_peer;
     params.period_min_exp = 1;
     params.period_max_exp = 3;
-    rng gen(977);
-    auto set = flow::generate_flow_set(comm, params, gen);
-    const auto result = core::schedule_flows(
-        set.flows, reuse_hops, core::make_config(algo, 4));
-    if (!result.schedulable)
-      throw std::runtime_error("equivalence workload must be schedulable");
-    w.sched = result.sched;
-    w.flows = set.flows;
-    cache.emplace(key, std::move(w));
-    it = cache.find(key);
+    it = cache.emplace(key, make_world(algo, 4, params)).first;
   }
   return it->second;
+}
+
+/// An RC schedule that shares cells. RC reuses a channel only when the
+/// workload is infeasible without reuse, which the shared worlds never
+/// are; 60 flows with periods 2^0..2^2 on two channels (the shape of
+/// the simthroughput experiment's wustl-60-reuse point) are.
+const world& rc_reuse_world() {
+  static const world w = [] {
+    flow::flow_set_params params;
+    params.num_flows = 60;
+    params.type = flow::traffic_type::peer_to_peer;
+    params.period_min_exp = 0;
+    params.period_max_exp = 2;
+    return make_world(core::algorithm::rc, 2, params);
+  }();
+  return w;
+}
+
+/// RA over three channels: the hyperperiod is not a multiple of the
+/// channel count.
+const world& ra_three_channel_world() {
+  static const world w = [] {
+    flow::flow_set_params params;
+    params.num_flows = 20;
+    params.type = flow::traffic_type::peer_to_peer;
+    params.period_min_exp = 1;
+    params.period_max_exp = 3;
+    return make_world(core::algorithm::ra, 3, params);
+  }();
+  return w;
+}
+
+/// The RA world plus a one-link flow, in a free cell, from the sender
+/// of a shared cell's second entry to the receiver of its first: that
+/// cross pair is then also a schedule link, so its drift is the small
+/// maintained one.
+const world& ra_cross_link_world() {
+  static const world w = [] {
+    world x = shared_world(core::algorithm::ra, 20);
+    const slot_t hp = x.sched.num_slots();
+    std::vector<tsch::transmission> shared;
+    std::pair<slot_t, offset_t> free_cell{-1, -1};
+    for (slot_t s = 0; s < hp; ++s) {
+      for (offset_t c = 0; c < x.sched.num_offsets(); ++c) {
+        const auto& cell = x.sched.cell(s, c);
+        if (cell.size() >= 2 && shared.empty()) shared = cell;
+        if (cell.empty() && free_cell.first < 0) free_cell = {s, c};
+      }
+    }
+    if (shared.empty() || free_cell.first < 0)
+      throw std::runtime_error("RA world needs a shared and a free cell");
+    flow::flow f;
+    f.id = static_cast<flow_id>(x.flows.size());
+    f.source = shared[1].sender;
+    f.destination = shared[0].receiver;
+    f.period = hp;
+    f.deadline = hp;
+    f.route = {flow::link{f.source, f.destination}};
+    f.uplink_links = 1;
+    tsch::transmission tx;
+    tx.flow = f.id;
+    tx.instance = 0;
+    tx.link_index = 0;
+    tx.attempt = 0;
+    tx.sender = f.source;
+    tx.receiver = f.destination;
+    x.sched.add(tx, free_cell.first, free_cell.second);
+    x.flows.push_back(f);
+    return x;
+  }();
+  return w;
 }
 
 sim::fault_plan crash_and_suppress_plan(const world& w) {
@@ -171,12 +248,7 @@ class SimEquivalence
     : public ::testing::TestWithParam<
           std::tuple<int, bool, core::algorithm>> {};
 
-TEST_P(SimEquivalence, MechanicsMatchBitwise) {
-  const auto [seed, use_faults, algo] = GetParam();
-  const auto& w = shared_world(algo, 20);
-  auto config = mechanics_config(static_cast<std::uint64_t>(seed), 12);
-  if (use_faults) config.faults = crash_and_suppress_plan(w);
-
+void expect_mechanics_match(const world& w, sim::sim_config config) {
   config.use_fast_path = true;
   const auto fast =
       sim::run_simulation(w.topology, w.sched, w.flows, w.channels, config);
@@ -219,6 +291,14 @@ TEST_P(SimEquivalence, MechanicsMatchBitwise) {
   }
 }
 
+TEST_P(SimEquivalence, MechanicsMatchBitwise) {
+  const auto [seed, use_faults, algo] = GetParam();
+  const auto& w = shared_world(algo, 20);
+  auto config = mechanics_config(static_cast<std::uint64_t>(seed), 12);
+  if (use_faults) config.faults = crash_and_suppress_plan(w);
+  expect_mechanics_match(w, config);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Mechanics, SimEquivalence,
     ::testing::Combine(::testing::Values(1, 2, 908), ::testing::Bool(),
@@ -232,11 +312,165 @@ INSTANTIATE_TEST_SUITE_P(
              core::to_string(std::get<2>(info.param));
     });
 
+TEST(SimEquivalence, MechanicsMatchWhenCellsChangeChannelPosition) {
+  // A power-of-two hyperperiod over three channels moves every cell to
+  // another channel position from one run to the next, so a shared
+  // cell's cross coordinates span several positions.
+  const auto& w = ra_three_channel_world();
+  ASSERT_TRUE(shares_a_cell(w.sched));
+  ASSERT_NE(w.sched.num_slots() % 3, 0);
+  expect_mechanics_match(w, mechanics_config(5, 12));
+}
+
 TEST(SimEquivalence, MechanicsGridCoversSharedCells) {
   // The expected-loss comparison above must not be vacuous: RA on this
   // workload shares cells, and NR never does.
   EXPECT_TRUE(shares_a_cell(shared_world(core::algorithm::ra, 20).sched));
   EXPECT_FALSE(shares_a_cell(shared_world(core::algorithm::nr, 20).sched));
+}
+
+// ------------------------------------------------- fast-engine pin --
+// The gates above turn every derived draw off (mechanics) or compare
+// distributions (K-S), so neither notices a fast-engine change that
+// moves sim_result while keeping it statistically sound. This pin
+// digests the whole result of a run with drift, fading, interferers
+// and probes all on, against constants cut from the engine as it
+// stands: any intended change to the fast engine's sample path must
+// re-cut them and say why.
+
+class fnv1a {
+ public:
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ ^= (v >> (8 * i)) & 0xffU;
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  void add(long long v) { add(static_cast<std::uint64_t>(v)); }
+  void add(int v) { add(static_cast<std::uint64_t>(v)); }
+  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+  void add(const std::vector<std::pair<int, double>>& samples) {
+    add(static_cast<std::uint64_t>(samples.size()));
+    for (const auto& [run, prr] : samples) {
+      add(run);
+      add(prr);
+    }
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+/// FNV-1a over every field of `result`, doubles by their bit patterns.
+std::uint64_t digest(const sim::sim_result& result) {
+  fnv1a h;
+  h.add(static_cast<std::uint64_t>(result.flow_pdr.size()));
+  for (double pdr : result.flow_pdr) h.add(pdr);
+  h.add(static_cast<std::uint64_t>(result.links.size()));
+  for (const auto& [key, obs] : result.links) {
+    h.add(key.sender);
+    h.add(key.receiver);
+    h.add(obs.reuse_samples);
+    h.add(obs.cf_samples);
+    h.add(obs.reuse_attempts);
+    h.add(obs.reuse_successes);
+    h.add(obs.cf_attempts);
+    h.add(obs.cf_successes);
+    h.add(obs.expected_loss_internal);
+    h.add(obs.expected_loss_external);
+  }
+  h.add(result.instances_released);
+  h.add(result.instances_delivered);
+  h.add(static_cast<std::uint64_t>(result.energy.per_node_mj.size()));
+  for (double mj : result.energy.per_node_mj) h.add(mj);
+  h.add(result.energy.data_transmissions);
+  h.add(result.energy.idle_listens);
+  h.add(result.energy.total_mj);
+  return h.value();
+}
+
+/// Every derived draw on: the default drift and fading, one WiFi
+/// interferer per floor (so probes take the interfered path), probes.
+sim::sim_config everything_on_config(const world& w) {
+  auto config = base_config(31, 24);
+  config.interferers = sim::one_interferer_per_floor(w.topology, 0.5);
+  return config;
+}
+
+TEST(Simulator, FastEngineResultIsPinned) {
+  const struct {
+    const char* name;
+    const world& w;
+    std::uint64_t digest;
+  } cases[] = {
+      {"RC", rc_reuse_world(), 0x3caab770c61c03ecULL},
+      {"RA", shared_world(core::algorithm::ra, 20), 0x3e562e47e425803eULL},
+      {"RA over 3 channels", ra_three_channel_world(), 0x38f00ed62f434fe5ULL},
+      {"RA with a cross pair that is a link", ra_cross_link_world(),
+       0x81d81506c77f0317ULL},
+  };
+  for (const auto& c : cases) {
+    ASSERT_TRUE(shares_a_cell(c.w.sched)) << c.name;
+    const auto result =
+        sim::run_simulation(c.w.topology, c.w.sched, c.w.flows, c.w.channels,
+                            everything_on_config(c.w));
+    EXPECT_EQ(digest(result), c.digest)
+        << c.name << " digest 0x" << std::hex << digest(result);
+  }
+}
+
+/// Coordinates the fast engine interns for `w` over `runs` runs: each
+/// schedule link at every channel position, and each cross pair (a
+/// sender and the receiver of another entry in its cell) at the
+/// positions its cell reaches, shifted by (run * hp) mod |channels|
+/// from run to run.
+std::size_t interned_coordinates(const world& w, int runs) {
+  const int ncl = static_cast<int>(w.channels.size());
+  const slot_t hp = w.sched.num_slots();
+  std::set<int> shifts;
+  for (int run = 0; run < runs; ++run)
+    shifts.insert(static_cast<int>((static_cast<long long>(run) * hp) % ncl));
+  std::set<std::pair<node_id, node_id>> links;
+  std::set<std::tuple<node_id, node_id, int>> cross;
+  for (slot_t s = 0; s < hp; ++s) {
+    for (offset_t c = 0; c < w.sched.num_offsets(); ++c) {
+      const auto& cell = w.sched.cell(s, c);
+      for (std::size_t i = 0; i < cell.size(); ++i) {
+        links.insert({cell[i].sender, cell[i].receiver});
+        for (std::size_t j = 0; j < cell.size(); ++j) {
+          if (j == i) continue;
+          for (int shift : shifts)
+            cross.insert({cell[j].sender, cell[i].receiver,
+                          static_cast<int>((s + c + shift) % ncl)});
+        }
+      }
+    }
+  }
+  return links.size() * w.channels.size() + cross.size();
+}
+
+TEST(Simulator, FadeKernelsCountInternedCoordinates) {
+  if (!obs::k_compiled_in)
+    GTEST_SKIP() << "observability compiled out (WSAN_OBS=OFF)";
+  // The fast engine refills every interned coordinate once per run. On
+  // two channels each cell keeps its channel position; on three, cells
+  // move between positions from run to run.
+  for (const world* w : {&rc_reuse_world(), &ra_three_channel_world()}) {
+    const auto config = everything_on_config(*w);
+    obs::reset_metrics();
+    obs::set_enabled(true);
+    sim::run_simulation(w->topology, w->sched, w->flows, w->channels,
+                        config);
+    const auto snap = obs::take_snapshot();
+    obs::set_enabled(false);
+    obs::reset_metrics();
+    EXPECT_EQ(snap.counters.at("sim.fade_kernels"),
+              static_cast<std::uint64_t>(config.runs) *
+                  interned_coordinates(*w, config.runs))
+        << w->channels.size() << " channels";
+    EXPECT_EQ(snap.counters.count("sim.rssi_cache_hits"), 0u);
+  }
 }
 
 // ------------------------------------------------ allocation behavior --

@@ -296,6 +296,22 @@ TEST(Simulator, RejectsMismatchedChannelList) {
       std::invalid_argument);
 }
 
+TEST(Simulator, RejectsRepeatedChannel) {
+  // Two offsets of a slot on one physical channel would interfere
+  // across cells; both engines refuse such a channel list.
+  auto t = line_topology(2);
+  const auto f = one_link_flow(0, 0, 1, 10, 10);
+  tsch::schedule sched(10, 2);
+  sched.add(make_tx(0, 0, 0, 0, 0, 1), 0, 0);
+  for (const bool fast : {true, false}) {
+    auto config = quick_config();
+    config.use_fast_path = fast;
+    EXPECT_THROW(run_simulation(t, sched, {f}, {11, 11}, config),
+                 std::invalid_argument)
+        << (fast ? "fast" : "naive");
+  }
+}
+
 TEST(Simulator, RejectsOutOfRangeInstance) {
   // schedule::add only checks cell coordinates; a transmission whose
   // instance index exceeds the flow's instances_in(hyperperiod) would

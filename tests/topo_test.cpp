@@ -117,8 +117,7 @@ TEST(Testbeds, CommunicationGraphIsConnectedOnPaperChannels) {
   // The schedulers need a connected communication graph at PRR_t = 0.9
   // over the channel counts the evaluation sweeps (Section VII).
   for (const char* name : {"indriya", "wustl"}) {
-    const auto t = std::string(name) == "indriya" ? make_indriya()
-                                                  : make_wustl();
+    const auto t = make_named_testbed(name);
     for (int nch : {3, 4, 5, 8}) {
       const auto comm =
           graph::build_communication_graph(t, phy::channels(nch));
@@ -126,6 +125,24 @@ TEST(Testbeds, CommunicationGraphIsConnectedOnPaperChannels) {
           << name << " with " << nch << " channels";
     }
   }
+}
+
+TEST(Testbeds, NamedTestbedsUseTheirDefaultSeeds) {
+  const auto same = [](const topology& a, const topology& b) {
+    if (a.name() != b.name() || a.num_nodes() != b.num_nodes()) return false;
+    for (node_id u = 0; u < a.num_nodes(); ++u)
+      for (node_id v = 0; v < a.num_nodes(); ++v)
+        for (channel_t ch = phy::k_first_channel; ch <= phy::k_last_channel;
+             ++ch)
+          if (a.rssi_dbm(u, v, ch) != b.rssi_dbm(u, v, ch)) return false;
+    return true;
+  };
+  EXPECT_TRUE(same(make_named_testbed("indriya"), make_indriya(1)));
+  EXPECT_TRUE(same(make_named_testbed("wustl"), make_wustl(2)));
+  EXPECT_TRUE(same(make_named_testbed("indriya", 2), make_indriya(2)));
+  EXPECT_TRUE(same(make_named_testbed("wustl", 1), make_wustl(1)));
+  EXPECT_THROW(make_named_testbed("nosuch"), std::invalid_argument);
+  EXPECT_THROW(make_named_testbed("", 1), std::invalid_argument);
 }
 
 TEST(Testbeds, ReuseGraphIsDenserThanCommGraph) {
@@ -206,6 +223,10 @@ TEST(TopologyIo, LoadRejectsMalformedInput) {
   EXPECT_THROW(load_topology(bad2), std::invalid_argument);
   std::stringstream bad3("node 1 0 0 0\n");  // non-dense ids
   EXPECT_THROW(load_topology(bad3), std::invalid_argument);
+  std::stringstream trailing("node 0 1 2 0 extra\n");
+  EXPECT_THROW(load_topology(trailing), std::invalid_argument);
+  std::stringstream ok("node 0 1 2 0  \n");  // trailing blanks are fine
+  EXPECT_NO_THROW(load_topology(ok));
 }
 
 TEST(TopologyIo, LoadRejectsNonPositiveTransitionWidth) {

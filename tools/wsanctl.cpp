@@ -18,6 +18,7 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -64,7 +65,8 @@ int usage() {
 
 commands:
   topology   generate a testbed topology file
-             --testbed wustl|indriya  --seed N  --out FILE
+             --testbed wustl|indriya  --out FILE
+             --seed N  (default: the testbed's seed in every figure)
   workload   generate a routed, prioritized flow set
              --topology FILE  --channels N  --flows N
              --type p2p|centralized  --period-min EXP  --period-max EXP
@@ -154,10 +156,10 @@ environment load_environment(const cli_args& args) {
 
 int cmd_topology(const cli_args& args) {
   const auto name = args.get("testbed", "wustl");
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 2));
   const auto out = args.get("out", name + ".topo");
-  const auto topology =
-      name == "indriya" ? topo::make_indriya(seed) : topo::make_wustl(seed);
+  const auto topology = topo::make_named_testbed(
+      name, args.has("seed") ? std::optional(args.get_uint64("seed", 0))
+                             : std::nullopt);
   topo::save_topology_file(topology, out);
   std::cout << "wrote " << topology.num_nodes() << "-node " << name
             << " topology to " << out << "\n";
@@ -187,12 +189,7 @@ int cmd_workload(const cli_args& args) {
 int cmd_schedule(const cli_args& args) {
   const auto env = load_environment(args);
   const auto set = flow::load_flow_set_file(args.get("workload", ""));
-  const auto algo_name = args.get("algo", "rc");
-  core::algorithm algo = core::algorithm::rc;
-  if (algo_name == "nr") algo = core::algorithm::nr;
-  else if (algo_name == "ra") algo = core::algorithm::ra;
-  else if (algo_name != "rc")
-    throw std::invalid_argument("unknown --algo: " + algo_name);
+  const auto algo = core::parse_algorithm(args.get("algo", "rc"));
   const auto config = core::make_config(
       algo, static_cast<int>(env.channels.size()),
       static_cast<int>(args.get_int("rho", 2)));
@@ -331,11 +328,7 @@ int cmd_fleet(const cli_args& args) {
   fleet::fleet_config config;
   config.testbed = args.get("testbed", "indriya");
   config.num_channels = static_cast<int>(args.get_int("channels", 8));
-  const auto algo_name = args.get("algo", "rc");
-  if (algo_name == "nr") config.algo = core::algorithm::nr;
-  else if (algo_name == "ra") config.algo = core::algorithm::ra;
-  else if (algo_name != "rc")
-    throw std::invalid_argument("unknown --algo: " + algo_name);
+  config.algo = core::parse_algorithm(args.get("algo", "rc"));
   config.rho_t = static_cast<int>(args.get_int("rho", 2));
   config.tenants = static_cast<int>(args.get_int("tenants", 64));
   config.ops_per_tenant = static_cast<int>(args.get_int("ops", 16));
@@ -423,16 +416,11 @@ int cmd_fleet(const cli_args& args) {
 
 int cmd_scenario(const cli_args& args) {
   // The deployment: an explicit topology file, or a named testbed with
-  // its fixed per-figure seed (indriya 1, wustl 2).
-  topo::topology topology;
-  if (args.has("topology")) {
-    topology = topo::load_topology_file(args.get("topology", ""));
-  } else {
-    const auto testbed = args.get("testbed", "wustl");
-    if (testbed == "indriya") topology = topo::make_indriya();
-    else if (testbed == "wustl") topology = topo::make_wustl();
-    else throw std::invalid_argument("unknown --testbed: " + testbed);
-  }
+  // its fixed per-figure seed.
+  const topo::topology topology =
+      args.has("topology")
+          ? topo::load_topology_file(args.get("topology", ""))
+          : topo::make_named_testbed(args.get("testbed", "wustl"));
 
   scenario::scenario_config config;
   config.epochs = static_cast<int>(args.get_int("epochs", 12));
@@ -462,12 +450,7 @@ int cmd_scenario(const cli_args& args) {
       static_cast<int>(args.get_int("swap-attempts", 128));
   const int channels = static_cast<int>(args.get_int("channels", 8));
   config.manager.num_channels = channels;
-  const auto algo_name = args.get("algo", "rc");
-  core::algorithm algo = core::algorithm::rc;
-  if (algo_name == "nr") algo = core::algorithm::nr;
-  else if (algo_name == "ra") algo = core::algorithm::ra;
-  else if (algo_name != "rc")
-    throw std::invalid_argument("unknown --algo: " + algo_name);
+  const auto algo = core::parse_algorithm(args.get("algo", "rc"));
   config.manager.scheduler = core::make_config(algo, channels);
   config.manager.watchdog_epochs =
       static_cast<int>(args.get_int("watchdog", 2));
