@@ -1,5 +1,6 @@
 #include "common/cli.h"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "common/error.h"
@@ -82,10 +83,15 @@ std::uint64_t cli_args::get_uint64(const std::string& key,
 double cli_args::get_double(const std::string& key, double fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  return parse_whole(it->second, "flag --" + key + " expects a number",
-                     [](const std::string& t, std::size_t* used) {
-                       return std::stod(t, used);
-                     });
+  const std::string what = "flag --" + key + " expects a finite number";
+  const double value = parse_whole(
+      it->second, what, [](const std::string& t, std::size_t* used) {
+        return std::stod(t, used);
+      });
+  // std::stod also reads "nan", "inf" and "infinity"; no flag takes them.
+  if (!std::isfinite(value))
+    throw std::invalid_argument(what + ", got: " + it->second);
+  return value;
 }
 
 bool cli_args::get_bool(const std::string& key, bool fallback) const {

@@ -16,8 +16,9 @@ std::int64_t parse_int(const std::string& text, const std::string& what);
 /// Unknown positional arguments and repeated flags raise
 /// std::invalid_argument so typos in experiment invocations fail
 /// loudly instead of silently dropping a value. Numeric getters parse
-/// the whole value, and unsigned ones take no sign: "--trials 3x" and
-/// "--seed -1" are errors.
+/// the whole value, unsigned ones take no sign, and get_double takes
+/// only finite values: "--trials 3x", "--seed -1" and "--rate inf" are
+/// errors.
 class cli_args {
  public:
   cli_args(int argc, const char* const* argv);

@@ -62,10 +62,11 @@ struct scheduler_config {
   /// checks, channel constraint and laxity accounting run on the
   /// schedule's incremental occupancy index (per-node busy-slot
   /// bitsets, per-cell load counters and node masks) and the hop
-  /// matrix's balls. When false, they fall back to the naive scans over
-  /// slot_transmissions()/cell() — the reference oracle the equivalence
-  /// tests compare against. Both paths must produce placement-identical
-  /// schedules.
+  /// matrix's balls (find_slot's indexed search, instance_laxity). When
+  /// false, they fall back to the naive scans over the schedule's cells
+  /// (find_slot's naive search, calculate_laxity) — the reference oracle
+  /// the equivalence tests compare against. Both paths must produce
+  /// placement-identical schedules.
   bool use_occupancy_index = true;
   /// Directed links whose transmissions must stay contention-free: they
   /// get exclusive cells, and no other transmission may join a cell they

@@ -14,16 +14,24 @@
 
 #include "common/error.h"
 #include "graph/hop_matrix.h"
+#include "tsch/schedule.h"
 #include "tsch/transmission.h"
 
 namespace wsan::core {
 
-/// Constraint 1: true iff tx conflicts with none of slot_txs. This is
-/// the reference scan; tsch::schedule::slot_conflict_free answers the
-/// same predicate in O(1) from the occupancy index, and the scheduler's
-/// equivalence tests hold the two to identical placements.
+/// Constraint 1: true iff tx conflicts with none of `txs` (the
+/// exhaustive search keeps its own per-slot vectors).
 bool conflict_free(const tsch::transmission& tx,
-                   const std::vector<tsch::transmission>& slot_txs);
+                   const std::vector<tsch::transmission>& txs);
+
+/// Constraint 1 against slot s of the schedule: true iff tx conflicts
+/// with no transmission in any of the slot's cells. This is the
+/// reference scan of naive find_slot and naive Eq. 1;
+/// tsch::schedule::slot_conflict_free answers the same predicate in O(1)
+/// from the occupancy index, and the scheduler's equivalence tests hold
+/// the two to identical placements.
+bool conflict_free(const tsch::transmission& tx, const tsch::schedule& sched,
+                   slot_t s);
 
 /// Constraint 2: true iff tx may join the cell under hop threshold rho
 /// (pass k_infinite_hops for "no reuse allowed"). The one copy of 2b,

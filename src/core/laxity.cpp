@@ -13,9 +13,9 @@ namespace wsan::core {
 
 namespace {
 
-/// Reference oracle: rescan every slot's transmission list. A slot is
-/// unusable if it is management-reserved or conflicts with at least one
-/// remaining transmission — and counts once either way.
+/// Rescans the cells of every slot of (s, end]. A slot is unusable if it
+/// is management-reserved or conflicts with at least one remaining
+/// transmission — and counts once either way.
 long long count_unusable_naive(const tsch::schedule& sched,
                                std::span<const tsch::transmission> post,
                                slot_t s, slot_t end, int period) {
@@ -25,9 +25,8 @@ long long count_unusable_naive(const tsch::schedule& sched,
       ++unusable;
       continue;
     }
-    const auto& slot_txs = sched.slot_transmissions(k);
     for (const auto& t : post) {
-      if (!conflict_free(t, slot_txs)) {
+      if (!conflict_free(t, sched, k)) {
         ++unusable;
         break;
       }
@@ -41,7 +40,7 @@ long long count_unusable_naive(const tsch::schedule& sched,
 long long calculate_laxity(const tsch::schedule& sched,
                            std::span<const tsch::transmission> post,
                            slot_t s, slot_t deadline_slot,
-                           int management_slot_period, bool use_index,
+                           int management_slot_period,
                            probe_counters* probes) {
   WSAN_REQUIRE(s >= 0, "slot must be non-negative");
   WSAN_REQUIRE(management_slot_period >= 0,
@@ -50,12 +49,6 @@ long long calculate_laxity(const tsch::schedule& sched,
   // With nothing left to place, no slot in the window is needed.
   if (post.empty()) return window;
 
-  if (use_index) {
-    instance_laxity snapshot;
-    snapshot.snapshot(sched, post, s + 1, deadline_slot,
-                      management_slot_period);
-    return snapshot.laxity(0, s, probes);
-  }
   const slot_t end = std::min<slot_t>(deadline_slot, sched.num_slots() - 1);
   long long unusable = 0;
   if (end > s) {

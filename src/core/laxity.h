@@ -16,13 +16,14 @@
 // to deliver the packet by its deadline without channel reuse for the
 // rest of this instance.
 //
-// The indexed path is instance_laxity: Algorithm 1 places an instance's
-// transmissions in slot order — each search starts right after the
-// previous placement — and Eq. 1 for a candidate slot s reads only
-// (s, d_i]. While an instance is being placed, every slot its laxity
-// evaluations read is therefore unchanged since the instance began, and
-// one snapshot taken then serves all of them: per suffix of the
-// instance's transmission list, the slots of the window where some
+// calculate_laxity is the reference: it rescans the cells of every slot
+// of the window. The indexed path is instance_laxity: Algorithm 1 places
+// an instance's transmissions in slot order — each search starts right
+// after the previous placement — and Eq. 1 for a candidate slot s reads
+// only (s, d_i]. While an instance is being placed, every slot its
+// laxity evaluations read is therefore unchanged since the instance
+// began, and one snapshot taken then serves all of them: per suffix of
+// the instance's transmission list, the slots of the window where some
 // endpoint of the suffix is busy. An evaluation is then a masked
 // popcount over the few words of (s, d_i].
 #pragma once
@@ -38,20 +39,17 @@
 
 namespace wsan::core {
 
-/// Computes Equation 1. `post` is T_post; `s` the candidate slot of
-/// t_ij; `deadline_slot` is d_i (the last usable slot of the instance).
-/// `management_slot_period` mirrors find_slot's reservation (0 = none).
-///
-/// With `use_index` (the default) the unusable-slot count comes from an
-/// instance_laxity snapshot of `post` over (s, d_i]; otherwise it
-/// rescans slot_transmissions() per slot (the reference oracle). Both
-/// paths return identical values. `probes`, when non-null, accumulates
-/// hot-path counters.
+/// Computes Equation 1, the reference oracle. `post` is T_post; `s` the
+/// candidate slot of t_ij; `deadline_slot` is d_i (the last usable slot
+/// of the instance). `management_slot_period` mirrors find_slot's
+/// reservation (0 = none). The unusable slots are counted by scanning
+/// the cells of every slot in (s, d_i] (core::conflict_free), never the
+/// occupancy index; instance_laxity returns identical values from the
+/// index. `probes`, when non-null, accumulates hot-path counters.
 long long calculate_laxity(const tsch::schedule& sched,
                            std::span<const tsch::transmission> post,
                            slot_t s, slot_t deadline_slot,
                            int management_slot_period = 0,
-                           bool use_index = true,
                            probe_counters* probes = nullptr);
 
 /// Equation 1 for every transmission of one flow instance from a single

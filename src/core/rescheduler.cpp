@@ -6,18 +6,6 @@
 
 namespace wsan::core {
 
-reschedule_result reschedule_isolating(
-    const std::vector<flow::flow>& flows,
-    const graph::hop_matrix& reuse_hops, scheduler_config config,
-    const link_set& degraded_links) {
-  config.isolated_links.insert(degraded_links.begin(),
-                               degraded_links.end());
-  reschedule_result out;
-  out.isolated = config.isolated_links;
-  out.result = schedule_flows(flows, reuse_hops, config);
-  return out;
-}
-
 shed_result schedule_shedding(std::vector<flow::flow> flows,
                               const graph::hop_matrix& reuse_hops,
                               const scheduler_config& config) {

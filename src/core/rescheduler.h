@@ -1,10 +1,8 @@
-// Rescheduling after reliability degradation is detected (Section VI).
-//
-// The paper's detection policy identifies links whose reliability channel
-// reuse degrades "so that these links can be reassigned to different
-// channels or time slots". This module implements that reassignment: it
-// re-runs the scheduler with the flagged links isolated (exclusive
-// cells), producing a repaired schedule when the workload still fits.
+// Rescheduling when the workload no longer fits: priority-ordered load
+// shedding. (Reassigning the links whose reliability channel reuse
+// degrades, Section VI, is manager::network_manager::maintain: it
+// reruns the scheduler with those links in scheduler_config's
+// isolated_links.)
 #pragma once
 
 #include <set>
@@ -15,26 +13,8 @@
 
 namespace wsan::core {
 
+/// A set of directed links (sender, receiver).
 using link_set = std::set<std::pair<node_id, node_id>>;
-
-struct reschedule_result {
-  /// Repaired schedule; schedulable == false means the workload no
-  /// longer fits once the flagged links demand exclusive cells — the
-  /// operator must shed load or add channels.
-  schedule_result result;
-  /// Isolation set actually applied (input links merged with any links
-  /// isolated in the previous configuration).
-  link_set isolated;
-};
-
-/// Re-runs the scheduler with `degraded_links` added to the isolation
-/// set of `config`. The schedule is rebuilt from scratch — the network
-/// manager distributes a fresh schedule, exactly as WirelessHART does on
-/// reconfiguration.
-reschedule_result reschedule_isolating(
-    const std::vector<flow::flow>& flows,
-    const graph::hop_matrix& reuse_hops, scheduler_config config,
-    const link_set& degraded_links);
 
 /// Graceful degradation: when the workload no longer fits (e.g. after a
 /// node death forced longer detours), shed load by dropping the

@@ -256,7 +256,7 @@ bool schedule_flow_into(tsch::schedule& sched, const flow::flow& f,
                             std::span<const tsch::transmission>(txs)
                                 .subspan(ti + 1),
                             found->slot, d_i, config.management_slot_period,
-                            false, &stats.probes);
+                            &stats.probes);
               laxity_ok = laxity >= 0;
             }
             if (laxity_ok) break;

@@ -72,7 +72,7 @@ offset_t choose_offset(const tsch::schedule& sched,
 }
 
 /// Reference oracle: one slot at a time, the conflict test scanning the
-/// slot's transmissions.
+/// slot's cells.
 std::optional<slot_assignment> find_slot_naive(
     const tsch::schedule& sched, const tsch::transmission& tx,
     slot_t earliest, slot_t end, int rho,
@@ -82,7 +82,7 @@ std::optional<slot_assignment> find_slot_naive(
   for (slot_t s = earliest; s <= end; ++s) {
     if (is_management_slot(s, management_slot_period)) continue;
     if (probes != nullptr) ++probes->slots_scanned;
-    if (!conflict_free(tx, sched.slot_transmissions(s))) continue;
+    if (!conflict_free(tx, sched, s)) continue;
     const offset_t c = choose_offset(sched, tx, s, rho, reuse_hops,
                                      policy, isolated, probes);
     if (c != k_invalid_offset) return slot_assignment{s, c};

@@ -45,12 +45,13 @@ struct slot_assignment {
 /// cells' sender and receiver node masks against the endpoints' hop
 /// balls (graph::hop_matrix::ball), so constraint 2b costs a few word
 /// operations per cell instead of two distance lookups per occupant.
-/// The naive scan over slot_transmissions(), probing one cell at a
-/// time with channel_constraint_ok, remains as the reference oracle;
-/// both paths place identically. `probes`, when non-null, accumulates
-/// hot-path counters, equal on both paths: the indexed path adds the
-/// slots and cells the naive scan would examine, in bulk. Finite rho
-/// needs every node id in the schedule inside the hop matrix.
+/// The naive scan, which reads only the cells (conflict_free over each
+/// cell of the slot, then channel_constraint_ok one cell at a time),
+/// remains as the reference oracle; both paths place identically.
+/// `probes`, when non-null, accumulates hot-path counters, equal on
+/// both paths: the indexed path adds the slots and cells the naive scan
+/// would examine, in bulk. Finite rho needs every node id in the
+/// schedule inside the hop matrix.
 std::optional<slot_assignment> find_slot(
     const tsch::schedule& sched, const tsch::transmission& tx,
     slot_t earliest, slot_t latest, int rho,

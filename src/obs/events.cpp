@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/error.h"
+#include "obs/json_text.h"
 
 namespace wsan::obs {
 
@@ -23,48 +24,13 @@ std::string_view to_string(severity sev) {
 
 namespace {
 
-void append_escaped(std::string& out, std::string_view s) {
-  out.push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          constexpr char hex[] = "0123456789abcdef";
-          out += "\\u00";
-          out.push_back(hex[(c >> 4) & 0xf]);
-          out.push_back(hex[c & 0xf]);
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
-
 void append_value(std::string& out, const field_value& v) {
   if (const auto* i = std::get_if<std::int64_t>(&v)) {
     out += std::to_string(*i);
   } else if (const auto* d = std::get_if<double>(&v)) {
-    // Trace lines are for humans and scripts, not round-tripping;
-    // to_string's fixed six decimals keep them readable.
-    out += std::to_string(*d);
+    append_json_number(out, *d);
   } else {
-    append_escaped(out, std::get<std::string>(v));
+    append_json_string(out, std::get<std::string>(v));
   }
 }
 
@@ -90,17 +56,17 @@ std::string to_jsonl(const event& ev) {
   line += "{\"seq\":";
   line += std::to_string(ev.seq);
   line += ",\"severity\":";
-  append_escaped(line, to_string(ev.sev));
+  append_json_string(line, to_string(ev.sev));
   line += ",\"component\":";
-  append_escaped(line, ev.component);
+  append_json_string(line, ev.component);
   line += ",\"event\":";
-  append_escaped(line, ev.name);
+  append_json_string(line, ev.name);
   line += ",\"fields\":{";
   bool first = true;
   for (const auto& f : ev.fields) {
     if (!first) line.push_back(',');
     first = false;
-    append_escaped(line, f.key);
+    append_json_string(line, f.key);
     line.push_back(':');
     append_value(line, f.value);
   }

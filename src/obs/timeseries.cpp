@@ -6,56 +6,17 @@
 #include <utility>
 
 #include "common/error.h"
+#include "obs/json_text.h"
 
 namespace wsan::obs {
 
 namespace {
 
-// Shortest round-trip double formatting, mirroring exp::json::write so
-// a series survives a JSONL round-trip bit-exactly.
-void append_double(std::string& out, double v) {
-  if (std::isnan(v) || std::isinf(v)) {
-    out += "null";
-    return;
-  }
-  char buf[64];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  WSAN_REQUIRE(ec == std::errc{}, "double format failed");
-  out.append(buf, ptr);
-}
-
-void append_escaped(std::string& out, std::string_view s) {
-  out.push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          constexpr char hex[] = "0123456789abcdef";
-          out += "\\u00";
-          out.push_back(hex[(c >> 4) & 0xf]);
-          out.push_back(hex[c & 0xf]);
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
-
 void append_histogram(std::string& out, const histogram_snapshot& h) {
   out += "{\"upper_bounds\":[";
   for (std::size_t i = 0; i < h.upper_bounds.size(); ++i) {
     if (i) out.push_back(',');
-    append_double(out, h.upper_bounds[i]);
+    append_json_number(out, h.upper_bounds[i]);
   }
   out += "],\"counts\":[";
   for (std::size_t i = 0; i < h.counts.size(); ++i) {
@@ -194,9 +155,9 @@ std::string window_to_jsonl(const series_window& w) {
   for (const auto& [name, value] : w.values) {
     if (!first) line.push_back(',');
     first = false;
-    append_escaped(line, name);
+    append_json_string(line, name);
     line.push_back(':');
-    append_double(line, value);
+    append_json_number(line, value);
   }
   line += "}";
   if (!w.histograms.empty()) {
@@ -205,7 +166,7 @@ std::string window_to_jsonl(const series_window& w) {
     for (const auto& [name, h] : w.histograms) {
       if (!first) line.push_back(',');
       first = false;
-      append_escaped(line, name);
+      append_json_string(line, name);
       line.push_back(':');
       append_histogram(line, h);
     }
@@ -217,9 +178,9 @@ std::string window_to_jsonl(const series_window& w) {
 
 void write_series_jsonl(const series& s, std::ostream& os) {
   std::string header = "{\"schema\":\"wsan-series/1\",\"name\":";
-  append_escaped(header, s.name);
+  append_json_string(header, s.name);
   header += ",\"index_unit\":";
-  append_escaped(header, s.index_unit);
+  append_json_string(header, s.index_unit);
   header += ",\"windows\":";
   header += std::to_string(s.windows.size());
   header += "}";

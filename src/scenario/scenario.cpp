@@ -223,7 +223,7 @@ epoch_record scenario_engine::step() {
       ++rec.jam_predictions;
       global_faults_.jams.push_back({slot, run0, run0 + rpe});
       if (have_traffic && slot < executed.num_slots() &&
-          !executed.slot_transmissions(slot).empty())
+          executed.slot_load(slot) > 0)
         ++rec.jam_hits;
     }
   }
@@ -232,7 +232,7 @@ epoch_record scenario_engine::step() {
     rec.num_slots = executed.num_slots();
     int busy = 0;
     for (slot_t s = 0; s < executed.num_slots(); ++s)
-      if (!executed.slot_transmissions(s).empty()) ++busy;
+      if (executed.slot_load(s) > 0) ++busy;
     rec.busy_fraction =
         static_cast<double>(busy) / static_cast<double>(rec.num_slots);
   }
@@ -242,10 +242,8 @@ epoch_record scenario_engine::step() {
   if (have_traffic) {
     auto sc = config_.sim;
     sc.runs = rpe;
-    sc.seed = config_.per_epoch_sim_seed
-                  ? derive_seed(config_.seed,
-                                static_cast<std::uint64_t>(e), k_stream_sim)
-                  : config_.sim.seed;
+    sc.seed = derive_seed(config_.seed, static_cast<std::uint64_t>(e),
+                          k_stream_sim);
     if (e < config_.interferer_onset_epoch) sc.interferers.clear();
     sc.faults = sim::slice_fault_plan(global_faults_, run0, rpe);
     sim_result = sim::run_simulation(mgr_.topology(), executed, flows_,
@@ -312,8 +310,7 @@ epoch_record scenario_engine::step() {
   prev_busy_.clear();
   if (have_traffic) {
     for (slot_t s = 0; s < executed.num_slots(); ++s) {
-      const auto load =
-          static_cast<int>(executed.slot_transmissions(s).size());
+      const int load = executed.slot_load(s);
       if (load > 0) prev_busy_.emplace_back(load, s);
     }
   }

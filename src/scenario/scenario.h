@@ -125,13 +125,11 @@ struct scenario_config {
   retry_config retry;
   manager::manager_config manager;
   /// Base PHY configuration. runs, seed, and faults are overwritten per
-  /// epoch; interferers are active from interferer_onset_epoch on.
+  /// epoch (epoch e draws its PHY randomness, fading and drift, from
+  /// derive_seed(seed, e, k_stream_sim)); interferers are active from
+  /// interferer_onset_epoch on.
   sim::sim_config sim;
   int interferer_onset_epoch = 0;
-  /// true: epoch e draws PHY randomness (fading, drift) from
-  /// derive_seed(seed, e, k_stream_sim) — natural PRR drift across
-  /// epochs. false: every epoch reuses sim.seed verbatim.
-  bool per_epoch_sim_seed = true;
   /// Test hook invoked before every recovery attempt as
   /// hook(epoch, attempt); throwing fails that attempt (see
   /// retry_config). Not part of the deterministic trace unless the hook

@@ -36,8 +36,7 @@ void render_schedule(const schedule& sched, std::ostream& os,
   // Collect the slots to draw and the per-column text.
   std::vector<slot_t> slots;
   for (slot_t s = options.first_slot; s < end; ++s) {
-    if (options.skip_empty_slots && sched.slot_transmissions(s).empty())
-      continue;
+    if (options.skip_empty_slots && sched.slot_load(s) == 0) continue;
     slots.push_back(s);
   }
   if (slots.empty()) {

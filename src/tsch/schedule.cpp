@@ -15,7 +15,6 @@ schedule::schedule(slot_t num_slots, int num_offsets)
   WSAN_REQUIRE(num_offsets > 0, "schedule needs at least one offset");
   cells_.resize(static_cast<std::size_t>(num_slots) *
                 static_cast<std::size_t>(num_offsets));
-  slot_all_.resize(static_cast<std::size_t>(num_slots));
   words_per_node_ =
       (static_cast<std::size_t>(num_slots) + k_word_bits - 1) / k_word_bits;
   cell_load_.assign(cells_.size(), 0);
@@ -57,12 +56,10 @@ void schedule::fit_masks(node_id node) {
 void schedule::add(const transmission& tx, slot_t slot, offset_t offset) {
   const std::size_t ci = cell_index(slot, offset);
   cells_[ci].push_back(tx);
-  slot_all_[static_cast<std::size_t>(slot)].push_back(tx);
   placements_.push_back(placement{tx, slot, offset});
   if (cell_load_[ci]++ == 0) {
     // An empty cell filled: the slot is full if no cell in it is empty.
-    const auto loads = cell_load_.begin() +
-                       static_cast<std::ptrdiff_t>(cell_index(slot, 0));
+    const int* loads = cell_load_.data() + cell_index(slot, 0);
     if (std::all_of(loads, loads + num_offsets_,
                     [](int load) { return load > 0; }))
       full_[static_cast<std::size_t>(slot) / k_word_bits] |= slot_bit(slot);
@@ -90,10 +87,9 @@ std::size_t schedule::remove_flows_from(flow_id first) {
   const auto removed_flow = [first](const transmission& tx) {
     return tx.flow >= first;
   };
-  // Survivors are compacted in place; a removed placement's cell and
-  // slot vectors drop every removed transmission at once, so a later
-  // removed placement of the same cell or slot finds nothing left to
-  // erase there.
+  // Survivors are compacted in place; a removed placement's cell drops
+  // every removed transmission at once, so a later removed placement of
+  // the same cell finds nothing left to erase there.
   std::size_t kept = 0;
   for (std::size_t i = 0; i < placements_.size(); ++i) {
     const placement p = placements_[i];
@@ -109,16 +105,17 @@ std::size_t schedule::remove_flows_from(flow_id first) {
             ~slot_bit(p.slot);
       rebuild_masks(ci);
     }
-    auto& txs = slot_all_[static_cast<std::size_t>(p.slot)];
-    std::erase_if(txs, removed_flow);
     // A conflict-free schedule has at most one transmission per node per
-    // slot, so the removed endpoints are free now; checking the slot's
-    // survivors keeps the index right for any add() history.
+    // slot, so the removed endpoints are free now; scanning the survivors
+    // of every cell of the slot (a cell not visited yet may still hold
+    // removed transmissions) keeps the index right for any add() history.
+    const std::size_t slot_cell = cell_index(p.slot, 0);
     for (const node_id node : {p.tx.sender, p.tx.receiver}) {
-      const bool kept_busy = std::any_of(
-          txs.begin(), txs.end(), [node](const transmission& tx) {
-            return tx.sender == node || tx.receiver == node;
-          });
+      bool kept_busy = false;
+      for (offset_t c = 0; c < num_offsets_; ++c)
+        for (const transmission& tx : cells_[slot_cell + c])
+          kept_busy |= !removed_flow(tx) &&
+                       (tx.sender == node || tx.receiver == node);
       if (!kept_busy) clear_busy(node, p.slot);
     }
   }
@@ -126,16 +123,6 @@ std::size_t schedule::remove_flows_from(flow_id first) {
   placements_.erase(placements_.begin() + static_cast<std::ptrdiff_t>(kept),
                     placements_.end());
   return removed;
-}
-
-const std::vector<transmission>& schedule::slot_transmissions(
-    slot_t slot) const {
-  check_slot(slot);
-  return slot_all_[static_cast<std::size_t>(slot)];
-}
-
-int schedule::cell_size(slot_t slot, offset_t offset) const {
-  return static_cast<int>(cell(slot, offset).size());
 }
 
 schedule shift_node_ids(const schedule& sched, node_id offset) {

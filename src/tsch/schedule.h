@@ -6,11 +6,13 @@
 // itself is policy-free — constraints are enforced by the scheduler and
 // re-checked by validate_schedule().
 //
-// Besides the raw cell contents, the schedule maintains an incremental
+// The cells are the only per-slot store: a slot's transmissions (T_s in
+// the paper) are the union of its cells' (T_sc). Besides the cells and
+// the placements() list, the schedule maintains an incremental
 // occupancy index updated by add():
 //   * per-node busy-slot bitsets (one bit per slot for every node that
 //     sends or receives in it), so "does tx conflict with slot s" is two
-//     O(1) bit tests instead of a scan of slot_transmissions(s) — two
+//     O(1) bit tests instead of a scan of the slot's cells — two
 //     transmissions conflict iff they share a node (Section III-B);
 //   * per-cell load counters, so channel-selection policies read a
 //     cached integer instead of measuring the cell vector;
@@ -25,11 +27,13 @@
 //     the masks of every cell it touches from the survivors. The mask
 //     width grows with the largest node id added, like the busy-slot
 //     rows.
-// The index is derived state only; the vectors remain the ground truth
-// and the naive scans stay available as a reference oracle.
+// The index is derived state only; the cells remain the ground truth,
+// and the reference scans (core's naive find_slot and Eq. 1,
+// validate_schedule) read them, never the index.
 #pragma once
 
 #include <cstdint>
+#include <numeric>
 #include <vector>
 
 #include "common/error.h"
@@ -54,10 +58,10 @@ class schedule {
   /// — the eviction and rollback primitive of incremental
   /// delta-scheduling (core::delta_scheduler), where those flows are the
   /// lower-priority suffix. Cost is O(placements + removed x slot
-  /// occupancy): each removed placement leaves its cell and slot vectors
-  /// (the load counter follows), and its endpoints' busy bits are
-  /// cleared unless a survivor in the slot uses the node (correct even
-  /// if the caller ever placed conflicting transmissions). The relative
+  /// occupancy): each removed placement leaves its cell (the load
+  /// counter follows), and its endpoints' busy bits are cleared unless a
+  /// survivor in one of the slot's cells uses the node (correct even if
+  /// the caller ever placed conflicting transmissions). The relative
   /// order of the surviving placements() is preserved. Returns the
   /// number of placements removed (0 when no flow id reaches `first`).
   std::size_t remove_flows_from(flow_id first);
@@ -67,10 +71,9 @@ class schedule {
     return cells_[cell_index(slot, offset)];
   }
 
-  /// All transmissions in a slot across every offset (T_s in the paper).
-  const std::vector<transmission>& slot_transmissions(slot_t slot) const;
-
-  int cell_size(slot_t slot, offset_t offset) const;
+  int cell_size(slot_t slot, offset_t offset) const {
+    return static_cast<int>(cell(slot, offset).size());
+  }
 
   // ------------------------------------------------ occupancy index --
 
@@ -116,8 +119,8 @@ class schedule {
   }
 
   /// True iff tx shares no node with any transmission in the slot —
-  /// the index-backed equivalent of core::conflict_free over
-  /// slot_transmissions(slot). O(1).
+  /// the index-backed equivalent of core::conflict_free over the slot's
+  /// cells. O(1).
   bool slot_conflict_free(const transmission& tx, slot_t slot) const {
     return !node_busy(tx.sender, slot) && !node_busy(tx.receiver, slot);
   }
@@ -125,6 +128,13 @@ class schedule {
   /// Cached cell_size(slot, offset): transmissions in the cell. O(1).
   int cell_load(slot_t slot, offset_t offset) const {
     return cell_load_[cell_index(slot, offset)];
+  }
+
+  /// Transmissions in the slot across every offset (|T_s|): the sum of
+  /// its cells' cached loads. O(offsets).
+  int slot_load(slot_t slot) const {
+    const int* loads = cell_load_.data() + cell_index(slot, 0);
+    return std::accumulate(loads, loads + num_offsets_, 0);
   }
 
   /// The full-slot bitset, words_per_node() words: bit k is set iff
@@ -198,8 +208,7 @@ class schedule {
 
   slot_t num_slots_ = 0;
   int num_offsets_ = 0;
-  std::vector<std::vector<transmission>> cells_;      // slots x offsets
-  std::vector<std::vector<transmission>> slot_all_;   // per slot
+  std::vector<std::vector<transmission>> cells_;  // slots x offsets
   std::vector<placement> placements_;
   std::size_t words_per_node_ = 0;
   std::vector<std::uint64_t> node_busy_;  // nodes x words_per_node_

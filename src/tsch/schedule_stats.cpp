@@ -53,7 +53,7 @@ occupancy_stats occupancy(const schedule& sched) {
                       static_cast<std::size_t>(sched.num_offsets());
   stats.transmissions = sched.num_transmissions();
   for (slot_t s = 0; s < sched.num_slots(); ++s) {
-    if (!sched.slot_transmissions(s).empty()) ++stats.busy_slots;
+    if (sched.slot_load(s) > 0) ++stats.busy_slots;
     for (offset_t c = 0; c < sched.num_offsets(); ++c)
       if (sched.cell_size(s, c) > 0) ++stats.occupied_cells;
   }

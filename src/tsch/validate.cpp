@@ -3,6 +3,7 @@
 #include <map>
 #include <sstream>
 #include <tuple>
+#include <vector>
 
 #include "common/error.h"
 
@@ -26,9 +27,15 @@ validation_result validate_schedule(const schedule& sched,
                                     const validation_options& options) {
   validation_result result;
 
-  // 1. Transmission conflicts within each slot.
+  // 1. Transmission conflicts within each slot: every pair of the
+  // transmissions in its cells, read from the cells themselves.
+  std::vector<transmission> txs;
   for (slot_t s = 0; s < sched.num_slots(); ++s) {
-    const auto& txs = sched.slot_transmissions(s);
+    txs.clear();
+    for (offset_t c = 0; c < sched.num_offsets(); ++c) {
+      const auto& cell = sched.cell(s, c);
+      txs.insert(txs.end(), cell.begin(), cell.end());
+    }
     for (std::size_t i = 0; i < txs.size(); ++i) {
       for (std::size_t j = i + 1; j < txs.size(); ++j) {
         if (txs[i].conflicts_with(txs[j])) {

@@ -262,6 +262,14 @@ TEST(Cli, RejectsMalformedNumbers) {
   EXPECT_THROW(bad.get_int("big", 0), std::invalid_argument);
   EXPECT_THROW(parse_int("9x", "node id"), std::invalid_argument);
 
+  // std::stod reads these whole, but no flag takes a non-finite value.
+  for (const char* text : {"nan", "inf", "-inf", "infinity"}) {
+    const char* argv_nf[] = {"prog", "--rate", text};
+    cli_args nonfinite(3, argv_nf);
+    EXPECT_THROW(nonfinite.get_double("rate", 0.0), std::invalid_argument)
+        << text;
+  }
+
   // Well-formed values still parse, signs and exponents where they fit.
   const char* good[] = {"prog", "--n", "-4", "--x", "1e3", "--u", "18"};
   cli_args ok(static_cast<int>(std::size(good)), good);

@@ -239,17 +239,32 @@ TEST(SlotFinder, IndexedAndNaivePathsAgree) {
 
 // ------------------------------------------------------------- laxity --
 
+/// Equation 1 through both of its paths: the reference calculate_laxity
+/// and an instance_laxity snapshot of `post` taken from slot s + 1.
+/// Expects the two equal and returns the reference value.
+long long laxity(const tsch::schedule& sched,
+                 std::span<const tsch::transmission> post, slot_t s,
+                 slot_t deadline, int period = 0) {
+  const long long reference =
+      calculate_laxity(sched, post, s, deadline, period);
+  instance_laxity snapshot;
+  snapshot.snapshot(sched, post, s + 1, deadline, period);
+  EXPECT_EQ(snapshot.laxity(0, s), reference)
+      << "s=" << s << " deadline=" << deadline << " period=" << period;
+  return reference;
+}
+
 TEST(Laxity, EmptyScheduleLeavesFullWindow) {
   tsch::schedule sched(100, 2);
   const std::vector<tsch::transmission> post{make_tx(1, 2), make_tx(2, 3)};
   // laxity = (d - s) - 0 - |post| = (80 - 10) - 2 = 68.
-  EXPECT_EQ(calculate_laxity(sched, post, 10, 80), 68);
+  EXPECT_EQ(laxity(sched, post, 10, 80), 68);
 }
 
 TEST(Laxity, NoRemainingTransmissionsUsesWindowOnly) {
   tsch::schedule sched(100, 2);
-  EXPECT_EQ(calculate_laxity(sched, {}, 10, 80), 70);
-  EXPECT_EQ(calculate_laxity(sched, {}, 80, 80), 0);
+  EXPECT_EQ(laxity(sched, {}, 10, 80), 70);
+  EXPECT_EQ(laxity(sched, {}, 80, 80), 0);
 }
 
 TEST(Laxity, CountsConflictingSlotsPerRemainingTransmission) {
@@ -261,7 +276,7 @@ TEST(Laxity, CountsConflictingSlotsPerRemainingTransmission) {
   sched.add(make_tx(6, 7), 13, 0);
   const std::vector<tsch::transmission> post{make_tx(1, 2)};
   // laxity = (20 - 10) - 2 - 1 = 7.
-  EXPECT_EQ(calculate_laxity(sched, post, 10, 20), 7);
+  EXPECT_EQ(laxity(sched, post, 10, 20), 7);
 }
 
 TEST(Laxity, SumsOverAllRemainingTransmissions) {
@@ -270,7 +285,7 @@ TEST(Laxity, SumsOverAllRemainingTransmissions) {
   sched.add(make_tx(3, 8), 12, 0);  // conflicts with 2->3 only
   const std::vector<tsch::transmission> post{make_tx(1, 2), make_tx(2, 3)};
   // Two distinct unusable slots: (20-10) - 2 - 2 = 6.
-  EXPECT_EQ(calculate_laxity(sched, post, 10, 20), 6);
+  EXPECT_EQ(laxity(sched, post, 10, 20), 6);
 }
 
 TEST(Laxity, SlotConflictingWithSeveralRemainingTxsCountsOnce) {
@@ -282,7 +297,7 @@ TEST(Laxity, SlotConflictingWithSeveralRemainingTxsCountsOnce) {
   sched.add(make_tx(1, 3), 11, 0);
   const std::vector<tsch::transmission> post{make_tx(1, 2), make_tx(2, 3)};
   // (20 - 10) - 1 - 2 = 7.
-  EXPECT_EQ(calculate_laxity(sched, post, 10, 20), 7);
+  EXPECT_EQ(laxity(sched, post, 10, 20), 7);
 }
 
 TEST(Laxity, ManagementSlotsAreUnusable) {
@@ -290,9 +305,9 @@ TEST(Laxity, ManagementSlotsAreUnusable) {
   const std::vector<tsch::transmission> post{make_tx(1, 2)};
   // Period 5 reserves slots 15 and 20 inside (10, 20] — find_slot never
   // places data there, so laxity must not count them as usable.
-  EXPECT_EQ(calculate_laxity(sched, post, 10, 20, 5), 7);  // 10 - 2 - 1
+  EXPECT_EQ(laxity(sched, post, 10, 20, 5), 7);  // 10 - 2 - 1
   // Without the reservation the full window is available.
-  EXPECT_EQ(calculate_laxity(sched, post, 10, 20, 0), 9);
+  EXPECT_EQ(laxity(sched, post, 10, 20, 0), 9);
 }
 
 TEST(Laxity, ConflictingManagementSlotCountsOnce) {
@@ -302,13 +317,13 @@ TEST(Laxity, ConflictingManagementSlotCountsOnce) {
   sched.add(make_tx(1, 9), 15, 0);
   const std::vector<tsch::transmission> post{make_tx(1, 2)};
   // Unusable: 15 (management + conflict), 20 (management) -> 10 - 2 - 1.
-  EXPECT_EQ(calculate_laxity(sched, post, 10, 20, 5), 7);
+  EXPECT_EQ(laxity(sched, post, 10, 20, 5), 7);
 }
 
 TEST(Laxity, EmptyPostIgnoresManagementSlots) {
   // With nothing left to place, no slot in the window is needed.
   tsch::schedule sched(100, 2);
-  EXPECT_EQ(calculate_laxity(sched, {}, 10, 20, 5), 10);
+  EXPECT_EQ(laxity(sched, {}, 10, 20, 5), 10);
 }
 
 TEST(Laxity, IndexedAndNaivePathsAgree) {
@@ -319,18 +334,14 @@ TEST(Laxity, IndexedAndNaivePathsAgree) {
   sched.add(make_tx(6, 7), 70, 0);   // non-conflicting
   sched.add(make_tx(3, 8), 128, 0);  // another word
   const std::vector<tsch::transmission> post{make_tx(1, 2), make_tx(2, 3)};
-  for (const int period : {0, 5, 64}) {
-    for (const slot_t deadline : {20, 64, 100, 150, 500}) {
-      EXPECT_EQ(calculate_laxity(sched, post, 10, deadline, period, true),
-                calculate_laxity(sched, post, 10, deadline, period, false))
-          << "period=" << period << " deadline=" << deadline;
-    }
-  }
+  for (const int period : {0, 5, 64})
+    for (const slot_t deadline : {20, 64, 100, 150, 500})
+      laxity(sched, post, 10, deadline, period);
 
-  // The per-instance snapshot is the third input: over a randomly
+  // One snapshot serves every suffix of an instance: over a randomly
   // filled schedule, every suffix start and every candidate slot of the
   // window (and past it), with windows ending on and around the bitset
-  // word boundaries, all three paths agree, probe counts included.
+  // word boundaries, both paths agree, probe counts included.
   tsch::schedule busy(200, 2);
   rng gen(41);
   for (slot_t k = 0; k < 200; ++k) {
@@ -355,22 +366,14 @@ TEST(Laxity, IndexedAndNaivePathsAgree) {
           for (slot_t s = std::max<slot_t>(first - 1, 0); s <= deadline + 2;
                ++s) {
             probe_counters naive_probes;
-            probe_counters indexed_probes;
             probe_counters instance_probes;
             const long long naive = calculate_laxity(
-                busy, post, s, deadline, period, false, &naive_probes);
+                busy, post, s, deadline, period, &naive_probes);
             const auto context = ::testing::Message()
                                  << "period=" << period << " first=" << first
                                  << " deadline=" << deadline << " j=" << j
                                  << " s=" << s;
-            ASSERT_EQ(calculate_laxity(busy, post, s, deadline, period, true,
-                                       &indexed_probes),
-                      naive)
-                << context;
             ASSERT_EQ(snapshot.laxity(j, s, &instance_probes), naive)
-                << context;
-            EXPECT_EQ(indexed_probes.slots_scanned,
-                      naive_probes.slots_scanned)
                 << context;
             EXPECT_EQ(instance_probes.slots_scanned,
                       naive_probes.slots_scanned)
@@ -400,14 +403,14 @@ TEST(Laxity, CanGoNegative) {
   for (slot_t s = 11; s <= 14; ++s) sched.add(make_tx(1, 9), s, 0);
   const std::vector<tsch::transmission> post{make_tx(1, 2)};
   // (14 - 10) - 4 - 1 = -1.
-  EXPECT_EQ(calculate_laxity(sched, post, 10, 14), -1);
+  EXPECT_EQ(laxity(sched, post, 10, 14), -1);
 }
 
 TEST(Laxity, ConflictWindowStopsAtDeadline) {
   tsch::schedule sched(100, 2);
   sched.add(make_tx(1, 9), 30, 0);  // beyond the deadline: ignored
   const std::vector<tsch::transmission> post{make_tx(1, 2)};
-  EXPECT_EQ(calculate_laxity(sched, post, 10, 20), 9);
+  EXPECT_EQ(laxity(sched, post, 10, 20), 9);
 }
 
 }  // namespace

@@ -132,7 +132,7 @@ TEST(Scheduler, ConflictingFlowsNeverShareSlots) {
       schedule_flows({f1, f2}, hops, config_for(algorithm::ra, 4));
   ASSERT_TRUE(result.schedulable);
   for (slot_t s = 0; s < result.sched.num_slots(); ++s)
-    EXPECT_LE(result.sched.slot_transmissions(s).size(), 1u);
+    EXPECT_LE(result.sched.slot_load(s), 1);
 }
 
 TEST(Scheduler, MultipleInstancesWithinHyperperiod) {

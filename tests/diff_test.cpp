@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
+
 #include "common/rng.h"
-#include "core/rescheduler.h"
+#include "core/scheduler.h"
 #include "flow/flow_generator.h"
 #include "graph/comm_graph.h"
 #include "graph/reuse_graph.h"
@@ -82,12 +85,12 @@ TEST(Diff, RescheduleDiffShowsReuseReduction) {
   params.period_max_exp = 0;
   rng gen(83);
   const auto set = flow::generate_flow_set(comm, params, gen);
-  const auto config = core::make_config(core::algorithm::ra, 4);
+  auto config = core::make_config(core::algorithm::ra, 4);
   const auto before = core::schedule_flows(set.flows, reuse_hops, config);
   ASSERT_TRUE(before.schedulable);
 
   // Isolate one reused link and repair.
-  core::link_set degraded;
+  std::set<std::pair<node_id, node_id>> degraded;
   for (slot_t s = 0; s < before.sched.num_slots() && degraded.empty();
        ++s) {
     for (offset_t c = 0; c < 4; ++c) {
@@ -99,11 +102,11 @@ TEST(Diff, RescheduleDiffShowsReuseReduction) {
     }
   }
   ASSERT_FALSE(degraded.empty());
-  const auto repaired =
-      core::reschedule_isolating(set.flows, reuse_hops, config, degraded);
-  if (!repaired.result.schedulable) return;
+  config.isolated_links = degraded;
+  const auto repaired = core::schedule_flows(set.flows, reuse_hops, config);
+  if (!repaired.schedulable) return;
 
-  const auto diff = diff_schedules(before.sched, repaired.result.sched);
+  const auto diff = diff_schedules(before.sched, repaired.sched);
   // Same transmission population (same flows), placements may move.
   EXPECT_TRUE(diff.added.empty());
   EXPECT_TRUE(diff.removed.empty());

@@ -17,12 +17,12 @@
 #include <string>
 #include <vector>
 
-#include "cell_mask_check.h"
 #include "common/rng.h"
 #include "core/delta.h"
 #include "core/scheduler.h"
 #include "fleet/fleet.h"
 #include "flow/flow_generator.h"
+#include "index_check.h"
 #include "obs/metrics.h"
 #include "tsch/validate.h"
 
@@ -61,26 +61,6 @@ core::schedule_result expect_canonical(const core::delta_scheduler& delta,
   EXPECT_EQ(delta.sched().placements(), oracle.sched.placements())
       << context << ": placements diverged from the schedule_flows oracle";
   return oracle;
-}
-
-/// Spot-checks the occupancy index against the ground-truth vectors:
-/// every placement's endpoints are busy in its slot, cell_load matches
-/// cell_size, a slot is marked full iff none of its cells is empty, and
-/// each cell's node masks hold exactly its senders and receivers.
-void expect_index_consistent(const tsch::schedule& sched) {
-  for (const auto& p : sched.placements()) {
-    EXPECT_TRUE(sched.node_busy(p.tx.sender, p.slot));
-    EXPECT_TRUE(sched.node_busy(p.tx.receiver, p.slot));
-  }
-  for (slot_t s = 0; s < sched.num_slots(); ++s) {
-    bool every_offset_used = true;
-    for (offset_t c = 0; c < sched.num_offsets(); ++c) {
-      EXPECT_EQ(sched.cell_load(s, c), sched.cell_size(s, c));
-      every_offset_used = every_offset_used && sched.cell_size(s, c) > 0;
-    }
-    EXPECT_EQ(sched.slot_full(s), every_offset_used) << "slot " << s;
-  }
-  tsch::expect_cell_masks_match(sched);
 }
 
 /// What a randomized trace exercised. The delta scheduler never falls
@@ -166,7 +146,7 @@ trace_summary run_trace(const fleet_config& config, int period_min_exp,
         ++sum.shrinks;
     }
     const auto oracle = expect_canonical(delta, blueprint, context);
-    expect_index_consistent(delta.sched());
+    tsch::expect_index_consistent(delta.sched());
     if (delta.schedulable() && !delta.empty()) {
       sum.reuse_activations += oracle.stats.reuse_activations;
       sum.shared_placements =
@@ -253,7 +233,7 @@ TEST(DeltaEquivalence, AdmissionRejectionRollsBackExactly) {
       EXPECT_EQ(delta.size(), size_before);
       EXPECT_EQ(delta.sched().placements(), before);
       expect_canonical(delta, blueprint, "after rejection");
-      expect_index_consistent(delta.sched());
+      tsch::expect_index_consistent(delta.sched());
     }
   }
   ASSERT_TRUE(saw_rejection)

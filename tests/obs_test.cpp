@@ -220,11 +220,19 @@ TEST(ObsSinks, JsonlEscapesStringsSafely) {
   ev.component = "test";
   ev.name = "escape";
   ev.fields.push_back({"text", "quote\" slash\\ tab\t"});
+  // Control characters, and doubles that six fixed decimals would
+  // flatten: every field must read back as the value it holds.
+  ev.fields.push_back({"controls", "cr\r tab\t soh\x01"});
+  ev.fields.push_back({"tiny", 1e-9});
+  ev.fields.push_back({"tenth", 0.1});
   ev.seq = 1;
   const auto line = obs::to_jsonl(ev);
   const auto doc = exp::json::parse(line);
-  EXPECT_EQ(doc.find("fields")->find("text")->as_string(),
-            "quote\" slash\\ tab\t");
+  const auto* fields = doc.find("fields");
+  EXPECT_EQ(fields->find("text")->as_string(), "quote\" slash\\ tab\t");
+  EXPECT_EQ(fields->find("controls")->as_string(), "cr\r tab\t soh\x01");
+  EXPECT_EQ(fields->find("tiny")->as_double(), 1e-9);
+  EXPECT_EQ(fields->find("tenth")->as_double(), 0.1);
 }
 
 TEST(ObsSinks, ExponentialBoundsGenerateGeometricSeries) {

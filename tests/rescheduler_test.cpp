@@ -95,12 +95,12 @@ TEST(Rescheduler, IsolatedLinksGetExclusiveCells) {
   ASSERT_TRUE(before.schedulable);
   EXPECT_GT(before.stats.reuse_placements, 0u);  // RA shares the cell
 
-  const auto repaired = reschedule_isolating({f1, f2}, hops, config,
-                                             {{0, 1}});
-  ASSERT_TRUE(repaired.result.schedulable);
-  EXPECT_EQ(repaired.result.stats.reuse_placements, 0u);
+  config.isolated_links = {{0, 1}};
+  const auto repaired = schedule_flows({f1, f2}, hops, config);
+  ASSERT_TRUE(repaired.schedulable);
+  EXPECT_EQ(repaired.stats.reuse_placements, 0u);
   // Every cell containing 0->1 is exclusive.
-  const auto& sched = repaired.result.sched;
+  const auto& sched = repaired.sched;
   for (slot_t s = 0; s < sched.num_slots(); ++s) {
     for (offset_t c = 0; c < sched.num_offsets(); ++c) {
       const auto& cell = sched.cell(s, c);
@@ -112,19 +112,6 @@ TEST(Rescheduler, IsolatedLinksGetExclusiveCells) {
   }
 }
 
-TEST(Rescheduler, MergesWithExistingIsolations) {
-  const auto hops = path_hops(10);
-  const auto f1 = make_flow(0, {{0, 1}}, 20, 20);
-  const auto f2 = make_flow(1, {{8, 9}}, 20, 20);
-  auto config = make_config(algorithm::ra, 1);
-  config.isolated_links = {{8, 9}};
-  const auto repaired = reschedule_isolating({f1, f2}, hops, config,
-                                             {{0, 1}});
-  EXPECT_EQ(repaired.isolated.size(), 2u);
-  EXPECT_TRUE(repaired.isolated.count({0, 1}) > 0);
-  EXPECT_TRUE(repaired.isolated.count({8, 9}) > 0);
-}
-
 TEST(Rescheduler, ReportsUnschedulableWhenIsolationDoesNotFit) {
   // Two distant flows with 2-slot deadlines on one channel fit only via
   // reuse; isolating one link removes the needed concurrency.
@@ -134,9 +121,8 @@ TEST(Rescheduler, ReportsUnschedulableWhenIsolationDoesNotFit) {
   auto config = make_config(algorithm::rc, 1);
   const auto before = schedule_flows({f1, f2}, hops, config);
   ASSERT_TRUE(before.schedulable);
-  const auto repaired = reschedule_isolating({f1, f2}, hops, config,
-                                             {{8, 9}});
-  EXPECT_FALSE(repaired.result.schedulable);
+  config.isolated_links = {{8, 9}};
+  EXPECT_FALSE(schedule_flows({f1, f2}, hops, config).schedulable);
 }
 
 TEST(Rescheduler, LargeIsolationSetReportsTheFailingFlow) {
@@ -148,12 +134,10 @@ TEST(Rescheduler, LargeIsolationSetReportsTheFailingFlow) {
   auto config = make_config(algorithm::rc, 1);
   ASSERT_TRUE(schedule_flows({f1, f2}, hops, config).schedulable);
 
-  const link_set everything{{0, 1}, {8, 9}};
-  const auto repaired =
-      reschedule_isolating({f1, f2}, hops, config, everything);
-  ASSERT_FALSE(repaired.result.schedulable);
-  EXPECT_EQ(repaired.result.first_failed_flow, 1);
-  EXPECT_EQ(repaired.isolated, everything);
+  config.isolated_links = {{0, 1}, {8, 9}};
+  const auto repaired = schedule_flows({f1, f2}, hops, config);
+  ASSERT_FALSE(repaired.schedulable);
+  EXPECT_EQ(repaired.first_failed_flow, 1);
 }
 
 // ------------------------------------------------------- load shedding --
@@ -274,18 +258,18 @@ TEST(Rescheduler, RepairedScheduleStillValidates) {
   }
   ASSERT_FALSE(degraded.empty());
 
-  const auto repaired =
-      reschedule_isolating(set.flows, reuse_hops, config, degraded);
-  if (!repaired.result.schedulable) return;  // load no longer fits: legal
+  config.isolated_links = degraded;
+  const auto repaired = schedule_flows(set.flows, reuse_hops, config);
+  if (!repaired.schedulable) return;  // load no longer fits: legal
   tsch::validation_options opts;
   opts.min_reuse_hops = 2;
-  const auto validation = tsch::validate_schedule(
-      repaired.result.sched, set.flows, reuse_hops, opts);
+  const auto validation =
+      tsch::validate_schedule(repaired.sched, set.flows, reuse_hops, opts);
   EXPECT_TRUE(validation.ok)
       << (validation.violations.empty() ? ""
                                         : validation.violations.front());
   // No reusing cell contains an isolated link.
-  const auto& sched = repaired.result.sched;
+  const auto& sched = repaired.sched;
   for (slot_t s = 0; s < sched.num_slots(); ++s) {
     for (offset_t c = 0; c < sched.num_offsets(); ++c) {
       const auto& cell = sched.cell(s, c);
