@@ -12,18 +12,9 @@
 
 namespace wsan::bench {
 
-experiment_env make_env(const std::string& testbed, int num_channels,
-                        double prr_threshold) {
-  experiment_env env;
-  env.topology = topo::make_named_testbed(testbed);
-  env.channels = phy::channels(num_channels);
-  graph::comm_graph_options comm_opts;
-  comm_opts.prr_threshold = prr_threshold;
-  env.comm = graph::build_communication_graph(env.topology, env.channels,
-                                              comm_opts);
-  env.reuse = graph::build_channel_reuse_graph(env.topology, env.channels);
-  env.reuse_hops = graph::hop_matrix(env.reuse);
-  return env;
+experiment_env make_env(const std::string& testbed, int num_channels) {
+  return graph::make_network_view(topo::make_named_testbed(testbed),
+                                  phy::channels(num_channels));
 }
 
 efficiency_accumulator& efficiency_accumulator::operator+=(

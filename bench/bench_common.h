@@ -15,9 +15,8 @@
 #include "exp/report.h"
 #include "exp/runner.h"
 #include "flow/flow_generator.h"
-#include "graph/comm_graph.h"
 #include "graph/hop_matrix.h"
-#include "graph/reuse_graph.h"
+#include "graph/network_view.h"
 #include "obs/timeseries.h"
 #include "topo/testbeds.h"
 
@@ -25,20 +24,13 @@ namespace wsan::bench {
 
 /// Everything derived from a testbed + channel count: the topology, the
 /// channel list, both graphs, and the reuse-graph hop matrix.
-struct experiment_env {
-  topo::topology topology;
-  std::vector<channel_t> channels;
-  graph::graph comm;
-  graph::graph reuse;
-  graph::hop_matrix reuse_hops;
-};
+using experiment_env = graph::network_view;
 
 /// Builds the environment for "indriya" or "wustl" with the first
 /// `num_channels` 802.15.4 channels. The topology seed is fixed per
 /// testbed so every figure sees the same deployment (like the paper's
 /// collected topologies).
-experiment_env make_env(const std::string& testbed, int num_channels,
-                        double prr_threshold = 0.9);
+experiment_env make_env(const std::string& testbed, int num_channels);
 
 /// Outcome of one schedulable-ratio data point. Merging two points
 /// (operator+=) adds the counters, so partial results from parallel

@@ -346,7 +346,7 @@ simthroughput_setup make_simthroughput_setup(
   setup.env = make_env(point.testbed, point.channels);
   // The Figure 8 workload shape: periods of 0.5 s and 1 s.
   const auto fsp =
-      p2p_params(static_cast<int>(args.get_int("flows", 50)), -1, 0);
+      p2p_params(args.get_int("flows", 50), -1, 0);
   const std::uint64_t workload_seed =
       derive_seed(options.seed_or(k_simthroughput_seed),
                   500 + static_cast<std::uint64_t>(point_index), 0);
@@ -368,7 +368,7 @@ simthroughput_setup make_simthroughput_setup(
              "reliability workload must be RC-schedulable");
   setup.sched = scheduled.sched;
   // Figure 8 simulation parameters: drift, fading and probes are on.
-  setup.base_sim.runs = static_cast<int>(args.get_int("runs", 100));
+  setup.base_sim.runs = args.get_int("runs", 100);
   setup.base_sim.capture_threshold_db = args.get_double("capture", 4.0);
   setup.base_sim.temporal_fading_sigma_db = args.get_double("fading", 2.0);
   setup.base_sim.calibration_drift_sigma_db =
@@ -377,8 +377,7 @@ simthroughput_setup make_simthroughput_setup(
       args.get_double("mdrift", 1.0);
   setup.base_sim.intermittent_fraction =
       args.get_double("intermittent", 0.15);
-  setup.base_sim.probes_per_run =
-      static_cast<int>(args.get_int("probes", 2));
+  setup.base_sim.probes_per_run = args.get_int("probes", 2);
   return setup;
 }
 
@@ -539,26 +538,24 @@ struct coexistence_setup {
 coexistence_setup make_coexistence_setup(const exp::run_options& options,
                                          const cli_args& args) {
   coexistence_setup setup;
-  setup.flows = static_cast<int>(args.get_int("flows", 25));
-  setup.runs = static_cast<int>(args.get_int("runs", 40));
+  setup.flows = args.get_int("flows", 25);
+  setup.runs = args.get_int("runs", 40);
   setup.ta = topo::make_wustl(1);
   setup.tb = topo::make_wustl(2);
   const std::uint64_t seed = options.seed_or(k_coexistence_seed);
   const auto build = [&](const topo::topology& t, std::uint64_t net,
                          flow::flow_set& set,
                          core::schedule_result& scheduled) {
-    const auto channels = phy::channels(4);
-    const auto comm = graph::build_communication_graph(t, channels);
-    const graph::hop_matrix hops(
-        graph::build_channel_reuse_graph(t, channels));
+    const auto view = graph::make_network_view(t, phy::channels(4));
     flow::flow_set_params params;
     params.num_flows = setup.flows;
     params.period_min_exp = 0;
     params.period_max_exp = 0;
     rng gen(derive_seed(seed, net, 0));
-    set = flow::generate_flow_set(comm, params, gen);
-    scheduled = core::schedule_flows(
-        set.flows, hops, core::make_config(core::algorithm::rc, 4));
+    set = flow::generate_flow_set(view.comm, params, gen);
+    scheduled =
+        core::schedule_flows(set.flows, view.reuse_hops,
+                             core::make_config(core::algorithm::rc, 4));
   };
   build(setup.ta, 0, setup.set_a, setup.sched_a);
   build(setup.tb, 1, setup.set_b, setup.sched_b);
@@ -703,12 +700,10 @@ fleet::fleet_config make_fleet_config(const fleet_point_spec& spec,
                                       std::uint64_t run_seed) {
   fleet::fleet_config config;
   config.testbed = spec.testbed;
-  config.num_channels =
-      static_cast<int>(args.get_int("channels", spec.channels));
-  config.tenants = static_cast<int>(args.get_int("tenants", 1024));
-  config.ops_per_tenant = static_cast<int>(args.get_int("ops", 32));
-  config.max_flows_per_tenant =
-      static_cast<int>(args.get_int("max-flows", 12));
+  config.num_channels = args.get_int("channels", spec.channels);
+  config.tenants = args.get_int("tenants", 1024);
+  config.ops_per_tenant = args.get_int("ops", 32);
+  config.max_flows_per_tenant = args.get_int("max-flows", 12);
   config.admit_bias = args.get_double("admit-bias", 0.7);
   config.seed = run_seed;
   return config;
@@ -913,31 +908,27 @@ scenario::scenario_config make_churn_config(const churn_point_spec& spec,
                                             const cli_args& args,
                                             std::uint64_t run_seed) {
   scenario::scenario_config config;
-  config.epochs = static_cast<int>(args.get_int("epochs", 12));
-  config.runs_per_epoch =
-      static_cast<int>(args.get_int("runs-per-epoch", 6));
+  config.epochs = args.get_int("epochs", 12);
+  config.runs_per_epoch = args.get_int("runs-per-epoch", 6);
   config.seed = run_seed;
-  config.flow_params.num_flows = static_cast<int>(args.get_int("flows", 8));
+  config.flow_params.num_flows = args.get_int("flows", 8);
   config.flow_params.type = flow::traffic_type::peer_to_peer;
   config.flow_params.period_min_exp = 0;
   config.flow_params.period_max_exp = 1;
   config.departure_rate = args.get_double("departure-rate", 0.1);
   config.arrivals.rate = args.get_double("arrival-rate", 1.5);
-  config.arrivals.max_flows =
-      static_cast<int>(args.get_int("max-flows", 12));
+  config.arrivals.max_flows = args.get_int("max-flows", 12);
   config.churn.crash_rate = args.get_double("crash-rate", 0.01);
   config.churn.revival_rate = args.get_double("revival-rate", 0.3);
   config.jammer.enabled = true;
-  config.jammer.jam_slots = static_cast<int>(args.get_int("jam-slots", 3));
+  config.jammer.jam_slots = args.get_int("jam-slots", 3);
   config.jammer.randomize = spec.randomize;
-  config.jammer.swap_attempts =
-      static_cast<int>(args.get_int("swap-attempts", 128));
-  const int channels = static_cast<int>(args.get_int("channels", 8));
+  config.jammer.swap_attempts = args.get_int("swap-attempts", 128);
+  const int channels = args.get_int("channels", 8);
   config.manager.num_channels = channels;
   config.manager.scheduler =
       core::make_config(core::algorithm::rc, channels);
-  config.manager.watchdog_epochs =
-      static_cast<int>(args.get_int("watchdog", 2));
+  config.manager.watchdog_epochs = args.get_int("watchdog", 2);
   config.sim.probes_per_run = 1;
   return config;
 }

@@ -110,9 +110,9 @@ scenario::scenario_config fig11_config(core::algorithm algo,
                                        const topo::topology& topology,
                                        const exp::run_options& options,
                                        const cli_args& args) {
-  const int flows = static_cast<int>(args.get_int("flows", 50));
+  const int flows = args.get_int("flows", 50);
   scenario::scenario_config config;
-  config.epochs = static_cast<int>(args.get_int("epochs", 6));
+  config.epochs = args.get_int("epochs", 6);
   config.runs_per_epoch = 18;
   config.seed = options.seed_or(13000);
   config.flow_params.type = flow::traffic_type::peer_to_peer;
@@ -128,8 +128,7 @@ scenario::scenario_config fig11_config(core::algorithm algo,
   config.sim.interferers = sim::one_interferer_per_floor(
       topology, args.get_double("duty", 0.3),
       args.get_double("wifi-power", 8.0));
-  config.interferer_onset_epoch =
-      static_cast<int>(args.get_int("onset-epoch", 0));
+  config.interferer_onset_epoch = args.get_int("onset-epoch", 0);
   return config;
 }
 
@@ -227,7 +226,7 @@ std::vector<recovery_cycle> run_recovery_cycles(
   config.scheduler = core::make_config(core::algorithm::ra, 4);
   manager::network_manager manager(topo::make_wustl(), config);
   const auto fsp =
-      p2p_params(static_cast<int>(args.get_int("flows", 50)), 0, 0);
+      p2p_params(args.get_int("flows", 50), 0, 0);
   rng gen(options.seed_or(31));
   flow::flow_set set;
   for (int attempt = 0;; ++attempt) {
@@ -246,11 +245,11 @@ std::vector<recovery_cycle> run_recovery_cycles(
     rows.push_back(row);
     if (!scheduled.schedulable) break;
     sim::sim_config sim_config;
-    sim_config.runs = static_cast<int>(args.get_int("runs", 72));
+    sim_config.runs = args.get_int("runs", 72);
     sim_config.seed = 99;
     const auto result =
-        sim::run_simulation(manager.topology(), scheduled.sched, set.flows,
-                            manager.channels(), sim_config);
+        sim::run_simulation(manager.view().topology, scheduled.sched,
+                            set.flows, manager.view().channels, sim_config);
     rows.back().reusing_cells = tsch::reusing_cell_count(scheduled.sched);
     rows.back().pdr = stats::make_box_stats(result.flow_pdr);
     for (const auto& report : detect::classify_links(result.links, {}))
@@ -288,7 +287,7 @@ exp::figure_report run_recovery(const exp::run_options& options,
                        {"flows", std::to_string(args.get_int("flows", 50))},
                        {"runs", std::to_string(args.get_int("runs", 72))}};
   const auto rows = run_recovery_cycles(
-      options, args, static_cast<int>(args.get_int("cycles", 2)));
+      options, args, args.get_int("cycles", 2));
   table t(k_recovery_columns);
   exp::report_panel panel{"cycles", "cycle", {}};
   for (std::size_t c = 0; c < rows.size(); ++c) {
@@ -316,7 +315,7 @@ bool replay_recovery(const exp::run_options& options, const cli_args& args,
                      std::ostream& out) {
   const auto& target = options.replay;
   if (target.trial != 0 ||
-      target.point > static_cast<int>(args.get_int("cycles", 2)))
+      target.point > args.get_int("cycles", 2))
     return false;
   const auto rows = run_recovery_cycles(options, args, target.point);
   if (target.point >= static_cast<int>(rows.size())) return false;
@@ -383,9 +382,9 @@ std::uint64_t recorded(const obs::snapshot& snap) {
 
 exp::figure_report run_obsoverhead(const exp::run_options& options,
                                    const cli_args& args, std::ostream& out) {
-  const int flows = static_cast<int>(args.get_int("flows", 80));
+  const int flows = args.get_int("flows", 80);
   const int workloads = options.trials_or(5);
-  const int reps = static_cast<int>(args.get_int("reps", 5));
+  const int reps = args.get_int("reps", 5);
   const double threshold = args.get_double("threshold", 1.03);
   const std::uint64_t seed = options.seed_or(60);
   const std::string title = "observability cost on the RC scheduler hot path";

@@ -309,7 +309,7 @@ sweep_spec ratio_spec(std::string id, std::string title, std::string note,
 /// period ranges, panel (c) the flows at 5 channels.
 sweep_spec indriya_spec(bool p2p, const exp::run_options& options,
                         const cli_args& args) {
-  const int flows = static_cast<int>(args.get_int("flows", p2p ? 60 : 40));
+  const int flows = args.get_int("flows", p2p ? 60 : 40);
   const std::string fixed = ", " + std::to_string(flows) + " flows";
   std::vector<int> flow_counts;
   for (int f = p2p ? 40 : 10; f <= (p2p ? 160 : 60); f += p2p ? 20 : 10)
@@ -343,7 +343,7 @@ sweep_spec fig2_spec(const exp::run_options& options, const cli_args& args) {
 
 /// Figure 3: WUSTL, peer-to-peer; channels, then flows at 5 channels.
 sweep_spec fig3_spec(const exp::run_options& options, const cli_args& args) {
-  const int flows = static_cast<int>(args.get_int("flows", 90));
+  const int flows = args.get_int("flows", 90);
   return ratio_spec(
       "fig3", "schedulable ratio, peer-to-peer traffic (WUSTL)",
       "\nPaper shape: same ordering as on Indriya — RA/RC over NR; RC may "
@@ -362,9 +362,8 @@ sweep_spec fig3_spec(const exp::run_options& options, const cli_args& args) {
 sweep_spec distribution_spec(bool hops, const exp::run_options& options,
                              const cli_args& args) {
   const int trials = options.trials_or(30);
-  const int centralized =
-      static_cast<int>(args.get_int("flows-centralized", 30));
-  const int p2p = static_cast<int>(args.get_int("flows-p2p", 60));
+  const int centralized = args.get_int("flows-centralized", 30);
+  const int p2p = args.get_int("flows-p2p", 60);
   sweep_spec spec;
   spec.id = hops ? "fig5" : "fig4";
   spec.banner = hops ? "Figure 5" : "Figure 4";
@@ -454,7 +453,7 @@ sweep_spec fig5_spec(const exp::run_options& options, const cli_args& args) {
 // Trials with index < 10 that RC schedules are simulated.
 sweep_spec rho_spec(const exp::run_options& options, const cli_args& args) {
   const int trials = options.trials_or(30);
-  const int flows = static_cast<int>(args.get_int("flows", 45));
+  const int flows = args.get_int("flows", 45);
   auto spec = single_panel(
       "rho", "Ablation rho_t", 15000, 30,
       "\n" + std::to_string(flows) + " flows, " + std::to_string(trials) +
@@ -511,7 +510,7 @@ sweep_spec rho_spec(const exp::run_options& options, const cli_args& args) {
 sweep_spec policy_spec(const exp::run_options& options,
                        const cli_args& args) {
   const int trials = options.trials_or(25);
-  const int flows = static_cast<int>(args.get_int("flows", 45));
+  const int flows = args.get_int("flows", 45);
   auto spec = single_panel(
       "policy", "Ablation channel policy", 16000, 25,
       "\n" + std::to_string(flows) + " flows, " + std::to_string(trials) +
@@ -580,7 +579,7 @@ constexpr named_algo k_three_algos[] = {{core::algorithm::nr, "nr"},
 sweep_spec management_spec(const exp::run_options& options,
                            const cli_args& args) {
   const int trials = options.trials_or(30);
-  const int flows = static_cast<int>(args.get_int("flows", 40));
+  const int flows = args.get_int("flows", 40);
   auto spec = single_panel(
       "management", "Ablation management slots", 29000, 30,
       "\n" + std::to_string(flows) + " flows, " + std::to_string(trials) +
@@ -637,8 +636,8 @@ sweep_spec management_spec(const exp::run_options& options,
 sweep_spec routing_spec(const exp::run_options& options,
                         const cli_args& args) {
   const int trials = options.trials_or(25);
-  const int flows = static_cast<int>(args.get_int("flows", 45));
-  const int runs = static_cast<int>(args.get_int("runs", 40));
+  const int flows = args.get_int("flows", 45);
+  const int runs = args.get_int("runs", 40);
   auto spec = single_panel(
       "routing", "Ablation routing", 23000, 25,
       "\n" + std::to_string(flows) + " flows, " + std::to_string(trials) +
@@ -771,7 +770,7 @@ exp::figure_report run_pessimism(const exp::run_options& options,
 sweep_spec optimality_spec(const exp::run_options& options,
                            const cli_args& args) {
   const int trials = options.trials_or(30);
-  const long long budget = args.get_int("budget", 1'000'000);
+  const int budget = args.get_int("budget", 1'000'000);
   auto spec = single_panel(
       "optimality", "Optimality gap", 27000, 30,
       "\n" + std::to_string(trials) +
@@ -968,7 +967,7 @@ const std::vector<std::string> k_nr_ra_rc = {"NR", "RA", "RC"};
 // three algorithms of a set share its simulation seed (a paired
 // comparison, like the paper's fixed workloads).
 set_sweep_spec fig8_spec(const exp::run_options&, const cli_args& args) {
-  const int runs = static_cast<int>(args.get_int("runs", 100));
+  const int runs = args.get_int("runs", 100);
   sim::sim_config base;
   base.runs = runs;
   base.capture_threshold_db = args.get_double("capture", 4.0);
@@ -978,7 +977,7 @@ set_sweep_spec fig8_spec(const exp::run_options&, const cli_args& args) {
   base.intermittent_fraction = args.get_double("intermittent", 0.15);
   auto spec = flow_set_sweep(
       "fig8", "Figure 8", 908, 5,
-      p2p_params(static_cast<int>(args.get_int("flows", 50)), -1, 0),
+      p2p_params(args.get_int("flows", 50), -1, 0),
       k_nr_ra_rc);
   spec.title = "PDR box plots of NR/RA/RC (WUSTL, 4 channels)";
   spec.note =
@@ -1010,7 +1009,7 @@ set_sweep_spec fig8_spec(const exp::run_options&, const cli_args& args) {
 set_sweep_spec fig9_spec(const exp::run_options&, const cli_args& args) {
   auto spec = flow_set_sweep(
       "fig9", "Figure 9", 11000, 5,
-      p2p_params(static_cast<int>(args.get_int("flows", 50)), -1, 0),
+      p2p_params(args.get_int("flows", 50), -1, 0),
       {"RA", "RC"});
   spec.title =
       "Tx per channel under RA and RC, reliability flow sets (WUSTL, 4 "
@@ -1063,12 +1062,12 @@ sim::sim_result simulate_epochs(const experiment_env& env,
 // something else), with the mean PRRs of each class in reuse slots and
 // in contention-free ("free") slots.
 set_sweep_spec fig10_spec(const exp::run_options&, const cli_args& args) {
-  const int epochs = static_cast<int>(args.get_int("epochs", 6));
+  const int epochs = args.get_int("epochs", 6);
   const double duty = args.get_double("duty", 0.3);
   const double power = args.get_double("wifi-power", 8.0);
   auto spec = flow_set_sweep(
       "fig10", "Figure 10", 13000, 1,
-      p2p_params(static_cast<int>(args.get_int("flows", 50)), 0, 0),
+      p2p_params(args.get_int("flows", 50), 0, 0),
       {"RA clean", "RA WiFi", "RC clean", "RC WiFi"});
   spec.title =
       "PRR of rejected vs accepted low-reliability links (WUSTL, channels "
@@ -1124,10 +1123,10 @@ constexpr detect::detection_test k_tests[] = {
 // schedules, clean and under WiFi. A set's clean and WiFi runs share
 // their simulation seed; confusion counts add over the sets.
 set_sweep_spec detector_spec(const exp::run_options&, const cli_args& args) {
-  const int epochs = static_cast<int>(args.get_int("epochs", 6));
+  const int epochs = args.get_int("epochs", 6);
   auto spec = flow_set_sweep(
       "detector", "Detector quality", 917, 3,
-      p2p_params(static_cast<int>(args.get_int("flows", 50)), 0, 0),
+      p2p_params(args.get_int("flows", 50), 0, 0),
       {"clean", "WiFi"});
   spec.title = "detection policy precision/recall vs ground truth";
   spec.note =
@@ -1208,7 +1207,7 @@ set_sweep_spec detector_spec(const exp::run_options&, const cli_args& args) {
 set_sweep_spec latency_spec(const exp::run_options&, const cli_args& args) {
   auto spec = flow_set_sweep(
       "latency", "Latency", 19000, 5,
-      p2p_params(static_cast<int>(args.get_int("flows", 45)), -1, 0),
+      p2p_params(args.get_int("flows", 45), -1, 0),
       k_nr_ra_rc);
   spec.title =
       "scheduled end-to-end delay and slack, NR vs RA vs RC (WUSTL, 4 "
@@ -1245,10 +1244,10 @@ set_sweep_spec latency_spec(const exp::run_options&, const cli_args& args) {
 // many fire: interference-induced failures fire retry slots, and every
 // silent retry cell costs its receiver an idle-listen guard window.
 set_sweep_spec energy_spec(const exp::run_options&, const cli_args& args) {
-  const int runs = static_cast<int>(args.get_int("runs", 60));
+  const int runs = args.get_int("runs", 60);
   auto spec = flow_set_sweep(
       "energy", "Energy", 21000, 3,
-      p2p_params(static_cast<int>(args.get_int("flows", 45)), -1, 0),
+      p2p_params(args.get_int("flows", 45), -1, 0),
       k_nr_ra_rc);
   spec.title =
       "radio energy per delivered packet, NR vs RA vs RC (WUSTL, 4 "

@@ -16,8 +16,7 @@
 #include "common/table.h"
 #include "core/scheduler.h"
 #include "flow/flow_generator.h"
-#include "graph/comm_graph.h"
-#include "graph/reuse_graph.h"
+#include "graph/network_view.h"
 #include "sim/simulator.h"
 #include "stats/summary.h"
 #include "topo/testbeds.h"
@@ -25,15 +24,12 @@
 int main(int argc, char** argv) {
   using namespace wsan;
   const cli_args args(argc, argv);
-  const int num_flows = static_cast<int>(args.get_int("flows", 45));
-  const int num_channels = static_cast<int>(args.get_int("channels", 3));
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 9));
+  const int num_flows = args.get_int("flows", 45);
+  const int num_channels = args.get_int("channels", 3);
+  const auto seed = args.get_uint64("seed", 9);
 
-  const auto topology = topo::make_wustl();
-  const auto channels = phy::channels(num_channels);
-  const auto comm = graph::build_communication_graph(topology, channels);
-  const graph::hop_matrix reuse_hops(
-      graph::build_channel_reuse_graph(topology, channels));
+  const auto view = graph::make_network_view(topo::make_wustl(),
+                                             phy::channels(num_channels));
 
   flow::flow_set_params params;
   params.num_flows = num_flows;
@@ -41,19 +37,20 @@ int main(int argc, char** argv) {
   params.period_min_exp = -1;
   params.period_max_exp = 1;
   rng gen(seed);
-  const auto set = flow::generate_flow_set(comm, params, gen);
+  const auto set = flow::generate_flow_set(view.comm, params, gen);
 
   std::cout << "Sweeping rho_t from the reuse-graph diameter ("
-            << reuse_hops.diameter() << ") down to 1 for " << num_flows
+            << view.reuse_hops.diameter() << ") down to 1 for " << num_flows
             << " flows on " << num_channels << " channels\n\n";
 
   table t({"rho_t", "schedulable", "reuse placements", "median PDR",
            "worst-case PDR"});
   std::optional<int> chosen;
-  for (int rho_t = reuse_hops.diameter(); rho_t >= 1; --rho_t) {
+  for (int rho_t = view.reuse_hops.diameter(); rho_t >= 1; --rho_t) {
     const auto config =
         core::make_config(core::algorithm::rc, num_channels, rho_t);
-    const auto result = core::schedule_flows(set.flows, reuse_hops, config);
+    const auto result =
+        core::schedule_flows(set.flows, view.reuse_hops, config);
     if (!result.schedulable) {
       t.add_row({cell(rho_t), "no", "-", "-", "-"});
       continue;
@@ -62,7 +59,7 @@ int main(int argc, char** argv) {
     sim_config.runs = 40;
     sim_config.seed = seed;
     const auto sim_result = sim::run_simulation(
-        topology, result.sched, set.flows, channels, sim_config);
+        view.topology, result.sched, set.flows, view.channels, sim_config);
     const auto box = stats::make_box_stats(sim_result.flow_pdr);
     t.add_row({cell(rho_t), "yes", cell(result.stats.reuse_placements),
                cell(box.median, 3), cell(box.min, 3)});

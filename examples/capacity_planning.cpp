@@ -21,8 +21,7 @@
 #include "core/analysis.h"
 #include "core/scheduler.h"
 #include "flow/flow_generator.h"
-#include "graph/comm_graph.h"
-#include "graph/reuse_graph.h"
+#include "graph/network_view.h"
 #include "topo/testbeds.h"
 
 namespace {
@@ -90,17 +89,14 @@ bool admits(admission method, int flows, int trials, int channels,
 
 int main(int argc, char** argv) {
   const cli_args args(argc, argv);
-  const int channels = static_cast<int>(args.get_int("channels", 4));
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
-  const int trials = static_cast<int>(args.get_int("trials", 5));
+  const int channels = args.get_int("channels", 4);
+  const auto seed = args.get_uint64("seed", 7);
+  const int trials = args.get_int("trials", 5);
 
-  const auto topology = topo::make_wustl();
-  const auto channel_list = phy::channels(channels);
-  const auto comm = graph::build_communication_graph(topology, channel_list);
-  const graph::hop_matrix hops(
-      graph::build_channel_reuse_graph(topology, channel_list));
+  const auto view =
+      graph::make_network_view(topo::make_wustl(), phy::channels(channels));
 
-  std::cout << "Binary-searching the capacity of " << topology.name()
+  std::cout << "Binary-searching the capacity of " << view.topology.name()
             << " on " << channels << " channels (peer-to-peer, "
             << "P=[1s,4s], majority of " << trials
             << " random sets must admit)\n\n";
@@ -113,7 +109,8 @@ int main(int argc, char** argv) {
     int hi = 256;
     while (lo < hi) {
       const int mid = (lo + hi + 1) / 2;
-      if (admits(method, mid, trials, channels, comm, hops, seed)) {
+      if (admits(method, mid, trials, channels, view.comm, view.reuse_hops,
+                 seed)) {
         lo = mid;
       } else {
         hi = mid - 1;

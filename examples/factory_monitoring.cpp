@@ -13,8 +13,7 @@
 #include "common/table.h"
 #include "core/scheduler.h"
 #include "flow/flow_generator.h"
-#include "graph/comm_graph.h"
-#include "graph/reuse_graph.h"
+#include "graph/network_view.h"
 #include "sim/simulator.h"
 #include "stats/summary.h"
 #include "topo/testbeds.h"
@@ -23,15 +22,12 @@
 int main(int argc, char** argv) {
   using namespace wsan;
   const cli_args args(argc, argv);
-  const int loops = static_cast<int>(args.get_int("loops", 15));
-  const int num_channels = static_cast<int>(args.get_int("channels", 4));
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 3));
+  const int loops = args.get_int("loops", 15);
+  const int num_channels = args.get_int("channels", 4);
+  const auto seed = args.get_uint64("seed", 3);
 
-  const auto topology = topo::make_indriya();
-  const auto channels = phy::channels(num_channels);
-  const auto comm = graph::build_communication_graph(topology, channels);
-  const graph::hop_matrix reuse_hops(
-      graph::build_channel_reuse_graph(topology, channels));
+  const auto view = graph::make_network_view(topo::make_indriya(),
+                                             phy::channels(num_channels));
 
   // Each control loop is a sensor -> controller -> actuator flow routed
   // through the access points (centralized traffic).
@@ -41,7 +37,7 @@ int main(int argc, char** argv) {
   params.period_min_exp = 0;  // 1 s control loops
   params.period_max_exp = 2;  // up to 4 s
   rng gen(seed);
-  const auto set = flow::generate_flow_set(comm, params, gen);
+  const auto set = flow::generate_flow_set(view.comm, params, gen);
 
   std::cout << "Factory control workload: " << loops
             << " control loops routed through access points {";
@@ -55,7 +51,8 @@ int main(int argc, char** argv) {
   for (const auto algo :
        {core::algorithm::nr, core::algorithm::ra, core::algorithm::rc}) {
     const auto config = core::make_config(algo, num_channels);
-    const auto result = core::schedule_flows(set.flows, reuse_hops, config);
+    const auto result =
+        core::schedule_flows(set.flows, view.reuse_hops, config);
     if (!result.schedulable) {
       comparison.add_row({core::to_string(algo), "no", "-", "-", "-", "-"});
       continue;
@@ -64,7 +61,7 @@ int main(int argc, char** argv) {
     sim_config.runs = 50;
     sim_config.seed = seed;
     const auto sim_result = sim::run_simulation(
-        topology, result.sched, set.flows, channels, sim_config);
+        view.topology, result.sched, set.flows, view.channels, sim_config);
     const auto box = stats::make_box_stats(sim_result.flow_pdr);
     comparison.add_row({core::to_string(algo), "yes",
                         cell(result.stats.reuse_placements),

@@ -64,16 +64,15 @@ std::string join_ids(const std::vector<node_id>& ids) {
 
 int main(int argc, char** argv) {
   const cli_args args(argc, argv);
-  const int flows = static_cast<int>(args.get_int("flows", 30));
-  const int epochs = static_cast<int>(args.get_int("epochs", 6));
-  const int runs_per_epoch =
-      static_cast<int>(args.get_int("runs-per-epoch", 18));
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 8));
+  const int flows = args.get_int("flows", 30);
+  const int epochs = args.get_int("epochs", 6);
+  const int runs_per_epoch = args.get_int("runs-per-epoch", 18);
+  const auto seed = args.get_uint64("seed", 8);
 
   manager::manager_config config;
   config.num_channels = 4;
   config.scheduler = core::make_config(core::algorithm::rc, 4);
-  config.watchdog_epochs = static_cast<int>(args.get_int("watchdog", 2));
+  config.watchdog_epochs = args.get_int("watchdog", 2);
   manager::network_manager manager(topo::make_wustl(), config);
 
   flow::flow_set_params params;
@@ -103,8 +102,8 @@ int main(int argc, char** argv) {
         break;
       }
   std::cout << "Admitted " << current_flows.size() << " flows on "
-            << manager.topology().num_nodes() << " nodes; node " << victim
-            << " relays for " << carried
+            << manager.view().topology.num_nodes() << " nodes; node "
+            << victim << " relays for " << carried
             << " flows and will crash at epoch 1.\n\n";
 
   // The global fault script: a permanent crash at the start of epoch 1.
@@ -120,8 +119,8 @@ int main(int argc, char** argv) {
     sim_config.faults =
         sim::slice_fault_plan(plan, epoch * runs_per_epoch, runs_per_epoch);
     const auto observed = sim::run_simulation(
-        manager.topology(), scheduled.sched, current_flows,
-        manager.channels(), sim_config);
+        manager.view().topology, scheduled.sched, current_flows,
+        manager.view().channels, sim_config);
     const auto box = stats::make_box_stats(observed.flow_pdr);
 
     const auto outcome = manager.recover(current_flows, observed.links);

@@ -14,8 +14,7 @@
 #include "core/scheduler.h"
 #include "detect/detector.h"
 #include "flow/flow_generator.h"
-#include "graph/comm_graph.h"
-#include "graph/reuse_graph.h"
+#include "graph/network_view.h"
 #include "sim/simulator.h"
 #include "topo/testbeds.h"
 #include "tsch/schedule_stats.h"
@@ -47,15 +46,13 @@ void report(const std::string& label,
 int main(int argc, char** argv) {
   using namespace wsan;
   const cli_args args(argc, argv);
-  const int num_flows = static_cast<int>(args.get_int("flows", 40));
-  const int epochs = static_cast<int>(args.get_int("epochs", 3));
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 5));
+  const int num_flows = args.get_int("flows", 40);
+  const int epochs = args.get_int("epochs", 3);
+  const auto seed = args.get_uint64("seed", 5);
 
-  const auto topology = topo::make_wustl();
-  const auto channels = phy::channels(4);  // 11-14: overlap WiFi ch 1
-  const auto comm = graph::build_communication_graph(topology, channels);
-  const graph::hop_matrix reuse_hops(
-      graph::build_channel_reuse_graph(topology, channels));
+  // Channels 11-14: they overlap WiFi channel 1.
+  const auto view =
+      graph::make_network_view(topo::make_wustl(), phy::channels(4));
 
   flow::flow_set_params params;
   params.num_flows = num_flows;
@@ -63,11 +60,12 @@ int main(int argc, char** argv) {
   params.period_min_exp = 0;
   params.period_max_exp = 0;  // all flows at 1 s, as in Section VII-E
   rng gen(seed);
-  const auto set = flow::generate_flow_set(comm, params, gen);
+  const auto set = flow::generate_flow_set(view.comm, params, gen);
 
   const auto config = core::make_config(
-      core::algorithm::ra, static_cast<int>(channels.size()));
-  const auto schedule = core::schedule_flows(set.flows, reuse_hops, config);
+      core::algorithm::ra, static_cast<int>(view.channels.size()));
+  const auto schedule =
+      core::schedule_flows(set.flows, view.reuse_hops, config);
   if (!schedule.schedulable) {
     std::cout << "workload unschedulable; try fewer flows\n";
     return 1;
@@ -80,14 +78,14 @@ int main(int argc, char** argv) {
   clean.runs = epochs * k_runs_per_epoch;
   clean.seed = seed;
   const auto clean_result = sim::run_simulation(
-      topology, schedule.sched, set.flows, channels, clean);
+      view.topology, schedule.sched, set.flows, view.channels, clean);
   report("Clean environment",
          detect::classify_links(clean_result.links, {}));
 
   sim::sim_config noisy = clean;
-  noisy.interferers = sim::one_interferer_per_floor(topology, 0.5);
+  noisy.interferers = sim::one_interferer_per_floor(view.topology, 0.5);
   const auto noisy_result = sim::run_simulation(
-      topology, schedule.sched, set.flows, channels, noisy);
+      view.topology, schedule.sched, set.flows, view.channels, noisy);
   const auto noisy_reports = detect::classify_links(noisy_result.links, {});
   report("Under WiFi interference (channels 11-14)", noisy_reports);
 

@@ -13,8 +13,7 @@
 #include "common/rng.h"
 #include "core/scheduler.h"
 #include "flow/flow_generator.h"
-#include "graph/comm_graph.h"
-#include "graph/reuse_graph.h"
+#include "graph/network_view.h"
 #include "topo/testbeds.h"
 #include "tsch/render.h"
 #include "tsch/schedule_stats.h"
@@ -23,25 +22,21 @@
 int main(int argc, char** argv) {
   using namespace wsan;
   const cli_args args(argc, argv);
-  const int num_flows = static_cast<int>(args.get_int("flows", 20));
-  const int num_channels = static_cast<int>(args.get_int("channels", 4));
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
+  const int num_flows = args.get_int("flows", 20);
+  const int num_channels = args.get_int("channels", 4);
+  const auto seed = args.get_uint64("seed", 1);
 
-  // 1. A 60-node, 3-floor testbed (synthetic stand-in for WUSTL).
-  const auto topology = topo::make_wustl();
-  const auto channels = phy::channels(num_channels);
-  std::cout << "Topology: " << topology.name() << ", "
-            << topology.num_nodes() << " nodes, " << num_channels
+  // 1. A 60-node, 3-floor testbed (synthetic stand-in for WUSTL) and
+  // 2. its graphs: G_c for routing (PRR >= 0.9 everywhere), G_R for
+  //    interference distance (PRR > 0 anywhere) with its hop matrix.
+  const auto view = graph::make_network_view(topo::make_wustl(),
+                                             phy::channels(num_channels));
+  std::cout << "Topology: " << view.topology.name() << ", "
+            << view.topology.num_nodes() << " nodes, " << num_channels
             << " channels\n";
-
-  // 2. Graphs: G_c for routing (PRR >= 0.9 everywhere), G_R for
-  //    interference distance (PRR > 0 anywhere).
-  const auto comm = graph::build_communication_graph(topology, channels);
-  const auto reuse = graph::build_channel_reuse_graph(topology, channels);
-  const graph::hop_matrix reuse_hops(reuse);
-  std::cout << "Communication graph: " << comm.num_edges()
-            << " edges; reuse graph: " << reuse.num_edges()
-            << " edges (diameter " << reuse_hops.diameter() << ")\n";
+  std::cout << "Communication graph: " << view.comm.num_edges()
+            << " edges; reuse graph: " << view.reuse.num_edges()
+            << " edges (diameter " << view.reuse_hops.diameter() << ")\n";
 
   // 3. A random periodic workload with harmonic periods and
   //    deadline-monotonic priorities.
@@ -51,14 +46,15 @@ int main(int argc, char** argv) {
   params.period_min_exp = 0;  // 1 s
   params.period_max_exp = 2;  // 4 s
   rng gen(seed);
-  const auto set = flow::generate_flow_set(comm, params, gen);
+  const auto set = flow::generate_flow_set(view.comm, params, gen);
   std::cout << "Workload: " << set.flows.size()
             << " flows, hyperperiod " << flow::hyperperiod(set.flows)
             << " slots\n";
 
   // 4. Schedule with RC: reuse only when laxity would go negative.
   const auto config = core::make_config(core::algorithm::rc, num_channels);
-  const auto result = core::schedule_flows(set.flows, reuse_hops, config);
+  const auto result =
+      core::schedule_flows(set.flows, view.reuse_hops, config);
   if (!result.schedulable) {
     std::cout << "UNSCHEDULABLE (first failing flow: "
               << result.first_failed_flow << ")\n";
@@ -72,14 +68,14 @@ int main(int argc, char** argv) {
   tsch::validation_options opts;
   opts.min_reuse_hops = config.rho_t;
   const auto validation =
-      tsch::validate_schedule(result.sched, set.flows, reuse_hops, opts);
+      tsch::validate_schedule(result.sched, set.flows, view.reuse_hops, opts);
   std::cout << "Validation: " << (validation.ok ? "OK" : "FAILED") << "\n";
 
   const auto tx_hist = tsch::tx_per_channel_histogram(result.sched);
   std::cout << "Transmissions per occupied channel cell: "
             << tx_hist.to_string() << "\n";
   const auto hop_hist =
-      tsch::reuse_hop_count_histogram(result.sched, reuse_hops);
+      tsch::reuse_hop_count_histogram(result.sched, view.reuse_hops);
   if (!hop_hist.empty())
     std::cout << "Channel-reuse hop counts: " << hop_hist.to_string()
               << "\n";

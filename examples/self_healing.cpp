@@ -19,17 +19,17 @@
 int main(int argc, char** argv) {
   using namespace wsan;
   const cli_args args(argc, argv);
-  const int flows = static_cast<int>(args.get_int("flows", 45));
-  const int cycles = static_cast<int>(args.get_int("cycles", 3));
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 8));
+  const int flows = args.get_int("flows", 45);
+  const int cycles = args.get_int("cycles", 3);
+  const auto seed = args.get_uint64("seed", 8);
 
   manager::manager_config config;
   config.num_channels = 4;
   config.scheduler = core::make_config(core::algorithm::ra, 4);
   manager::network_manager manager(topo::make_wustl(), config);
-  std::cout << "Network: " << manager.topology().num_nodes()
+  std::cout << "Network: " << manager.view().topology.num_nodes()
             << " nodes, reuse-graph diameter "
-            << manager.reuse_hops().diameter() << "\n";
+            << manager.view().reuse_hops.diameter() << "\n";
 
   flow::flow_set_params params;
   params.num_flows = flows;
@@ -55,8 +55,8 @@ int main(int argc, char** argv) {
     sim_config.runs = 36;
     sim_config.seed = seed;  // the RF world is static; drift persists
     const auto observed = sim::run_simulation(
-        manager.topology(), scheduled.sched, set.flows, manager.channels(),
-        sim_config);
+        manager.view().topology, scheduled.sched, set.flows,
+        manager.view().channels, sim_config);
     const auto box = stats::make_box_stats(observed.flow_pdr);
 
     const auto outcome = manager.maintain(set.flows, observed.links);

@@ -13,10 +13,16 @@
 // width only: the top-level build turns FMA contraction off, so every
 // clone computes the scalar definitions bit for bit and the CPU's
 // choice of clone cannot change a result.
+//
+// ThreadSanitizer builds take the default clone only: GCC instruments
+// the ifunc resolvers with __tsan_func_entry, and the loader runs them
+// (IRELATIVE relocations) before __tsan_init, so every binary linking
+// these kernels would crash before main. The clones differ in vector
+// width only, so the kernels and their results stay the same.
 #include "common/batch_rng.h"
 
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
-    defined(__gnu_linux__)
+    defined(__gnu_linux__) && !defined(__SANITIZE_THREAD__)
 #define WSAN_BATCH_CLONES \
   __attribute__(( \
       target_clones("default", "arch=x86-64-v3", "arch=x86-64-v4")))

@@ -1,5 +1,6 @@
 #include "common/cli.h"
 
+#include <climits>
 #include <cmath>
 #include <stdexcept>
 
@@ -25,9 +26,10 @@ auto parse_whole(const std::string& text, const std::string& what,
 
 }  // namespace
 
-std::int64_t parse_int(const std::string& text, const std::string& what) {
+int parse_int(const std::string& text, const std::string& what) {
+  // std::stoi throws std::out_of_range for a value outside int.
   return parse_whole(text, what, [](const std::string& t, std::size_t* used) {
-    return static_cast<std::int64_t>(std::stoll(t, used));
+    return std::stoi(t, used);
   });
 }
 
@@ -59,11 +61,12 @@ std::string cli_args::get(const std::string& key,
   return it == values_.end() ? fallback : it->second;
 }
 
-std::int64_t cli_args::get_int(const std::string& key,
-                               std::int64_t fallback) const {
+int cli_args::get_int(const std::string& key, int fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  return parse_int(it->second, "flag --" + key + " expects an integer");
+  return parse_int(it->second, "flag --" + key + " expects an integer in [" +
+                                   std::to_string(INT_MIN) + ", " +
+                                   std::to_string(INT_MAX) + "]");
 }
 
 std::uint64_t cli_args::get_uint64(const std::string& key,

@@ -7,18 +7,19 @@
 
 namespace wsan {
 
-/// Parses `text` as a whole base-10 integer. Throws std::invalid_argument
+/// Parses `text` as a whole base-10 int. Throws std::invalid_argument
 /// naming `what` when anything is left over ("3x", "1e3") or the value
-/// is out of range.
-std::int64_t parse_int(const std::string& text, const std::string& what);
+/// does not fit an int ("4294967300").
+int parse_int(const std::string& text, const std::string& what);
 
 /// Parses flags of the form "--key value" and bare "--key" booleans.
 /// Unknown positional arguments and repeated flags raise
 /// std::invalid_argument so typos in experiment invocations fail
 /// loudly instead of silently dropping a value. Numeric getters parse
-/// the whole value, unsigned ones take no sign, and get_double takes
-/// only finite values: "--trials 3x", "--seed -1" and "--rate inf" are
-/// errors.
+/// the whole value, get_int takes only values that fit an int, unsigned
+/// ones take no sign, and get_double takes only finite values:
+/// "--trials 3x", "--channels 4294967300", "--seed -1" and "--rate inf"
+/// are errors.
 class cli_args {
  public:
   cli_args(int argc, const char* const* argv);
@@ -26,7 +27,7 @@ class cli_args {
   bool has(const std::string& key) const;
 
   std::string get(const std::string& key, const std::string& fallback) const;
-  std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
+  int get_int(const std::string& key, int fallback) const;
   std::uint64_t get_uint64(const std::string& key,
                            std::uint64_t fallback) const;
   double get_double(const std::string& key, double fallback) const;

@@ -61,7 +61,7 @@ struct scheduler_config {
   /// When true (the default), the scheduler's transmission-conflict
   /// checks, channel constraint and laxity accounting run on the
   /// schedule's incremental occupancy index (per-node busy-slot
-  /// bitsets, per-cell load counters and node masks) and the hop
+  /// bitsets, full-slot bits and cell node masks) and the hop
   /// matrix's balls (find_slot's indexed search, instance_laxity). When
   /// false, they fall back to the naive scans over the schedule's cells
   /// (find_slot's naive search, calculate_laxity) — the reference oracle

@@ -23,7 +23,7 @@ struct probe_counters {
   /// (slot, offset) cells examined for the channel constraint.
   std::size_t cells_probed = 0;
   /// Constraint checks answered by the occupancy index (bitset lookups
-  /// and cached cell loads) instead of a transmission-list scan.
+  /// and cell loads) instead of a transmission-list scan.
   std::size_t index_hits = 0;
 
   probe_counters& operator+=(const probe_counters& other) {

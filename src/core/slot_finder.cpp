@@ -39,7 +39,7 @@ offset_t choose_offset(const tsch::schedule& sched,
   int best_load = 0;
   for (offset_t c = 0; c < sched.num_offsets(); ++c) {
     if (probes != nullptr) ++probes->cells_probed;
-    const int load = sched.cell_size(s, c);
+    const int load = sched.cell_load(s, c);
     // An empty cell passes the channel constraint and isolation
     // trivially, so only occupied cells are read.
     if (load > 0) {

@@ -1,7 +1,5 @@
 #include "exp/options.h"
 
-#include <climits>
-
 #include "common/error.h"
 
 namespace wsan::exp {
@@ -15,16 +13,14 @@ replay_target parse_replay_target(const std::string& spec) {
   const auto trial = parse_int(spec.substr(colon + 1), what);
   WSAN_REQUIRE(point >= 0 && trial >= 0,
                "--replay indices must be non-negative: " + spec);
-  WSAN_REQUIRE(point <= INT_MAX && trial <= INT_MAX,
-               "--replay index out of range: " + spec);
-  return {static_cast<int>(point), static_cast<int>(trial)};
+  return {point, trial};
 }
 
 run_options parse_run_options(const cli_args& args) {
   run_options options;
-  options.jobs = static_cast<int>(args.get_int("jobs", 1));
+  options.jobs = args.get_int("jobs", 1);
   WSAN_REQUIRE(options.jobs >= 0, "--jobs must be >= 0 (0 = all cores)");
-  options.trials = static_cast<int>(args.get_int("trials", -1));
+  options.trials = args.get_int("trials", -1);
   WSAN_REQUIRE(!args.has("trials") || options.trials >= 1,
                "--trials must be >= 1");
   options.seed_overridden = args.has("seed");

@@ -6,8 +6,6 @@
 #include "common/error.h"
 #include "common/rng.h"
 #include "exp/runner.h"
-#include "graph/comm_graph.h"
-#include "graph/reuse_graph.h"
 #include "obs/events.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -24,18 +22,9 @@ network_blueprint make_blueprint(const fleet_config& config) {
                "tenants must admit at least one flow");
   WSAN_REQUIRE(config.admit_bias >= 0.0 && config.admit_bias <= 1.0,
                "admit bias must be a probability");
-  network_blueprint bp;
-  bp.topology = topo::make_named_testbed(config.testbed);
-  bp.channels = phy::channels(config.num_channels);
-  graph::comm_graph_options comm_opts;
-  comm_opts.prr_threshold = config.prr_threshold;
-  bp.comm =
-      graph::build_communication_graph(bp.topology, bp.channels, comm_opts);
-  bp.reuse = graph::build_channel_reuse_graph(bp.topology, bp.channels);
-  bp.reuse_hops = graph::hop_matrix(bp.reuse);
-  bp.sched_config =
-      core::make_config(config.algo, config.num_channels, config.rho_t);
-  return bp;
+  return {graph::make_network_view(topo::make_named_testbed(config.testbed),
+                                   phy::channels(config.num_channels)),
+          core::make_config(config.algo, config.num_channels, config.rho_t)};
 }
 
 tenant_stats& tenant_stats::operator+=(const tenant_stats& other) {

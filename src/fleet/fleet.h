@@ -33,16 +33,14 @@
 
 #include "core/delta.h"
 #include "flow/flow_generator.h"
-#include "graph/hop_matrix.h"
+#include "graph/network_view.h"
 #include "obs/flight_recorder.h"
-#include "topo/topology.h"
 
 namespace wsan::fleet {
 
 struct fleet_config {
   std::string testbed = "indriya";  ///< "indriya" | "wustl"
   int num_channels = 8;
-  double prr_threshold = 0.9;
   core::algorithm algo = core::algorithm::rc;
   int rho_t = 2;
   int tenants = 1024;
@@ -56,15 +54,10 @@ struct fleet_config {
   flow::flow_set_params flow_params;
 };
 
-/// Immutable state shared by every tenant of a fleet: the physical
-/// deployment, its derived graphs, and the scheduler configuration.
-/// Built once, read concurrently by all workers.
-struct network_blueprint {
-  topo::topology topology;
-  std::vector<channel_t> channels;
-  graph::graph comm;
-  graph::graph reuse;
-  graph::hop_matrix reuse_hops;
+/// Immutable state shared by every tenant of a fleet: the network view
+/// of the physical deployment and the scheduler configuration. Built
+/// once, read concurrently by all workers.
+struct network_blueprint : graph::network_view {
   core::scheduler_config sched_config;
 };
 

@@ -15,14 +15,9 @@ namespace wsan::manager {
 
 network_manager::network_manager(topo::topology topology,
                                  manager_config config)
-    : topology_(std::move(topology)),
-      config_(std::move(config)),
-      channels_(phy::channels(config_.num_channels)),
-      comm_(graph::build_communication_graph(topology_, channels_,
-                                             config_.comm)),
-      reuse_(graph::build_channel_reuse_graph(topology_, channels_,
-                                              config_.reuse)),
-      reuse_hops_(reuse_) {
+    : config_(std::move(config)),
+      view_(graph::make_network_view(std::move(topology),
+                                     phy::channels(config_.num_channels))) {
   config_.scheduler.num_channels = config_.num_channels;
   // Isolation state has exactly one owner: isolated_. Links the caller
   // pre-seeded into the scheduler config are adopted here, and the
@@ -43,7 +38,7 @@ core::scheduler_config network_manager::effective_scheduler_config()
 
 flow::flow_set network_manager::generate_workload(
     const flow::flow_set_params& params, rng& gen) const {
-  return flow::generate_flow_set(comm_, params, gen);
+  return flow::generate_flow_set(view_.comm, params, gen);
 }
 
 core::schedule_result network_manager::admit(
@@ -57,8 +52,8 @@ core::schedule_result network_manager::admit(
   const auto start = obs::enabled()
                          ? std::chrono::steady_clock::now()
                          : std::chrono::steady_clock::time_point{};
-  auto result =
-      core::schedule_flows(flows, reuse_hops_, effective_scheduler_config());
+  auto result = core::schedule_flows(flows, view_.reuse_hops,
+                                     effective_scheduler_config());
   if (obs::enabled())
     admit_hist.observe(
         std::chrono::duration<double, std::micro>(
@@ -75,12 +70,9 @@ core::schedule_result network_manager::admit(
 
 void network_manager::blacklist_channels(
     const std::vector<channel_t>& blacklist) {
-  channels_ = phy::channels_excluding(config_.num_channels, blacklist);
-  comm_ = graph::build_communication_graph(topology_, channels_,
-                                           config_.comm);
-  reuse_ = graph::build_channel_reuse_graph(topology_, channels_,
-                                            config_.reuse);
-  reuse_hops_ = graph::hop_matrix(reuse_);
+  auto channels = phy::channels_excluding(config_.num_channels, blacklist);
+  view_ = graph::make_network_view(std::move(view_.topology),
+                                   std::move(channels));
 }
 
 network_manager::maintenance_outcome network_manager::maintain(
@@ -104,14 +96,14 @@ network_manager::maintenance_outcome network_manager::maintain(
     // The flagged links are already merged into isolated_ above, so the
     // one effective config covers them; no second merge to drift from.
     outcome.rescheduled = true;
-    outcome.repaired = core::schedule_flows(flows, reuse_hops_,
+    outcome.repaired = core::schedule_flows(flows, view_.reuse_hops,
                                             effective_scheduler_config());
   }
   return outcome;
 }
 
 void network_manager::mark_dead(node_id node) {
-  WSAN_REQUIRE(node >= 0 && node < topology_.num_nodes(),
+  WSAN_REQUIRE(node >= 0 && node < view_.topology.num_nodes(),
                "node id out of range");
   dead_.insert(node);
   silent_epochs_.erase(node);
@@ -200,7 +192,7 @@ network_manager::recovery_outcome network_manager::recover(
     for (const auto& f : flows) roots.push_back(f.id);
   }
 
-  const auto pruned = graph::remove_nodes(comm_, dead_);
+  const auto pruned = graph::remove_nodes(view_.comm, dead_);
   std::vector<flow::flow> survivors;
   std::vector<flow_id> original_ids;
   for (std::size_t fi = 0; fi < flows.size(); ++fi) {
@@ -244,7 +236,7 @@ network_manager::recovery_outcome network_manager::recover(
   for (std::size_t i = 0; i < survivors.size(); ++i)
     survivors[i].id = static_cast<flow_id>(i);
 
-  auto shed = core::schedule_shedding(std::move(survivors), reuse_hops_,
+  auto shed = core::schedule_shedding(std::move(survivors), view_.reuse_hops,
                                       effective_scheduler_config());
   for (flow_id dense : shed.shed) {
     const flow_id original = original_ids[static_cast<std::size_t>(dense)];

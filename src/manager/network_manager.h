@@ -18,9 +18,7 @@
 #include "core/scheduler.h"
 #include "detect/detector.h"
 #include "flow/flow_generator.h"
-#include "graph/comm_graph.h"
-#include "graph/hop_matrix.h"
-#include "graph/reuse_graph.h"
+#include "graph/network_view.h"
 #include "sim/simulator.h"
 #include "topo/topology.h"
 
@@ -29,8 +27,6 @@ namespace wsan::manager {
 struct manager_config {
   /// Number of channels in use (channels 11..11+n-1).
   int num_channels = 4;
-  graph::comm_graph_options comm;
-  graph::reuse_graph_options reuse;
   /// Scheduling configuration; num_channels is kept in sync with the
   /// manager's channel count.
   core::scheduler_config scheduler = core::make_config(
@@ -47,15 +43,13 @@ struct manager_config {
 class network_manager {
  public:
   /// Builds the manager from a collected topology: derives the channel
-  /// list, the communication graph, the channel-reuse graph, and its
-  /// hop matrix.
+  /// list and the network view on it (both graphs and the reuse-graph
+  /// hop matrix).
   network_manager(topo::topology topology, manager_config config);
 
-  const topo::topology& topology() const { return topology_; }
-  const std::vector<channel_t>& channels() const { return channels_; }
-  const graph::graph& communication_graph() const { return comm_; }
-  const graph::graph& reuse_graph() const { return reuse_; }
-  const graph::hop_matrix& reuse_hops() const { return reuse_hops_; }
+  /// The topology, channel list, communication graph, channel-reuse
+  /// graph and its hop matrix the manager routes and schedules on.
+  const graph::network_view& view() const { return view_; }
   const core::link_set& isolated_links() const { return isolated_; }
 
   /// Generates a random workload on this network (routes included).
@@ -172,11 +166,10 @@ class network_manager {
 
   /// Blacklists channels (TSCH channel blacklisting, Section III-A —
   /// e.g. the four channels a diagnosed WiFi access point jams) and
-  /// rebuilds the channel list and both graphs from the remaining
-  /// spectrum. Existing schedules must be re-admitted afterwards;
-  /// accumulated isolations are kept (they describe node geometry, not
-  /// channels). Throws if fewer than num_channels usable channels
-  /// remain.
+  /// rebuilds the network view from the remaining spectrum. Existing
+  /// schedules must be re-admitted afterwards; accumulated isolations
+  /// are kept (they describe node geometry, not channels). Throws if
+  /// fewer than num_channels usable channels remain.
   void blacklist_channels(const std::vector<channel_t>& blacklist);
 
  private:
@@ -188,12 +181,8 @@ class network_manager {
   /// diverge on which links are isolated.
   core::scheduler_config effective_scheduler_config() const;
 
-  topo::topology topology_;
   manager_config config_;
-  std::vector<channel_t> channels_;
-  graph::graph comm_;
-  graph::graph reuse_;
-  graph::hop_matrix reuse_hops_;
+  graph::network_view view_;
   core::link_set isolated_;
   // Fault-recovery state.
   std::set<node_id> dead_;

@@ -100,7 +100,7 @@ epoch_record scenario_engine::step() {
   {
     rng gen(derive_seed(config_.seed, static_cast<std::uint64_t>(e),
                         k_stream_churn));
-    const node_id n = mgr_.topology().num_nodes();
+    const node_id n = mgr_.view().topology.num_nodes();
     for (node_id node = 0; node < n; ++node) {
       if (down_.count(node) > 0) {
         if (gen.bernoulli(config_.churn.revival_rate)) {
@@ -164,7 +164,7 @@ epoch_record scenario_engine::step() {
       auto params = config_.flow_params;
       params.num_flows = 1;
       const auto pruned =
-          graph::remove_nodes(mgr_.communication_graph(), mgr_.dead_nodes());
+          graph::remove_nodes(mgr_.view().comm, mgr_.dead_nodes());
       flow::flow_set fs;
       try {
         fs = flow::generate_flow_set(pruned, params, gen);
@@ -246,8 +246,8 @@ epoch_record scenario_engine::step() {
                           k_stream_sim);
     if (e < config_.interferer_onset_epoch) sc.interferers.clear();
     sc.faults = sim::slice_fault_plan(global_faults_, run0, rpe);
-    sim_result = sim::run_simulation(mgr_.topology(), executed, flows_,
-                                     mgr_.channels(), sc);
+    sim_result = sim::run_simulation(mgr_.view().topology, executed, flows_,
+                                     mgr_.view().channels, sc);
     rec.pdr = sim_result.network_pdr();
   }
 

@@ -17,7 +17,6 @@ schedule::schedule(slot_t num_slots, int num_offsets)
                 static_cast<std::size_t>(num_offsets));
   words_per_node_ =
       (static_cast<std::size_t>(num_slots) + k_word_bits - 1) / k_word_bits;
-  cell_load_.assign(cells_.size(), 0);
   full_.assign(words_per_node_, 0);
 }
 
@@ -57,11 +56,13 @@ void schedule::add(const transmission& tx, slot_t slot, offset_t offset) {
   const std::size_t ci = cell_index(slot, offset);
   cells_[ci].push_back(tx);
   placements_.push_back(placement{tx, slot, offset});
-  if (cell_load_[ci]++ == 0) {
+  if (cells_[ci].size() == 1) {
     // An empty cell filled: the slot is full if no cell in it is empty.
-    const int* loads = cell_load_.data() + cell_index(slot, 0);
-    if (std::all_of(loads, loads + num_offsets_,
-                    [](int load) { return load > 0; }))
+    const auto* cells = cells_.data() + cell_index(slot, 0);
+    if (std::none_of(cells, cells + num_offsets_,
+                     [](const std::vector<transmission>& c) {
+                       return c.empty();
+                     }))
       full_[static_cast<std::size_t>(slot) / k_word_bits] |= slot_bit(slot);
   }
   mark_busy(tx.sender, slot);
@@ -99,8 +100,7 @@ std::size_t schedule::remove_flows_from(flow_id first) {
     }
     const std::size_t ci = cell_index(p.slot, p.offset);
     if (std::erase_if(cells_[ci], removed_flow) > 0) {
-      cell_load_[ci] = static_cast<int>(cells_[ci].size());
-      if (cell_load_[ci] == 0)
+      if (cells_[ci].empty())
         full_[static_cast<std::size_t>(p.slot) / k_word_bits] &=
             ~slot_bit(p.slot);
       rebuild_masks(ci);

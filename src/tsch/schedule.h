@@ -14,8 +14,6 @@
 //     sends or receives in it), so "does tx conflict with slot s" is two
 //     O(1) bit tests instead of a scan of the slot's cells — two
 //     transmissions conflict iff they share a node (Section III-B);
-//   * per-cell load counters, so channel-selection policies read a
-//     cached integer instead of measuring the cell vector;
 //   * a full-slot bitset (bit k set iff every offset of slot k holds at
 //     least one transmission), so a search that needs an empty cell
 //     skips full slots a word at a time;
@@ -58,12 +56,12 @@ class schedule {
   /// — the eviction and rollback primitive of incremental
   /// delta-scheduling (core::delta_scheduler), where those flows are the
   /// lower-priority suffix. Cost is O(placements + removed x slot
-  /// occupancy): each removed placement leaves its cell (the load
-  /// counter follows), and its endpoints' busy bits are cleared unless a
-  /// survivor in one of the slot's cells uses the node (correct even if
-  /// the caller ever placed conflicting transmissions). The relative
-  /// order of the surviving placements() is preserved. Returns the
-  /// number of placements removed (0 when no flow id reaches `first`).
+  /// occupancy): each removed placement leaves its cell, and its
+  /// endpoints' busy bits are cleared unless a survivor in one of the
+  /// slot's cells uses the node (correct even if the caller ever placed
+  /// conflicting transmissions). The relative order of the surviving
+  /// placements() is preserved. Returns the number of placements removed
+  /// (0 when no flow id reaches `first`).
   std::size_t remove_flows_from(flow_id first);
 
   /// Transmissions already assigned to one cell (T_sc in the paper).
@@ -71,8 +69,19 @@ class schedule {
     return cells_[cell_index(slot, offset)];
   }
 
-  int cell_size(slot_t slot, offset_t offset) const {
+  /// Transmissions in the cell (|T_sc|). O(1).
+  int cell_load(slot_t slot, offset_t offset) const {
     return static_cast<int>(cell(slot, offset).size());
+  }
+
+  /// Transmissions in the slot across every offset (|T_s|): the sum of
+  /// its cells' loads. O(offsets).
+  int slot_load(slot_t slot) const {
+    const auto* cells = cells_.data() + cell_index(slot, 0);
+    return std::accumulate(cells, cells + num_offsets_, 0,
+                           [](int sum, const std::vector<transmission>& c) {
+                             return sum + static_cast<int>(c.size());
+                           });
   }
 
   // ------------------------------------------------ occupancy index --
@@ -123,18 +132,6 @@ class schedule {
   /// cells. O(1).
   bool slot_conflict_free(const transmission& tx, slot_t slot) const {
     return !node_busy(tx.sender, slot) && !node_busy(tx.receiver, slot);
-  }
-
-  /// Cached cell_size(slot, offset): transmissions in the cell. O(1).
-  int cell_load(slot_t slot, offset_t offset) const {
-    return cell_load_[cell_index(slot, offset)];
-  }
-
-  /// Transmissions in the slot across every offset (|T_s|): the sum of
-  /// its cells' cached loads. O(offsets).
-  int slot_load(slot_t slot) const {
-    const int* loads = cell_load_.data() + cell_index(slot, 0);
-    return std::accumulate(loads, loads + num_offsets_, 0);
   }
 
   /// The full-slot bitset, words_per_node() words: bit k is set iff
@@ -212,7 +209,6 @@ class schedule {
   std::vector<placement> placements_;
   std::size_t words_per_node_ = 0;
   std::vector<std::uint64_t> node_busy_;  // nodes x words_per_node_
-  std::vector<int> cell_load_;            // slots x offsets
   std::vector<std::uint64_t> full_;       // words_per_node_ words
   std::size_t mask_words_ = 0;
   std::vector<std::uint64_t> cell_masks_;  // cells x 2 x mask_words_

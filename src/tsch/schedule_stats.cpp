@@ -11,7 +11,7 @@ histogram tx_per_channel_histogram(const schedule& sched) {
   histogram hist;
   for (slot_t s = 0; s < sched.num_slots(); ++s) {
     for (offset_t c = 0; c < sched.num_offsets(); ++c) {
-      const int count = sched.cell_size(s, c);
+      const int count = sched.cell_load(s, c);
       if (count > 0) hist.add(count);
     }
   }
@@ -43,7 +43,7 @@ std::size_t reusing_cell_count(const schedule& sched) {
   std::size_t count = 0;
   for (slot_t s = 0; s < sched.num_slots(); ++s)
     for (offset_t c = 0; c < sched.num_offsets(); ++c)
-      if (sched.cell_size(s, c) >= 2) ++count;
+      if (sched.cell_load(s, c) >= 2) ++count;
   return count;
 }
 
@@ -55,7 +55,7 @@ occupancy_stats occupancy(const schedule& sched) {
   for (slot_t s = 0; s < sched.num_slots(); ++s) {
     if (sched.slot_load(s) > 0) ++stats.busy_slots;
     for (offset_t c = 0; c < sched.num_offsets(); ++c)
-      if (sched.cell_size(s, c) > 0) ++stats.occupied_cells;
+      if (sched.cell_load(s, c) > 0) ++stats.occupied_cells;
   }
   return stats;
 }

@@ -4,8 +4,7 @@
 #include "core/analysis.h"
 #include "core/scheduler.h"
 #include "flow/flow_generator.h"
-#include "graph/comm_graph.h"
-#include "graph/reuse_graph.h"
+#include "graph/network_view.h"
 #include "topo/testbeds.h"
 
 namespace wsan::core {
@@ -110,11 +109,8 @@ TEST(Analysis, GuaranteeImpliesNrSchedulability) {
   // The analysis is sufficient: whenever it guarantees a workload, the
   // NR scheduler must actually schedule it. Checked over randomized
   // testbed workloads.
-  const auto t = topo::make_wustl();
-  const auto channels = phy::channels(4);
-  const auto comm = graph::build_communication_graph(t, channels);
-  const graph::hop_matrix reuse_hops(
-      graph::build_channel_reuse_graph(t, channels));
+  const auto view =
+      graph::make_network_view(topo::make_wustl(), phy::channels(4));
 
   int guaranteed_sets = 0;
   for (std::uint64_t seed = 400; seed < 440; ++seed) {
@@ -123,12 +119,12 @@ TEST(Analysis, GuaranteeImpliesNrSchedulability) {
     params.period_min_exp = 0;
     params.period_max_exp = 2;
     rng gen(seed);
-    const auto set = flow::generate_flow_set(comm, params, gen);
+    const auto set = flow::generate_flow_set(view.comm, params, gen);
     const auto analysis = analyze_response_times(set.flows, 4);
     if (!analysis.schedulable) continue;
     ++guaranteed_sets;
     const auto scheduled = schedule_flows(
-        set.flows, reuse_hops, make_config(algorithm::nr, 4));
+        set.flows, view.reuse_hops, make_config(algorithm::nr, 4));
     EXPECT_TRUE(scheduled.schedulable) << "seed " << seed;
   }
   // The analysis must not be vacuous on light workloads.
@@ -138,11 +134,8 @@ TEST(Analysis, GuaranteeImpliesNrSchedulability) {
 TEST(Analysis, BoundsDominateObservedDelays) {
   // For guaranteed workloads, the analytical bound is an upper bound on
   // the NR scheduler's actual worst-case delay (per flow).
-  const auto t = topo::make_wustl();
-  const auto channels = phy::channels(4);
-  const auto comm = graph::build_communication_graph(t, channels);
-  const graph::hop_matrix reuse_hops(
-      graph::build_channel_reuse_graph(t, channels));
+  const auto view =
+      graph::make_network_view(topo::make_wustl(), phy::channels(4));
 
   int checked = 0;
   for (std::uint64_t seed = 500; seed < 520; ++seed) {
@@ -151,11 +144,11 @@ TEST(Analysis, BoundsDominateObservedDelays) {
     params.period_min_exp = 0;
     params.period_max_exp = 1;
     rng gen(seed);
-    const auto set = flow::generate_flow_set(comm, params, gen);
+    const auto set = flow::generate_flow_set(view.comm, params, gen);
     const auto analysis = analyze_response_times(set.flows, 4);
     if (!analysis.schedulable) continue;
     const auto scheduled = schedule_flows(
-        set.flows, reuse_hops, make_config(algorithm::nr, 4));
+        set.flows, view.reuse_hops, make_config(algorithm::nr, 4));
     ASSERT_TRUE(scheduled.schedulable);
     ++checked;
     // Observed per-instance delay <= analytical bound.

@@ -3,8 +3,7 @@
 #include "common/rng.h"
 #include "core/scheduler.h"
 #include "flow/flow_generator.h"
-#include "graph/comm_graph.h"
-#include "graph/reuse_graph.h"
+#include "graph/network_view.h"
 #include "sim/coexistence.h"
 #include "topo/merge.h"
 #include "topo/testbeds.h"
@@ -97,19 +96,17 @@ struct standalone {
 
 standalone build_network(const topo::topology& t, int flows,
                          std::uint64_t seed) {
-  const auto channels = phy::channels(4);
-  const auto comm = graph::build_communication_graph(t, channels);
-  const graph::hop_matrix hops(
-      graph::build_channel_reuse_graph(t, channels));
+  const auto view = graph::make_network_view(t, phy::channels(4));
   flow::flow_set_params params;
   params.num_flows = flows;
   params.period_min_exp = 0;
   params.period_max_exp = 0;
   rng gen(seed);
   standalone out;
-  out.set = flow::generate_flow_set(comm, params, gen);
-  out.scheduled = core::schedule_flows(
-      out.set.flows, hops, core::make_config(core::algorithm::rc, 4));
+  out.set = flow::generate_flow_set(view.comm, params, gen);
+  out.scheduled =
+      core::schedule_flows(out.set.flows, view.reuse_hops,
+                           core::make_config(core::algorithm::rc, 4));
   return out;
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
 #include <iterator>
 #include <set>
 #include <sstream>
@@ -270,12 +271,24 @@ TEST(Cli, RejectsMalformedNumbers) {
         << text;
   }
 
+  // Integers must fit an int: a wider value used to be narrowed, so
+  // "--channels 4294967300" ran as 4 channels.
+  for (const char* text : {"2147483648", "-2147483649", "4294967300"}) {
+    const char* argv_wide[] = {"prog", "--channels", text};
+    cli_args wide(3, argv_wide);
+    EXPECT_THROW(wide.get_int("channels", 0), std::invalid_argument) << text;
+    EXPECT_THROW(parse_int(text, "node id"), std::invalid_argument) << text;
+  }
+
   // Well-formed values still parse, signs and exponents where they fit.
-  const char* good[] = {"prog", "--n", "-4", "--x", "1e3", "--u", "18"};
+  const char* good[] = {"prog", "--n", "-4", "--x", "1e3", "--u", "18",
+                        "--max", "2147483647", "--min", "-2147483648"};
   cli_args ok(static_cast<int>(std::size(good)), good);
   EXPECT_EQ(ok.get_int("n", 0), -4);
   EXPECT_DOUBLE_EQ(ok.get_double("x", 0.0), 1000.0);
   EXPECT_EQ(ok.get_uint64("u", 0), 18u);
+  EXPECT_EQ(ok.get_int("max", 0), INT_MAX);
+  EXPECT_EQ(ok.get_int("min", 0), INT_MIN);
   EXPECT_EQ(parse_int("9", "node id"), 9);
 }
 

@@ -3,8 +3,7 @@
 #include "common/rng.h"
 #include "core/scheduler.h"
 #include "flow/flow_generator.h"
-#include "graph/comm_graph.h"
-#include "graph/reuse_graph.h"
+#include "graph/network_view.h"
 #include "topo/testbeds.h"
 #include "tsch/schedule_stats.h"
 #include "tsch/validate.h"
@@ -245,14 +244,6 @@ TEST(Scheduler, ManagementReservationShrinksCapacity) {
 
 class TestbedSchedulerTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    topology_ = topo::make_wustl();
-    channels_ = phy::channels(4);
-    comm_ = graph::build_communication_graph(topology_, channels_);
-    reuse_hops_ = graph::hop_matrix(
-        graph::build_channel_reuse_graph(topology_, channels_));
-  }
-
   flow::flow_set make_set(int flows, std::uint64_t seed,
                           flow::traffic_type type =
                               flow::traffic_type::peer_to_peer) {
@@ -262,13 +253,11 @@ class TestbedSchedulerTest : public ::testing::Test {
     params.period_min_exp = 0;
     params.period_max_exp = 2;
     rng gen(seed);
-    return flow::generate_flow_set(comm_, params, gen);
+    return flow::generate_flow_set(view_.comm, params, gen);
   }
 
-  topo::topology topology_;
-  std::vector<channel_t> channels_;
-  graph::graph comm_;
-  graph::hop_matrix reuse_hops_;
+  graph::network_view view_ =
+      graph::make_network_view(topo::make_wustl(), phy::channels(4));
 };
 
 TEST_F(TestbedSchedulerTest, AllAlgorithmsProduceValidSchedules) {
@@ -276,13 +265,13 @@ TEST_F(TestbedSchedulerTest, AllAlgorithmsProduceValidSchedules) {
   for (const auto algo :
        {algorithm::nr, algorithm::ra, algorithm::rc}) {
     const auto result =
-        schedule_flows(set.flows, reuse_hops_, config_for(algo, 4));
+        schedule_flows(set.flows, view_.reuse_hops, config_for(algo, 4));
     if (!result.schedulable) continue;
     tsch::validation_options opts;
     opts.min_reuse_hops =
         algo == algorithm::nr ? k_infinite_hops : 2;
-    const auto validation =
-        tsch::validate_schedule(result.sched, set.flows, reuse_hops_, opts);
+    const auto validation = tsch::validate_schedule(
+        result.sched, set.flows, view_.reuse_hops, opts);
     EXPECT_TRUE(validation.ok)
         << to_string(algo) << ": "
         << (validation.violations.empty() ? ""
@@ -292,10 +281,9 @@ TEST_F(TestbedSchedulerTest, AllAlgorithmsProduceValidSchedules) {
 
 TEST_F(TestbedSchedulerTest, SchedulersAreDeterministic) {
   const auto set = make_set(15, 103);
-  const auto a =
-      schedule_flows(set.flows, reuse_hops_, config_for(algorithm::rc, 4));
-  const auto b =
-      schedule_flows(set.flows, reuse_hops_, config_for(algorithm::rc, 4));
+  const auto config = config_for(algorithm::rc, 4);
+  const auto a = schedule_flows(set.flows, view_.reuse_hops, config);
+  const auto b = schedule_flows(set.flows, view_.reuse_hops, config);
   ASSERT_EQ(a.schedulable, b.schedulable);
   ASSERT_EQ(a.sched.num_transmissions(), b.sched.num_transmissions());
   for (std::size_t i = 0; i < a.sched.placements().size(); ++i) {
@@ -311,9 +299,9 @@ TEST_F(TestbedSchedulerTest, RcReusesLessThanRa) {
   std::size_t rc_reuse = 0;
   for (std::uint64_t seed : {201u, 202u, 203u}) {
     const auto set = make_set(40, seed);
-    const auto ra = schedule_flows(set.flows, reuse_hops_,
+    const auto ra = schedule_flows(set.flows, view_.reuse_hops,
                                    config_for(algorithm::ra, 3));
-    const auto rc = schedule_flows(set.flows, reuse_hops_,
+    const auto rc = schedule_flows(set.flows, view_.reuse_hops,
                                    config_for(algorithm::rc, 3));
     if (ra.schedulable) ra_reuse += ra.stats.reuse_placements;
     if (rc.schedulable) rc_reuse += rc.stats.reuse_placements;
@@ -325,9 +313,9 @@ TEST_F(TestbedSchedulerTest, ChannelPolicyAffectsStacking) {
   const auto set = make_set(40, 301);
   auto config = config_for(algorithm::ra, 3);
   config.policy = channel_policy::min_load;
-  const auto min_load = schedule_flows(set.flows, reuse_hops_, config);
+  const auto min_load = schedule_flows(set.flows, view_.reuse_hops, config);
   config.policy = channel_policy::max_reuse;
-  const auto max_reuse = schedule_flows(set.flows, reuse_hops_, config);
+  const auto max_reuse = schedule_flows(set.flows, view_.reuse_hops, config);
   if (min_load.schedulable && max_reuse.schedulable) {
     const auto h_min = tsch::tx_per_channel_histogram(min_load.sched);
     const auto h_max = tsch::tx_per_channel_histogram(max_reuse.sched);

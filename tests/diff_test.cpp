@@ -6,8 +6,7 @@
 #include "common/rng.h"
 #include "core/scheduler.h"
 #include "flow/flow_generator.h"
-#include "graph/comm_graph.h"
-#include "graph/reuse_graph.h"
+#include "graph/network_view.h"
 #include "topo/testbeds.h"
 #include "tsch/diff.h"
 
@@ -74,19 +73,17 @@ TEST(Diff, DuplicateIdentitiesAreRejected) {
 
 TEST(Diff, RescheduleDiffShowsReuseReduction) {
   // The realistic use: diff a schedule against its repaired version.
-  const auto t = topo::make_wustl();
-  const auto channels = phy::channels(4);
-  const auto comm = graph::build_communication_graph(t, channels);
-  const graph::hop_matrix reuse_hops(
-      graph::build_channel_reuse_graph(t, channels));
+  const auto view =
+      graph::make_network_view(topo::make_wustl(), phy::channels(4));
   flow::flow_set_params params;
   params.num_flows = 30;
   params.period_min_exp = -1;
   params.period_max_exp = 0;
   rng gen(83);
-  const auto set = flow::generate_flow_set(comm, params, gen);
+  const auto set = flow::generate_flow_set(view.comm, params, gen);
   auto config = core::make_config(core::algorithm::ra, 4);
-  const auto before = core::schedule_flows(set.flows, reuse_hops, config);
+  const auto before =
+      core::schedule_flows(set.flows, view.reuse_hops, config);
   ASSERT_TRUE(before.schedulable);
 
   // Isolate one reused link and repair.
@@ -103,7 +100,8 @@ TEST(Diff, RescheduleDiffShowsReuseReduction) {
   }
   ASSERT_FALSE(degraded.empty());
   config.isolated_links = degraded;
-  const auto repaired = core::schedule_flows(set.flows, reuse_hops, config);
+  const auto repaired =
+      core::schedule_flows(set.flows, view.reuse_hops, config);
   if (!repaired.schedulable) return;
 
   const auto diff = diff_schedules(before.sched, repaired.sched);

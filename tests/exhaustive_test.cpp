@@ -4,8 +4,7 @@
 #include "core/exhaustive.h"
 #include "core/scheduler.h"
 #include "flow/flow_generator.h"
-#include "graph/comm_graph.h"
-#include "graph/reuse_graph.h"
+#include "graph/network_view.h"
 #include "topo/testbeds.h"
 #include "tsch/validate.h"
 
@@ -124,11 +123,8 @@ TEST(Exhaustive, AgreesWithGreedySchedulersOnRandomWorkloads) {
   // Soundness both ways on small instances:
   //  - any greedy success implies a feasible instance;
   //  - exhaustive infeasibility implies every greedy scheduler fails.
-  const auto t = topo::make_wustl();
-  const auto channels = phy::channels(2);
-  const auto comm = graph::build_communication_graph(t, channels);
-  const graph::hop_matrix reuse_hops(
-      graph::build_channel_reuse_graph(t, channels));
+  const auto view =
+      graph::make_network_view(topo::make_wustl(), phy::channels(2));
 
   int feasible_count = 0;
   int infeasible_count = 0;
@@ -138,19 +134,19 @@ TEST(Exhaustive, AgreesWithGreedySchedulersOnRandomWorkloads) {
     params.period_min_exp = -2;  // hyperperiod <= 50 slots
     params.period_max_exp = -1;
     rng gen(seed);
-    const auto set = flow::generate_flow_set(comm, params, gen);
+    const auto set = flow::generate_flow_set(view.comm, params, gen);
 
     exhaustive_options opts;
     opts.node_budget = 500'000;
-    const auto exact = exhaustive_search(set.flows, reuse_hops, 2, opts);
+    const auto exact = exhaustive_search(set.flows, view.reuse_hops, 2, opts);
 
-    const bool rc = schedule_flows(set.flows, reuse_hops,
+    const bool rc = schedule_flows(set.flows, view.reuse_hops,
                                    make_config(algorithm::rc, 2))
                         .schedulable;
-    const bool ra = schedule_flows(set.flows, reuse_hops,
+    const bool ra = schedule_flows(set.flows, view.reuse_hops,
                                    make_config(algorithm::ra, 2))
                         .schedulable;
-    const bool nr = schedule_flows(set.flows, reuse_hops,
+    const bool nr = schedule_flows(set.flows, view.reuse_hops,
                                    make_config(algorithm::nr, 2))
                         .schedulable;
 

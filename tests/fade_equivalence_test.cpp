@@ -38,8 +38,7 @@
 #include "core/scheduler.h"
 #include "detect/equivalence.h"
 #include "flow/flow_generator.h"
-#include "graph/comm_graph.h"
-#include "graph/reuse_graph.h"
+#include "graph/network_view.h"
 #include "phy/sigmoid.h"
 #include "sim/interference.h"
 #include "sim/simulator.h"
@@ -61,27 +60,22 @@ struct world {
 /// part of every gate case and is identical across them.
 const world& shared_world() {
   static const world w = [] {
-    world built;
-    built.topology = topo::make_wustl();
-    built.channels = phy::channels(4);
-    const auto comm =
-        graph::build_communication_graph(built.topology, built.channels);
-    const auto reuse_hops = graph::hop_matrix(
-        graph::build_channel_reuse_graph(built.topology, built.channels));
+    auto view =
+        graph::make_network_view(topo::make_wustl(), phy::channels(4));
     flow::flow_set_params params;
     params.num_flows = 20;
     params.type = flow::traffic_type::peer_to_peer;
     params.period_min_exp = 1;
     params.period_max_exp = 3;
     rng gen(977);
-    auto set = flow::generate_flow_set(comm, params, gen);
-    const auto result = core::schedule_flows(
-        set.flows, reuse_hops, core::make_config(core::algorithm::rc, 4));
+    auto set = flow::generate_flow_set(view.comm, params, gen);
+    const auto result =
+        core::schedule_flows(set.flows, view.reuse_hops,
+                             core::make_config(core::algorithm::rc, 4));
     if (!result.schedulable)
       throw std::runtime_error("gate workload must be schedulable");
-    built.sched = result.sched;
-    built.flows = set.flows;
-    return built;
+    return world{std::move(view.topology), std::move(view.channels),
+                 result.sched, set.flows};
   }();
   return w;
 }

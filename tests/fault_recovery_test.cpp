@@ -216,7 +216,7 @@ TEST_F(FaultRecoveryTest, MarkDeadAndResetWatchdog) {
   ASSERT_NE(victim, k_invalid_node);
 
   EXPECT_THROW(manager_.mark_dead(-1), std::invalid_argument);
-  EXPECT_THROW(manager_.mark_dead(manager_.topology().num_nodes()),
+  EXPECT_THROW(manager_.mark_dead(manager_.view().topology.num_nodes()),
                std::invalid_argument);
 
   manager_.mark_dead(victim);
@@ -308,7 +308,7 @@ TEST(ManagerConfig, RejectsNonPositiveWatchdog) {
 // ----------------------------------------------------------- rerouting --
 
 TEST_F(FaultRecoveryTest, RemoveNodesIsolatesWithoutRenumbering) {
-  const auto& comm = manager_.communication_graph();
+  const auto& comm = manager_.view().comm;
   ASSERT_GT(comm.num_nodes(), 2);
   const node_id removed = 1;
   const auto pruned = graph::remove_nodes(comm, {removed});
@@ -334,7 +334,7 @@ TEST_F(FaultRecoveryTest, RerouteAvoidsExcludedNodes) {
     const node_id excluded_node = f.route[0].receiver;
     const std::set<node_id> excluded{excluded_node};
     const auto pruned =
-        graph::remove_nodes(manager_.communication_graph(), excluded);
+        graph::remove_nodes(manager_.view().comm, excluded);
     const auto rerouted = flow::reroute_flow(pruned, f, excluded);
     if (!rerouted) continue;  // that relay was a cut vertex; try another
     for (const auto& l : rerouted->links) {
@@ -357,12 +357,12 @@ TEST_F(FaultRecoveryTest, RerouteFailsWhenAnEndpointDied) {
   const auto& f = set.flows.front();
   const std::set<node_id> dead_source{f.source};
   const auto pruned =
-      graph::remove_nodes(manager_.communication_graph(), dead_source);
+      graph::remove_nodes(manager_.view().comm, dead_source);
   EXPECT_FALSE(flow::reroute_flow(pruned, f, dead_source).has_value());
   const std::set<node_id> dead_dest{f.destination};
   EXPECT_FALSE(
       flow::reroute_flow(
-          graph::remove_nodes(manager_.communication_graph(), dead_dest), f,
+          graph::remove_nodes(manager_.view().comm, dead_dest), f,
           dead_dest)
           .has_value());
 }
@@ -518,9 +518,10 @@ TEST(FaultRecoveryEndToEnd, CrashedRelayIsDetectedAndRoutedAround) {
   };
 
   // Pre-fault baseline delivery per flow id.
-  const auto baseline = sim::run_simulation(
-      manager.topology(), scheduled.sched, flows, manager.channels(),
-      make_sim_config());
+  const auto& view = manager.view();
+  const auto baseline =
+      sim::run_simulation(view.topology, scheduled.sched, flows,
+                          view.channels, make_sim_config());
 
   // The victim crashes permanently at the start of epoch 1.
   sim::fault_plan plan;
@@ -533,8 +534,7 @@ TEST(FaultRecoveryEndToEnd, CrashedRelayIsDetectedAndRoutedAround) {
     sim_config.faults = sim::slice_fault_plan(plan, epoch * runs_per_epoch,
                                               runs_per_epoch);
     const auto observed = sim::run_simulation(
-        manager.topology(), scheduled.sched, flows, manager.channels(),
-        sim_config);
+        view.topology, scheduled.sched, flows, view.channels, sim_config);
     const auto outcome = manager.recover(flows, observed.links);
     if (!outcome.newly_dead.empty()) {
       ASSERT_EQ(outcome.newly_dead, std::vector<node_id>{victim});
@@ -568,8 +568,7 @@ TEST(FaultRecoveryEndToEnd, CrashedRelayIsDetectedAndRoutedAround) {
   auto post_config = make_sim_config();
   post_config.faults.crashes.push_back(sim::node_crash{victim, 0, -1});
   const auto post = sim::run_simulation(
-      manager.topology(), scheduled.sched, flows, manager.channels(),
-      post_config);
+      view.topology, scheduled.sched, flows, view.channels, post_config);
   ASSERT_EQ(post.flow_pdr.size(), flows.size());
   for (std::size_t i = 0; i < flows.size(); ++i) {
     const auto original =

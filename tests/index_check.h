@@ -66,18 +66,17 @@ inline void expect_busy_bits_match(const schedule& sched) {
 }
 
 /// Checks every part of the occupancy index against the cells: the busy
-/// bits both ways, cell_load equals cell_size, slot_load is the slot's
-/// cell sizes summed, a slot is full iff none of its cells is empty, and
-/// each cell's node masks hold exactly its senders and receivers.
+/// bits both ways, slot_load is the slot's cell sizes summed, a slot is
+/// full iff none of its cells is empty, and each cell's node masks hold
+/// exactly its senders and receivers.
 inline void expect_index_consistent(const schedule& sched) {
   expect_busy_bits_match(sched);
   for (slot_t s = 0; s < sched.num_slots(); ++s) {
     bool every_offset_used = true;
     int slot_size = 0;
     for (offset_t c = 0; c < sched.num_offsets(); ++c) {
-      EXPECT_EQ(sched.cell_load(s, c), sched.cell_size(s, c));
-      every_offset_used = every_offset_used && sched.cell_size(s, c) > 0;
-      slot_size += sched.cell_size(s, c);
+      every_offset_used = every_offset_used && !sched.cell(s, c).empty();
+      slot_size += static_cast<int>(sched.cell(s, c).size());
     }
     EXPECT_EQ(sched.slot_load(s), slot_size) << "slot " << s;
     EXPECT_EQ(sched.slot_full(s), every_offset_used) << "slot " << s;

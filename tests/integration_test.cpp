@@ -8,8 +8,7 @@
 #include "detect/detector.h"
 #include "flow/flow_generator.h"
 #include "graph/algorithms.h"
-#include "graph/comm_graph.h"
-#include "graph/reuse_graph.h"
+#include "graph/network_view.h"
 #include "sim/simulator.h"
 #include "stats/summary.h"
 #include "topo/testbeds.h"
@@ -21,14 +20,6 @@ namespace {
 
 class PipelineTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    topology_ = topo::make_wustl();
-    channels_ = phy::channels(4);
-    comm_ = graph::build_communication_graph(topology_, channels_);
-    reuse_ = graph::build_channel_reuse_graph(topology_, channels_);
-    reuse_hops_ = graph::hop_matrix(reuse_);
-  }
-
   flow::flow_set make_reliability_workload(int flows, std::uint64_t seed) {
     // The paper's reliability setup: 50 flows, half at 0.5 s, half at
     // 1 s (Section VII-D). Our generator draws uniformly from the
@@ -39,45 +30,42 @@ class PipelineTest : public ::testing::Test {
     params.period_min_exp = -1;
     params.period_max_exp = 0;
     rng gen(seed);
-    return flow::generate_flow_set(comm_, params, gen);
+    return flow::generate_flow_set(view_.comm, params, gen);
   }
 
   core::scheduler_config config_for(core::algorithm algo) const {
-    return core::make_config(algo, static_cast<int>(channels_.size()));
+    return core::make_config(algo, static_cast<int>(view_.channels.size()));
   }
 
-  topo::topology topology_;
-  std::vector<channel_t> channels_;
-  graph::graph comm_;
-  graph::graph reuse_;
-  graph::hop_matrix reuse_hops_;
+  graph::network_view view_ =
+      graph::make_network_view(topo::make_wustl(), phy::channels(4));
 };
 
 TEST_F(PipelineTest, GraphsHaveTheExpectedStructure) {
-  EXPECT_TRUE(graph::is_connected(comm_));
-  EXPECT_TRUE(graph::is_connected(reuse_));
-  EXPECT_GT(reuse_.num_edges(), comm_.num_edges());
-  EXPECT_GE(reuse_hops_.diameter(), 2);
-  EXPECT_LE(reuse_hops_.diameter(), 10);
+  EXPECT_TRUE(graph::is_connected(view_.comm));
+  EXPECT_TRUE(graph::is_connected(view_.reuse));
+  EXPECT_GT(view_.reuse.num_edges(), view_.comm.num_edges());
+  EXPECT_GE(view_.reuse_hops.diameter(), 2);
+  EXPECT_LE(view_.reuse_hops.diameter(), 10);
 }
 
 TEST_F(PipelineTest, ScheduledWorkloadSurvivesSimulationCleanly) {
   const auto set = make_reliability_workload(30, 41);
-  const auto result = core::schedule_flows(set.flows, reuse_hops_,
+  const auto result = core::schedule_flows(set.flows, view_.reuse_hops,
                                            config_for(core::algorithm::rc));
   ASSERT_TRUE(result.schedulable);
 
   tsch::validation_options opts;
   opts.min_reuse_hops = 2;
   ASSERT_TRUE(
-      tsch::validate_schedule(result.sched, set.flows, reuse_hops_, opts)
+      tsch::validate_schedule(result.sched, set.flows, view_.reuse_hops, opts)
           .ok);
 
   sim::sim_config sim_config;
   sim_config.runs = 30;
   sim_config.seed = 7;
   const auto sim_result = sim::run_simulation(
-      topology_, result.sched, set.flows, channels_, sim_config);
+      view_.topology, result.sched, set.flows, view_.channels, sim_config);
 
   // Every flow routes over >= 0.9 PRR links with a retry per hop; in a
   // clean environment delivery should be high across the board.
@@ -89,13 +77,13 @@ TEST_F(PipelineTest, ScheduledWorkloadSurvivesSimulationCleanly) {
 
 TEST_F(PipelineTest, NrSimulationHasNoReuseSamples) {
   const auto set = make_reliability_workload(20, 43);
-  const auto result = core::schedule_flows(set.flows, reuse_hops_,
+  const auto result = core::schedule_flows(set.flows, view_.reuse_hops,
                                            config_for(core::algorithm::nr));
   ASSERT_TRUE(result.schedulable);
   sim::sim_config sim_config;
   sim_config.runs = 10;
   const auto sim_result = sim::run_simulation(
-      topology_, result.sched, set.flows, channels_, sim_config);
+      view_.topology, result.sched, set.flows, view_.channels, sim_config);
   for (const auto& [link, obs] : sim_result.links) {
     EXPECT_EQ(obs.reuse_attempts, 0)
         << link.sender << "->" << link.receiver;
@@ -114,25 +102,25 @@ TEST_F(PipelineTest, RaWorstCasePdrSuffersMoreThanRc) {
   int compared = 0;
   for (std::uint64_t seed = 51; seed < 120 && compared < 4; ++seed) {
     const auto set = make_reliability_workload(30, seed);
-    const auto nr = core::schedule_flows(set.flows, reuse_hops_,
+    const auto nr = core::schedule_flows(set.flows, view_.reuse_hops,
                                          config_for(core::algorithm::nr));
-    const auto ra = core::schedule_flows(set.flows, reuse_hops_,
+    const auto ra = core::schedule_flows(set.flows, view_.reuse_hops,
                                          config_for(core::algorithm::ra));
-    const auto rc = core::schedule_flows(set.flows, reuse_hops_,
+    const auto rc = core::schedule_flows(set.flows, view_.reuse_hops,
                                          config_for(core::algorithm::rc));
     if (!nr.schedulable || !ra.schedulable || !rc.schedulable) continue;
     ++compared;
     sim::sim_config sim_config;
     sim_config.runs = 60;
     sim_config.seed = seed;
-    const auto nr_sim = sim::run_simulation(topology_, nr.sched,
-                                            set.flows, channels_,
+    const auto nr_sim = sim::run_simulation(view_.topology, nr.sched,
+                                            set.flows, view_.channels,
                                             sim_config);
-    const auto ra_sim = sim::run_simulation(topology_, ra.sched,
-                                            set.flows, channels_,
+    const auto ra_sim = sim::run_simulation(view_.topology, ra.sched,
+                                            set.flows, view_.channels,
                                             sim_config);
-    const auto rc_sim = sim::run_simulation(topology_, rc.sched,
-                                            set.flows, channels_,
+    const auto rc_sim = sim::run_simulation(view_.topology, rc.sched,
+                                            set.flows, view_.channels,
                                             sim_config);
     const auto nr_box = stats::make_box_stats(nr_sim.flow_pdr);
     const auto ra_box = stats::make_box_stats(ra_sim.flow_pdr);
@@ -155,16 +143,16 @@ TEST_F(PipelineTest, RaWorstCasePdrSuffersMoreThanRc) {
 
 TEST_F(PipelineTest, DetectorPipelineRunsOnSimulatorOutput) {
   const auto set = make_reliability_workload(40, 61);
-  const auto ra = core::schedule_flows(set.flows, reuse_hops_,
+  const auto ra = core::schedule_flows(set.flows, view_.reuse_hops,
                                        config_for(core::algorithm::ra));
   ASSERT_TRUE(ra.schedulable);
 
   sim::sim_config sim_config;
   sim_config.runs = 36;  // two 18-run epochs
   sim_config.seed = 13;
-  sim_config.interferers = sim::one_interferer_per_floor(topology_, 0.5);
+  sim_config.interferers = sim::one_interferer_per_floor(view_.topology, 0.5);
   const auto sim_result = sim::run_simulation(
-      topology_, ra.sched, set.flows, channels_, sim_config);
+      view_.topology, ra.sched, set.flows, view_.channels, sim_config);
 
   const auto reports = detect::classify_links(sim_result.links, {});
   // Every reported link must be one that the schedule actually reuses.
@@ -187,19 +175,19 @@ TEST_F(PipelineTest, CentralizedWorkloadRunsEndToEnd) {
   params.period_min_exp = 1;
   params.period_max_exp = 2;
   rng gen(71);
-  const auto set = flow::generate_flow_set(comm_, params, gen);
-  const auto result = core::schedule_flows(set.flows, reuse_hops_,
+  const auto set = flow::generate_flow_set(view_.comm, params, gen);
+  const auto result = core::schedule_flows(set.flows, view_.reuse_hops,
                                            config_for(core::algorithm::rc));
   ASSERT_TRUE(result.schedulable);
   tsch::validation_options opts;
   opts.min_reuse_hops = 2;
   EXPECT_TRUE(
-      tsch::validate_schedule(result.sched, set.flows, reuse_hops_, opts)
+      tsch::validate_schedule(result.sched, set.flows, view_.reuse_hops, opts)
           .ok);
   sim::sim_config sim_config;
   sim_config.runs = 20;
   const auto sim_result = sim::run_simulation(
-      topology_, result.sched, set.flows, channels_, sim_config);
+      view_.topology, result.sched, set.flows, view_.channels, sim_config);
   EXPECT_GT(sim_result.network_pdr(), 0.8);
 }
 

@@ -2,6 +2,8 @@
 
 #include "common/rng.h"
 #include "graph/algorithms.h"
+#include "graph/comm_graph.h"
+#include "graph/reuse_graph.h"
 #include "topo/testbeds.h"
 #include "manager/network_manager.h"
 #include "tsch/schedule_stats.h"
@@ -34,12 +36,12 @@ class ManagerTest : public ::testing::Test {
 };
 
 TEST_F(ManagerTest, ConstructionDerivesTheGraphs) {
-  EXPECT_EQ(manager_.channels().size(), 4u);
-  EXPECT_EQ(manager_.channels().front(), 11);
-  EXPECT_TRUE(graph::is_connected(manager_.communication_graph()));
-  EXPECT_GT(manager_.reuse_graph().num_edges(),
-            manager_.communication_graph().num_edges());
-  EXPECT_GE(manager_.reuse_hops().diameter(), 2);
+  const auto& view = manager_.view();
+  EXPECT_EQ(view.channels.size(), 4u);
+  EXPECT_EQ(view.channels.front(), 11);
+  EXPECT_TRUE(graph::is_connected(view.comm));
+  EXPECT_GT(view.reuse.num_edges(), view.comm.num_edges());
+  EXPECT_GE(view.reuse_hops.diameter(), 2);
   EXPECT_TRUE(manager_.isolated_links().empty());
 }
 
@@ -50,7 +52,7 @@ TEST_F(ManagerTest, AdmitsAndValidatesWorkloads) {
   tsch::validation_options opts;
   opts.min_reuse_hops = 2;
   EXPECT_TRUE(tsch::validate_schedule(result.sched, set.flows,
-                                      manager_.reuse_hops(), opts)
+                                      manager_.view().reuse_hops, opts)
                   .ok);
 }
 
@@ -68,8 +70,8 @@ TEST_F(ManagerTest, MaintenanceWithHealthyReportsDoesNothing) {
   sim_config.intermittent_fraction = 0.0;
   sim_config.temporal_fading_sigma_db = 0.0;
   const auto observed = sim::run_simulation(
-      manager_.topology(), admitted.sched, set.flows, manager_.channels(),
-      sim_config);
+      manager_.view().topology, admitted.sched, set.flows,
+      manager_.view().channels, sim_config);
 
   const auto outcome = manager_.maintain(set.flows, observed.links);
   EXPECT_FALSE(outcome.rescheduled);
@@ -153,14 +155,37 @@ TEST_F(ManagerTest, RepeatedMaintenanceDoesNotReisolate) {
 }
 
 TEST_F(ManagerTest, BlacklistingRebuildsTheChannelPlan) {
-  const auto original_channels = manager_.channels();
+  const auto original_channels = manager_.view().channels;
   ASSERT_EQ(original_channels, phy::channels(4));  // 11..14
 
   // A WiFi AP on channel 1 jams 802.15.4 channels 11-14; blacklist them.
   manager_.blacklist_channels({11, 12, 13, 14});
-  EXPECT_EQ(manager_.channels(),
-            (std::vector<channel_t>{15, 16, 17, 18}));
-  EXPECT_TRUE(graph::is_connected(manager_.communication_graph()));
+  const auto& view = manager_.view();
+  const std::vector<channel_t> remaining{15, 16, 17, 18};
+  EXPECT_EQ(view.channels, remaining);
+  EXPECT_TRUE(graph::is_connected(view.comm));
+
+  // Both graphs and the hop matrix are rebuilt on the remaining
+  // channels, not only the channel list: edge for edge and pair for
+  // pair, they equal the primitives run on channels 15-18.
+  const auto topology = topo::make_wustl();
+  const auto expect_same_edges = [](const graph::graph& built,
+                                    const graph::graph& reference) {
+    ASSERT_EQ(built.num_nodes(), reference.num_nodes());
+    EXPECT_EQ(built.num_edges(), reference.num_edges());
+    for (node_id u = 0; u < reference.num_nodes(); ++u)
+      EXPECT_EQ(built.neighbors(u), reference.neighbors(u)) << "node " << u;
+  };
+  expect_same_edges(view.comm,
+                    graph::build_communication_graph(topology, remaining));
+  const auto reuse = graph::build_channel_reuse_graph(topology, remaining);
+  expect_same_edges(view.reuse, reuse);
+  const graph::hop_matrix hops(reuse);
+  ASSERT_EQ(view.reuse_hops.num_nodes(), hops.num_nodes());
+  for (node_id u = 0; u < hops.num_nodes(); ++u)
+    for (node_id v = 0; v < hops.num_nodes(); ++v)
+      ASSERT_EQ(view.reuse_hops.hops(u, v), hops.hops(u, v))
+          << u << " -> " << v;
 
   // Workloads admit on the new plan.
   const auto set = workload(10, 29);

@@ -6,8 +6,7 @@
 #include "core/rescheduler.h"
 #include "core/slot_finder.h"
 #include "flow/flow_generator.h"
-#include "graph/comm_graph.h"
-#include "graph/reuse_graph.h"
+#include "graph/network_view.h"
 #include "topo/testbeds.h"
 #include "tsch/validate.h"
 
@@ -231,18 +230,15 @@ TEST(Shedding, EmptyRemainderIsTriviallySchedulable) {
 // --------------------------------------------------- testbed round trip --
 
 TEST(Rescheduler, RepairedScheduleStillValidates) {
-  const auto topology = topo::make_wustl();
-  const auto channels = phy::channels(4);
-  const auto comm = graph::build_communication_graph(topology, channels);
-  const graph::hop_matrix reuse_hops(
-      graph::build_channel_reuse_graph(topology, channels));
+  const auto view =
+      graph::make_network_view(topo::make_wustl(), phy::channels(4));
 
   flow::flow_set_params params;
   params.num_flows = 30;
   rng gen(77);
-  const auto set = flow::generate_flow_set(comm, params, gen);
+  const auto set = flow::generate_flow_set(view.comm, params, gen);
   auto config = make_config(algorithm::ra, 4);
-  const auto before = schedule_flows(set.flows, reuse_hops, config);
+  const auto before = schedule_flows(set.flows, view.reuse_hops, config);
   ASSERT_TRUE(before.schedulable);
 
   // Isolate the first few links that appear in reusing cells.
@@ -259,12 +255,12 @@ TEST(Rescheduler, RepairedScheduleStillValidates) {
   ASSERT_FALSE(degraded.empty());
 
   config.isolated_links = degraded;
-  const auto repaired = schedule_flows(set.flows, reuse_hops, config);
+  const auto repaired = schedule_flows(set.flows, view.reuse_hops, config);
   if (!repaired.schedulable) return;  // load no longer fits: legal
   tsch::validation_options opts;
   opts.min_reuse_hops = 2;
-  const auto validation =
-      tsch::validate_schedule(repaired.sched, set.flows, reuse_hops, opts);
+  const auto validation = tsch::validate_schedule(
+      repaired.sched, set.flows, view.reuse_hops, opts);
   EXPECT_TRUE(validation.ok)
       << (validation.violations.empty() ? ""
                                         : validation.violations.front());

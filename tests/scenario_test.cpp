@@ -210,7 +210,7 @@ TEST(SlotSwapper, PreservesValidityOnBothTestbeds) {
                 admitted.sched.num_transmissions())
           << tc.name;
       const auto verdict = tsch::validate_schedule(
-          randomized.sched, fs.flows, mgr.reuse_hops(), vo);
+          randomized.sched, fs.flows, mgr.view().reuse_hops, vo);
       EXPECT_TRUE(verdict.ok)
           << tc.name << ": "
           << (verdict.violations.empty() ? "" : verdict.violations[0]);

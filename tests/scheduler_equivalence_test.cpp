@@ -1,9 +1,9 @@
 // Equivalence oracle for the scheduler's occupancy index: on randomized
-// workloads, the indexed hot path (per-node busy-slot bitsets + cached
-// cell loads) must produce placement-identical schedules to the naive
-// reference scans it replaces. Any divergence — in schedulability, in a
-// single (tx, slot, offset) placement, or in search-effort counters —
-// is a bug in the index maintenance.
+// workloads, the indexed hot path (per-node busy-slot bitsets, full-slot
+// bits and cell node masks) must produce placement-identical schedules
+// to the naive reference scans it replaces. Any divergence — in
+// schedulability, in a single (tx, slot, offset) placement, or in
+// search-effort counters — is a bug in the index maintenance.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -12,36 +12,24 @@
 #include "common/rng.h"
 #include "core/scheduler.h"
 #include "flow/flow_generator.h"
-#include "graph/comm_graph.h"
-#include "graph/reuse_graph.h"
+#include "graph/network_view.h"
 #include "topo/testbeds.h"
 
 namespace wsan {
 namespace {
 
-struct world {
-  topo::topology topology;
-  std::vector<channel_t> channels;
-  graph::graph comm;
-  graph::hop_matrix reuse_hops;
-};
-
-const world& shared_world(int num_channels) {
-  static std::map<int, world> cache;
+const graph::network_view& shared_world(int num_channels) {
+  static std::map<int, graph::network_view> cache;
   auto it = cache.find(num_channels);
   if (it == cache.end()) {
-    world w;
-    w.topology = topo::make_wustl();
-    w.channels = phy::channels(num_channels);
-    w.comm = graph::build_communication_graph(w.topology, w.channels);
-    w.reuse_hops = graph::hop_matrix(
-        graph::build_channel_reuse_graph(w.topology, w.channels));
-    it = cache.emplace(num_channels, std::move(w)).first;
+    auto view = graph::make_network_view(topo::make_wustl(),
+                                         phy::channels(num_channels));
+    it = cache.emplace(num_channels, std::move(view)).first;
   }
   return it->second;
 }
 
-flow::flow_set make_workload(const world& w, int flows,
+flow::flow_set make_workload(const graph::network_view& w, int flows,
                              std::uint64_t seed) {
   flow::flow_set_params params;
   params.num_flows = flows;

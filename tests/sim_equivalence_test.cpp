@@ -33,8 +33,7 @@
 #include "common/rng.h"
 #include "core/scheduler.h"
 #include "flow/flow_generator.h"
-#include "graph/comm_graph.h"
-#include "graph/reuse_graph.h"
+#include "graph/network_view.h"
 #include "obs/metrics.h"
 #include "sim/simulator.h"
 #include "topo/testbeds.h"
@@ -87,21 +86,16 @@ struct world {
 
 world make_world(core::algorithm algo, int num_channels,
                  const flow::flow_set_params& params) {
-  world w;
-  w.topology = topo::make_wustl();
-  w.channels = phy::channels(num_channels);
-  const auto comm = graph::build_communication_graph(w.topology, w.channels);
-  const auto reuse_hops = graph::hop_matrix(
-      graph::build_channel_reuse_graph(w.topology, w.channels));
+  auto view = graph::make_network_view(topo::make_wustl(),
+                                       phy::channels(num_channels));
   rng gen(977);
-  auto set = flow::generate_flow_set(comm, params, gen);
+  auto set = flow::generate_flow_set(view.comm, params, gen);
   const auto result = core::schedule_flows(
-      set.flows, reuse_hops, core::make_config(algo, num_channels));
+      set.flows, view.reuse_hops, core::make_config(algo, num_channels));
   if (!result.schedulable)
     throw std::runtime_error("equivalence workload must be schedulable");
-  w.sched = result.sched;
-  w.flows = set.flows;
-  return w;
+  return {std::move(view.topology), std::move(view.channels), result.sched,
+          set.flows};
 }
 
 /// One scheduled WUSTL workload per (algorithm, flow count), cached: the

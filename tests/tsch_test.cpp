@@ -58,7 +58,7 @@ TEST(Schedule, MultipleTransmissionsPerCell) {
   schedule s(5, 2);
   s.add(make_tx(0, 1), 1, 0);
   s.add(make_tx(4, 5), 1, 0);
-  EXPECT_EQ(s.cell_size(1, 0), 2);
+  EXPECT_EQ(s.cell_load(1, 0), 2);
   EXPECT_EQ(s.slot_load(1), 2);
 }
 

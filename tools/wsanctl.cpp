@@ -38,8 +38,7 @@
 #include "flow/flow_generator.h"
 #include "flow/flow_io.h"
 #include "graph/algorithms.h"
-#include "graph/comm_graph.h"
-#include "graph/reuse_graph.h"
+#include "graph/network_view.h"
 #include "manager/network_manager.h"
 #include "scenario/scenario.h"
 #include "sim/faults.h"
@@ -136,22 +135,10 @@ commands:
   return 2;
 }
 
-struct environment {
-  topo::topology topology;
-  std::vector<channel_t> channels;
-  graph::graph comm;
-  graph::hop_matrix reuse_hops;
-};
-
-environment load_environment(const cli_args& args) {
-  environment env;
-  env.topology = topo::load_topology_file(args.get("topology", ""));
-  env.channels =
-      phy::channels(static_cast<int>(args.get_int("channels", 4)));
-  env.comm = graph::build_communication_graph(env.topology, env.channels);
-  env.reuse_hops = graph::hop_matrix(
-      graph::build_channel_reuse_graph(env.topology, env.channels));
-  return env;
+graph::network_view load_environment(const cli_args& args) {
+  return graph::make_network_view(
+      topo::load_topology_file(args.get("topology", "")),
+      phy::channels(args.get_int("channels", 4)));
 }
 
 int cmd_topology(const cli_args& args) {
@@ -169,13 +156,13 @@ int cmd_topology(const cli_args& args) {
 int cmd_workload(const cli_args& args) {
   const auto env = load_environment(args);
   flow::flow_set_params params;
-  params.num_flows = static_cast<int>(args.get_int("flows", 30));
+  params.num_flows = args.get_int("flows", 30);
   params.type = args.get("type", "p2p") == "centralized"
                     ? flow::traffic_type::centralized
                     : flow::traffic_type::peer_to_peer;
-  params.period_min_exp = static_cast<int>(args.get_int("period-min", 0));
-  params.period_max_exp = static_cast<int>(args.get_int("period-max", 2));
-  rng gen(static_cast<std::uint64_t>(args.get_int("seed", 1)));
+  params.period_min_exp = args.get_int("period-min", 0);
+  params.period_max_exp = args.get_int("period-max", 2);
+  rng gen(args.get_uint64("seed", 1));
   const auto set = flow::generate_flow_set(env.comm, params, gen);
   const auto out = args.get("out", "workload.flows");
   flow::save_flow_set_file(set, out);
@@ -191,8 +178,7 @@ int cmd_schedule(const cli_args& args) {
   const auto set = flow::load_flow_set_file(args.get("workload", ""));
   const auto algo = core::parse_algorithm(args.get("algo", "rc"));
   const auto config = core::make_config(
-      algo, static_cast<int>(env.channels.size()),
-      static_cast<int>(args.get_int("rho", 2)));
+      algo, static_cast<int>(env.channels.size()), args.get_int("rho", 2));
   const auto result =
       core::schedule_flows(set.flows, env.reuse_hops, config);
   if (!result.schedulable) {
@@ -227,7 +213,7 @@ int cmd_schedule(const cli_args& args) {
 
 int cmd_analyze(const cli_args& args) {
   const auto set = flow::load_flow_set_file(args.get("workload", ""));
-  const int channels = static_cast<int>(args.get_int("channels", 4));
+  const int channels = args.get_int("channels", 4);
   const auto analysis = core::analyze_response_times(set.flows, channels);
   table t({"flow", "deadline", "bound", "guaranteed"});
   for (const auto& bound : analysis.bounds) {
@@ -244,12 +230,13 @@ int cmd_analyze(const cli_args& args) {
   return analysis.schedulable ? 0 : 1;
 }
 
-sim::sim_result run_sim(const cli_args& args, const environment& env,
+sim::sim_result run_sim(const cli_args& args,
+                        const graph::network_view& env,
                         const flow::flow_set& set,
                         const tsch::schedule& sched) {
   sim::sim_config config;
-  config.runs = static_cast<int>(args.get_int("runs", 100));
-  config.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+  config.runs = args.get_int("runs", 100);
+  config.seed = args.get_uint64("seed", 42);
   if (args.get_bool("wifi", false))
     config.interferers = sim::one_interferer_per_floor(env.topology, 0.3,
                                                        8.0);
@@ -327,16 +314,15 @@ int cmd_latency(const cli_args& args) {
 int cmd_fleet(const cli_args& args) {
   fleet::fleet_config config;
   config.testbed = args.get("testbed", "indriya");
-  config.num_channels = static_cast<int>(args.get_int("channels", 8));
+  config.num_channels = args.get_int("channels", 8);
   config.algo = core::parse_algorithm(args.get("algo", "rc"));
-  config.rho_t = static_cast<int>(args.get_int("rho", 2));
-  config.tenants = static_cast<int>(args.get_int("tenants", 64));
-  config.ops_per_tenant = static_cast<int>(args.get_int("ops", 16));
-  config.max_flows_per_tenant =
-      static_cast<int>(args.get_int("max-flows", 12));
+  config.rho_t = args.get_int("rho", 2);
+  config.tenants = args.get_int("tenants", 64);
+  config.ops_per_tenant = args.get_int("ops", 16);
+  config.max_flows_per_tenant = args.get_int("max-flows", 12);
   config.admit_bias = args.get_double("admit-bias", 0.7);
   config.seed = args.get_uint64("seed", 1);
-  const int jobs = static_cast<int>(args.get_int("jobs", 0));
+  const int jobs = args.get_int("jobs", 0);
 
   exp::run_options obs_options;
   obs_options.metrics_path = args.get("metrics", "");
@@ -423,46 +409,38 @@ int cmd_scenario(const cli_args& args) {
           : topo::make_named_testbed(args.get("testbed", "wustl"));
 
   scenario::scenario_config config;
-  config.epochs = static_cast<int>(args.get_int("epochs", 12));
-  config.runs_per_epoch =
-      static_cast<int>(args.get_int("runs-per-epoch", 6));
+  config.epochs = args.get_int("epochs", 12);
+  config.runs_per_epoch = args.get_int("runs-per-epoch", 6);
   config.seed = args.get_uint64("seed", 1);
-  config.flow_params.num_flows =
-      static_cast<int>(args.get_int("flows", 8));
+  config.flow_params.num_flows = args.get_int("flows", 8);
   config.flow_params.type = args.get("type", "p2p") == "centralized"
                                 ? flow::traffic_type::centralized
                                 : flow::traffic_type::peer_to_peer;
-  config.flow_params.period_min_exp =
-      static_cast<int>(args.get_int("period-min", 0));
-  config.flow_params.period_max_exp =
-      static_cast<int>(args.get_int("period-max", 1));
+  config.flow_params.period_min_exp = args.get_int("period-min", 0);
+  config.flow_params.period_max_exp = args.get_int("period-max", 1);
   config.departure_rate = args.get_double("departure-rate", 0.1);
   config.arrivals.rate = args.get_double("arrival-rate", 1.5);
-  config.arrivals.max_flows =
-      static_cast<int>(args.get_int("max-flows", 12));
+  config.arrivals.max_flows = args.get_int("max-flows", 12);
   config.churn.crash_rate = args.get_double("crash-rate", 0.01);
   config.churn.revival_rate = args.get_double("revival-rate", 0.3);
-  const int jam_slots = static_cast<int>(args.get_int("jam-slots", 0));
+  const int jam_slots = args.get_int("jam-slots", 0);
   config.jammer.enabled = jam_slots > 0;
   config.jammer.jam_slots = jam_slots;
   config.jammer.randomize = args.get_bool("randomize", false);
-  config.jammer.swap_attempts =
-      static_cast<int>(args.get_int("swap-attempts", 128));
-  const int channels = static_cast<int>(args.get_int("channels", 8));
+  config.jammer.swap_attempts = args.get_int("swap-attempts", 128);
+  const int channels = args.get_int("channels", 8);
   config.manager.num_channels = channels;
   const auto algo = core::parse_algorithm(args.get("algo", "rc"));
   config.manager.scheduler = core::make_config(algo, channels);
-  config.manager.watchdog_epochs =
-      static_cast<int>(args.get_int("watchdog", 2));
+  config.manager.watchdog_epochs = args.get_int("watchdog", 2);
   if (args.get_bool("wifi", false))
     config.sim.interferers =
         sim::one_interferer_per_floor(topology, 0.3, 8.0);
-  config.interferer_onset_epoch =
-      static_cast<int>(args.get_int("onset-epoch", 0));
+  config.interferer_onset_epoch = args.get_int("onset-epoch", 0);
   config.sim.probes_per_run = 1;
 
   if (args.has("replay")) {
-    const int epoch = static_cast<int>(args.get_int("replay", 0));
+    const int epoch = args.get_int("replay", 0);
     WSAN_REQUIRE(epoch >= 0 && epoch < config.epochs,
                  "--replay epoch out of range");
     const auto rec =
@@ -508,8 +486,7 @@ int cmd_scenario(const cli_args& args) {
   }
 
   if (args.has("fail-recovery")) {
-    const int fail_epoch =
-        static_cast<int>(args.get_int("fail-recovery", 0));
+    const int fail_epoch = args.get_int("fail-recovery", 0);
     config.recovery_hook = [fail_epoch](int epoch, int) {
       if (epoch == fail_epoch)
         throw std::runtime_error("injected management-plane loss");
@@ -597,10 +574,9 @@ int cmd_scenario(const cli_args& args) {
 int cmd_faults(const cli_args& args) {
   auto topology = topo::load_topology_file(args.get("topology", ""));
   const auto set = flow::load_flow_set_file(args.get("workload", ""));
-  const int epochs = static_cast<int>(args.get_int("epochs", 6));
-  const int runs_per_epoch =
-      static_cast<int>(args.get_int("runs-per-epoch", 18));
-  const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+  const int epochs = args.get_int("epochs", 6);
+  const int runs_per_epoch = args.get_int("runs-per-epoch", 18);
+  const auto seed = args.get_uint64("seed", 42);
 
   // The fault script: an explicit plan file, or crash records assembled
   // from --crash (comma-separated node ids) at --crash-run.
@@ -611,24 +587,22 @@ int cmd_faults(const cli_args& args) {
     const auto crash_list = args.get("crash", "");
     WSAN_REQUIRE(!crash_list.empty(),
                  "faults needs --plan FILE or --crash IDS");
-    const int crash_run =
-        static_cast<int>(args.get_int("crash-run", runs_per_epoch));
+    const int crash_run = args.get_int("crash-run", runs_per_epoch);
     std::istringstream ids(crash_list);
     std::string token;
     while (std::getline(ids, token, ',')) {
       WSAN_REQUIRE(!token.empty(), "empty node id in --crash list");
       plan.crashes.push_back(sim::node_crash{
-          static_cast<node_id>(parse_int(token, "--crash expects node ids")),
-          crash_run, -1});
+          parse_int(token, "--crash expects node ids"), crash_run, -1});
     }
   }
   sim::validate_fault_plan(plan, topology.num_nodes());
 
   manager::manager_config config;
-  config.num_channels = static_cast<int>(args.get_int("channels", 4));
+  config.num_channels = args.get_int("channels", 4);
   config.scheduler = core::make_config(core::algorithm::rc,
                                        config.num_channels);
-  config.watchdog_epochs = static_cast<int>(args.get_int("watchdog", 2));
+  config.watchdog_epochs = args.get_int("watchdog", 2);
   manager::network_manager manager(std::move(topology), config);
 
   exp::run_options obs_options;
@@ -646,18 +620,18 @@ int cmd_faults(const cli_args& args) {
 
   table t({"epoch", "network PDR", "silent", "dead", "rerouted", "shed",
            "action"});
+  const auto& view = manager.view();
   for (int epoch = 0; epoch < epochs; ++epoch) {
     sim::sim_config sim_config;
     sim_config.runs = runs_per_epoch;
     sim_config.seed = seed;
     if (args.get_bool("wifi", false))
       sim_config.interferers =
-          sim::one_interferer_per_floor(manager.topology(), 0.3, 8.0);
+          sim::one_interferer_per_floor(view.topology, 0.3, 8.0);
     sim_config.faults = sim::slice_fault_plan(plan, epoch * runs_per_epoch,
                                               runs_per_epoch);
     const auto observed = sim::run_simulation(
-        manager.topology(), scheduled.sched, flows, manager.channels(),
-        sim_config);
+        view.topology, scheduled.sched, flows, view.channels, sim_config);
 
     const auto outcome = manager.recover(flows, observed.links);
     std::string action = "none";
