@@ -19,6 +19,7 @@
 #include "scenario/scenario.h"
 #include "sim/coexistence.h"
 #include "sim/simulator.h"
+#include "stats/summary.h"
 #include "topo/merge.h"
 
 namespace wsan::bench {
@@ -574,28 +575,18 @@ struct coexistence_point_result {
 coexistence_point_result run_coexistence_point(
     const coexistence_setup& setup, std::uint64_t seed,
     double separation) {
-  const auto merged =
-      topo::merge_topologies(setup.ta, setup.tb, separation, 9);
-  auto flows_b = setup.set_b.flows;
-  flow::shift_node_ids(flows_b, merged.node_offset);
-  const auto sched_b =
-      tsch::shift_node_ids(setup.sched_b.sched, merged.node_offset);
-  const std::vector<sim::coexisting_network> networks{
-      {&setup.sched_a.sched, &setup.set_a.flows, phy::channels(4), 0},
-      {&sched_b, &flows_b, phy::channels(4), 0},
-  };
-  sim::coexistence_config config;
-  config.runs = setup.runs;
   // One shared sim seed across separations: the sweep compares the
-  // same fading/capture draws at every distance (paired points).
-  config.seed = derive_seed(seed, 2, 0);
-  const auto results =
-      sim::run_coexistence(merged.merged, networks, config);
+  // same capture draws at every distance (paired points).
+  const auto results = sim::run_coexistence(
+      topo::merge_topologies(setup.ta, setup.tb, separation, 9),
+      {setup.sched_a.sched, setup.set_a.flows},
+      {setup.sched_b.sched, setup.set_b.flows}, setup.runs,
+      derive_seed(seed, 2, 0));
   coexistence_point_result point;
-  point.pdr_a = results[0].network_pdr();
-  point.pdr_b = results[1].network_pdr();
-  point.worst_flow_pdr = std::min(results[0].worst_flow_pdr(),
-                                  results[1].worst_flow_pdr());
+  point.pdr_a = results[0].network_pdr;
+  point.pdr_b = results[1].network_pdr;
+  point.worst_flow_pdr =
+      std::min(results[0].worst_flow_pdr, results[1].worst_flow_pdr);
   point.delivered =
       results[0].instances_delivered + results[1].instances_delivered;
   return point;
@@ -709,14 +700,6 @@ fleet::fleet_config make_fleet_config(const fleet_point_spec& spec,
   return config;
 }
 
-double fleet_percentile(std::vector<double> v, double q) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  const auto idx = static_cast<std::size_t>(
-      q * static_cast<double>(v.size() - 1) + 0.5);
-  return v[idx];
-}
-
 exp::figure_report run_fleet(const exp::run_options& options,
                              const cli_args& args, std::ostream& out) {
   const int trials = options.trials_or(2);
@@ -791,8 +774,11 @@ exp::figure_report run_fleet(const exp::run_options& options,
       if (trial == 0 || wall_s < best_wall_s) best_wall_s = wall_s;
       if (adm_per_s > best_adm_per_s) best_adm_per_s = adm_per_s;
     }
-    const double p50_us = fleet_percentile(latencies, 0.5) / 1e3;
-    const double p99_us = fleet_percentile(latencies, 0.99) / 1e3;
+    const auto latency_us = [&](double q) {
+      return latencies.empty() ? 0.0 : stats::quantile(latencies, q) / 1e3;
+    };
+    const double p50_us = latency_us(0.5);
+    const double p99_us = latency_us(0.99);
     // The digest folded to 53 bits so the JSON double carries it
     // exactly; still order-independent and jobs-independent.
     const double digest53 =

@@ -21,7 +21,7 @@
 #include "stats/summary.h"
 #include "topo/testbeds.h"
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace wsan;
   const cli_args args(argc, argv);
   const int num_flows = args.get_int("flows", 45);
@@ -75,4 +75,8 @@ int main(int argc, char** argv) {
                  "or add channels.\n";
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return wsan::run_main(run, argc, argv);
 }

@@ -87,7 +87,7 @@ bool admits(admission method, int flows, int trials, int channels,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const cli_args args(argc, argv);
   const int channels = args.get_int("channels", 4);
   const auto seed = args.get_uint64("seed", 7);
@@ -129,4 +129,8 @@ int main(int argc, char** argv) {
                "extends it further without giving up worst-case "
                "reliability (see wsanctl bench --figure fig8).\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return wsan::run_main(run, argc, argv);
 }

@@ -19,7 +19,7 @@
 #include "topo/testbeds.h"
 #include "tsch/schedule_stats.h"
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace wsan;
   const cli_args args(argc, argv);
   const int loops = args.get_int("loops", 15);
@@ -73,4 +73,8 @@ int main(int argc, char** argv) {
                "its deadline; RA reuses at every opportunity and pays for "
                "it in worst-case delivery.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return wsan::run_main(run, argc, argv);
 }

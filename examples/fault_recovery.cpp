@@ -62,7 +62,7 @@ std::string join_ids(const std::vector<node_id>& ids) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const cli_args args(argc, argv);
   const int flows = args.get_int("flows", 30);
   const int epochs = args.get_int("epochs", 6);
@@ -152,4 +152,8 @@ int main(int argc, char** argv) {
                "plus priority-ordered shedding brings the surviving "
                "flows back to their pre-fault delivery.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return wsan::run_main(run, argc, argv);
 }

@@ -43,7 +43,7 @@ void report(const std::string& label,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace wsan;
   const cli_args args(argc, argv);
   const int num_flows = args.get_int("flows", 40);
@@ -102,4 +102,8 @@ int main(int argc, char** argv) {
                "accepted links need a different remedy (blacklisting the "
                "jammed channels).\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return wsan::run_main(run, argc, argv);
 }

@@ -19,7 +19,7 @@
 #include "tsch/schedule_stats.h"
 #include "tsch/validate.h"
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace wsan;
   const cli_args args(argc, argv);
   const int num_flows = args.get_int("flows", 20);
@@ -90,4 +90,8 @@ int main(int argc, char** argv) {
   render.skip_empty_slots = false;
   tsch::render_schedule(result.sched, std::cout, render);
   return validation.ok ? 0 : 1;
+}
+
+int main(int argc, char** argv) {
+  return wsan::run_main(run, argc, argv);
 }

@@ -16,7 +16,7 @@
 #include "topo/testbeds.h"
 #include "tsch/schedule_stats.h"
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace wsan;
   const cli_args args(argc, argv);
   const int flows = args.get_int("flows", 45);
@@ -79,4 +79,8 @@ int main(int argc, char** argv) {
                "worst-case PDR recovers while the remaining (harmless) "
                "channel reuse keeps the workload schedulable.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return wsan::run_main(run, argc, argv);
 }

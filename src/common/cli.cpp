@@ -2,6 +2,7 @@
 
 #include <climits>
 #include <cmath>
+#include <iostream>
 #include <stdexcept>
 
 #include "common/error.h"
@@ -31,6 +32,15 @@ int parse_int(const std::string& text, const std::string& what) {
   return parse_whole(text, what, [](const std::string& t, std::size_t* used) {
     return std::stoi(t, used);
   });
+}
+
+int run_main(int (*body)(int, char**), int argc, char** argv) {
+  try {
+    return body(argc, argv);
+  } catch (const std::exception& error) {
+    std::cerr << "error: " << error.what() << "\n";
+    return 1;
+  }
 }
 
 cli_args::cli_args(int argc, const char* const* argv) {

@@ -1,4 +1,5 @@
-// Minimal "--key value" command-line parser for bench/example binaries.
+// Minimal "--key value" command-line parser for bench/example binaries,
+// and the main() wrapper that turns their errors into exit code 1.
 #pragma once
 
 #include <cstdint>
@@ -11,6 +12,12 @@ namespace wsan {
 /// naming `what` when anything is left over ("3x", "1e3") or the value
 /// does not fit an int ("4294967300").
 int parse_int(const std::string& text, const std::string& what);
+
+/// Runs `body(argc, argv)` as a program's whole main: an exception that
+/// escapes it (a malformed flag, a missing file, a violated
+/// precondition) prints "error: <what>" on stderr and returns exit code
+/// 1, instead of ending the program through std::terminate.
+int run_main(int (*body)(int, char**), int argc, char** argv);
 
 /// Parses flags of the form "--key value" and bare "--key" booleans.
 /// Unknown positional arguments and repeated flags raise

@@ -21,7 +21,6 @@ class table {
   void add_row(std::vector<std::string> row);
 
   std::size_t num_rows() const { return rows_.size(); }
-  std::size_t num_cols() const { return header_.size(); }
 
   /// Writes an aligned, human-readable rendering.
   void print(std::ostream& os) const;

@@ -230,20 +230,6 @@ obs::series series_from_jsonl_file(const std::string& path) {
   return series_from_jsonl(in);
 }
 
-obs::series series_from_panel(const report_panel& panel,
-                              std::string name) {
-  obs::series s;
-  s.name = std::move(name);
-  s.index_unit = panel.x_label.empty() ? "epoch" : panel.x_label;
-  for (const auto& point : panel.points) {
-    obs::series_window w;
-    w.index = static_cast<std::int64_t>(point.x);
-    w.values = point.values;
-    s.windows.push_back(std::move(w));
-  }
-  return s;
-}
-
 json::value health_section(
     const obs::slo_policy& policy,
     const std::vector<std::pair<std::string, obs::health_verdict>>&

@@ -24,7 +24,6 @@
 
 #include "exp/json.h"
 #include "exp/options.h"
-#include "exp/report.h"
 #include "obs/events.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -57,11 +56,6 @@ void print_span_table(const obs::snapshot& snap, std::ostream& os);
 /// Parses a wsan-series/1 JSONL stream (obs::write_series_jsonl).
 obs::series series_from_jsonl(std::istream& is);
 obs::series series_from_jsonl_file(const std::string& path);
-
-/// Reconstructs a series from a per-epoch report panel: point.x
-/// becomes the window index, the point's values the window values.
-obs::series series_from_panel(const report_panel& panel,
-                              std::string name);
 
 /// The per-figure "health" block stored under the report container's
 /// optional "health" key: the policy that was evaluated plus one

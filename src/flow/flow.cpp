@@ -58,16 +58,4 @@ void validate_flow(const flow& f) {
   }
 }
 
-void shift_node_ids(std::vector<flow>& flows, node_id offset) {
-  WSAN_REQUIRE(offset >= 0, "offset must be non-negative");
-  for (auto& f : flows) {
-    f.source += offset;
-    f.destination += offset;
-    for (auto& l : f.route) {
-      l.sender += offset;
-      l.receiver += offset;
-    }
-  }
-}
-
 }  // namespace wsan::flow

@@ -66,9 +66,4 @@ slot_t hyperperiod(const std::vector<flow>& flows);
 /// bounds, positive period); throws std::invalid_argument on violation.
 void validate_flow(const flow& f);
 
-/// Shifts every node id in the flows by `offset` — used when a workload
-/// generated on a standalone deployment is re-expressed in a merged
-/// topology's id space (topo::merge_topologies).
-void shift_node_ids(std::vector<flow>& flows, node_id offset);
-
 }  // namespace wsan::flow

@@ -125,16 +125,6 @@ void series_recorder::merge_histogram(std::string_view name,
 
 const series_window& series_recorder::end_window() {
   WSAN_REQUIRE(open_, "series_recorder: no open window");
-  if (opts_.capture_registry_deltas) {
-    const snapshot snap = take_snapshot();
-    for (const auto& [name, total] : snap.counters) {
-      const std::uint64_t prev = last_counters_[name];
-      if (total != prev)
-        current_.values["delta." + name] =
-            static_cast<double>(total - prev);
-      last_counters_[name] = total;
-    }
-  }
   open_ = false;
   series_.windows.push_back(std::move(current_));
   return series_.windows.back();

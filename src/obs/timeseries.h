@@ -9,10 +9,7 @@
 //
 // `series_recorder` is the builder: engines call begin_window(index),
 // set()/add()/observe() deterministic per-window facts, and
-// end_window(). An opt-in mode additionally folds per-window deltas of
-// the global metrics registry into each window (prefix "delta."); that
-// is only deterministic when exactly one engine is running, so it is
-// off by default and unused by the parallel bench harness.
+// end_window().
 //
 // Exporters: write_series_jsonl() emits a self-describing JSONL file
 // (header line `{"schema":"wsan-series/1",...}` then one line per
@@ -56,10 +53,6 @@ class series_recorder {
   struct options {
     std::string name = "series";
     std::string index_unit = "epoch";
-    /// Fold per-window counter deltas of the global metrics registry
-    /// into each window under a "delta." prefix. Deterministic only
-    /// when a single engine runs at a time; off by default.
-    bool capture_registry_deltas = false;
   };
 
   series_recorder() : series_recorder(options{}) {}
@@ -81,7 +74,6 @@ class series_recorder {
   /// Closes the window and returns it (valid until the next begin).
   const series_window& end_window();
 
-  bool window_open() const { return open_; }
   /// The finished series; requires no open window.
   const series& result() const;
 
@@ -90,7 +82,6 @@ class series_recorder {
   series series_;
   series_window current_;
   bool open_ = false;
-  std::map<std::string, std::uint64_t> last_counters_;
 };
 
 /// Serialises one window as a single JSON line (no trailing newline):

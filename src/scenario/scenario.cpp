@@ -9,7 +9,6 @@
 #include "common/error.h"
 #include "core/scheduler.h"
 #include "detect/detector.h"
-#include "exp/runner.h"
 #include "graph/algorithms.h"
 #include "obs/events.h"
 #include "obs/metrics.h"
@@ -403,28 +402,6 @@ obs::series scenario_series(const scenario_result& result) {
   return s;
 }
 
-obs::series fleet_series(const fleet_epochs_result& result) {
-  obs::series s;
-  s.name = "fleet";
-  s.index_unit = "epoch";
-  s.windows.reserve(result.epochs.size());
-  for (const auto& rec : result.epochs) {
-    obs::series_window w;
-    w.index = rec.epoch;
-    auto& v = w.values;
-    v["ops"] = static_cast<double>(rec.ops);
-    v["admissions"] = static_cast<double>(rec.admissions);
-    v["rejections"] = static_cast<double>(rec.rejections);
-    v["evictions"] = static_cast<double>(rec.evictions);
-    v["rejection_rate"] =
-        rec.ops > 0 ? static_cast<double>(rec.rejections) /
-                          static_cast<double>(rec.ops)
-                    : 0.0;
-    s.windows.push_back(std::move(w));
-  }
-  return s;
-}
-
 std::uint64_t scenario_engine::chain_digest(
     const epoch_record& rec, const tsch::schedule& executed) const {
   std::uint64_t h = digest_;
@@ -524,90 +501,6 @@ epoch_record scenario_engine::replay(const topo::topology& topology,
   epoch_record rec;
   for (int e = 0; e <= epoch; ++e) rec = engine.step();
   return rec;
-}
-
-// ------------------------------------------------- fleet epoch driver --
-
-fleet_epochs_result run_fleet_epochs(const fleet_epoch_params& params,
-                                     int jobs) {
-  WSAN_REQUIRE(params.epochs >= 1, "need at least one epoch");
-  WSAN_REQUIRE(params.fleet.tenants >= 1, "need at least one tenant");
-  const auto& config = params.fleet;
-  const auto blueprint = fleet::make_blueprint(config);
-
-  // Per-tenant per-epoch records land in slots indexed by tenant — not
-  // by worker — so the fold below is independent of scheduling.
-  const auto tenants = static_cast<std::size_t>(config.tenants);
-  const auto epochs = static_cast<std::size_t>(params.epochs);
-  std::vector<fleet_epoch_record> slots(tenants * epochs);
-
-  // Distinct stream family for the epoch op-count process: chained
-  // through a fixed salt coordinate so it cannot collide with the
-  // fleet's per-op streams derive_seed(seed, tenant, op).
-  constexpr std::uint64_t k_epoch_salt = 0xF1EE7E70C45ULL;
-
-  exp::parallel_trials(config.tenants, jobs, [&](int, int t) {
-    fleet::tenant tenant(blueprint, config);
-    fleet::tenant_stats stats{};
-    fleet::tenant_stats prev{};
-    std::uint64_t op = 0;
-    for (std::size_t e = 0; e < epochs; ++e) {
-      rng gen(derive_seed(derive_seed(config.seed, k_epoch_salt, e),
-                          static_cast<std::uint64_t>(t), 0));
-      const int ops = poisson_draw(gen, params.ops_rate);
-      for (int i = 0; i < ops; ++i)
-        tenant.apply_op(static_cast<std::uint64_t>(t), op++, stats,
-                        nullptr);
-      auto& rec = slots[static_cast<std::size_t>(t) * epochs + e];
-      rec.epoch = static_cast<int>(e);
-      rec.ops = stats.ops - prev.ops;
-      rec.admissions = stats.admissions - prev.admissions;
-      rec.rejections = stats.rejections - prev.rejections;
-      rec.evictions = stats.evictions - prev.evictions;
-      rec.state_digest = fleet::tenant_state_digest(
-          static_cast<std::uint64_t>(t), tenant.delta());
-      prev = stats;
-    }
-  });
-
-  fleet_epochs_result out;
-  out.epochs.resize(epochs);
-  for (std::size_t e = 0; e < epochs; ++e) {
-    auto& rec = out.epochs[e];
-    rec.epoch = static_cast<int>(e);
-    for (std::size_t t = 0; t < tenants; ++t) {
-      const auto& part = slots[t * epochs + e];
-      rec.ops += part.ops;
-      rec.admissions += part.admissions;
-      rec.rejections += part.rejections;
-      rec.evictions += part.evictions;
-      rec.state_digest += part.state_digest;  // wrapping sum
-    }
-  }
-  out.final_digest = out.epochs.back().state_digest;
-
-  // Temporal observability on the folded (jobs-independent) aggregates.
-  if (params.recorder != nullptr || !params.slo.empty()) {
-    const obs::series s = fleet_series(out);
-    for (const auto& w : s.windows) {
-      if (params.recorder != nullptr) params.recorder->record_window(w);
-      std::vector<obs::slo_violation> violations;
-      evaluate_window(w, params.slo, violations);
-      const obs::slo_violation* first_error = nullptr;
-      for (const auto& v : violations)
-        if (v.sev == obs::severity::error && first_error == nullptr)
-          first_error = &v;
-      if (params.recorder != nullptr && first_error != nullptr)
-        params.recorder->trigger(
-            obs::severity::error, "fleet", "slo_tripped",
-            {{"epoch", w.index},
-             {"metric", first_error->metric},
-             {"value", first_error->value},
-             {"bound", first_error->bound},
-             {"kind", obs::to_string(first_error->kind)}});
-    }
-  }
-  return out;
 }
 
 }  // namespace wsan::scenario

@@ -39,7 +39,6 @@
 #include <set>
 #include <vector>
 
-#include "fleet/fleet.h"
 #include "flow/flow_generator.h"
 #include "manager/network_manager.h"
 #include "obs/flight_recorder.h"
@@ -226,9 +225,8 @@ struct scenario_result {
   }
 };
 
-/// Knuth's Poisson sampler on the repo's deterministic rng. Exposed so
-/// every arrival process in the codebase (scenario engine, fleet epoch
-/// driver, benches) shares one seed-stream implementation.
+/// Knuth's Poisson sampler on the repo's deterministic rng: the
+/// engine's arrival process, a pure function of the rng stream.
 int poisson_draw(rng& gen, double mean);
 
 /// The per-epoch metric window derived from one epoch record — the
@@ -294,48 +292,5 @@ class scenario_engine {
   slot_t prev_num_slots_ = 0;
   std::uint64_t digest_ = 1469598103934665603ULL;  // FNV offset basis
 };
-
-// ------------------------------------------------- fleet epoch driver --
-
-/// Epoch-sliced fleet churn: every tenant advances through a Poisson
-/// number of its fleet ops per epoch (mean ops_rate), so the whole fleet
-/// experiences the same arrival-process model as a single scenario
-/// network. Tenants run in parallel with tenant-indexed result slots;
-/// per-epoch aggregates and digests are bit-identical at any jobs value.
-struct fleet_epoch_record {
-  int epoch = 0;
-  std::int64_t ops = 0;
-  std::int64_t admissions = 0;
-  std::int64_t rejections = 0;
-  std::int64_t evictions = 0;
-  /// Wrapping sum of tenant state digests after this epoch.
-  std::uint64_t state_digest = 0;
-};
-
-struct fleet_epochs_result {
-  std::vector<fleet_epoch_record> epochs;
-  std::uint64_t final_digest = 0;
-};
-
-struct fleet_epoch_params {
-  /// Tenant blueprint + per-op behaviour (ops_per_tenant is ignored —
-  /// the epoch process decides how many ops run).
-  fleet::fleet_config fleet;
-  int epochs = 8;
-  double ops_rate = 2.0;  ///< mean fleet ops per tenant per epoch
-  /// SLO rules evaluated against every epoch's aggregate window after
-  /// the parallel fold (deterministic at any jobs value); empty
-  /// disables. Error-severity violations trip the recorder.
-  obs::slo_policy slo;
-  /// Non-owning anomaly flight recorder fed one window per epoch.
-  obs::flight_recorder* recorder = nullptr;
-};
-
-fleet_epochs_result run_fleet_epochs(const fleet_epoch_params& params,
-                                     int jobs);
-
-/// Folds a fleet epoch run into an epoch-indexed series (ops,
-/// admissions, rejections, evictions, rejection_rate).
-obs::series fleet_series(const fleet_epochs_result& result);
 
 }  // namespace wsan::scenario

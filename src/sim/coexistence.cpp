@@ -1,164 +1,72 @@
 #include "sim/coexistence.h"
 
 #include <algorithm>
-#include <numeric>
+#include <cmath>
 
 #include "common/error.h"
-#include "common/rng.h"
-#include "tsch/hopping.h"
+#include "phy/channel.h"
+#include "sim/simulator.h"
 
 namespace wsan::sim {
 
-namespace {
-
-struct live_entry {
-  int network = 0;
-  tsch::transmission tx;
-  offset_t offset = k_invalid_offset;
-};
-
-}  // namespace
-
-std::vector<coexistence_network_result> run_coexistence(
-    const topo::topology& topo,
-    const std::vector<coexisting_network>& networks,
-    const coexistence_config& config) {
-  WSAN_REQUIRE(!networks.empty(), "need at least one network");
-  WSAN_REQUIRE(config.runs >= 1, "need at least one run");
-  for (const auto& net : networks) {
-    WSAN_REQUIRE(net.sched != nullptr && net.flows != nullptr,
-                 "network must reference a schedule and flows");
-    WSAN_REQUIRE(!net.channels.empty(), "network channel set is empty");
-    WSAN_REQUIRE(static_cast<int>(net.channels.size()) ==
-                     net.sched->num_offsets(),
-                 "channel list must match the schedule's offset count");
-    WSAN_REQUIRE(net.asn_offset >= 0, "ASN offset must be non-negative");
+merged_networks merge_networks(const coexisting_network& a,
+                               const coexisting_network& b,
+                               node_id node_offset) {
+  WSAN_REQUIRE(a.sched.num_slots() == b.sched.num_slots() &&
+                   a.sched.num_offsets() == b.sched.num_offsets(),
+               "coexisting schedules must share hyperperiod and offsets");
+  const auto flow_offset = static_cast<flow_id>(a.flows.size());
+  merged_networks out{a.sched, a.flows};
+  for (flow::flow f : b.flows) {
+    f.id += flow_offset;
+    f.source += node_offset;
+    f.destination += node_offset;
+    for (auto& l : f.route)
+      l = {l.sender + node_offset, l.receiver + node_offset};
+    out.flows.push_back(std::move(f));
   }
+  for (auto p : b.sched.placements()) {
+    p.tx.flow += flow_offset;
+    p.tx.sender += node_offset;
+    p.tx.receiver += node_offset;
+    out.sched.add(p.tx, p.slot, p.offset);
+  }
+  return out;
+}
 
-  // Joint hyperperiod: all schedules repeat within it.
-  slot_t joint = 1;
-  for (const auto& net : networks)
-    joint = std::lcm(joint, net.sched->num_slots());
-
-  // Flatten every network's placements by joint slot.
-  std::vector<std::vector<live_entry>> by_slot(
-      static_cast<std::size_t>(joint));
-  for (std::size_t ni = 0; ni < networks.size(); ++ni) {
-    const auto& net = networks[ni];
-    const slot_t hp = net.sched->num_slots();
-    for (const auto& p : net.sched->placements()) {
-      for (slot_t base = 0; base < joint; base += hp) {
-        by_slot[static_cast<std::size_t>(base + p.slot)].push_back(
-            live_entry{static_cast<int>(ni), p.tx, p.offset});
-      }
+std::array<coexistence_network_result, 2> run_coexistence(
+    const topo::merge_result& world, const coexisting_network& a,
+    const coexisting_network& b, int runs, std::uint64_t seed) {
+  const auto net = merge_networks(a, b, world.node_offset);
+  sim_config face_value;
+  face_value.runs = runs;
+  face_value.seed = seed;
+  face_value.calibration_drift_sigma_db = 0.0;
+  face_value.maintained_drift_sigma_db = 0.0;
+  face_value.intermittent_fraction = 0.0;
+  face_value.temporal_fading_sigma_db = 0.0;
+  face_value.probes_per_run = 0;
+  const auto channels = phy::channels(net.sched.num_offsets());
+  const auto result = run_simulation(world.merged, net.sched, net.flows,
+                                     channels, face_value);
+  // A network's slice; a flow releases instances_in(hyperperiod) a run.
+  const auto slice = [&](std::size_t first, std::size_t last) {
+    coexistence_network_result r;
+    long long released = 0;
+    for (std::size_t fi = first; fi < last; ++fi) {
+      const long long n = static_cast<long long>(runs) *
+                          net.flows[fi].instances_in(net.sched.num_slots());
+      released += n;
+      r.instances_delivered +=
+          std::llround(result.flow_pdr[fi] * static_cast<double>(n));
+      r.worst_flow_pdr = std::min(r.worst_flow_pdr, result.flow_pdr[fi]);
     }
-  }
-
-  phy::capture_params capture;
-  capture.capture_threshold_db = config.capture_threshold_db;
-  capture.transition_width_db = config.capture_transition_db;
-  capture.link = topo.link_model();
-
-  rng gen(config.seed);
-
-  // Per network, per instance-in-joint-window packet progress.
-  std::vector<std::vector<std::vector<int>>> progress(networks.size());
-  std::vector<coexistence_network_result> results(networks.size());
-  for (std::size_t ni = 0; ni < networks.size(); ++ni) {
-    results[ni].flow_pdr.assign(networks[ni].flows->size(), 0.0);
-    progress[ni].resize(networks[ni].flows->size());
-  }
-  std::vector<std::vector<long long>> delivered(networks.size());
-  std::vector<std::vector<long long>> released(networks.size());
-  for (std::size_t ni = 0; ni < networks.size(); ++ni) {
-    delivered[ni].assign(networks[ni].flows->size(), 0);
-    released[ni].assign(networks[ni].flows->size(), 0);
-  }
-
-  for (int run = 0; run < config.runs; ++run) {
-    for (std::size_t ni = 0; ni < networks.size(); ++ni) {
-      const auto& flows = *networks[ni].flows;
-      const slot_t hp = networks[ni].sched->num_slots();
-      const int repeats = joint / hp;
-      for (std::size_t fi = 0; fi < flows.size(); ++fi) {
-        const int instances = flows[fi].instances_in(hp) * repeats;
-        progress[ni][fi].assign(static_cast<std::size_t>(instances), 0);
-        released[ni][fi] += instances;
-      }
-    }
-
-    for (slot_t s = 0; s < joint; ++s) {
-      const auto& entries = by_slot[static_cast<std::size_t>(s)];
-      if (entries.empty()) continue;
-
-      // Active transmissions and their physical channels. An instance
-      // index within the joint window combines the schedule repetition
-      // with the in-schedule instance.
-      std::vector<const live_entry*> active;
-      std::vector<channel_t> active_channel;
-      std::vector<std::size_t> active_instance;
-      for (const auto& entry : entries) {
-        const auto& net = networks[static_cast<std::size_t>(entry.network)];
-        const slot_t hp = net.sched->num_slots();
-        const int repeat = s / hp;
-        const auto& flows = *net.flows;
-        const auto fi = static_cast<std::size_t>(entry.tx.flow);
-        const auto instance = static_cast<std::size_t>(
-            repeat * flows[fi].instances_in(hp) + entry.tx.instance);
-        const int prog =
-            progress[static_cast<std::size_t>(entry.network)][fi]
-                    [instance];
-        if (prog != entry.tx.link_index) continue;
-        active.push_back(&entry);
-        const tsch::asn_t asn = net.asn_offset +
-                                static_cast<tsch::asn_t>(run) * joint + s;
-        active_channel.push_back(
-            tsch::physical_channel(asn, entry.offset, net.channels));
-        active_instance.push_back(instance);
-      }
-      if (active.empty()) continue;
-
-      std::vector<bool> success(active.size(), false);
-      for (std::size_t i = 0; i < active.size(); ++i) {
-        const auto& tx = active[i]->tx;
-        const channel_t ch = active_channel[i];
-        const double signal = topo.rssi_dbm(tx.sender, tx.receiver, ch);
-        std::vector<double> interference;
-        for (std::size_t j = 0; j < active.size(); ++j) {
-          if (j == i || active_channel[j] != ch) continue;
-          interference.push_back(
-              topo.rssi_dbm(active[j]->tx.sender, tx.receiver, ch));
-        }
-        success[i] = gen.bernoulli(
-            phy::reception_probability(capture, signal, interference));
-      }
-
-      for (std::size_t i = 0; i < active.size(); ++i) {
-        if (!success[i]) continue;
-        const auto& entry = *active[i];
-        const auto ni = static_cast<std::size_t>(entry.network);
-        const auto fi = static_cast<std::size_t>(entry.tx.flow);
-        auto& prog = progress[ni][fi][active_instance[i]];
-        ++prog;
-        if (prog ==
-            static_cast<int>((*networks[ni].flows)[fi].route.size()))
-          ++delivered[ni][fi];
-      }
-    }
-  }
-
-  for (std::size_t ni = 0; ni < networks.size(); ++ni) {
-    for (std::size_t fi = 0; fi < results[ni].flow_pdr.size(); ++fi) {
-      results[ni].flow_pdr[fi] =
-          released[ni][fi] == 0
-              ? 1.0
-              : static_cast<double>(delivered[ni][fi]) /
-                    static_cast<double>(released[ni][fi]);
-      results[ni].instances_released += released[ni][fi];
-      results[ni].instances_delivered += delivered[ni][fi];
-    }
-  }
-  return results;
+    if (released > 0)
+      r.network_pdr = static_cast<double>(r.instances_delivered) /
+                      static_cast<double>(released);
+    return r;
+  };
+  return {slice(0, a.flows.size()), slice(a.flows.size(), net.flows.size())};
 }
 
 }  // namespace wsan::sim

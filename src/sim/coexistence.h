@@ -1,74 +1,48 @@
-// Coexistence of multiple WirelessHART networks in one RF space.
-//
-// Each network has its own gateway, channel list, and schedule — within
-// a network the schedule obeys its own reuse policy, but the standard
-// cannot coordinate *between* networks, so their transmissions collide
-// freely on shared channels (paper, Section III). This simulator
-// executes several schedules concurrently over a merged topology and
-// reports each network's delivery performance, making the
-// inter-network interference the paper's intra-network work sits
-// beside directly measurable.
-//
-// Modeling choices (kept simpler than the single-network simulator,
-// whose knobs calibrate the *intra*-network experiments): reception is
-// SINR + capture against all concurrent same-channel transmissions from
-// every network; retransmission slots fire only on primary failure; the
-// topology is taken at face value (no drift — the interesting effect
-// here is structural, not estimation error).
+// Two WirelessHART networks in one RF space (paper, Section III): their
+// gateways cannot coordinate, so a cell both use (both hop one channel
+// list from ASN 0 over one hyperperiod) is a same-channel collision. The
+// study merges them onto the topo::merge_topologies topology and runs the
+// one simulator, drift, intermittence, fading, probes and interferers off.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
 #include "flow/flow.h"
-#include "phy/capture.h"
-#include "topo/topology.h"
+#include "topo/merge.h"
 #include "tsch/schedule.h"
 
 namespace wsan::sim {
 
-/// One gateway's network within the shared RF space. Flows and the
-/// schedule must already be expressed in the *merged* topology's node
-/// ids (see flow::shift_node_ids / topo::merge_topologies).
+/// One gateway's network, in its own deployment's node and flow ids.
 struct coexisting_network {
-  const tsch::schedule* sched = nullptr;
-  const std::vector<flow::flow>* flows = nullptr;
-  std::vector<channel_t> channels;
-  /// ASN offset of this network's epoch start — networks are not
-  /// started simultaneously, which decorrelates their hopping patterns.
-  std::int64_t asn_offset = 0;
+  const tsch::schedule& sched;
+  const std::vector<flow::flow>& flows;
 };
+
+/// Two networks as one: a's flows and placements first, then b's with
+/// node ids shifted by the node offset and flow ids by a's flow count.
+/// The schedules must have the same hyperperiod and offset count.
+struct merged_networks {
+  tsch::schedule sched;
+  std::vector<flow::flow> flows;
+};
+
+merged_networks merge_networks(const coexisting_network& a,
+                               const coexisting_network& b,
+                               node_id node_offset);
 
 struct coexistence_network_result {
-  std::vector<double> flow_pdr;
-  long long instances_released = 0;
+  double network_pdr = 1.0;  ///< delivered / released instances
+  double worst_flow_pdr = 1.0;
   long long instances_delivered = 0;
-
-  double network_pdr() const {
-    return instances_released == 0
-               ? 1.0
-               : static_cast<double>(instances_delivered) /
-                     static_cast<double>(instances_released);
-  }
-  double worst_flow_pdr() const {
-    double worst = 1.0;
-    for (double pdr : flow_pdr) worst = std::min(worst, pdr);
-    return worst;
-  }
 };
 
-struct coexistence_config {
-  int runs = 50;  ///< executions of the joint hyperperiod
-  std::uint64_t seed = 42;
-  double capture_threshold_db = 4.0;
-  double capture_transition_db = 6.0;
-};
-
-/// Runs all networks concurrently for `runs` repetitions of the joint
-/// hyperperiod (the lcm of the schedules' lengths).
-std::vector<coexistence_network_result> run_coexistence(
-    const topo::topology& topo,
-    const std::vector<coexisting_network>& networks,
-    const coexistence_config& config = {});
+/// Simulates merge_networks(a, b, world.node_offset) on world.merged for
+/// `runs` hyperperiods and splits the result per network.
+std::array<coexistence_network_result, 2> run_coexistence(
+    const topo::merge_result& world, const coexisting_network& a,
+    const coexisting_network& b, int runs, std::uint64_t seed);
 
 }  // namespace wsan::sim

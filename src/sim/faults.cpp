@@ -167,12 +167,6 @@ fault_plan load_fault_plan(std::istream& is) {
   return plan;
 }
 
-void save_fault_plan_file(const fault_plan& plan, const std::string& path) {
-  std::ofstream os(path);
-  WSAN_REQUIRE(os.good(), "cannot open file for writing: " + path);
-  save_fault_plan(plan, os);
-}
-
 fault_plan load_fault_plan_file(const std::string& path) {
   std::ifstream is(path);
   WSAN_REQUIRE(is.good(), "cannot open file for reading: " + path);

@@ -125,7 +125,6 @@ fault_plan slice_fault_plan(const fault_plan& plan, int first_run,
 
 void save_fault_plan(const fault_plan& plan, std::ostream& os);
 fault_plan load_fault_plan(std::istream& is);
-void save_fault_plan_file(const fault_plan& plan, const std::string& path);
 fault_plan load_fault_plan_file(const std::string& path);
 
 /// Per-run fault snapshot with O(1) queries for the simulator hot path.

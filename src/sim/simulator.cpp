@@ -313,9 +313,7 @@ sim_result run_simulation_naive(const topo::topology& topo,
       }
       if (active.empty()) continue;
 
-      std::vector<bool> interferers_active = field.sample_active(gen);
-      if (run < config.interferer_start_run)
-        interferers_active.assign(interferers_active.size(), false);
+      const std::vector<bool> interferers_active = field.sample_active(gen);
 
       // Evaluate receptions against the snapshot of concurrent activity.
       std::vector<bool> success(active.size(), false);
@@ -419,9 +417,7 @@ sim_result run_simulation_naive(const topo::topology& topo,
                                 1))];
         const double signal = live_rssi(run, link.sender, link.receiver, ch);
         std::vector<double> interference;
-        std::vector<bool> probe_interferers = field.sample_active(gen);
-        if (run < config.interferer_start_run)
-          probe_interferers.assign(probe_interferers.size(), false);
+        const std::vector<bool> probe_interferers = field.sample_active(gen);
         for (int k = 0; k < field.num_interferers(); ++k) {
           if (!probe_interferers[static_cast<std::size_t>(k)]) continue;
           if (const auto power = field.power_at(k, link.receiver, ch))
@@ -1033,10 +1029,6 @@ class fast_engine {
   void refresh_interferer_rows(int run) {
     intf_cursor_ = 0;
     const std::size_t total = intf_u_.size();
-    if (run < config_.interferer_start_run) {
-      std::fill(intf_active_.begin(), intf_active_.end(), char{0});
-      return;
-    }
     batch_uniform01s(derive_seed(config_.seed, k_interferer_stream,
                                  static_cast<std::uint64_t>(run)),
                      total, intf_u_.data());
@@ -1302,8 +1294,6 @@ void validate_sim_config(const sim_config& config) {
   WSAN_REQUIRE(config.runs >= 1, "need at least one run");
   WSAN_REQUIRE(config.probes_per_run >= 0,
                "probe count must be non-negative");
-  WSAN_REQUIRE(config.interferer_start_run >= 0,
-               "interferer start run must be non-negative");
   const auto valid_sigma = [](double sigma) {
     return std::isfinite(sigma) && sigma >= 0.0;
   };

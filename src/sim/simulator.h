@@ -34,12 +34,6 @@ struct sim_config {
   double capture_threshold_db = 4.0;
   double capture_transition_db = 6.0;
   std::vector<external_interferer> interferers;
-  /// First run (schedule execution) in which the external interferers
-  /// are switched on; earlier runs are clean. Models an interference
-  /// source appearing mid-deployment (e.g. a WiFi access point being
-  /// installed), so detection latency across health-report epochs can be
-  /// studied. 0 = interference present from the start.
-  int interferer_start_run = 0;
   /// Standard deviation (dB) of the calibration drift between the
   /// topology-measurement campaign and the experiment: a static
   /// per-(node pair, channel) offset applied to every link for the whole
@@ -213,9 +207,8 @@ double compute_drift_db(const sim_config& config, bool maintained,
 
 /// Validates the configuration's numeric invariants (positive run count,
 /// non-negative and finite sigmas, intermittent fraction in [0, 1],
-/// non-negative probe count and interferer onset, a finite capture
-/// threshold, a positive finite capture transition width, a
-/// structurally valid fault plan). Throws std::invalid_argument on violation — hostile
+/// non-negative probe count, a finite capture threshold, a positive
+/// finite capture transition width, a structurally valid fault plan). Throws std::invalid_argument on violation — hostile
 /// configurations must fail loudly, never silently produce garbage.
 void validate_sim_config(const sim_config& config);
 

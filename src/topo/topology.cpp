@@ -44,12 +44,6 @@ const phy::position& topology::position_of(node_id id) const {
   return positions_[static_cast<std::size_t>(id)];
 }
 
-std::vector<node_id> topology::node_ids() const {
-  std::vector<node_id> ids(static_cast<std::size_t>(num_nodes()));
-  for (int i = 0; i < num_nodes(); ++i) ids[static_cast<std::size_t>(i)] = i;
-  return ids;
-}
-
 std::size_t topology::link_index(node_id u, node_id v, channel_t ch) const {
   WSAN_REQUIRE(u >= 0 && u < num_nodes(), "sender id out of range");
   WSAN_REQUIRE(v >= 0 && v < num_nodes(), "receiver id out of range");

@@ -34,9 +34,6 @@ class topology {
   int num_nodes() const { return static_cast<int>(positions_.size()); }
   const phy::position& position_of(node_id id) const;
 
-  /// All node ids [0, num_nodes).
-  std::vector<node_id> node_ids() const;
-
   /// Received signal strength (dBm) on the directed link u->v for the
   /// given channel. Defaults to -infinity-ish (no connectivity).
   double rssi_dbm(node_id u, node_id v, channel_t ch) const;

@@ -125,16 +125,4 @@ std::size_t schedule::remove_flows_from(flow_id first) {
   return removed;
 }
 
-schedule shift_node_ids(const schedule& sched, node_id offset) {
-  WSAN_REQUIRE(offset >= 0, "offset must be non-negative");
-  schedule shifted(sched.num_slots(), sched.num_offsets());
-  for (const auto& p : sched.placements()) {
-    transmission tx = p.tx;
-    tx.sender += offset;
-    tx.receiver += offset;
-    shifted.add(tx, p.slot, p.offset);
-  }
-  return shifted;
-}
-
 }  // namespace wsan::tsch

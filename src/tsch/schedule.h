@@ -214,9 +214,4 @@ class schedule {
   std::vector<std::uint64_t> cell_masks_;  // cells x 2 x mask_words_
 };
 
-/// Rebuilds the schedule with every transmission's node ids shifted by
-/// `offset` — the schedule counterpart of flow::shift_node_ids for
-/// re-expressing a standalone network in a merged topology's id space.
-schedule shift_node_ids(const schedule& sched, node_id offset);
-
 }  // namespace wsan::tsch

@@ -59,34 +59,6 @@ TEST(Merge, RejectsDegenerateInput) {
                std::invalid_argument);
 }
 
-// ---------------------------------------------------------- id shifts --
-
-TEST(Shift, FlowsAndSchedulesShiftTogether) {
-  flow::flow f;
-  f.id = 0;
-  f.source = 1;
-  f.destination = 3;
-  f.period = 10;
-  f.deadline = 10;
-  f.route = {flow::link{1, 2}, flow::link{2, 3}};
-  f.uplink_links = 2;
-  std::vector<flow::flow> flows{f};
-  flow::shift_node_ids(flows, 100);
-  EXPECT_EQ(flows[0].source, 101);
-  EXPECT_EQ(flows[0].route[1].receiver, 103);
-  EXPECT_NO_THROW(flow::validate_flow(flows[0]));
-
-  tsch::schedule sched(10, 2);
-  tsch::transmission tx;
-  tx.flow = 0;
-  tx.sender = 1;
-  tx.receiver = 2;
-  sched.add(tx, 0, 0);
-  const auto shifted = tsch::shift_node_ids(sched, 100);
-  EXPECT_EQ(shifted.placements().front().tx.sender, 101);
-  EXPECT_EQ(shifted.placements().front().tx.receiver, 102);
-}
-
 // --------------------------------------------------------- coexistence --
 
 struct standalone {
@@ -110,6 +82,62 @@ standalone build_network(const topo::topology& t, int flows,
   return out;
 }
 
+TEST(Coexistence, MergeShiftsNetworkBIntoTheMergedIds) {
+  const auto ta = topo::make_wustl(1);
+  const auto tb = topo::make_wustl(2);
+  const auto na = build_network(ta, 12, 11);
+  const auto nb = build_network(tb, 12, 13);
+  ASSERT_TRUE(na.scheduled.schedulable);
+  ASSERT_TRUE(nb.scheduled.schedulable);
+  const auto merged = topo::merge_topologies(ta, tb, 0.0, 9);
+  const node_id offset = merged.node_offset;
+  const auto net = sim::merge_networks(
+      {na.scheduled.sched, na.set.flows}, {nb.scheduled.sched, nb.set.flows},
+      offset);
+
+  // a's flows unchanged, then b's with ids after a's and nodes shifted.
+  const std::size_t na_flows = na.set.flows.size();
+  ASSERT_EQ(net.flows.size(), na_flows + nb.set.flows.size());
+  for (std::size_t i = 0; i < na_flows; ++i)
+    EXPECT_EQ(net.flows[i].route, na.set.flows[i].route);
+  for (std::size_t i = 0; i < nb.set.flows.size(); ++i) {
+    const auto& f = net.flows[na_flows + i];
+    const auto& orig = nb.set.flows[i];
+    EXPECT_EQ(f.id, static_cast<flow_id>(na_flows + i));
+    EXPECT_EQ(f.source, orig.source + offset);
+    EXPECT_EQ(f.destination, orig.destination + offset);
+    ASSERT_EQ(f.route.size(), orig.route.size());
+    for (std::size_t l = 0; l < f.route.size(); ++l) {
+      EXPECT_EQ(f.route[l].sender, orig.route[l].sender + offset);
+      EXPECT_EQ(f.route[l].receiver, orig.route[l].receiver + offset);
+    }
+    EXPECT_NO_THROW(flow::validate_flow(f));
+  }
+
+  // a's placements first, then b's, shifted; b's nodes are busy in the
+  // merged index and the two networks share cells.
+  const auto& pa = na.scheduled.sched.placements();
+  const auto& pb = nb.scheduled.sched.placements();
+  const auto& pm = net.sched.placements();
+  ASSERT_EQ(pm.size(), pa.size() + pb.size());
+  EXPECT_EQ(net.sched.num_slots(), na.scheduled.sched.num_slots());
+  EXPECT_EQ(net.sched.num_offsets(), 4);
+  for (std::size_t i = 0; i < pa.size(); ++i)
+    EXPECT_EQ(pm[i].tx.sender, pa[i].tx.sender);
+  bool shared = false;
+  for (std::size_t i = 0; i < pb.size(); ++i) {
+    const auto& p = pm[pa.size() + i];
+    EXPECT_EQ(p.tx.flow, pb[i].tx.flow + static_cast<flow_id>(na_flows));
+    EXPECT_EQ(p.tx.sender, pb[i].tx.sender + offset);
+    EXPECT_EQ(p.tx.receiver, pb[i].tx.receiver + offset);
+    EXPECT_EQ(p.slot, pb[i].slot);
+    EXPECT_EQ(p.offset, pb[i].offset);
+    EXPECT_TRUE(net.sched.node_busy(p.tx.sender, p.slot));
+    shared = shared || na.scheduled.sched.cell_load(p.slot, p.offset) > 0;
+  }
+  EXPECT_TRUE(shared);
+}
+
 TEST(Coexistence, DistantNetworksDoNotInterfere) {
   const auto ta = topo::make_wustl(1);
   const auto tb = topo::make_wustl(2);
@@ -118,24 +146,18 @@ TEST(Coexistence, DistantNetworksDoNotInterfere) {
   ASSERT_TRUE(na.scheduled.schedulable);
   ASSERT_TRUE(nb.scheduled.schedulable);
 
-  const auto merged = topo::merge_topologies(ta, tb, 2000.0, 9);
-  auto flows_b = nb.set.flows;
-  flow::shift_node_ids(flows_b, merged.node_offset);
-  const auto sched_b =
-      tsch::shift_node_ids(nb.scheduled.sched, merged.node_offset);
-
-  const std::vector<sim::coexisting_network> networks{
-      {&na.scheduled.sched, &na.set.flows, phy::channels(4), 0},
-      {&sched_b, &flows_b, phy::channels(4), 0},
-  };
-  sim::coexistence_config config;
-  config.runs = 30;
-  const auto results =
-      sim::run_coexistence(merged.merged, networks, config);
-  ASSERT_EQ(results.size(), 2u);
+  const auto results = sim::run_coexistence(
+      topo::merge_topologies(ta, tb, 2000.0, 9),
+      {na.scheduled.sched, na.set.flows}, {nb.scheduled.sched, nb.set.flows},
+      /*runs=*/30, /*seed=*/42);
   // 2 km apart: both networks deliver essentially everything.
-  EXPECT_GT(results[0].network_pdr(), 0.99);
-  EXPECT_GT(results[1].network_pdr(), 0.99);
+  EXPECT_GT(results[0].network_pdr, 0.99);
+  EXPECT_GT(results[1].network_pdr, 0.99);
+  // Each network's slice holds its own 12 flows, each releasing one
+  // instance per run (1 s periods).
+  for (const auto& r : results)
+    EXPECT_DOUBLE_EQ(r.network_pdr,
+                     static_cast<double>(r.instances_delivered) / (30 * 12));
 }
 
 TEST(Coexistence, AdjacentNetworksDegradeEachOther) {
@@ -150,21 +172,11 @@ TEST(Coexistence, AdjacentNetworksDegradeEachOther) {
   ASSERT_TRUE(nb.scheduled.schedulable);
 
   const auto run_at = [&](double separation) {
-    const auto merged = topo::merge_topologies(ta, tb, separation, 9);
-    auto flows_b = nb.set.flows;
-    flow::shift_node_ids(flows_b, merged.node_offset);
-    const auto sched_b =
-        tsch::shift_node_ids(nb.scheduled.sched, merged.node_offset);
-    const std::vector<sim::coexisting_network> networks{
-        {&na.scheduled.sched, &na.set.flows, phy::channels(4), 0},
-        {&sched_b, &flows_b, phy::channels(4), 0},
-    };
-    sim::coexistence_config config;
-    config.runs = 30;
-    const auto results =
-        sim::run_coexistence(merged.merged, networks, config);
-    return std::min(results[0].worst_flow_pdr(),
-                    results[1].worst_flow_pdr());
+    const auto results = sim::run_coexistence(
+        topo::merge_topologies(ta, tb, separation, 9),
+        {na.scheduled.sched, na.set.flows},
+        {nb.scheduled.sched, nb.set.flows}, /*runs=*/30, /*seed=*/42);
+    return std::min(results[0].worst_flow_pdr, results[1].worst_flow_pdr);
   };
 
   const double overlapped = run_at(0.0);
@@ -173,28 +185,24 @@ TEST(Coexistence, AdjacentNetworksDegradeEachOther) {
   EXPECT_LT(overlapped, separated - 0.2);
 }
 
-TEST(Coexistence, SingleNetworkIsWellBehaved) {
-  const auto ta = topo::make_wustl(1);
-  auto na = build_network(ta, 12, 11);
-  ASSERT_TRUE(na.scheduled.schedulable);
-  const std::vector<sim::coexisting_network> networks{
-      {&na.scheduled.sched, &na.set.flows, phy::channels(4), 0}};
-  sim::coexistence_config config;
-  config.runs = 20;
-  const auto results = sim::run_coexistence(ta, networks, config);
-  ASSERT_EQ(results.size(), 1u);
-  // RC schedules on >=0.9-PRR links with retries and no drift model:
-  // delivery is near-perfect.
-  EXPECT_GT(results[0].network_pdr(), 0.98);
-}
-
 TEST(Coexistence, RejectsBadConfig) {
   const auto ta = topo::make_wustl(1);
-  EXPECT_THROW(sim::run_coexistence(ta, {}, {}), std::invalid_argument);
-  auto na = build_network(ta, 5, 11);
-  const std::vector<sim::coexisting_network> bad{
-      {&na.scheduled.sched, &na.set.flows, phy::channels(3), 0}};
-  EXPECT_THROW(sim::run_coexistence(ta, bad, {}), std::invalid_argument);
+  const auto merged = topo::merge_topologies(ta, ta, 2000.0, 9);
+  const auto na = build_network(ta, 5, 11);
+  const sim::coexisting_network a{na.scheduled.sched, na.set.flows};
+  // Schedules of another hyperperiod or offset count cannot share one
+  // channel list and one ASN sequence.
+  const std::vector<flow::flow> no_flows;
+  const tsch::schedule longer(na.scheduled.sched.num_slots() * 2, 4);
+  const tsch::schedule wider(na.scheduled.sched.num_slots(), 3);
+  const sim::coexisting_network b_longer{longer, no_flows};
+  const sim::coexisting_network b_wider{wider, no_flows};
+  EXPECT_THROW(sim::run_coexistence(merged, a, b_longer, 5, 1),
+               std::invalid_argument);
+  EXPECT_THROW(sim::run_coexistence(merged, a, b_wider, 5, 1),
+               std::invalid_argument);
+  EXPECT_THROW(sim::run_coexistence(merged, a, a, 0, 1),
+               std::invalid_argument);
 }
 
 }  // namespace

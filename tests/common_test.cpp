@@ -319,6 +319,26 @@ TEST(Cli, ParsesDoubles) {
   EXPECT_DOUBLE_EQ(args.get_double("alpha", 0.0), 0.05);
 }
 
+TEST(Cli, RunMainTurnsAnEscapingErrorIntoExitOne) {
+  // A malformed flag used to end the examples through std::terminate
+  // (exit 134); run_main reports it and returns 1.
+  const auto flows_flag = [](int argc, char** argv) {
+    return cli_args(argc, argv).get_int("flows", 20);
+  };
+  char prog[] = "prog";
+  char flag[] = "--flows";
+  char bad[] = "abc";
+  char good[] = "7";
+  char* bad_argv[] = {prog, flag, bad};
+  char* good_argv[] = {prog, flag, good};
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(run_main(flows_flag, 3, bad_argv), 1);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "error: flag --flows expects an integer in [-2147483648, "
+            "2147483647], got: abc\n");
+  EXPECT_EQ(run_main(flows_flag, 3, good_argv), 7);
+}
+
 // -------------------------------------------------------------- error --
 
 TEST(Error, RequireThrowsInvalidArgument) {

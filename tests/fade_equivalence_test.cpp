@@ -107,7 +107,6 @@ std::vector<sim::sim_result> runs_for_seeds(
     if (with_interferers) {
       config.interferers =
           sim::one_interferer_per_floor(shared_world().topology);
-      config.interferer_start_run = 4;
     }
     out.push_back(run_world(config));
   }

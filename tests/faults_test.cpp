@@ -521,7 +521,6 @@ TEST(SimConfig, ValidatesNumericInvariants) {
   expect_rejected([](sim_config& c) { c.runs = 0; });
   expect_rejected([](sim_config& c) { c.runs = -5; });
   expect_rejected([](sim_config& c) { c.probes_per_run = -1; });
-  expect_rejected([](sim_config& c) { c.interferer_start_run = -1; });
   expect_rejected([](sim_config& c) { c.temporal_fading_sigma_db = -1.0; });
   expect_rejected([](sim_config& c) { c.calibration_drift_sigma_db = -0.1; });
   expect_rejected([](sim_config& c) { c.maintained_drift_sigma_db = -2.0; });
@@ -550,11 +549,8 @@ TEST(SimConfig, ValidatesNumericInvariants) {
     config.use_fast_path = fast;
     EXPECT_THROW(w.run(config), std::invalid_argument);
   }
-  // The defaults, and an onset beyond the horizon ("never"), are valid.
+  // The defaults are valid.
   EXPECT_NO_THROW(validate_sim_config(sim_config{}));
-  sim_config never;
-  never.interferer_start_run = 1000000;
-  EXPECT_NO_THROW(validate_sim_config(never));
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "flow/flow_generator.h"
 #include "graph/hop_matrix.h"
 #include "scenario/scenario.h"
+#include "sim/interference.h"
 #include "topo/testbeds.h"
 #include "tsch/randomize.h"
 #include "tsch/validate.h"
@@ -323,27 +324,21 @@ TEST(RecoveryHardening, ExhaustedRetriesKeepPreviousStateAndContinue) {
   EXPECT_EQ(after.num_flows, before.num_flows);
 }
 
-TEST(FleetEpochs, BitIdenticalAcrossJobsAndEpochsAggregate) {
-  fleet_epoch_params params;
-  params.fleet.tenants = 24;
-  params.fleet.max_flows_per_tenant = 6;
-  params.fleet.seed = 5;
-  params.epochs = 4;
-  params.ops_rate = 2.0;
-  const auto jobs1 = run_fleet_epochs(params, 1);
-  const auto jobs4 = run_fleet_epochs(params, 4);
-  ASSERT_EQ(jobs1.epochs.size(), jobs4.epochs.size());
-  std::int64_t total_ops = 0;
-  for (std::size_t e = 0; e < jobs1.epochs.size(); ++e) {
-    EXPECT_EQ(jobs1.epochs[e].ops, jobs4.epochs[e].ops);
-    EXPECT_EQ(jobs1.epochs[e].admissions, jobs4.epochs[e].admissions);
-    EXPECT_EQ(jobs1.epochs[e].rejections, jobs4.epochs[e].rejections);
-    EXPECT_EQ(jobs1.epochs[e].evictions, jobs4.epochs[e].evictions);
-    EXPECT_EQ(jobs1.epochs[e].state_digest, jobs4.epochs[e].state_digest);
-    total_ops += jobs1.epochs[e].ops;
-  }
-  EXPECT_EQ(jobs1.final_digest, jobs4.final_digest);
-  EXPECT_GT(total_ops, 0);
+TEST(ScenarioEngine, InterfererOnsetEpochDelaysTheInterferers) {
+  // Interferers switched on at epoch 2: the first two epochs are the
+  // clean scenario's, digest for digest, and epoch 2 leaves its path.
+  const auto topology = topo::make_wustl(2);
+  const auto clean_config = jamming_config(false, false);
+  auto onset_config = clean_config;
+  onset_config.sim.interferers = sim::one_interferer_per_floor(topology);
+  onset_config.interferer_onset_epoch = 2;
+  const auto clean = scenario_engine(topology, clean_config).run();
+  const auto onset = scenario_engine(topology, onset_config).run();
+  for (std::size_t e = 0; e < 2; ++e)
+    EXPECT_EQ(onset.epochs[e].digest, clean.epochs[e].digest)
+        << "epoch " << e;
+  EXPECT_NE(onset.epochs[2].digest, clean.epochs[2].digest);
+  EXPECT_LT(onset.epochs[2].pdr, clean.epochs[2].pdr);
 }
 
 TEST(TemporalObservability, ScenarioSeriesMirrorsEpochRecords) {
@@ -421,33 +416,6 @@ TEST(TemporalObservability, SloAndRecorderNeverPerturbDigests) {
   EXPECT_EQ(plain.final_digest, observed.final_digest);
   // Every epoch's window was fed to the recorder.
   EXPECT_EQ(recorder.recent_windows().size(), plain.epochs.size());
-}
-
-TEST(TemporalObservability, FleetSeriesMatchesAggregatesAtAnyJobs) {
-  fleet_epoch_params params;
-  params.fleet.tenants = 12;
-  params.fleet.max_flows_per_tenant = 6;
-  params.fleet.seed = 5;
-  params.epochs = 4;
-  params.ops_rate = 2.0;
-  const auto plain = run_fleet_epochs(params, 1);
-  auto instrumented = params;
-  instrumented.slo = obs::default_fleet_policy(/*admit_p99_us=*/1e9);
-  obs::flight_recorder recorder;
-  instrumented.recorder = &recorder;
-  const auto observed = run_fleet_epochs(instrumented, 4);
-  EXPECT_EQ(plain.final_digest, observed.final_digest);
-
-  const auto s = fleet_series(plain);
-  ASSERT_EQ(s.windows.size(), plain.epochs.size());
-  for (std::size_t e = 0; e < s.windows.size(); ++e) {
-    EXPECT_EQ(s.windows[e].index, plain.epochs[e].epoch);
-    EXPECT_DOUBLE_EQ(s.windows[e].values.at("ops"),
-                     static_cast<double>(plain.epochs[e].ops));
-    EXPECT_DOUBLE_EQ(s.windows[e].values.at("rejections"),
-                     static_cast<double>(plain.epochs[e].rejections));
-  }
-  EXPECT_EQ(recorder.recent_windows().size(), s.windows.size());
 }
 
 TEST(Poisson, DrawIsDeterministicAndMeanIsPlausible) {

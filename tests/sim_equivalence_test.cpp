@@ -10,8 +10,9 @@
 // through polynomial kernels instead of libm and must agree to 1e-12
 // relative. This pins hopping, retries, progress, fault handling,
 // attempt accounting, energy and the flush order on real testbed
-// workloads (WUSTL topology, generated flow sets, RC/RA/NR schedules),
-// across seeds and fault plans.
+// workloads (WUSTL topology, generated flow sets, RC/RA/NR schedules,
+// and the coexistence study's two networks merged into one), across
+// seeds and fault plans.
 //
 // This file also spot-checks the "allocation-free in steady state" claim
 // with a counting global allocator: the fast engine's marginal
@@ -29,13 +30,16 @@
 #include <set>
 #include <string>
 #include <tuple>
+#include <utility>
 
 #include "common/rng.h"
 #include "core/scheduler.h"
 #include "flow/flow_generator.h"
 #include "graph/network_view.h"
 #include "obs/metrics.h"
+#include "sim/coexistence.h"
 #include "sim/simulator.h"
+#include "topo/merge.h"
 #include "topo/testbeds.h"
 
 // ------------------------------------------------- counting allocator --
@@ -186,6 +190,41 @@ const world& ra_cross_link_world() {
   return w;
 }
 
+/// The coexistence study's 0 m world at its default arguments: two
+/// 25-flow RC networks at 1 s periods on four channels (WUSTL seeds 1
+/// and 2, workloads of seed 931) merged at zero separation, so cells
+/// shared across the networks run the capture path on cross-network
+/// node pairs.
+const world& coexistence_world() {
+  static const world w = [] {
+    const auto ta = topo::make_wustl(1);
+    const auto tb = topo::make_wustl(2);
+    const auto build = [](const topo::topology& t, std::uint64_t net) {
+      const auto view = graph::make_network_view(t, phy::channels(4));
+      flow::flow_set_params params;
+      params.num_flows = 25;
+      params.period_min_exp = 0;
+      params.period_max_exp = 0;
+      rng gen(derive_seed(931, net, 0));
+      auto set = flow::generate_flow_set(view.comm, params, gen);
+      auto result = core::schedule_flows(
+          set.flows, view.reuse_hops,
+          core::make_config(core::algorithm::rc, 4));
+      if (!result.schedulable)
+        throw std::runtime_error("coexistence workload must be schedulable");
+      return std::make_pair(std::move(set.flows), std::move(result.sched));
+    };
+    const auto [flows_a, sched_a] = build(ta, 0);
+    const auto [flows_b, sched_b] = build(tb, 1);
+    auto merged = topo::merge_topologies(ta, tb, 0.0, 9);
+    auto net = sim::merge_networks({sched_a, flows_a}, {sched_b, flows_b},
+                                   merged.node_offset);
+    return world{std::move(merged.merged), phy::channels(4),
+                 std::move(net.sched), std::move(net.flows)};
+  }();
+  return w;
+}
+
 sim::fault_plan crash_and_suppress_plan(const world& w) {
   sim::fault_plan plan;
   // Crash a relay mid-experiment, fail one direction of a scheduled
@@ -314,6 +353,15 @@ TEST(SimEquivalence, MechanicsMatchWhenCellsChangeChannelPosition) {
   ASSERT_TRUE(shares_a_cell(w.sched));
   ASSERT_NE(w.sched.num_slots() % 3, 0);
   expect_mechanics_match(w, mechanics_config(5, 12));
+}
+
+TEST(SimEquivalence, MechanicsMatchOnTheMergedCoexistenceWorld) {
+  // sim::run_coexistence's whole model: two networks in one schedule,
+  // with drift, fading, probes and interferers off.
+  const auto& w = coexistence_world();
+  ASSERT_TRUE(shares_a_cell(w.sched));
+  for (const std::uint64_t seed : {1, 931})
+    expect_mechanics_match(w, mechanics_config(seed, 12));
 }
 
 TEST(SimEquivalence, MechanicsGridCoversSharedCells) {

@@ -562,48 +562,6 @@ TEST(Interference, OnePerFloorPlacesAtEveryFloor) {
     EXPECT_EQ(interferers[static_cast<std::size_t>(f)].pos.floor, f);
 }
 
-TEST(Interference, OnsetRunDelaysTheImpact) {
-  // Interference switched on at run 10 of 20: the first half of the
-  // per-run PRR samples is clean, the second half degraded.
-  auto t = line_topology(2, 10.0);
-  const auto channels = phy::channels(4);
-  set_link_all_channels(t, 0, 1, 0.99, channels);
-
-  const auto f = one_link_flow(0, 0, 1, 10, 10);
-  tsch::schedule sched(10, 4);
-  sched.add(make_tx(0, 0, 0, 0, 0, 1), 0, 0);
-  sched.add(make_tx(0, 0, 0, 1, 0, 1), 1, 0);
-
-  auto config = quick_config(20, 9);
-  external_interferer intf;
-  intf.pos = {5.0, 0.0, 0};
-  intf.duty_cycle = 1.0;
-  intf.tx_power_dbm = 20.0;
-  config.interferers = {intf};
-  config.interferer_start_run = 10;
-  config.probes_per_run = 1;
-  const auto result = run_simulation(t, sched, {f}, channels, config);
-
-  const auto& obs = result.links.at(link_key{0, 1});
-  double early_sum = 0.0;
-  int early_n = 0;
-  double late_sum = 0.0;
-  int late_n = 0;
-  for (const auto& [run, prr] : obs.cf_samples) {
-    if (run < 10) {
-      early_sum += prr;
-      ++early_n;
-    } else {
-      late_sum += prr;
-      ++late_n;
-    }
-  }
-  ASSERT_GT(early_n, 0);
-  ASSERT_GT(late_n, 0);
-  EXPECT_GT(early_sum / early_n, 0.9);  // clean half
-  EXPECT_LT(late_sum / late_n, 0.5);    // jammed half
-}
-
 TEST(Interference, ActivityIsDrawnPerSamplePoint) {
   // A duty-cycled interferer is an independent Bernoulli at every
   // sample point (each slot with traffic, each probe), not once per

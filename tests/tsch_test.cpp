@@ -149,16 +149,6 @@ TEST(Schedule, FullSlotBitTracksEveryOffset) {
   expect_index_consistent(s);
 }
 
-TEST(Schedule, ShiftedScheduleRebuildsItsIndex) {
-  schedule s(10, 2);
-  s.add(make_tx(1, 2), 3, 0);
-  const auto shifted = shift_node_ids(s, 100);
-  EXPECT_TRUE(shifted.node_busy(101, 3));
-  EXPECT_TRUE(shifted.node_busy(102, 3));
-  EXPECT_FALSE(shifted.node_busy(1, 3));
-  EXPECT_EQ(shifted.cell_load(3, 0), 1);
-}
-
 // -------------------------------------------------- remove_flows_from --
 
 TEST(Schedule, RemoveFlowsFromFreesCellsAndCounts) {

@@ -353,12 +353,9 @@ int cmd_fleet(const cli_args& args) {
                             std::chrono::steady_clock::now() - start)
                             .count();
 
-  const auto percentile = [](std::vector<double> v, double q) {
-    if (v.empty()) return 0.0;
-    std::sort(v.begin(), v.end());
-    const auto idx = static_cast<std::size_t>(
-        q * static_cast<double>(v.size() - 1) + 0.5);
-    return v[idx];
+  const auto latency_us = [&](double q) {
+    const auto& ns = result.admit_latency_ns;
+    return ns.empty() ? 0.0 : stats::quantile(ns, q) / 1e3;
   };
 
   table t({"tenants", "ops", "admitted", "rejected", "evicted",
@@ -381,9 +378,8 @@ int cmd_fleet(const cli_args& args) {
             << " tenants schedulable; " << cell(wall_s, 2)
             << " s wall, " << cell(admissions_per_s, 0)
             << " admissions/s, admit latency p50 "
-            << cell(percentile(result.admit_latency_ns, 0.5) / 1e3, 1)
-            << " us / p99 "
-            << cell(percentile(result.admit_latency_ns, 0.99) / 1e3, 1)
+            << cell(latency_us(0.5), 1) << " us / p99 "
+            << cell(latency_us(0.99), 1)
             << " us\n";
 
   const auto& snap = session.finish();
@@ -931,35 +927,34 @@ int cmd_diff(const cli_args& args) {
   return diff.identical() ? 0 : 1;
 }
 
+int dispatch(int argc, char** argv) {
+  if (argc < 2) return usage();
+  const std::string command = argv[1];
+  // These commands take a positional file path, which cli_args
+  // rejects; parse them separately before the generic flag parsing.
+  if (command == "obs") return cmd_obs(argc - 1, argv + 1);
+  if (command == "health") return cmd_health(argc - 1, argv + 1);
+  if (command == "top") return cmd_top(argc - 1, argv + 1);
+  if (command == "flight") return cmd_flight(argc - 1, argv + 1);
+  const cli_args args(argc - 1, argv + 1);
+  if (command == "topology") return cmd_topology(args);
+  if (command == "workload") return cmd_workload(args);
+  if (command == "schedule") return cmd_schedule(args);
+  if (command == "analyze") return cmd_analyze(args);
+  if (command == "simulate") return cmd_simulate(args);
+  if (command == "detect") return cmd_detect(args);
+  if (command == "fleet") return cmd_fleet(args);
+  if (command == "scenario") return cmd_scenario(args);
+  if (command == "faults") return cmd_faults(args);
+  if (command == "bench") return cmd_bench(args);
+  if (command == "diff") return cmd_diff(args);
+  if (command == "latency") return cmd_latency(args);
+  std::cerr << "unknown command: " << command << "\n";
+  return usage();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return usage();
-  const std::string command = argv[1];
-  try {
-    // These commands take a positional file path, which cli_args
-    // rejects; parse them separately before the generic flag parsing.
-    if (command == "obs") return cmd_obs(argc - 1, argv + 1);
-    if (command == "health") return cmd_health(argc - 1, argv + 1);
-    if (command == "top") return cmd_top(argc - 1, argv + 1);
-    if (command == "flight") return cmd_flight(argc - 1, argv + 1);
-    const cli_args args(argc - 1, argv + 1);
-    if (command == "topology") return cmd_topology(args);
-    if (command == "workload") return cmd_workload(args);
-    if (command == "schedule") return cmd_schedule(args);
-    if (command == "analyze") return cmd_analyze(args);
-    if (command == "simulate") return cmd_simulate(args);
-    if (command == "detect") return cmd_detect(args);
-    if (command == "fleet") return cmd_fleet(args);
-    if (command == "scenario") return cmd_scenario(args);
-    if (command == "faults") return cmd_faults(args);
-    if (command == "bench") return cmd_bench(args);
-    if (command == "diff") return cmd_diff(args);
-    if (command == "latency") return cmd_latency(args);
-    std::cerr << "unknown command: " << command << "\n";
-    return usage();
-  } catch (const std::exception& error) {
-    std::cerr << "error: " << error.what() << "\n";
-    return 1;
-  }
+  return wsan::run_main(dispatch, argc, argv);
 }
