@@ -17,15 +17,6 @@ experiment_env make_env(const std::string& testbed, int num_channels) {
                                   phy::channels(num_channels));
 }
 
-efficiency_accumulator& efficiency_accumulator::operator+=(
-    const efficiency_accumulator& other) {
-  ra_tx_per_channel.merge(other.ra_tx_per_channel);
-  rc_tx_per_channel.merge(other.rc_tx_per_channel);
-  ra_hop_count.merge(other.ra_hop_count);
-  rc_hop_count.merge(other.rc_hop_count);
-  return *this;
-}
-
 ratio_trial_outcome run_ratio_trial(const experiment_env& env,
                                     const flow::flow_set_params& fsp,
                                     int rho_t, rng& gen,
@@ -69,44 +60,6 @@ ratio_trial_outcome run_ratio_trial(const experiment_env& env,
     }
   }
   return outcome;
-}
-
-namespace {
-
-/// Per-worker partial of a schedulable-ratio point; merged with the
-/// commutative += of both members.
-struct ratio_accum {
-  ratio_point point;
-  efficiency_accumulator acc;
-
-  ratio_accum& operator+=(const ratio_accum& other) {
-    point += other.point;
-    acc += other.acc;
-    return *this;
-  }
-};
-
-}  // namespace
-
-ratio_point schedulable_ratio(const experiment_env& env,
-                              const flow::flow_set_params& fsp, int trials,
-                              std::uint64_t seed, int rho_t,
-                              efficiency_accumulator* acc, int jobs,
-                              std::uint64_t point_index) {
-  const exp::trial_runner runner(jobs);
-  const bool want_acc = acc != nullptr;
-  auto total = runner.run_point<ratio_accum>(
-      seed, point_index, trials,
-      [&](int, rng& gen, ratio_accum& local) {
-        const auto outcome = run_ratio_trial(
-            env, fsp, rho_t, gen, want_acc ? &local.acc : nullptr);
-        ++local.point.trials;
-        local.point.nr_ok += outcome.nr_ok ? 1 : 0;
-        local.point.ra_ok += outcome.ra_ok ? 1 : 0;
-        local.point.rc_ok += outcome.rc_ok ? 1 : 0;
-      });
-  if (acc != nullptr) *acc += total.acc;
-  return total.point;
 }
 
 reliability_workloads find_reliability_sets(

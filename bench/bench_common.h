@@ -32,42 +32,17 @@ using experiment_env = graph::network_view;
 /// collected topologies).
 experiment_env make_env(const std::string& testbed, int num_channels);
 
-/// Outcome of one schedulable-ratio data point. Merging two points
-/// (operator+=) adds the counters, so partial results from parallel
-/// workers fold together in any order.
-struct ratio_point {
-  int trials = 0;
-  int nr_ok = 0;
-  int ra_ok = 0;
-  int rc_ok = 0;
-
-  double nr() const { return trials ? double(nr_ok) / trials : 0.0; }
-  double ra() const { return trials ? double(ra_ok) / trials : 0.0; }
-  double rc() const { return trials ? double(rc_ok) / trials : 0.0; }
-
-  ratio_point& operator+=(const ratio_point& other) {
-    trials += other.trials;
-    nr_ok += other.nr_ok;
-    ra_ok += other.ra_ok;
-    rc_ok += other.rc_ok;
-    return *this;
-  }
-};
-
 /// Optional efficiency histograms of Figures 4/5 for RA and RC.
-/// merge() is commutative (per-bin addition).
 struct efficiency_accumulator {
   histogram ra_tx_per_channel;
   histogram rc_tx_per_channel;
   histogram ra_hop_count;
   histogram rc_hop_count;
-
-  efficiency_accumulator& operator+=(const efficiency_accumulator& other);
 };
 
 /// One schedulable-ratio trial: a flow set from `gen` through NR, RA
-/// and RC at rho_t; the unit schedulable_ratio fans out and --replay
-/// re-runs.
+/// and RC at rho_t — the unit the ratio sweeps of Figures 1-5 fan out
+/// on exp::trial_runner and --replay re-runs.
 struct ratio_trial_outcome {
   bool generated = false;  ///< false: unroutable workload (all fail)
   bool nr_ok = false;
@@ -79,16 +54,6 @@ ratio_trial_outcome run_ratio_trial(const experiment_env& env,
                                     const flow::flow_set_params& fsp,
                                     int rho_t, rng& gen,
                                     efficiency_accumulator* acc = nullptr);
-
-/// Runs `trials` random flow sets through NR, RA (rho_t), and RC
-/// (rho_t) across `jobs` worker threads and counts which are
-/// schedulable. Trial t draws from derive_seed(seed, point_index, t);
-/// the result is bit-identical for any jobs value (tests/exp_test.cpp).
-ratio_point schedulable_ratio(const experiment_env& env,
-                              const flow::flow_set_params& fsp, int trials,
-                              std::uint64_t seed, int rho_t = 2,
-                              efficiency_accumulator* acc = nullptr,
-                              int jobs = 1, std::uint64_t point_index = 0);
 
 /// Finds `count` flow sets schedulable under NR, RA and RC at once, for
 /// experiments that compare the three on the same workloads. Attempts

@@ -40,6 +40,9 @@ enum class channel_policy {
 
 std::string to_string(channel_policy policy);
 
+/// A set of directed links (sender, receiver).
+using link_set = std::set<std::pair<node_id, node_id>>;
+
 struct scheduler_config {
   algorithm algo = algorithm::rc;
   /// |M|: number of channels in use = number of channel offsets.
@@ -73,13 +76,12 @@ struct scheduler_config {
   /// occupy. This is the remedy Section VI motivates — once the
   /// detection policy identifies links degraded by channel reuse, the
   /// manager "reassigns them to different channels or time slots".
-  std::set<std::pair<node_id, node_id>> isolated_links;
+  link_set isolated_links;
 };
 
 /// True iff the directed link sender->receiver is in the isolation set.
-inline bool is_isolated(
-    const std::set<std::pair<node_id, node_id>>& isolated,
-    node_id sender, node_id receiver) {
+inline bool is_isolated(const link_set& isolated, node_id sender,
+                        node_id receiver) {
   return isolated.count({sender, receiver}) > 0;
 }
 

@@ -16,7 +16,7 @@ namespace {
 /// a cell holding an isolated transmission accepts nobody else.
 bool isolation_ok(const tsch::transmission& tx,
                   const std::vector<tsch::transmission>& cell,
-                  const std::set<std::pair<node_id, node_id>>* isolated) {
+                  const link_set* isolated) {
   if (isolated == nullptr || isolated->empty()) return true;
   if (cell.empty()) return true;
   if (is_isolated(*isolated, tx.sender, tx.receiver)) return false;
@@ -33,7 +33,7 @@ offset_t choose_offset(const tsch::schedule& sched,
                        const tsch::transmission& tx, slot_t s, int rho,
                        const graph::hop_matrix& reuse_hops,
                        channel_policy policy,
-                       const std::set<std::pair<node_id, node_id>>* isolated,
+                       const link_set* isolated,
                        probe_counters* probes) {
   offset_t best = k_invalid_offset;
   int best_load = 0;
@@ -77,7 +77,7 @@ std::optional<slot_assignment> find_slot_naive(
     const tsch::schedule& sched, const tsch::transmission& tx,
     slot_t earliest, slot_t end, int rho,
     const graph::hop_matrix& reuse_hops, channel_policy policy,
-    const std::set<std::pair<node_id, node_id>>* isolated,
+    const link_set* isolated,
     int management_slot_period, probe_counters* probes) {
   for (slot_t s = earliest; s <= end; ++s) {
     if (is_management_slot(s, management_slot_period)) continue;
@@ -98,7 +98,7 @@ struct slot_judge {
   const tsch::transmission& tx;
   channel_policy policy;
   /// Non-null only when the isolation set is non-empty.
-  const std::set<std::pair<node_id, node_id>>* isolated;
+  const link_set* isolated;
   const std::uint64_t* sender_ball = nullptr;    // ball(tx.sender, rho)
   const std::uint64_t* receiver_ball = nullptr;  // ball(tx.receiver, rho)
 
@@ -200,7 +200,7 @@ slot_assignment find_slot_indexed(
     const tsch::schedule& sched, const tsch::transmission& tx,
     slot_t earliest, slot_t end, int rho,
     const graph::hop_matrix& reuse_hops, channel_policy policy,
-    const std::set<std::pair<node_id, node_id>>* isolated,
+    const link_set* isolated,
     int management_slot_period, probe_counters* probes) {
   constexpr int wb = tsch::schedule::k_word_bits;
   slot_judge judge{sched, tx, policy,
@@ -267,7 +267,7 @@ std::optional<slot_assignment> find_slot(
     const tsch::schedule& sched, const tsch::transmission& tx,
     slot_t earliest, slot_t latest, int rho,
     const graph::hop_matrix& reuse_hops, channel_policy policy,
-    const std::set<std::pair<node_id, node_id>>* isolated,
+    const link_set* isolated,
     int management_slot_period, bool use_index,
     probe_counters* probes) {
   WSAN_REQUIRE(earliest >= 0, "earliest slot must be non-negative");

@@ -5,8 +5,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <set>
-#include <utility>
 
 #include "core/config.h"
 #include "core/probe_counters.h"
@@ -57,7 +55,7 @@ std::optional<slot_assignment> find_slot(
     slot_t earliest, slot_t latest, int rho,
     const graph::hop_matrix& reuse_hops,
     channel_policy policy = channel_policy::min_load,
-    const std::set<std::pair<node_id, node_id>>* isolated = nullptr,
+    const link_set* isolated = nullptr,
     int management_slot_period = 0, bool use_index = true,
     probe_counters* probes = nullptr);
 

@@ -3,12 +3,11 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <ostream>
-#include <sstream>
 #include <string_view>
 
 #include "common/error.h"
+#include "obs/json_text.h"
 
 namespace wsan::exp::json {
 
@@ -63,78 +62,53 @@ const value* value::find(const std::string& key) const {
 
 namespace {
 
-void write_string(const std::string& s, std::ostream& os) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
-void write_double(double d, std::ostream& os) {
-  WSAN_REQUIRE(std::isfinite(d), "JSON cannot represent NaN/Inf");
-  // Shortest representation that parses back to the same double.
-  char buf[32];
-  const auto res = std::to_chars(buf, buf + sizeof(buf), d);
-  os.write(buf, res.ptr - buf);
-}
-
-void write_indented(const value& v, std::ostream& os, int depth) {
+/// Appends `v` pretty-printed at `depth`. Strings and doubles go through
+/// the obs writers every JSON document of the repo shares; a double
+/// JSON cannot represent is an error here, not obs's `null`.
+void append_indented(const value& v, std::string& out, int depth) {
   const std::string pad(static_cast<std::size_t>(depth) * 2, ' ');
   const std::string pad1(static_cast<std::size_t>(depth + 1) * 2, ' ');
   if (v.is_null()) {
-    os << "null";
+    out += "null";
   } else if (v.is_bool()) {
-    os << (v.as_bool() ? "true" : "false");
+    out += v.as_bool() ? "true" : "false";
   } else if (v.is_int()) {
-    os << v.as_int();
+    out += std::to_string(v.as_int());
   } else if (v.is_number()) {
-    write_double(v.as_double(), os);
+    const double d = v.as_double();
+    WSAN_REQUIRE(std::isfinite(d), "JSON cannot represent NaN/Inf");
+    obs::append_json_number(out, d);
   } else if (v.is_string()) {
-    write_string(v.as_string(), os);
+    obs::append_json_string(out, v.as_string());
   } else if (v.is_array()) {
     const auto& arr = v.as_array();
     if (arr.empty()) {
-      os << "[]";
+      out += "[]";
       return;
     }
-    os << "[\n";
+    out += "[\n";
     for (std::size_t i = 0; i < arr.size(); ++i) {
-      os << pad1;
-      write_indented(arr[i], os, depth + 1);
-      os << (i + 1 < arr.size() ? ",\n" : "\n");
+      out += pad1;
+      append_indented(arr[i], out, depth + 1);
+      out += i + 1 < arr.size() ? ",\n" : "\n";
     }
-    os << pad << ']';
+    out += pad + ']';
   } else {
     const auto& obj = v.as_object();
     if (obj.empty()) {
-      os << "{}";
+      out += "{}";
       return;
     }
-    os << "{\n";
+    out += "{\n";
     std::size_t i = 0;
     for (const auto& [key, member] : obj) {
-      os << pad1;
-      write_string(key, os);
-      os << ": ";
-      write_indented(member, os, depth + 1);
-      os << (++i < obj.size() ? ",\n" : "\n");
+      out += pad1;
+      obs::append_json_string(out, key);
+      out += ": ";
+      append_indented(member, out, depth + 1);
+      out += ++i < obj.size() ? ",\n" : "\n";
     }
-    os << pad << '}';
+    out += pad + '}';
   }
 }
 
@@ -385,15 +359,13 @@ class parser {
 
 }  // namespace
 
-void write(const value& v, std::ostream& os) {
-  write_indented(v, os, 0);
-  os << '\n';
-}
+void write(const value& v, std::ostream& os) { os << to_string(v); }
 
 std::string to_string(const value& v) {
-  std::ostringstream os;
-  write(v, os);
-  return os.str();
+  std::string out;
+  append_indented(v, out, 0);
+  out += '\n';
+  return out;
 }
 
 value parse(const std::string& text) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
+#include <map>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -18,8 +19,6 @@ json::value metrics_to_json(const obs::snapshot& snap) {
   json::object counters;
   for (const auto& [name, count] : snap.counters)
     counters[name] = count;
-  json::object gauges;
-  for (const auto& [name, val] : snap.gauges) gauges[name] = val;
   json::object histograms;
   for (const auto& [name, hist] : snap.histograms) {
     json::object h;
@@ -34,7 +33,6 @@ json::value metrics_to_json(const obs::snapshot& snap) {
   }
   json::object metrics;
   metrics["counters"] = std::move(counters);
-  metrics["gauges"] = std::move(gauges);
   metrics["histograms"] = std::move(histograms);
   return json::value(std::move(metrics));
 }
@@ -78,22 +76,33 @@ const json::value* section_of(const json::value& doc) {
   return nullptr;
 }
 
-void print_spans_json(const json::value& spans, std::ostream& os) {
+/// The span table (name, count, total ms, mean us) of a snapshot or of
+/// a parsed document's spans.
+void print_spans(const std::map<std::string, obs::span_snapshot>& spans,
+                 std::ostream& os) {
   table t({"span", "count", "total_ms", "mean_us"});
+  for (const auto& [name, span] : spans) {
+    const double ns = static_cast<double>(span.total_ns);
+    const double n = static_cast<double>(span.count);
+    t.add_row({name, cell(static_cast<long long>(span.count)),
+               cell(ns / 1e6, 3), cell(n > 0 ? ns / n / 1e3 : 0.0, 3)});
+  }
+  t.print(os);
+}
+
+void print_spans_json(const json::value& spans, std::ostream& os) {
+  std::map<std::string, obs::span_snapshot> parsed;
   for (const auto& [name, span] : spans.as_object()) {
     const auto* count = span.find("count");
     const auto* total_ns = span.find("total_ns");
     WSAN_REQUIRE(count != nullptr && total_ns != nullptr,
                  "span entry is missing count/total_ns: " + name);
-    const double n = count->as_double();
-    const double ns = total_ns->as_double();
-    t.add_row({name, cell(static_cast<long long>(count->as_int())), cell(ns / 1e6, 3),
-               cell(n > 0 ? ns / n / 1e3 : 0.0, 3)});
+    parsed[name] = {static_cast<std::uint64_t>(count->as_int()),
+                    static_cast<std::uint64_t>(total_ns->as_int())};
   }
-  if (t.num_rows() > 0) {
-    os << "spans:\n";
-    t.print(os);
-  }
+  if (parsed.empty()) return;
+  os << "spans:\n";
+  print_spans(parsed, os);
 }
 
 }  // namespace
@@ -119,14 +128,6 @@ bool print_obs_document(const json::value& doc, std::ostream& os) {
     for (const auto& [name, val] : counters->as_object())
       t.add_row({name, cell(static_cast<long long>(val.as_int()))});
     os << "counters:\n";
-    t.print(os);
-  }
-  if (const auto* gauges = metrics->find("gauges");
-      gauges != nullptr && !gauges->as_object().empty()) {
-    table t({"gauge", "value"});
-    for (const auto& [name, val] : gauges->as_object())
-      t.add_row({name, cell(val.as_double(), 6)});
-    os << "gauges:\n";
     t.print(os);
   }
   if (const auto* hists = metrics->find("histograms");
@@ -161,15 +162,7 @@ bool print_obs_document(const json::value& doc, std::ostream& os) {
 }
 
 void print_span_table(const obs::snapshot& snap, std::ostream& os) {
-  if (snap.spans.empty()) return;
-  table t({"span", "count", "total_ms", "mean_us"});
-  for (const auto& [name, span] : snap.spans) {
-    const double ns = static_cast<double>(span.total_ns);
-    const double n = static_cast<double>(span.count);
-    t.add_row({name, cell(static_cast<long long>(span.count)),
-               cell(ns / 1e6, 3), cell(n > 0 ? ns / n / 1e3 : 0.0, 3)});
-  }
-  t.print(os);
+  if (!snap.spans.empty()) print_spans(snap.spans, os);
 }
 
 // ----------------------------------------------- temporal telemetry --
@@ -454,7 +447,7 @@ obs_session::obs_session(const run_options& options)
 
 obs_session::obs_session(const run_options& options,
                          std::shared_ptr<obs::event_sink> extra_sink)
-    : metrics_path_(options.metrics_path) {
+    : metrics_path_(options.metrics_path), trace_path_(options.trace_path) {
   if (!options.obs_requested() && extra_sink == nullptr) return;
   active_ = true;
   obs::reset_metrics();
@@ -485,6 +478,16 @@ const obs::snapshot& obs_session::finish() {
     WSAN_REQUIRE(out.good(), "write failed: " + metrics_path_);
   }
   return snap_;
+}
+
+void obs_session::print_summary(std::ostream& os) const {
+  if (!active_) return;
+  os << "\nobservability: per-phase timings\n";
+  print_span_table(snap_, os);
+  if (!metrics_path_.empty())
+    os << "wrote metrics snapshot to " << metrics_path_ << "\n";
+  if (!trace_path_.empty())
+    os << "wrote event trace to " << trace_path_ << "\n";
 }
 
 obs_session::~obs_session() {

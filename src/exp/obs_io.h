@@ -6,7 +6,7 @@
 // A standalone metrics file (--metrics FILE) is the versioned document
 //
 //   { "schema": "wsan-obs-snapshot/1",
-//     "metrics": { "counters": {..}, "gauges": {..}, "histograms": {..} },
+//     "metrics": { "counters": {..}, "histograms": {..} },
 //     "timings": { "spans": { "<name>": { "count": N, "total_ns": N } } } }
 //
 // Everything under "metrics" (and span counts) is deterministic for a
@@ -107,10 +107,16 @@ class obs_session {
   /// session was inactive). Idempotent.
   const obs::snapshot& finish();
 
+  /// After finish(), when the session was active: the per-phase span
+  /// table, then where the metrics snapshot and the event trace went.
+  /// The observability epilogue of every command that runs a session.
+  void print_summary(std::ostream& os) const;
+
  private:
   bool active_ = false;
   bool finished_ = false;
   std::string metrics_path_;
+  std::string trace_path_;
   obs::snapshot snap_;
 };
 

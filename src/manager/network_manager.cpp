@@ -68,6 +68,18 @@ core::schedule_result network_manager::admit(
   return result;
 }
 
+core::schedule_result network_manager::admit_shedding(
+    std::vector<flow::flow>& flows) const {
+  while (!flows.empty()) {
+    auto result = admit(flows);
+    if (result.schedulable) return result;
+    flows.pop_back();
+  }
+  core::schedule_result empty;
+  empty.schedulable = true;  // the empty workload trivially fits
+  return empty;
+}
+
 void network_manager::blacklist_channels(
     const std::vector<channel_t>& blacklist) {
   auto channels = phy::channels_excluding(config_.num_channels, blacklist);
@@ -176,28 +188,10 @@ network_manager::recovery_outcome network_manager::recover(
 
   // Recovery: route the workload around the dead set, drop what cannot
   // be carried, then shed by priority until the remainder fits.
-  //
-  // Reported ids must name flows of the ORIGINAL workload. After a
-  // first recovery the caller redistributes surviving_flows, which are
-  // renumbered densely — so on a second crash the input ids are the
-  // previous epoch's dense ranks, not original ids. lineage_ carries
-  // the dense-to-original mapping across epochs; when it does not match
-  // the input (fresh workload, or first recovery), the input's own ids
-  // are the originals.
-  std::vector<flow_id> roots;
-  if (lineage_.size() == flows.size()) {
-    roots = lineage_;
-  } else {
-    roots.reserve(flows.size());
-    for (const auto& f : flows) roots.push_back(f.id);
-  }
-
   const auto pruned = graph::remove_nodes(view_.comm, dead_);
   std::vector<flow::flow> survivors;
-  std::vector<flow_id> original_ids;
-  for (std::size_t fi = 0; fi < flows.size(); ++fi) {
-    const auto& f = flows[fi];
-    const flow_id original = roots[fi];
+  std::vector<flow_id> input_ids;
+  for (const auto& f : flows) {
     const bool touches_dead =
         dead_.count(f.source) > 0 || dead_.count(f.destination) > 0 ||
         std::any_of(f.route.begin(), f.route.end(), [&](const auto& l) {
@@ -205,56 +199,51 @@ network_manager::recovery_outcome network_manager::recover(
         });
     if (!touches_dead) {
       survivors.push_back(f);
-      original_ids.push_back(original);
+      input_ids.push_back(f.id);
       continue;
     }
     const auto rerouted = flow::reroute_flow(pruned, f, dead_);
     if (!rerouted) {
-      outcome.unroutable_flows.push_back(original);
+      outcome.unroutable_flows.push_back(f.id);
       obs::add_counter("manager.flows_unroutable");
       if (obs::events_enabled())
         obs::emit(obs::severity::warning, "manager", "flow_unroutable",
-                  {{"flow", original}, {"epoch", outcome.epoch}});
+                  {{"flow", f.id}, {"epoch", outcome.epoch}});
       continue;
     }
     flow::flow repaired = f;
     repaired.route = rerouted->links;
     repaired.uplink_links = rerouted->uplink_links;
     flow::validate_flow(repaired);
-    outcome.rerouted_flows.push_back(original);
+    outcome.rerouted_flows.push_back(f.id);
     obs::add_counter("manager.flows_rerouted");
     if (obs::events_enabled())
       obs::emit(obs::severity::info, "manager", "flow_rerouted",
-                {{"flow", original},
+                {{"flow", f.id},
                  {"epoch", outcome.epoch},
                  {"hops", repaired.route.size()}});
     survivors.push_back(std::move(repaired));
-    original_ids.push_back(original);
+    input_ids.push_back(f.id);
   }
   // Renumber densely: relative order (and therefore the fixed-priority
   // assignment) is preserved, ids become priority ranks again.
   for (std::size_t i = 0; i < survivors.size(); ++i)
     survivors[i].id = static_cast<flow_id>(i);
 
-  auto shed = core::schedule_shedding(std::move(survivors), view_.reuse_hops,
-                                      effective_scheduler_config());
-  for (flow_id dense : shed.shed) {
-    const flow_id original = original_ids[static_cast<std::size_t>(dense)];
-    outcome.shed_flows.push_back(original);
+  auto repaired = admit_shedding(survivors);
+  // Shedding popped the tail, lowest priority first.
+  for (std::size_t i = input_ids.size(); i-- > survivors.size();) {
+    outcome.shed_flows.push_back(input_ids[i]);
     obs::add_counter("manager.flows_shed");
     if (obs::events_enabled())
       obs::emit(obs::severity::warning, "manager", "flow_shed",
-                {{"flow", original}, {"epoch", outcome.epoch}});
+                {{"flow", input_ids[i]}, {"epoch", outcome.epoch}});
   }
-  outcome.surviving_flows = std::move(shed.kept);
-  outcome.surviving_original_ids.reserve(shed.kept_input_ids.size());
-  for (const flow_id dense : shed.kept_input_ids)
-    outcome.surviving_original_ids.push_back(
-        original_ids[static_cast<std::size_t>(dense)]);
-  // Next epoch's input is surviving_flows; remember its original ids.
-  lineage_ = outcome.surviving_original_ids;
+  input_ids.resize(survivors.size());
+  outcome.surviving_flows = std::move(survivors);
+  outcome.surviving_input_ids = std::move(input_ids);
   outcome.rescheduled = true;
-  outcome.repaired = std::move(shed.result);
+  outcome.repaired = std::move(repaired);
   return outcome;
 }
 

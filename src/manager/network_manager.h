@@ -14,7 +14,6 @@
 #include <set>
 #include <vector>
 
-#include "core/rescheduler.h"
 #include "core/scheduler.h"
 #include "detect/detector.h"
 #include "flow/flow_generator.h"
@@ -61,6 +60,16 @@ class network_manager {
   /// the admission decision.
   core::schedule_result admit(const std::vector<flow::flow>& flows) const;
 
+  /// Shed-to-fit admission: admits `flows` and, while the result is
+  /// unschedulable, drops the last (lowest-priority) flow and admits
+  /// again. `flows` must hold dense ids in priority order (admit throws
+  /// std::invalid_argument otherwise, before anything is dropped); on
+  /// return it holds the kept prefix, so the shed flows are the input's
+  /// tail. The drop order is fixed by the priority assignment, so two
+  /// managers looking at the same workload shed the same flows. An
+  /// empty remainder is a schedulable empty result.
+  core::schedule_result admit_shedding(std::vector<flow::flow>& flows) const;
+
   /// One maintenance cycle (a health-report epoch): classify every
   /// reuse-associated link from the reported observations; if any link
   /// is degraded by channel reuse, isolate it and recompute the
@@ -85,7 +94,12 @@ class network_manager {
   /// around it on the pruned communication graph; flows whose endpoint
   /// or access-point infrastructure died are dropped; and when the
   /// repaired workload no longer fits, load is shed in priority order
-  /// (core::schedule_shedding) until the remainder is schedulable.
+  /// (admit_shedding) until the remainder is schedulable.
+  ///
+  /// Every flow id in the outcome is an id of the `flows` argument.
+  /// surviving_flows are renumbered densely, so a caller that feeds them
+  /// into a later recover() keeps its own map back to the flows it first
+  /// admitted (surviving_input_ids composes into it).
   struct recovery_outcome {
     /// Maintenance epoch index (0-based, counts recover() calls).
     int epoch = 0;
@@ -101,12 +115,12 @@ class network_manager {
     /// Consecutive silent epochs before the declaration (0 when no node
     /// was declared dead this epoch) — the detection latency.
     int detection_latency_epochs = 0;
-    /// Original ids of flows re-routed around dead nodes.
+    /// Input ids of flows re-routed around dead nodes.
     std::vector<flow_id> rerouted_flows;
-    /// Original ids of flows with no surviving route (dead endpoint,
-    /// dead access point, or partitioned network). Always dropped.
+    /// Input ids of flows with no surviving route (dead endpoint, dead
+    /// access point, or partitioned network). Always dropped.
     std::vector<flow_id> unroutable_flows;
-    /// Original ids of flows shed for schedulability, in drop order
+    /// Input ids of flows shed for schedulability, in drop order
     /// (lowest priority first).
     std::vector<flow_id> shed_flows;
     /// True iff a node died this epoch and a new schedule was computed.
@@ -116,23 +130,14 @@ class network_manager {
     /// Surviving workload with dense re-assigned ids (priority order
     /// preserved) — what the manager distributes next.
     std::vector<flow::flow> surviving_flows;
-    /// Original id of each surviving flow, aligned with surviving_flows.
-    std::vector<flow_id> surviving_original_ids;
+    /// Input id of each surviving flow, aligned with surviving_flows.
+    std::vector<flow_id> surviving_input_ids;
   };
 
   /// Feeds one epoch of health reports to the watchdog and repairs the
   /// network when nodes are declared dead. `observations` are this
   /// epoch's reports only (one simulator execution per epoch, as in
   /// maintain()).
-  ///
-  /// Original-id reporting composes across epochs: after a recovery the
-  /// caller redistributes `surviving_flows` (renumbered densely) and
-  /// feeds them back into the next recover() call; the manager keeps
-  /// the dense-to-original lineage so that ids reported by a *second*
-  /// crash still name the flows of the originally admitted workload,
-  /// not the renumbered intermediates. Passing a workload of a
-  /// different size resets the lineage to that workload's own ids (as
-  /// does reset_watchdog()).
   recovery_outcome recover(
       const std::vector<flow::flow>& flows,
       const std::map<sim::link_key, sim::link_observations>& observations);
@@ -144,21 +149,12 @@ class network_manager {
   /// planned decommissioning). The next recover() routes around it.
   void mark_dead(node_id node);
 
-  /// Forgets all deaths, watchdog counters, and the flow-id lineage
-  /// (e.g. after the field crew replaced the hardware and a fresh
-  /// workload was admitted).
+  /// Forgets all deaths and watchdog counters (e.g. after the field
+  /// crew replaced the hardware).
   void reset_watchdog() {
     dead_.clear();
     silent_epochs_.clear();
-    lineage_.clear();
   }
-
-  /// Forgets only the flow-id lineage, keeping deaths and watchdog
-  /// counters. Callers that edit the workload's composition between
-  /// recoveries (scenario churn: arrivals and departures) must call this
-  /// — a coincidentally size-matched workload would otherwise be mapped
-  /// through the stale dense-to-original lineage.
-  void reset_flow_lineage() { lineage_.clear(); }
 
   /// Drops all accumulated isolations (e.g. after the interference
   /// environment changed and the links were re-validated).
@@ -188,10 +184,6 @@ class network_manager {
   std::set<node_id> dead_;
   std::map<node_id, int> silent_epochs_;  // consecutive missed epochs
   int epoch_ = 0;                         // recover() calls so far
-  /// lineage_[dense_id] = original id of the flow currently numbered
-  /// dense_id, composed across recovery renumberings (see recover()).
-  /// Empty until the first recovery renumbers a workload.
-  std::vector<flow_id> lineage_;
 };
 
 }  // namespace wsan::manager

@@ -38,7 +38,6 @@ struct registry_state {
   std::deque<metric_meta> metrics;
   std::map<std::string, std::size_t, std::less<>> by_name;
   slot_t next_slot = 0;
-  std::map<std::string, double, std::less<>> gauges;
   std::vector<shard*> live;
   std::array<std::uint64_t, k_max_slots> retired{};
 };
@@ -156,15 +155,6 @@ void add_counter(std::string_view name, std::uint64_t delta) {
   register_counter(name).add(delta);
 }
 
-void set_gauge(std::string_view name, double value) {
-  auto& reg = registry();
-  const std::lock_guard<std::mutex> lock(reg.mu);
-  if (const auto it = reg.gauges.find(name); it != reg.gauges.end())
-    it->second = value;
-  else
-    reg.gauges.emplace(std::string(name), value);
-}
-
 snapshot take_snapshot() {
   auto& reg = registry();
   const std::lock_guard<std::mutex> lock(reg.mu);
@@ -174,7 +164,6 @@ snapshot take_snapshot() {
       totals[i] += s->slots[i].load(std::memory_order_relaxed);
 
   snapshot snap;
-  snap.gauges.insert(reg.gauges.begin(), reg.gauges.end());
   for (const auto& meta : reg.metrics) {
     switch (meta.kind) {
       case metric_kind::counter:
@@ -206,7 +195,6 @@ void reset_metrics() {
   reg.retired.fill(0);
   for (shard* s : reg.live)
     for (auto& slot : s->slots) slot.store(0, std::memory_order_relaxed);
-  reg.gauges.clear();
 }
 
 }  // namespace wsan::obs

@@ -1,6 +1,6 @@
 // Observability metrics registry (DESIGN.md §9).
 //
-// Named counters, gauges, and fixed-bucket histograms with a hot path
+// Named counters and fixed-bucket histograms with a hot path
 // that is lock-free and contention-free: every recording thread owns a
 // thread-local shard of atomic slots, increments go to the owning
 // thread's shard with relaxed atomics, and take_snapshot() merges the
@@ -140,9 +140,6 @@ histogram register_histogram(std::string_view name,
 /// Cold-path convenience: intern + add in one call (takes the registry
 /// mutex — use for end-of-run flushes, not per-record hot paths).
 void add_counter(std::string_view name, std::uint64_t delta = 1);
-/// Gauges are last-written named values for cold-path facts (sizes,
-/// configuration); setting one takes the registry mutex.
-void set_gauge(std::string_view name, double value);
 #else
 inline counter register_counter(std::string_view) { return {}; }
 inline histogram register_histogram(std::string_view,
@@ -150,7 +147,6 @@ inline histogram register_histogram(std::string_view,
   return {};
 }
 inline void add_counter(std::string_view, std::uint64_t = 1) {}
-inline void set_gauge(std::string_view, double) {}
 #endif
 
 // ------------------------------------------------------- snapshots --
@@ -178,7 +174,6 @@ struct span_snapshot {
 /// span total_ns values are wall-clock measurements.
 struct snapshot {
   std::map<std::string, std::uint64_t> counters;
-  std::map<std::string, double> gauges;
   std::map<std::string, histogram_snapshot> histograms;
   std::map<std::string, span_snapshot> spans;
 };
@@ -189,7 +184,7 @@ struct snapshot {
 /// workers joined for a complete, deterministic view.
 snapshot take_snapshot();
 /// Zeroes every recorded value (registered names and handles stay
-/// valid) and clears the gauges. For tests and per-run sessions.
+/// valid). For tests and per-run sessions.
 void reset_metrics();
 #else
 inline snapshot take_snapshot() { return {}; }

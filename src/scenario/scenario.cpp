@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/error.h"
-#include "core/scheduler.h"
 #include "detect/detector.h"
 #include "graph/algorithms.h"
 #include "obs/events.h"
@@ -66,25 +65,9 @@ scenario_engine::scenario_engine(topo::topology topology,
     for (std::size_t i = 0; i < flows_.size(); ++i)
       uids_.push_back(next_uid_++);
     // Shed-to-fit: the initial population is a demand, not a guarantee.
-    epoch_record scratch;
-    admit_current(scratch);
+    mgr_.admit_shedding(flows_);
+    uids_.resize(flows_.size());
   }
-}
-
-core::schedule_result scenario_engine::admit_current(epoch_record& rec) {
-  while (!flows_.empty()) {
-    auto result = mgr_.admit(flows_);
-    if (result.schedulable) return result;
-    // Drop the lowest-priority flow (the highest id — ids are dense
-    // priority ranks) until the remainder fits, mirroring
-    // core::schedule_shedding's drop order.
-    flows_.pop_back();
-    uids_.pop_back();
-    ++rec.shed_for_schedulability;
-  }
-  core::schedule_result empty;
-  empty.schedulable = true;  // an empty workload trivially fits
-  return empty;
 }
 
 epoch_record scenario_engine::step() {
@@ -187,8 +170,11 @@ epoch_record scenario_engine::step() {
     }
   }
 
-  // -- 4. (re-)admission of the edited workload -----------------------
-  auto admitted = admit_current(rec);
+  // -- 4. (re-)admission of the edited workload, shedding to fit ------
+  const std::size_t demand = flows_.size();
+  auto admitted = mgr_.admit_shedding(flows_);
+  rec.shed_for_schedulability += static_cast<int>(demand - flows_.size());
+  uids_.resize(flows_.size());
   rec.schedulable = admitted.schedulable;
 
   // -- 5. SlotSwapper randomization -----------------------------------
@@ -262,10 +248,8 @@ epoch_record scenario_engine::step() {
     // (shed-to-fit); the epoch in flight keeps its executed schedule.
 
     // -- 9. watchdog recovery under bounded retry-with-backoff --------
-    // The engine owns flow identity (uids_); the manager's lineage would
-    // otherwise mis-map a workload whose composition changed this epoch
-    // but whose size happens to match.
-    mgr_.reset_flow_lineage();
+    // recover() reports ids of flows_ (dense ranks); the engine owns the
+    // identity that survives renumbering (uids_).
     bool recovered = false;
     for (int attempt = 0;
          attempt < config_.retry.max_attempts && !recovered; ++attempt) {
@@ -292,10 +276,9 @@ epoch_record scenario_engine::step() {
       rec.recovery_shed = static_cast<int>(outcome.shed_flows.size());
       if (outcome.rescheduled) {
         std::vector<std::uint64_t> surviving_uids;
-        surviving_uids.reserve(outcome.surviving_original_ids.size());
-        for (const flow_id original : outcome.surviving_original_ids)
-          surviving_uids.push_back(
-              uids_[static_cast<std::size_t>(original)]);
+        surviving_uids.reserve(outcome.surviving_input_ids.size());
+        for (const flow_id id : outcome.surviving_input_ids)
+          surviving_uids.push_back(uids_[static_cast<std::size_t>(id)]);
         flows_ = std::move(outcome.surviving_flows);
         uids_ = std::move(surviving_uids);
       }

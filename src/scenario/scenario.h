@@ -250,7 +250,6 @@ class scenario_engine {
   /// Scenario-stable identity of each current flow, aligned with
   /// flows() — survives the dense renumbering of recovery and churn.
   const std::vector<std::uint64_t>& flow_uids() const { return uids_; }
-  const std::set<node_id>& down_nodes() const { return down_; }
   int epoch() const { return epoch_; }
 
   /// Runs one epoch (the 8 phases in the file comment) and returns its
@@ -269,9 +268,6 @@ class scenario_engine {
                              const scenario_config& config, int epoch);
 
  private:
-  /// Re-admits the current workload, shedding lowest-priority flows
-  /// until it fits (or is empty). Returns the admission result.
-  core::schedule_result admit_current(epoch_record& rec);
   std::uint64_t chain_digest(const epoch_record& rec,
                              const tsch::schedule& executed) const;
 

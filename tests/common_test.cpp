@@ -5,6 +5,7 @@
 #include <iterator>
 #include <set>
 #include <sstream>
+#include <thread>
 
 #include "common/cli.h"
 #include "common/error.h"
@@ -337,6 +338,50 @@ TEST(Cli, RunMainTurnsAnEscapingErrorIntoExitOne) {
             "error: flag --flows expects an integer in [-2147483648, "
             "2147483647], got: abc\n");
   EXPECT_EQ(run_main(flows_flag, 3, good_argv), 7);
+}
+
+TEST(Cli, RunMainRejectsFlagsNothingRead) {
+  // A misspelt flag used to be ignored: "quickstart --flow 5" scheduled
+  // the default 20 flows and exited 0. run_main now fails a run that
+  // leaves any given flag unread, whichever cli_args (and thread) it
+  // was given to, and with the program's own error status.
+  const auto flows_flag = [](int argc, char** argv) {
+    return cli_args(argc, argv).get_int("flows", 20);
+  };
+  const auto flows_on_a_worker = [](int argc, char** argv) {
+    const cli_args args(argc, argv);
+    int flows = 0;
+    std::thread worker([&] { flows = args.get_int("flows", 20); });
+    worker.join();
+    return flows;
+  };
+  char prog[] = "prog";
+  char flows[] = "--flows";
+  char flow[] = "--flow";
+  char five[] = "5";
+  char* misspelt[] = {prog, flow, five};
+  char* both[] = {prog, flows, five, flow, five};
+  char* correct[] = {prog, flows, five};
+
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(run_main(flows_flag, 3, misspelt), 1);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "error: unknown flag --flow\n");
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(run_main(flows_flag, 5, both, 2), 2);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "error: unknown flag --flow\n");
+
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(run_main(flows_flag, 3, correct), 5);
+  EXPECT_EQ(run_main(flows_on_a_worker, 3, correct), 5);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+
+  // Outside run_main nothing is checked or recorded: a cli_args on its
+  // own keeps working, and its unread flag does not fail the next run.
+  const cli_args unchecked(3, misspelt);
+  EXPECT_EQ(unchecked.get_int("flows", 20), 20);
+  EXPECT_EQ(run_main(flows_flag, 3, correct), 5);
 }
 
 // -------------------------------------------------------------- error --

@@ -17,6 +17,7 @@
 #include <cmath>
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -103,10 +104,27 @@ TEST(TrialRunner, PropagatesWorkerExceptions) {
   EXPECT_THROW(exp::parallel_trials(64, 1, boom), std::runtime_error);
 }
 
-// The determinism contract, on the real workload: schedulable_ratio on
-// Indriya must produce the same counters at any thread count, and those
-// counters must equal a plain serial for-loop over the same derived
-// streams (i.e. the runner adds nothing beyond parallelism).
+/// A schedulable-ratio point on the sweep path of Figures 1-3:
+/// exp::trial_runner fans bench::run_ratio_trial out over `jobs`
+/// workers and an exp::aggregator counts the schedulable flow sets.
+exp::aggregator ratio_sweep_point(const bench::experiment_env& env,
+                                  const flow::flow_set_params& fsp,
+                                  int trials, std::uint64_t seed,
+                                  std::uint64_t point_index, int jobs) {
+  return exp::trial_runner(jobs).run_point<exp::aggregator>(
+      seed, point_index, trials, [&](int, rng& gen, exp::aggregator& local) {
+        const auto outcome = bench::run_ratio_trial(env, fsp, 2, gen);
+        local.add_count("trials");
+        local.add_count("nr", outcome.nr_ok ? 1 : 0);
+        local.add_count("ra", outcome.ra_ok ? 1 : 0);
+        local.add_count("rc", outcome.rc_ok ? 1 : 0);
+      });
+}
+
+// The determinism contract, on the real workload: a schedulable-ratio
+// point on Indriya must produce the same counters at any thread count,
+// and those counters must equal a plain serial for-loop over the same
+// derived streams (i.e. the runner adds nothing beyond parallelism).
 TEST(TrialRunner, SchedulableRatioBitIdenticalAcrossJobs) {
   const auto env = bench::make_env("indriya", 5);
   flow::flow_set_params fsp;
@@ -118,48 +136,60 @@ TEST(TrialRunner, SchedulableRatioBitIdenticalAcrossJobs) {
   constexpr std::uint64_t seed = 901;
   constexpr std::uint64_t point_index = 7;
 
-  // Serial reference: the legacy bench loop body, one trial at a time,
-  // no runner involved.
-  bench::ratio_point reference;
+  // Serial reference: one trial at a time, no runner involved.
+  std::map<std::string, std::int64_t> reference;
   for (int trial = 0; trial < trials; ++trial) {
     rng gen(derive_seed(seed, point_index,
                         static_cast<std::uint64_t>(trial)));
     const auto outcome = bench::run_ratio_trial(env, fsp, 2, gen);
-    ++reference.trials;
-    reference.nr_ok += outcome.nr_ok ? 1 : 0;
-    reference.ra_ok += outcome.ra_ok ? 1 : 0;
-    reference.rc_ok += outcome.rc_ok ? 1 : 0;
+    ++reference["trials"];
+    reference["nr"] += outcome.nr_ok ? 1 : 0;
+    reference["ra"] += outcome.ra_ok ? 1 : 0;
+    reference["rc"] += outcome.rc_ok ? 1 : 0;
   }
   // The workload must be non-degenerate or the test proves nothing.
-  EXPECT_EQ(reference.trials, trials);
-  EXPECT_GT(reference.rc_ok, 0);
+  EXPECT_EQ(reference["trials"], trials);
+  EXPECT_GT(reference["rc"], 0);
 
   for (const int jobs : {1, 2, 8}) {
-    const auto point = bench::schedulable_ratio(env, fsp, trials, seed, 2,
-                                                nullptr, jobs, point_index);
-    EXPECT_EQ(point.trials, reference.trials) << "jobs=" << jobs;
-    EXPECT_EQ(point.nr_ok, reference.nr_ok) << "jobs=" << jobs;
-    EXPECT_EQ(point.ra_ok, reference.ra_ok) << "jobs=" << jobs;
-    EXPECT_EQ(point.rc_ok, reference.rc_ok) << "jobs=" << jobs;
+    const auto point =
+        ratio_sweep_point(env, fsp, trials, seed, point_index, jobs);
+    for (const auto& [key, count] : reference)
+      EXPECT_EQ(point.count(key), count) << key << " jobs=" << jobs;
   }
 }
 
 TEST(TrialRunner, EfficiencyHistogramsBitIdenticalAcrossJobs) {
-  // Same contract for the merged histogram side channel (figures 4/5).
+  // Same contract for the merged histograms of Figures 4/5.
   const auto env = bench::make_env("indriya", 5);
   flow::flow_set_params fsp;
   fsp.type = flow::traffic_type::centralized;
   fsp.num_flows = 15;
   fsp.period_min_exp = 0;
   fsp.period_max_exp = 2;
-  bench::efficiency_accumulator serial;
-  bench::schedulable_ratio(env, fsp, 8, 77, 2, &serial, 1, 0);
-  bench::efficiency_accumulator parallel;
-  bench::schedulable_ratio(env, fsp, 8, 77, 2, &parallel, 8, 0);
-  EXPECT_EQ(serial.rc_tx_per_channel.bins(),
-            parallel.rc_tx_per_channel.bins());
-  EXPECT_EQ(serial.ra_hop_count.bins(), parallel.ra_hop_count.bins());
-  EXPECT_FALSE(serial.rc_tx_per_channel.bins().empty());
+  const auto run_at = [&](int jobs) {
+    return exp::trial_runner(jobs).run_point<exp::aggregator>(
+        77, 0, 8, [&](int, rng& gen, exp::aggregator& local) {
+          bench::efficiency_accumulator acc;
+          bench::run_ratio_trial(env, fsp, 2, gen, &acc);
+          local.add_histogram("rc_tx", acc.rc_tx_per_channel);
+          local.add_histogram("ra_hops", acc.ra_hop_count);
+        });
+  };
+  const auto serial = run_at(1);
+  ASSERT_NE(serial.hist("rc_tx"), nullptr);
+  EXPECT_FALSE(serial.hist("rc_tx")->bins().empty());
+  for (const int jobs : {2, 8}) {
+    const auto parallel = run_at(jobs);
+    for (const char* key : {"rc_tx", "ra_hops"}) {
+      ASSERT_EQ(serial.hist(key) == nullptr, parallel.hist(key) == nullptr)
+          << key << " jobs=" << jobs;
+      if (serial.hist(key) != nullptr) {
+        EXPECT_EQ(serial.hist(key)->bins(), parallel.hist(key)->bins())
+            << key << " jobs=" << jobs;
+      }
+    }
+  }
 }
 
 TEST(TrialRunner, ReplayReproducesOneTrial) {
@@ -212,25 +242,6 @@ TEST(TrialRunner, FindReliabilitySetsIndependentOfJobs) {
 }
 
 // --------------------------------------------------------- aggregation --
-
-TEST(RatioPoint, MergeAddsCounters) {
-  bench::ratio_point a;
-  a.trials = 3;
-  a.nr_ok = 1;
-  a.ra_ok = 2;
-  a.rc_ok = 3;
-  bench::ratio_point b;
-  b.trials = 5;
-  b.nr_ok = 4;
-  b.ra_ok = 0;
-  b.rc_ok = 2;
-  a += b;
-  EXPECT_EQ(a.trials, 8);
-  EXPECT_EQ(a.nr_ok, 5);
-  EXPECT_EQ(a.ra_ok, 2);
-  EXPECT_EQ(a.rc_ok, 5);
-  EXPECT_DOUBLE_EQ(a.rc(), 5.0 / 8.0);
-}
 
 TEST(Aggregator, MergeIsOrderIndependent) {
   // Two partials merged in either order give bit-identical reads; the

@@ -233,12 +233,11 @@ TEST_F(FaultRecoveryTest, MarkDeadAndResetWatchdog) {
 }
 
 TEST(FaultRecoveryLineage, SecondCrashReportsOriginalWorkloadIds) {
-  // Regression: recover() used to report a crashing flow by its dense
-  // id in the *current* (renumbered) workload. After a first recovery
-  // dropped flow 0, every survivor's dense id shifted down by one, so a
-  // second crash reported ids that named the wrong flows of the
-  // original admission. The manager now composes the dense-to-original
-  // lineage across epochs.
+  // recover() names flows by the ids of the workload it was given. After
+  // a first recovery dropped flow 0, the survivors come back renumbered
+  // densely, so a second recovery on them reports those dense ids. The
+  // caller names the flows of the original admission by composing each
+  // epoch's surviving_input_ids into its own map.
   auto config = rc_config();
   config.watchdog_epochs = 1;  // one silent epoch declares death
   network_manager manager(topo::make_wustl(), config);
@@ -252,7 +251,8 @@ TEST(FaultRecoveryLineage, SecondCrashReportsOriginalWorkloadIds) {
   ASSERT_TRUE(manager.admit(set.flows).schedulable);
 
   // Epoch 1: flow 0's source dies, so flow 0 (at least) is unroutable
-  // and the survivors are renumbered with shifted dense ids.
+  // and the survivors are renumbered with shifted dense ids. The input
+  // was the original admission, so its ids are the original ids.
   auto reports1 = healthy_reports(set.flows);
   mute(reports1, set.flows[0].source);
   const auto out1 = manager.recover(set.flows, reports1);
@@ -260,42 +260,51 @@ TEST(FaultRecoveryLineage, SecondCrashReportsOriginalWorkloadIds) {
   ASSERT_TRUE(out1.rescheduled);
   ASSERT_FALSE(out1.surviving_flows.empty());
   ASSERT_LT(out1.surviving_flows.size(), set.flows.size());
-  const auto& mapping1 = out1.surviving_original_ids;
-  ASSERT_EQ(mapping1.size(), out1.surviving_flows.size());
-  const std::set<flow_id> originals(mapping1.begin(), mapping1.end());
+  const std::vector<flow_id> original_of = out1.surviving_input_ids;
+  ASSERT_EQ(original_of.size(), out1.surviving_flows.size());
+  const std::set<flow_id> originals(original_of.begin(), original_of.end());
   ASSERT_EQ(originals.count(0), 0u) << "flow 0 should have been dropped";
 
-  // Pick a survivor whose dense id differs from its original id — index
-  // 0 always qualifies (original id 0 is gone, so mapping1[0] >= 1).
-  const std::size_t j = 0;
-  ASSERT_NE(mapping1[j], static_cast<flow_id>(j));
-  const node_id victim2 = out1.surviving_flows[j].source;
+  // Survivor 0's dense id differs from its original id (original id 0
+  // is gone, so original_of[0] >= 1).
+  ASSERT_NE(original_of[0], 0);
+  const node_id victim2 = out1.surviving_flows[0].source;
 
-  // Epoch 2: that survivor's source dies. The outcome must name it by
-  // its ORIGINAL id, not its shifted dense id.
+  // Epoch 2: that survivor's source dies. The outcome names it by its id
+  // in this epoch's input, and the caller's map names the original flow.
   auto reports2 = healthy_reports(out1.surviving_flows);
   mute(reports2, victim2);
   const auto out2 = manager.recover(out1.surviving_flows, reports2);
   ASSERT_FALSE(out2.newly_dead.empty());
   ASSERT_TRUE(out2.rescheduled);
   EXPECT_NE(std::find(out2.unroutable_flows.begin(),
-                      out2.unroutable_flows.end(), mapping1[j]),
+                      out2.unroutable_flows.end(), 0),
             out2.unroutable_flows.end())
-      << "survivor " << j << " (original flow " << mapping1[j]
-      << ") was not reported under its original id";
+      << "survivor 0 was not reported under its input id";
 
   // Every id the second epoch reports — rerouted, unroutable, shed, or
-  // surviving — must name a flow of the ORIGINAL admission that was
-  // still alive after epoch 1. The pre-fix behavior reported dense
-  // index 0, which epoch 1 already dropped from the original id space.
-  const auto all_original = [&](const std::vector<flow_id>& ids) {
-    return std::all_of(ids.begin(), ids.end(),
-                       [&](flow_id id) { return originals.count(id) > 0; });
+  // surviving — is an id of its input, and maps to a flow of the
+  // original admission that was still alive after epoch 1.
+  const auto maps_to_original = [&](const std::vector<flow_id>& ids) {
+    return std::all_of(ids.begin(), ids.end(), [&](flow_id id) {
+      return id >= 0 && static_cast<std::size_t>(id) < original_of.size() &&
+             originals.count(original_of[static_cast<std::size_t>(id)]) > 0;
+    });
   };
-  EXPECT_TRUE(all_original(out2.rerouted_flows));
-  EXPECT_TRUE(all_original(out2.unroutable_flows));
-  EXPECT_TRUE(all_original(out2.shed_flows));
-  EXPECT_TRUE(all_original(out2.surviving_original_ids));
+  EXPECT_TRUE(maps_to_original(out2.rerouted_flows));
+  EXPECT_TRUE(maps_to_original(out2.unroutable_flows));
+  EXPECT_TRUE(maps_to_original(out2.shed_flows));
+  EXPECT_TRUE(maps_to_original(out2.surviving_input_ids));
+  // The surviving ids name the flows they claim to: same endpoints and
+  // period as the input flow of that id.
+  ASSERT_EQ(out2.surviving_input_ids.size(), out2.surviving_flows.size());
+  for (std::size_t i = 0; i < out2.surviving_flows.size(); ++i) {
+    const auto& input = out1.surviving_flows[static_cast<std::size_t>(
+        out2.surviving_input_ids[i])];
+    EXPECT_EQ(out2.surviving_flows[i].source, input.source);
+    EXPECT_EQ(out2.surviving_flows[i].destination, input.destination);
+    EXPECT_EQ(out2.surviving_flows[i].period, input.period);
+  }
 }
 
 TEST(ManagerConfig, RejectsNonPositiveWatchdog) {
@@ -548,7 +557,7 @@ TEST(FaultRecoveryEndToEnd, CrashedRelayIsDetectedAndRoutedAround) {
       EXPECT_GE(outcome.surviving_flows.size(), flows.size() / 2);
       scheduled = *outcome.repaired;
       flows = outcome.surviving_flows;
-      survivors_original_ids = outcome.surviving_original_ids;
+      survivors_original_ids = outcome.surviving_input_ids;
       // No surviving route touches the dead node.
       for (const auto& f : flows)
         for (const auto& l : f.route) {

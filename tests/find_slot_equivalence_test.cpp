@@ -26,8 +26,6 @@ namespace {
 constexpr int k_nodes = 24;
 constexpr int k_rho_t = 2;
 
-using link_set = std::set<std::pair<node_id, node_id>>;
-
 /// A ring with random chords: hop distances up to 9, so every
 /// rho in [rho_t, diameter] accepts some occupied cells and rejects
 /// others.

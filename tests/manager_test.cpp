@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <stdexcept>
+#include <utility>
+#include <vector>
+
 #include "common/rng.h"
 #include "graph/algorithms.h"
 #include "graph/comm_graph.h"
@@ -290,6 +295,177 @@ TEST(ManagerIsolation, IsolationHasOneOwnerAcrossAdmitAndRecover) {
   EXPECT_TRUE(no_reuse_of(outcome.repaired->sched));
   // Still exactly one owner; nothing drifted back into a config copy.
   EXPECT_EQ(manager.isolated_links().count(link), 1u);
+}
+
+// --------------------------------------------------------- shed-to-fit --
+
+/// Ten nodes in a line, neighbours linked perfectly on every channel and
+/// nobody else in range: the channel-reuse graph is the path 0-1-...-9,
+/// so nodes i and j are |i - j| reuse hops apart. One channel, so
+/// admission hinges on reuse.
+network_manager path_manager(int watchdog_epochs = 2) {
+  topo::topology line("line");
+  for (int i = 0; i < 10; ++i) line.add_node({10.0 * i, 0.0, 0});
+  for (const channel_t ch : phy::channels(1))
+    for (node_id i = 0; i + 1 < 10; ++i) {
+      line.set_prr(i, i + 1, ch, 1.0);
+      line.set_prr(i + 1, i, ch, 1.0);
+    }
+  auto config = rc_config(1);
+  config.watchdog_epochs = watchdog_epochs;
+  return network_manager(std::move(line), config);
+}
+
+flow::flow make_flow(flow_id id, std::vector<flow::link> route,
+                     slot_t period, slot_t deadline) {
+  flow::flow f;
+  f.id = id;
+  f.source = route.front().sender;
+  f.destination = route.back().receiver;
+  f.period = period;
+  f.deadline = deadline;
+  f.uplink_links = static_cast<int>(route.size());
+  f.route = std::move(route);
+  return f;
+}
+
+std::vector<flow_id> ids_of(const std::vector<flow::flow>& flows) {
+  std::vector<flow_id> ids;
+  for (const auto& f : flows) ids.push_back(f.id);
+  return ids;
+}
+
+TEST(Shedding, SchedulableWorkloadShedsNothing) {
+  const auto manager = path_manager();
+  std::vector<flow::flow> flows{make_flow(0, {{0, 1}}, 20, 20),
+                                make_flow(1, {{8, 9}}, 20, 20)};
+  EXPECT_TRUE(manager.admit_shedding(flows).schedulable);
+  EXPECT_EQ(ids_of(flows), (std::vector<flow_id>{0, 1}));
+}
+
+TEST(Shedding, DropsStrictlyFromTheBack) {
+  // f1 conflicts with f0 (shared node, same 2-slot deadline window on one
+  // channel) and can never be scheduled; f2 is harmless. Shedding is
+  // priority-ordered, not minimal: it must drop the innocent f2 first,
+  // then f1, keeping the strict guarantee that a shed flow is never
+  // higher-priority than a kept one.
+  const auto manager = path_manager();
+  std::vector<flow::flow> flows{make_flow(0, {{0, 1}}, 10, 2),
+                                make_flow(1, {{1, 2}}, 10, 2),
+                                make_flow(2, {{8, 9}}, 10, 2)};
+  const auto result = manager.admit_shedding(flows);
+  EXPECT_TRUE(result.schedulable);
+  EXPECT_EQ(ids_of(flows), (std::vector<flow_id>{0}));
+  EXPECT_EQ(result.sched.placements(),
+            manager.admit(flows).sched.placements());
+}
+
+TEST(Shedding, EmptyRemainderIsTriviallySchedulable) {
+  // A flow that cannot fit even alone (two hops, two attempts each,
+  // 2-slot deadline) is shed; the empty remainder counts as schedulable.
+  const auto manager = path_manager();
+  std::vector<flow::flow> flows{make_flow(0, {{0, 1}, {1, 2}}, 10, 2)};
+  const auto result = manager.admit_shedding(flows);
+  EXPECT_TRUE(result.schedulable);
+  EXPECT_TRUE(flows.empty());
+  EXPECT_EQ(result.sched.num_transmissions(), 0u);
+}
+
+TEST(Shedding, UnsortedInputStillShedsTheLowestPriorityFlow) {
+  // The back of the workload is its lowest-priority flow only when ids
+  // are dense priority ranks in order. Fed the flows of
+  // DropsStrictlyFromTheBack in reverse, shedding must not drop f0,
+  // the flow that happened to arrive last: the input is refused before
+  // anything is dropped, and in priority order f2 then f1 go.
+  const auto manager = path_manager();
+  const auto f0 = make_flow(0, {{0, 1}}, 10, 2);
+  const auto f1 = make_flow(1, {{1, 2}}, 10, 2);
+  const auto f2 = make_flow(2, {{8, 9}}, 10, 2);
+  std::vector<flow::flow> flows{f2, f1, f0};
+  EXPECT_THROW(manager.admit_shedding(flows), std::invalid_argument);
+  EXPECT_EQ(ids_of(flows), (std::vector<flow_id>{2, 1, 0}));
+
+  flows = {f0, f1, f2};
+  EXPECT_TRUE(manager.admit_shedding(flows).schedulable);
+  EXPECT_EQ(ids_of(flows), (std::vector<flow_id>{0}));
+}
+
+TEST(Shedding, SparseIdsAreReportedAsGivenAndKeptFlowsRenumbered) {
+  // Ids need not be dense where they are handles (e.g. from before an
+  // earlier recovery). admit_shedding sheds by id rank, so it refuses
+  // them before anything is dropped. recover() takes them: node 5 dies,
+  // flow 5 is unroutable, and the survivors 3, 7 (conflicts with 3) and
+  // 12 (harmless) are renumbered 0, 1, 2 for the scheduler. Shedding
+  // drops 12 then 7, reported as given; the kept flow comes back as 0
+  // with 3 as its input id.
+  auto manager = path_manager(/*watchdog_epochs=*/1);
+  const std::vector<flow::flow> flows{
+      make_flow(3, {{0, 1}}, 10, 2), make_flow(5, {{5, 6}}, 10, 10),
+      make_flow(7, {{1, 2}}, 10, 2), make_flow(12, {{8, 9}}, 10, 2)};
+  std::vector<flow::flow> routable{flows[0], flows[2], flows[3]};
+  EXPECT_THROW(manager.admit_shedding(routable), std::invalid_argument);
+  EXPECT_EQ(ids_of(routable), (std::vector<flow_id>{3, 7, 12}));
+
+  std::map<sim::link_key, sim::link_observations> reports;
+  for (const auto& f : flows)
+    for (const auto& l : f.route)
+      if (l.sender != 5)
+        reports[sim::link_key{l.sender, l.receiver}].cf_samples.emplace_back(
+            0, 1.0);
+  const auto outcome = manager.recover(flows, reports);
+  EXPECT_EQ(outcome.newly_dead, std::vector<node_id>{5});
+  EXPECT_EQ(outcome.unroutable_flows, std::vector<flow_id>{5});
+  EXPECT_EQ(outcome.shed_flows, (std::vector<flow_id>{12, 7}));
+  EXPECT_EQ(outcome.surviving_input_ids, std::vector<flow_id>{3});
+  ASSERT_TRUE(outcome.rescheduled);
+  ASSERT_EQ(outcome.surviving_flows.size(), 1u);
+  EXPECT_EQ(outcome.surviving_flows[0].id, 0);  // dense for the scheduler
+  EXPECT_EQ(outcome.surviving_flows[0].route, flows[0].route);
+  ASSERT_TRUE(outcome.repaired->schedulable);
+}
+
+TEST(Shedding, DuplicateIdsAreRejected) {
+  // Two flows sharing rank 1 leave no single lowest-priority flow: the
+  // workload does not fit, but it is refused before anything is dropped.
+  const auto manager = path_manager();
+  std::vector<flow::flow> flows{make_flow(0, {{0, 1}}, 10, 2),
+                                make_flow(1, {{1, 2}}, 10, 2),
+                                make_flow(1, {{8, 9}}, 10, 2)};
+  EXPECT_THROW(manager.admit_shedding(flows), std::invalid_argument);
+  EXPECT_EQ(ids_of(flows), (std::vector<flow_id>{0, 1, 1}));
+}
+
+TEST(Shedding, RecoverReportsShedFlowsByInputId) {
+  // Node 5 dies, so flow 1 (5 -> 6) is unroutable; the survivors 0, 2
+  // and 3 are renumbered 0, 1, 2 and do not fit (2 conflicts with 0, as
+  // in DropsStrictlyFromTheBack). Shedding drops survivors 2 and 1 —
+  // flows 3 and 2 of the input, which is how recover() must name them.
+  auto manager = path_manager(/*watchdog_epochs=*/1);
+  const std::vector<flow::flow> flows{
+      make_flow(0, {{0, 1}}, 10, 2), make_flow(1, {{5, 6}}, 10, 10),
+      make_flow(2, {{1, 2}}, 10, 2), make_flow(3, {{8, 9}}, 10, 2)};
+  std::map<sim::link_key, sim::link_observations> reports;
+  for (const auto& f : flows)
+    for (const auto& l : f.route)
+      if (l.sender != 5)
+        reports[sim::link_key{l.sender, l.receiver}].cf_samples.emplace_back(
+            0, 1.0);
+
+  const auto outcome = manager.recover(flows, reports);
+  EXPECT_EQ(outcome.newly_dead, std::vector<node_id>{5});
+  EXPECT_EQ(outcome.unroutable_flows, std::vector<flow_id>{1});
+  EXPECT_EQ(outcome.shed_flows, (std::vector<flow_id>{3, 2}));
+  EXPECT_EQ(outcome.surviving_input_ids, std::vector<flow_id>{0});
+  ASSERT_TRUE(outcome.rescheduled);
+  ASSERT_EQ(outcome.surviving_flows.size(), 1u);
+  EXPECT_EQ(outcome.surviving_flows[0].id, 0);
+  EXPECT_EQ(outcome.surviving_flows[0].route, flows[0].route);
+  ASSERT_TRUE(outcome.repaired->schedulable);
+  EXPECT_EQ(outcome.repaired->sched.placements(),
+            core::schedule_flows(outcome.surviving_flows,
+                                 manager.view().reuse_hops,
+                                 core::make_config(core::algorithm::rc, 1))
+                .sched.placements());
 }
 
 TEST(ManagerConfig, MannWhitneyPolicyWorksEndToEnd) {

@@ -9,7 +9,7 @@
 //    numbers; the ring sink keeps the newest window and counts drops;
 //  * the science payload of a bench report is bit-identical whether
 //    observability ran or not, and schedulable-ratio metrics are
-//    bit-identical at --jobs 1 and 8.
+//    bit-identical at --jobs 1, 2 and 8.
 //
 // Recording tests skip when the library is built with WSAN_OBS=OFF;
 // sink/serialisation tests run in both configurations.
@@ -22,9 +22,11 @@
 #include <gtest/gtest.h>
 
 #include "bench_common.h"
+#include "exp/aggregator.h"
 #include "exp/json.h"
 #include "exp/obs_io.h"
 #include "exp/report.h"
+#include "exp/runner.h"
 #include "obs/events.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -56,7 +58,6 @@ TEST_F(ObsTest, RecordsCountersGaugesAndHistograms) {
   c.add();
   c.add(41);
   obs::add_counter("test.basic.cold", 7);
-  obs::set_gauge("test.basic.gauge", 2.5);
   static const obs::histogram h =
       obs::register_histogram("test.basic.hist", {1.0, 2.0, 4.0});
   h.observe(0.5);   // bucket 0
@@ -67,7 +68,6 @@ TEST_F(ObsTest, RecordsCountersGaugesAndHistograms) {
   const auto snap = obs::take_snapshot();
   EXPECT_EQ(snap.counters.at("test.basic.count"), 42u);
   EXPECT_EQ(snap.counters.at("test.basic.cold"), 7u);
-  EXPECT_DOUBLE_EQ(snap.gauges.at("test.basic.gauge"), 2.5);
   const auto& hist = snap.histograms.at("test.basic.hist");
   EXPECT_EQ(hist.upper_bounds, (std::vector<double>{1.0, 2.0, 4.0}));
   EXPECT_EQ(hist.counts, (std::vector<std::uint64_t>{1, 1, 1, 1}));
@@ -321,24 +321,33 @@ TEST_F(ObsTest, ScheduleMetricsAreBitIdenticalAcrossJobs) {
   flow::flow_set_params fsp;
   fsp.type = flow::traffic_type::peer_to_peer;
   fsp.num_flows = 10;
+  // A schedulable-ratio point on the sweep path of Figures 1-3.
   const auto run_at = [&](int jobs) {
     obs::reset_metrics();
-    bench::schedulable_ratio(env, fsp, /*trials=*/12, /*seed=*/7,
-                             /*rho_t=*/2, nullptr, jobs);
+    exp::trial_runner(jobs).run_point<exp::aggregator>(
+        /*experiment_seed=*/7, /*point_index=*/0, /*trials=*/12,
+        [&](int, rng& gen, exp::aggregator& local) {
+          local.add_count(
+              "rc", bench::run_ratio_trial(env, fsp, 2, gen).rc_ok ? 1 : 0);
+        });
     return obs::take_snapshot();
   };
   const auto serial = run_at(1);
-  const auto parallel = run_at(8);
   EXPECT_FALSE(serial.counters.empty());
   EXPECT_GT(serial.counters.at("core.sched.runs"), 0u);
-  EXPECT_EQ(serial.counters, parallel.counters);
-  ASSERT_EQ(serial.histograms.size(), parallel.histograms.size());
-  for (const auto& [name, hist] : serial.histograms)
-    EXPECT_EQ(hist.counts, parallel.histograms.at(name).counts) << name;
-  // Span counts are deterministic; span total_ns is a measurement.
-  ASSERT_EQ(serial.spans.size(), parallel.spans.size());
-  for (const auto& [name, span] : serial.spans)
-    EXPECT_EQ(span.count, parallel.spans.at(name).count) << name;
+  for (const int jobs : {2, 8}) {
+    const auto parallel = run_at(jobs);
+    EXPECT_EQ(serial.counters, parallel.counters) << "jobs=" << jobs;
+    ASSERT_EQ(serial.histograms.size(), parallel.histograms.size());
+    for (const auto& [name, hist] : serial.histograms)
+      EXPECT_EQ(hist.counts, parallel.histograms.at(name).counts)
+          << name << " jobs=" << jobs;
+    // Span counts are deterministic; span total_ns is a measurement.
+    ASSERT_EQ(serial.spans.size(), parallel.spans.size());
+    for (const auto& [name, span] : serial.spans)
+      EXPECT_EQ(span.count, parallel.spans.at(name).count)
+          << name << " jobs=" << jobs;
+  }
 }
 
 TEST_F(ObsTest, SciencePayloadIsIdenticalWithAndWithoutObservability) {

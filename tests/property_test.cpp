@@ -6,7 +6,6 @@
 #include <tuple>
 
 #include "common/rng.h"
-#include "core/rescheduler.h"
 #include "core/scheduler.h"
 #include "flow/flow_generator.h"
 #include "graph/network_view.h"

@@ -1,9 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <stdexcept>
-
 #include "common/rng.h"
-#include "core/rescheduler.h"
+#include "core/scheduler.h"
 #include "core/slot_finder.h"
 #include "flow/flow_generator.h"
 #include "graph/network_view.h"
@@ -137,94 +135,6 @@ TEST(Rescheduler, LargeIsolationSetReportsTheFailingFlow) {
   const auto repaired = schedule_flows({f1, f2}, hops, config);
   ASSERT_FALSE(repaired.schedulable);
   EXPECT_EQ(repaired.first_failed_flow, 1);
-}
-
-// ------------------------------------------------------- load shedding --
-
-TEST(Shedding, SchedulableWorkloadShedsNothing) {
-  const auto hops = path_hops(10);
-  const auto f1 = make_flow(0, {{0, 1}}, 20, 20);
-  const auto f2 = make_flow(1, {{8, 9}}, 20, 20);
-  const auto shed = schedule_shedding({f1, f2}, hops,
-                                      make_config(algorithm::rc, 1));
-  EXPECT_TRUE(shed.result.schedulable);
-  EXPECT_TRUE(shed.shed.empty());
-  EXPECT_EQ(shed.kept.size(), 2u);
-}
-
-TEST(Shedding, DropsStrictlyFromTheBack) {
-  // f1 conflicts with f0 (shared node, same 2-slot deadline window on one
-  // channel) and can never be scheduled; f2 is harmless. Shedding is
-  // priority-ordered, not minimal: it must drop the innocent f2 first,
-  // then f1, keeping the strict guarantee that a shed flow is never
-  // higher-priority than a kept one.
-  const auto hops = path_hops(10);
-  const auto f0 = make_flow(0, {{0, 1}}, 10, 2);
-  const auto f1 = make_flow(1, {{1, 2}}, 10, 2);
-  const auto f2 = make_flow(2, {{8, 9}}, 10, 2);
-  const auto shed = schedule_shedding({f0, f1, f2}, hops,
-                                      make_config(algorithm::rc, 1));
-  EXPECT_TRUE(shed.result.schedulable);
-  EXPECT_EQ(shed.shed, (std::vector<flow_id>{2, 1}));
-  ASSERT_EQ(shed.kept.size(), 1u);
-  EXPECT_EQ(shed.kept[0].id, 0);
-}
-
-TEST(Shedding, UnsortedInputStillShedsTheLowestPriorityFlow) {
-  // Regression: schedule_shedding used to drop flows.back() — whatever
-  // flow happened to arrive last — instead of the lowest-priority flow.
-  // Feed the conflict pair of DropsStrictlyFromTheBack in reverse
-  // order: the shed ids must be identical to the sorted-input run.
-  const auto hops = path_hops(10);
-  const auto f0 = make_flow(0, {{0, 1}}, 10, 2);
-  const auto f1 = make_flow(1, {{1, 2}}, 10, 2);
-  const auto f2 = make_flow(2, {{8, 9}}, 10, 2);
-  const auto shed = schedule_shedding({f2, f1, f0}, hops,
-                                      make_config(algorithm::rc, 1));
-  EXPECT_TRUE(shed.result.schedulable);
-  EXPECT_EQ(shed.shed, (std::vector<flow_id>{2, 1}));
-  ASSERT_EQ(shed.kept.size(), 1u);
-  EXPECT_EQ(shed.kept[0].id, 0);
-  EXPECT_EQ(shed.kept_input_ids, (std::vector<flow_id>{0}));
-}
-
-TEST(Shedding, SparseIdsAreReportedAsGivenAndKeptFlowsRenumbered) {
-  // Ids are priority ranks but need not be dense (e.g. handles from
-  // before an earlier recovery). The highest id is shed first, the
-  // report speaks input ids, and the kept flows come back densely
-  // renumbered for the scheduler with kept_input_ids as the mapping.
-  const auto hops = path_hops(10);
-  const auto f_hi = make_flow(3, {{0, 1}}, 10, 2);
-  const auto f_mid = make_flow(7, {{1, 2}}, 10, 2);  // conflicts with 3
-  const auto f_lo = make_flow(12, {{8, 9}}, 10, 2);  // harmless
-  const auto shed = schedule_shedding({f_lo, f_hi, f_mid}, hops,
-                                      make_config(algorithm::rc, 1));
-  EXPECT_TRUE(shed.result.schedulable);
-  EXPECT_EQ(shed.shed, (std::vector<flow_id>{12, 7}));
-  ASSERT_EQ(shed.kept.size(), 1u);
-  EXPECT_EQ(shed.kept[0].id, 0);  // dense for the scheduler
-  EXPECT_EQ(shed.kept_input_ids, (std::vector<flow_id>{3}));
-}
-
-TEST(Shedding, DuplicateIdsAreRejected) {
-  const auto hops = path_hops(10);
-  const auto a = make_flow(1, {{0, 1}}, 20, 20);
-  const auto b = make_flow(1, {{8, 9}}, 20, 20);
-  EXPECT_THROW(
-      schedule_shedding({a, b}, hops, make_config(algorithm::rc, 1)),
-      std::invalid_argument);
-}
-
-TEST(Shedding, EmptyRemainderIsTriviallySchedulable) {
-  // A flow that cannot fit even alone (two hops, two attempts each,
-  // 2-slot deadline) is shed; the empty remainder counts as schedulable.
-  const auto hops = path_hops(10);
-  const auto f = make_flow(0, {{0, 1}, {1, 2}}, 10, 2);
-  const auto shed =
-      schedule_shedding({f}, hops, make_config(algorithm::rc, 1));
-  EXPECT_TRUE(shed.result.schedulable);
-  EXPECT_TRUE(shed.kept.empty());
-  EXPECT_EQ(shed.shed, (std::vector<flow_id>{0}));
 }
 
 // --------------------------------------------------- testbed round trip --

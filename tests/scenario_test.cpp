@@ -2,6 +2,7 @@
 // and recovery-hardening contracts (DESIGN.md §12).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -170,6 +171,55 @@ TEST(ScenarioEngine, BackpressureCapsTheWorkload) {
     rejected += rec.rejected_backpressure;
   }
   EXPECT_GT(rejected, 0);
+}
+
+TEST(ScenarioEngine, ReadmissionShedsFromTheBackAndKeepsUidsAligned) {
+  // RC on two channels near the 20-flow cap: the links maintain()
+  // isolates in epoch 4 leave the workload unschedulable at epoch 5's
+  // re-admission, which sheds its lowest-priority flows until it fits.
+  // No departures and no crashes, so re-admission is the only way a
+  // flow leaves.
+  const auto topology = topo::make_wustl(2);
+  scenario_config config;
+  config.epochs = 8;
+  config.runs_per_epoch = 6;
+  config.seed = 4;
+  config.flow_params.num_flows = 12;
+  config.flow_params.type = flow::traffic_type::peer_to_peer;
+  config.flow_params.period_min_exp = 0;
+  config.flow_params.period_max_exp = 1;
+  config.departure_rate = 0.0;
+  config.arrivals.rate = 1.0;
+  config.arrivals.max_flows = 20;
+  config.churn.crash_rate = 0.0;
+  config.manager.num_channels = 2;
+  config.manager.scheduler = core::make_config(core::algorithm::rc, 2);
+  config.sim.probes_per_run = 1;
+  scenario_engine engine(topology, config);
+
+  int shed = 0;
+  for (int e = 0; e < config.epochs; ++e) {
+    const auto flows_before = engine.flows();
+    const auto uids_before = engine.flow_uids();
+    const auto rec = engine.step();
+    const auto& flows = engine.flows();
+    const auto& uids = engine.flow_uids();
+    ASSERT_EQ(uids.size(), flows.size()) << "epoch " << e;
+    EXPECT_EQ(rec.shed_for_schedulability,
+              static_cast<int>(flows_before.size()) +
+                  rec.arrivals_accepted - static_cast<int>(flows.size()))
+        << "epoch " << e;
+    // Arrivals append and shedding pops the back, so the flows kept from
+    // before the epoch are its prefix, each under its old uid.
+    const std::size_t kept = std::min(flows.size(), flows_before.size());
+    for (std::size_t i = 0; i < kept; ++i) {
+      EXPECT_EQ(uids[i], uids_before[i]) << "epoch " << e << " flow " << i;
+      EXPECT_EQ(flows[i].route, flows_before[i].route)
+          << "epoch " << e << " flow " << i;
+    }
+    shed += rec.shed_for_schedulability;
+  }
+  EXPECT_GT(shed, 0) << "no epoch shed: the test exercises nothing";
 }
 
 TEST(SlotSwapper, PreservesValidityOnBothTestbeds) {

@@ -3,45 +3,11 @@
 #include <cmath>
 
 #include "common/rng.h"
-#include "stats/ecdf.h"
 #include "stats/ks_test.h"
 #include "stats/summary.h"
 
 namespace wsan::stats {
 namespace {
-
-// ---------------------------------------------------------------- ecdf --
-
-TEST(Ecdf, StepsThroughSamples) {
-  const ecdf f({1.0, 2.0, 3.0, 4.0});
-  EXPECT_DOUBLE_EQ(f(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(f(1.0), 0.25);
-  EXPECT_DOUBLE_EQ(f(2.5), 0.5);
-  EXPECT_DOUBLE_EQ(f(4.0), 1.0);
-  EXPECT_DOUBLE_EQ(f(100.0), 1.0);
-}
-
-TEST(Ecdf, HandlesDuplicates) {
-  const ecdf f({1.0, 1.0, 2.0});
-  EXPECT_NEAR(f(1.0), 2.0 / 3.0, 1e-12);
-}
-
-TEST(Ecdf, RejectsEmptyInput) {
-  EXPECT_THROW(ecdf({}), std::invalid_argument);
-}
-
-TEST(Ecdf, IsMonotone) {
-  rng gen(3);
-  std::vector<double> samples;
-  for (int i = 0; i < 100; ++i) samples.push_back(gen.normal());
-  const ecdf f(samples);
-  double prev = 0.0;
-  for (double x = -4.0; x <= 4.0; x += 0.05) {
-    const double y = f(x);
-    EXPECT_GE(y, prev);
-    prev = y;
-  }
-}
 
 // ------------------------------------------------------------ ks test --
 

@@ -238,88 +238,90 @@ std::vector<exp::figure_report> load_container(const std::string& path) {
   return exp::reports_from_json(doc);
 }
 
+/// The whole comparison; errors escape to run_main.
+int diff_main(int argc, char** argv) {
+  std::string base_path, cand_path;
+  std::vector<const char*> rest;
+  bool prev_was_flag = false;  // next arg is that flag's value
+  for (int i = 0; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (i > 0 && !prev_was_flag && arg.rfind("--", 0) != 0) {
+      if (base_path.empty()) base_path = arg;
+      else if (cand_path.empty()) cand_path = arg;
+      else throw std::invalid_argument("unexpected argument: " + arg);
+      continue;
+    }
+    prev_was_flag = i > 0 && arg.rfind("--", 0) == 0;
+    rest.push_back(argv[i]);
+  }
+  const cli_args args(static_cast<int>(rest.size()), rest.data());
+  tolerances tol;
+  tol.rel = args.get_double("rel-tol", 0.10);
+  tol.abs = args.get_double("abs-tol", 0.0);
+  tol.science = args.get_double("science-tol", 0.0);
+  const std::string out_path = args.get("out", "");
+  if (base_path.empty() || cand_path.empty()) {
+    std::cerr << "usage: bench_diff BASELINE.json CANDIDATE.json "
+                 "[--rel-tol R] [--abs-tol A] [--science-tol S] "
+                 "[--out FILE]\n";
+    return 2;
+  }
+  WSAN_REQUIRE(tol.science >= 0.0 && std::isfinite(tol.science),
+               "--science-tol must be finite and non-negative");
+
+  const auto base = load_container(base_path);
+  const auto cand = load_container(cand_path);
+  const auto result = diff_containers(base, cand, tol);
+
+  for (const auto& s : result.structure)
+    std::cout << "structure: " << s << "\n";
+  print_deltas(tol.science > 0.0
+                   ? "science changes (beyond --science-tol):"
+                   : "science changes (must be bit-exact):",
+               result.science_changes);
+  print_deltas("measurement regressions:", result.regressions);
+  print_deltas("measurement improvements:", result.improvements);
+  print_deltas("measurement drift (undirected):", result.drift);
+  std::cout << (result.failed() ? "FAIL" : "OK") << ": "
+            << result.science_changes.size() << " science change(s), "
+            << result.regressions.size() << " regression(s), "
+            << result.improvements.size() << " improvement(s), "
+            << result.drift.size() << " drift value(s), "
+            << result.structure.size() << " structure issue(s) (tol "
+            << cell(100.0 * tol.rel, 0) << "% rel, " << cell(tol.abs, 2)
+            << " abs, science "
+            << (tol.science > 0.0 ? cell(100.0 * tol.science, 2) + "% rel"
+                                  : std::string("bit-exact"))
+            << ")\n";
+
+  if (!out_path.empty()) {
+    exp::json::object doc;
+    doc["schema"] = "wsan-bench-diff/1";
+    doc["baseline"] = base_path;
+    doc["candidate"] = cand_path;
+    doc["rel_tol"] = tol.rel;
+    doc["abs_tol"] = tol.abs;
+    doc["science_tol"] = tol.science;
+    doc["ok"] = !result.failed();
+    doc["science_changes"] = deltas_to_json(result.science_changes);
+    doc["regressions"] = deltas_to_json(result.regressions);
+    doc["improvements"] = deltas_to_json(result.improvements);
+    doc["drift"] = deltas_to_json(result.drift);
+    exp::json::array structure;
+    for (const auto& s : result.structure) structure.emplace_back(s);
+    doc["structure"] = std::move(structure);
+    std::ofstream out(out_path);
+    WSAN_REQUIRE(out.good(), "cannot open for writing: " + out_path);
+    exp::json::write(exp::json::value(std::move(doc)), out);
+    std::cout << "wrote diff summary to " << out_path << "\n";
+  }
+  return result.failed() ? 1 : 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    std::string base_path, cand_path;
-    std::vector<const char*> rest;
-    bool prev_was_flag = false;  // next arg is that flag's value
-    for (int i = 0; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (i > 0 && !prev_was_flag && arg.rfind("--", 0) != 0) {
-        if (base_path.empty()) base_path = arg;
-        else if (cand_path.empty()) cand_path = arg;
-        else throw std::invalid_argument("unexpected argument: " + arg);
-        continue;
-      }
-      prev_was_flag = i > 0 && arg.rfind("--", 0) == 0;
-      rest.push_back(argv[i]);
-    }
-    const cli_args args(static_cast<int>(rest.size()), rest.data());
-    if (base_path.empty() || cand_path.empty()) {
-      std::cerr << "usage: bench_diff BASELINE.json CANDIDATE.json "
-                   "[--rel-tol R] [--abs-tol A] [--science-tol S] "
-                   "[--out FILE]\n";
-      return 2;
-    }
-    tolerances tol;
-    tol.rel = args.get_double("rel-tol", 0.10);
-    tol.abs = args.get_double("abs-tol", 0.0);
-    tol.science = args.get_double("science-tol", 0.0);
-    WSAN_REQUIRE(tol.science >= 0.0 && std::isfinite(tol.science),
-                 "--science-tol must be finite and non-negative");
-
-    const auto base = load_container(base_path);
-    const auto cand = load_container(cand_path);
-    const auto result = diff_containers(base, cand, tol);
-
-    for (const auto& s : result.structure)
-      std::cout << "structure: " << s << "\n";
-    print_deltas(tol.science > 0.0
-                     ? "science changes (beyond --science-tol):"
-                     : "science changes (must be bit-exact):",
-                 result.science_changes);
-    print_deltas("measurement regressions:", result.regressions);
-    print_deltas("measurement improvements:", result.improvements);
-    print_deltas("measurement drift (undirected):", result.drift);
-    std::cout << (result.failed() ? "FAIL" : "OK") << ": "
-              << result.science_changes.size() << " science change(s), "
-              << result.regressions.size() << " regression(s), "
-              << result.improvements.size() << " improvement(s), "
-              << result.drift.size() << " drift value(s), "
-              << result.structure.size() << " structure issue(s) (tol "
-              << cell(100.0 * tol.rel, 0) << "% rel, " << cell(tol.abs, 2)
-              << " abs, science "
-              << (tol.science > 0.0 ? cell(100.0 * tol.science, 2) + "% rel"
-                                    : std::string("bit-exact"))
-              << ")\n";
-
-    if (args.has("out")) {
-      const auto out_path = args.get("out", "");
-      exp::json::object doc;
-      doc["schema"] = "wsan-bench-diff/1";
-      doc["baseline"] = base_path;
-      doc["candidate"] = cand_path;
-      doc["rel_tol"] = tol.rel;
-      doc["abs_tol"] = tol.abs;
-      doc["science_tol"] = tol.science;
-      doc["ok"] = !result.failed();
-      doc["science_changes"] = deltas_to_json(result.science_changes);
-      doc["regressions"] = deltas_to_json(result.regressions);
-      doc["improvements"] = deltas_to_json(result.improvements);
-      doc["drift"] = deltas_to_json(result.drift);
-      exp::json::array structure;
-      for (const auto& s : result.structure) structure.emplace_back(s);
-      doc["structure"] = std::move(structure);
-      std::ofstream out(out_path);
-      WSAN_REQUIRE(out.good(), "cannot open for writing: " + out_path);
-      exp::json::write(exp::json::value(std::move(doc)), out);
-      std::cout << "wrote diff summary to " << out_path << "\n";
-    }
-    return result.failed() ? 1 : 0;
-  } catch (const std::exception& error) {
-    std::cerr << "error: " << error.what() << "\n";
-    return 2;
-  }
+  // Exit status 2 on usage and parse errors, an unknown flag included:
+  // 1 is the verdict of a comparison that ran.
+  return wsan::run_main(diff_main, argc, argv, 2);
 }

@@ -382,17 +382,8 @@ int cmd_fleet(const cli_args& args) {
             << cell(latency_us(0.99), 1)
             << " us\n";
 
-  const auto& snap = session.finish();
-  if (session.active()) {
-    std::cout << "\nobservability: per-phase timings\n";
-    exp::print_span_table(snap, std::cout);
-    if (!obs_options.metrics_path.empty())
-      std::cout << "wrote metrics snapshot to "
-                << obs_options.metrics_path << "\n";
-    if (!obs_options.trace_path.empty())
-      std::cout << "wrote event trace to " << obs_options.trace_path
-                << "\n";
-  }
+  session.finish();
+  session.print_summary(std::cout);
   return 0;
 }
 
@@ -537,17 +528,8 @@ int cmd_scenario(const cli_args& args) {
               << "\n";
   }
 
-  const auto& snap = session.finish();
-  if (session.active()) {
-    std::cout << "\nobservability: per-phase timings\n";
-    exp::print_span_table(snap, std::cout);
-    if (!obs_options.metrics_path.empty())
-      std::cout << "wrote metrics snapshot to "
-                << obs_options.metrics_path << "\n";
-    if (!obs_options.trace_path.empty())
-      std::cout << "wrote event trace to " << obs_options.trace_path
-                << "\n";
-  }
+  session.finish();
+  session.print_summary(std::cout);
   if (recorder != nullptr) {
     std::cout << "flight recorder: " << recorder->triggers()
               << " trigger(s)";
@@ -659,17 +641,8 @@ int cmd_faults(const cli_args& args) {
   std::cout << manager.dead_nodes().size()
             << " node(s) declared dead; " << flows.size() << " of "
             << set.flows.size() << " flows still scheduled.\n";
-  const auto& snap = session.finish();
-  if (session.active()) {
-    std::cout << "\nobservability: per-phase timings\n";
-    exp::print_span_table(snap, std::cout);
-    if (!obs_options.metrics_path.empty())
-      std::cout << "wrote metrics snapshot to "
-                << obs_options.metrics_path << "\n";
-    if (!obs_options.trace_path.empty())
-      std::cout << "wrote event trace to " << obs_options.trace_path
-                << "\n";
-  }
+  session.finish();
+  session.print_summary(std::cout);
   return 0;
 }
 
@@ -751,15 +724,7 @@ int cmd_bench(const cli_args& args) {
     reports.push_back(std::move(report));
   }
   const auto& snap = session.finish();
-  if (session.active()) {
-    std::cout << "\nobservability: per-phase timings\n";
-    exp::print_span_table(snap, std::cout);
-    if (!options.metrics_path.empty())
-      std::cout << "wrote metrics snapshot to " << options.metrics_path
-                << "\n";
-    if (!options.trace_path.empty())
-      std::cout << "wrote event trace to " << options.trace_path << "\n";
-  }
+  session.print_summary(std::cout);
   if (!options.json_path.empty()) {
     exp::write_reports_file(reports,
                             session.active()
