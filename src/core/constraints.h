@@ -19,10 +19,15 @@
 
 namespace wsan::core {
 
-/// Constraint 1: true iff tx conflicts with none of `txs` (the
+/// Constraint 1: true iff tx conflicts with none of `txs` — a
+/// schedule cell (tsch::schedule::cell_view) or a vector (the
 /// exhaustive search keeps its own per-slot vectors).
-bool conflict_free(const tsch::transmission& tx,
-                   const std::vector<tsch::transmission>& txs);
+template <class Transmissions = std::vector<tsch::transmission>>
+bool conflict_free(const tsch::transmission& tx, const Transmissions& txs) {
+  for (const auto& other : txs)
+    if (tx.conflicts_with(other)) return false;
+  return true;
+}
 
 /// Constraint 1 against slot s of the schedule: true iff tx conflicts
 /// with no transmission in any of the slot's cells. This is the
@@ -35,12 +40,12 @@ bool conflict_free(const tsch::transmission& tx, const tsch::schedule& sched,
 
 /// Constraint 2: true iff tx may join the cell under hop threshold rho
 /// (pass k_infinite_hops for "no reuse allowed"). The one copy of 2b,
-/// shared by find_slot's indexed and naive paths and the exhaustive
-/// search; inline because the slot search probes it per occupied cell.
-inline bool channel_constraint_ok(
-    const tsch::transmission& tx,
-    const std::vector<tsch::transmission>& cell_txs, int rho,
-    const graph::hop_matrix& reuse_hops) {
+/// shared by find_slot's naive path and the exhaustive search, over a
+/// schedule cell view or the search's own vectors.
+template <class Transmissions = std::vector<tsch::transmission>>
+bool channel_constraint_ok(const tsch::transmission& tx,
+                           const Transmissions& cell_txs, int rho,
+                           const graph::hop_matrix& reuse_hops) {
   WSAN_REQUIRE(rho >= 0, "rho must be non-negative");
   if (cell_txs.empty()) return true;
   if (rho == k_infinite_hops) return false;  // 2a: cell must be empty

@@ -15,7 +15,7 @@ namespace {
 /// Isolation rules: an isolated transmission accepts only empty cells;
 /// a cell holding an isolated transmission accepts nobody else.
 bool isolation_ok(const tsch::transmission& tx,
-                  const std::vector<tsch::transmission>& cell,
+                  const tsch::schedule::cell_view& cell,
                   const link_set* isolated) {
   if (isolated == nullptr || isolated->empty()) return true;
   if (cell.empty()) return true;
@@ -43,7 +43,7 @@ offset_t choose_offset(const tsch::schedule& sched,
     // An empty cell passes the channel constraint and isolation
     // trivially, so only occupied cells are read.
     if (load > 0) {
-      const auto& cell = sched.cell(s, c);
+      const auto cell = sched.cell(s, c);
       if (!channel_constraint_ok(tx, cell, rho, reuse_hops)) continue;
       if (!isolation_ok(tx, cell, isolated)) continue;
     }

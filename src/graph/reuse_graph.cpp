@@ -54,8 +54,13 @@ graph build_channel_reuse_graph(const topo::topology& topo,
               topo.prr(u, v, ch), options.measurement_window);
           const double p_vu = detection_probability(
               topo.prr(v, u, ch), options.measurement_window);
-          if (campaign_uniform(options.seed, u, v, ch) < p_uv ||
-              campaign_uniform(options.seed, v, u, ch) < p_vu) {
+          // A uniform in [0, 1) is never below 0, so an undetectable
+          // direction needs no draw; each draw seeds its own generator,
+          // so skipping one moves no other.
+          const auto heard = [&](node_id from, node_id to, double p) {
+            return p > 0.0 && campaign_uniform(options.seed, from, to, ch) < p;
+          };
+          if (heard(u, v, p_uv) || heard(v, u, p_vu)) {
             detected = true;
             break;
           }

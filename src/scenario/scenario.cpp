@@ -65,7 +65,10 @@ scenario_engine::scenario_engine(topo::topology topology,
     for (std::size_t i = 0; i < flows_.size(); ++i)
       uids_.push_back(next_uid_++);
     // Shed-to-fit: the initial population is a demand, not a guarantee.
+    // Epoch 0's record counts what it dropped.
+    const std::size_t demand = flows_.size();
     mgr_.admit_shedding(flows_);
+    initial_shed_ = static_cast<int>(demand - flows_.size());
     uids_.resize(flows_.size());
   }
 }
@@ -174,6 +177,7 @@ epoch_record scenario_engine::step() {
   const std::size_t demand = flows_.size();
   auto admitted = mgr_.admit_shedding(flows_);
   rec.shed_for_schedulability += static_cast<int>(demand - flows_.size());
+  if (e == 0) rec.shed_for_schedulability += initial_shed_;
   uids_.resize(flows_.size());
   rec.schedulable = admitted.schedulable;
 

@@ -157,7 +157,9 @@ struct epoch_record {
   int rejected_unroutable = 0;    ///< no route on the pruned graph
   int rejected_admission = 0;     ///< tentative schedule did not fit
   int departures = 0;
-  int shed_for_schedulability = 0;  ///< dropped when re-admission failed
+  /// Flows dropped to fit: at this epoch's re-admission and, in epoch
+  /// 0, by the initial admission of the constructor.
+  int shed_for_schedulability = 0;
 
   // Ground-truth node churn.
   std::vector<node_id> crashed;
@@ -242,7 +244,8 @@ class scenario_engine {
  public:
   /// Builds the manager for the topology and admits the initial
   /// workload (stream k_stream_init of epoch 0). Shedding applies if
-  /// the initial population does not fit.
+  /// the initial population does not fit; epoch 0's
+  /// shed_for_schedulability counts the flows it drops.
   scenario_engine(topo::topology topology, scenario_config config);
 
   const manager::network_manager& manager() const { return mgr_; }
@@ -276,6 +279,7 @@ class scenario_engine {
   std::vector<flow::flow> flows_;    // dense ids == priority ranks
   std::vector<std::uint64_t> uids_;  // aligned with flows_
   std::uint64_t next_uid_ = 0;
+  int initial_shed_ = 0;  // flows the constructor shed, counted in epoch 0
   int epoch_ = 0;
   // Ground truth (the simulator's world, unknown to the manager).
   std::set<node_id> down_;

@@ -49,7 +49,7 @@ std::vector<std::vector<slot_entry>> flatten_schedule(
       static_cast<std::size_t>(hp));
   for (slot_t s = 0; s < hp; ++s) {
     for (offset_t c = 0; c < sched.num_offsets(); ++c) {
-      const auto& cell = sched.cell(s, c);
+      const auto cell = sched.cell(s, c);
       for (const auto& tx : cell) {
         WSAN_REQUIRE(tx.flow >= 0 &&
                          tx.flow < static_cast<flow_id>(flows.size()),
@@ -773,7 +773,6 @@ class fast_engine {
       // most that many rows (slots without active transmissions and
       // muted links skip theirs).
       const std::size_t rows = static_cast<std::size_t>(hp_) + max_probes;
-      intf_active_.resize(rows * static_cast<std::size_t>(num_intf));
       intf_u_.resize(rows * static_cast<std::size_t>(num_intf));
       intf_duty_.resize(static_cast<std::size_t>(num_intf));
       for (int k = 0; k < num_intf; ++k)
@@ -854,7 +853,7 @@ class fast_engine {
           // Every slot with a transmission on the air is one sample
           // point of the interferer duty-cycle process (no row, and no
           // read of one, without interferers).
-          const char* intf_row =
+          const double* intf_row =
               num_intf > 0 ? next_interferer_row() : nullptr;
 
           success_.assign(active_.size(), 0);
@@ -1019,33 +1018,28 @@ class fast_engine {
       cross_mw_[k] = batch_detail::poly_exp(sig[k] * k_ln10_over_10);
   }
 
-  /// Interferer activity: the duty-cycle Bernoullis for a whole run,
-  /// generated in one vectorized uniform pass from a derived per-run
-  /// stream — derive_seed(seed, interferer stream, run). Row r is the
-  /// activity vector of the r-th sample point of the run (slot loop
-  /// first, then probes), so the process keeps the naive engine's
+  /// Interferer activity: the uniforms of the duty-cycle Bernoullis
+  /// for a whole run, generated in one vectorized pass from a derived
+  /// per-run stream — derive_seed(seed, interferer stream, run). Row r
+  /// holds the uniforms of the r-th sample point of the run (slot loop
+  /// first, then probes), and interferer k is active there iff
+  /// row[k] < its duty cycle, so the process keeps the naive engine's
   /// structure: an independent Bernoulli(duty_cycle) per interferer
   /// per sample point, deterministic per (config, run).
   void refresh_interferer_rows(int run) {
     intf_cursor_ = 0;
-    const std::size_t total = intf_u_.size();
     batch_uniform01s(derive_seed(config_.seed, k_interferer_stream,
                                  static_cast<std::uint64_t>(run)),
-                     total, intf_u_.data());
-    const std::size_t num_intf = intf_duty_.size();
-    for (std::size_t i = 0; i < total; ++i) {
-      intf_active_[i] =
-          intf_u_[i] < intf_duty_[i % num_intf] ? char{1} : char{0};
-    }
+                     intf_u_.size(), intf_u_.data());
   }
 
   /// Appends to powers_mw_ the milliwatt power, at `receiver`, of
-  /// every interferer that `row` marks active and whose WiFi channel
-  /// overlaps list position `ci`.
-  void push_external_mw(const char* row, int ci, node_id receiver) {
+  /// every interferer active in `row` (its uniform below its duty
+  /// cycle) whose WiFi channel overlaps list position `ci`.
+  void push_external_mw(const double* row, int ci, node_id receiver) {
     const std::size_t num_intf = intf_duty_.size();
     for (std::size_t k = 0; k < num_intf; ++k) {
-      if (!row[k]) continue;
+      if (!(row[k] < intf_duty_[k])) continue;
       if (!ext_overlap_[k * static_cast<std::size_t>(ncl_) +
                         static_cast<std::size_t>(ci)])
         continue;
@@ -1054,10 +1048,9 @@ class fast_engine {
     }
   }
 
-  /// The next pre-generated activity row, one flag per interferer.
-  const char* next_interferer_row() {
-    const char* row =
-        intf_active_.data() + intf_cursor_ * intf_duty_.size();
+  /// The next pre-generated activity row, one uniform per interferer.
+  const double* next_interferer_row() {
+    const double* row = intf_u_.data() + intf_cursor_ * intf_duty_.size();
     ++intf_cursor_;
     return row;
   }
@@ -1235,8 +1228,7 @@ class fast_engine {
   // Derived per-run streams: probe draws (no interferers) or the
   // interferer activity rows, sized at setup.
   std::vector<double> probe_uu_;
-  std::vector<char> intf_active_;  ///< (sample row, interferer) activity
-  std::vector<double> intf_u_;     ///< uniform scratch for the rows
+  std::vector<double> intf_u_;     ///< (sample row, interferer) uniform
   std::vector<double> intf_duty_;  ///< interferer -> duty cycle
   std::size_t intf_cursor_ = 0;    ///< next unread activity row
 

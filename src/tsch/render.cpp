@@ -12,12 +12,12 @@ namespace wsan::tsch {
 
 namespace {
 
-std::string cell_text(const std::vector<transmission>& cell) {
+std::string cell_text(const schedule::cell_view& cell) {
   std::ostringstream os;
-  for (std::size_t i = 0; i < cell.size(); ++i) {
-    if (i > 0) os << '|';
-    os << cell[i].sender << "->" << cell[i].receiver;
-    if (cell[i].attempt > 0) os << '*';
+  for (auto tx = cell.begin(); tx != cell.end(); ++tx) {
+    if (tx != cell.begin()) os << '|';
+    os << tx->sender << "->" << tx->receiver;
+    if (tx->attempt > 0) os << '*';
   }
   return os.str();
 }

@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
+#include <limits>
 #include <utility>
+#include <vector>
 
 #include "common/error.h"
 
@@ -13,15 +16,14 @@ schedule::schedule(slot_t num_slots, int num_offsets)
     : num_slots_(num_slots), num_offsets_(num_offsets) {
   WSAN_REQUIRE(num_slots > 0, "schedule needs at least one slot");
   WSAN_REQUIRE(num_offsets > 0, "schedule needs at least one offset");
-  cells_.resize(static_cast<std::size_t>(num_slots) *
-                static_cast<std::size_t>(num_offsets));
+  chains_.resize(static_cast<std::size_t>(num_slots) *
+                 static_cast<std::size_t>(num_offsets));
   words_per_node_ =
       (static_cast<std::size_t>(num_slots) + k_word_bits - 1) / k_word_bits;
   full_.assign(words_per_node_, 0);
 }
 
 void schedule::mark_busy(node_id node, slot_t slot) {
-  WSAN_REQUIRE(node >= 0, "transmission node id must be non-negative");
   const auto row = static_cast<std::size_t>(node) * words_per_node_;
   if (row + words_per_node_ > node_busy_.size())
     node_busy_.resize(row + words_per_node_, 0);
@@ -42,8 +44,8 @@ void schedule::mask_in(std::size_t ci, const transmission& tx) {
 void schedule::fit_masks(node_id node) {
   const std::size_t words = static_cast<std::size_t>(node) / k_word_bits + 1;
   if (words <= mask_words_) return;
-  std::vector<std::uint64_t> wider(cells_.size() * 2 * words, 0);
-  for (std::size_t m = 0; m < cells_.size() * 2; ++m)
+  std::vector<std::uint64_t> wider(chains_.size() * 2 * words, 0);
+  for (std::size_t m = 0; m < chains_.size() * 2; ++m)
     std::copy_n(cell_masks_.begin() +
                     static_cast<std::ptrdiff_t>(m * mask_words_),
                 mask_words_,
@@ -54,15 +56,25 @@ void schedule::fit_masks(node_id node) {
 
 void schedule::add(const transmission& tx, slot_t slot, offset_t offset) {
   const std::size_t ci = cell_index(slot, offset);
-  cells_[ci].push_back(tx);
+  WSAN_REQUIRE(tx.sender >= 0 && tx.receiver >= 0,
+               "transmission node id must be non-negative");
+  WSAN_REQUIRE(placements_.size() <
+                   static_cast<std::size_t>(std::numeric_limits<link_t>::max()),
+               "schedule holds too many placements");
+  const auto at = static_cast<link_t>(placements_.size());
+  chain& ch = chains_[ci];
   placements_.push_back(placement{tx, slot, offset});
-  if (cells_[ci].size() == 1) {
+  links_.push_back(link{ch.tail, k_none});
+  if (ch.tail == k_none)
+    ch.head = at;
+  else
+    links_[static_cast<std::size_t>(ch.tail)].next = at;
+  ch.tail = at;
+  if (++ch.load == 1) {
     // An empty cell filled: the slot is full if no cell in it is empty.
-    const auto* cells = cells_.data() + cell_index(slot, 0);
+    const chain* cells = chains_.data() + cell_index(slot, 0);
     if (std::none_of(cells, cells + num_offsets_,
-                     [](const std::vector<transmission>& c) {
-                       return c.empty();
-                     }))
+                     [](const chain& c) { return c.load == 0; }))
       full_[static_cast<std::size_t>(slot) / k_word_bits] |= slot_bit(slot);
   }
   mark_busy(tx.sender, slot);
@@ -75,54 +87,64 @@ void schedule::rebuild_masks(std::size_t ci) {
   std::fill_n(cell_masks_.begin() +
                   static_cast<std::ptrdiff_t>(ci * 2 * mask_words_),
               2 * mask_words_, 0);
-  for (const transmission& tx : cells_[ci]) mask_in(ci, tx);
+  for (link_t at = chains_[ci].head; at != k_none;
+       at = links_[static_cast<std::size_t>(at)].next)
+    mask_in(ci, placements_[static_cast<std::size_t>(at)].tx);
 }
 
-void schedule::clear_busy(node_id node, slot_t slot) {
-  const auto row = static_cast<std::size_t>(node) * words_per_node_;
-  node_busy_[row + static_cast<std::size_t>(slot) / k_word_bits] &=
-      ~slot_bit(slot);
+void schedule::release_busy(node_id node, slot_t slot) {
+  const auto word = static_cast<std::size_t>(node) / k_word_bits;
+  const std::uint64_t bit = std::uint64_t{1}
+                            << (static_cast<std::size_t>(node) % k_word_bits);
+  // A slot's cells are contiguous, each a sender then a receiver mask.
+  const std::uint64_t* masks = cell_senders(slot, 0);
+  for (std::size_t m = 0; m < 2 * static_cast<std::size_t>(num_offsets_);
+       ++m)
+    if ((masks[m * mask_words_ + word] & bit) != 0) return;
+  node_busy_[static_cast<std::size_t>(node) * words_per_node_ +
+             static_cast<std::size_t>(slot) / k_word_bits] &= ~slot_bit(slot);
+}
+
+void schedule::pop_placement() {
+  const placement p = placements_.back();
+  const link_t prev = links_.back().prev;
+  placements_.pop_back();
+  links_.pop_back();
+  const std::size_t ci = cell_index(p.slot, p.offset);
+  chain& ch = chains_[ci];
+  ch.tail = prev;
+  if (prev == k_none)
+    ch.head = k_none;
+  else
+    links_[static_cast<std::size_t>(prev)].next = k_none;
+  if (--ch.load == 0)
+    full_[static_cast<std::size_t>(p.slot) / k_word_bits] &=
+        ~slot_bit(p.slot);
+  // The cell's masks are exact again before they answer for the busy
+  // bits: a conflict-free schedule has one transmission per node per
+  // slot, but add() allows any history.
+  rebuild_masks(ci);
+  release_busy(p.tx.sender, p.slot);
+  release_busy(p.tx.receiver, p.slot);
 }
 
 std::size_t schedule::remove_flows_from(flow_id first) {
-  const auto removed_flow = [first](const transmission& tx) {
-    return tx.flow >= first;
+  const auto removed_flow = [first](const placement& p) {
+    return p.tx.flow >= first;
   };
-  // Survivors are compacted in place; a removed placement's cell drops
-  // every removed transmission at once, so a later removed placement of
-  // the same cell finds nothing left to erase there.
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < placements_.size(); ++i) {
-    const placement p = placements_[i];
-    if (!removed_flow(p.tx)) {
-      placements_[kept++] = p;
-      continue;
-    }
-    const std::size_t ci = cell_index(p.slot, p.offset);
-    if (std::erase_if(cells_[ci], removed_flow) > 0) {
-      if (cells_[ci].empty())
-        full_[static_cast<std::size_t>(p.slot) / k_word_bits] &=
-            ~slot_bit(p.slot);
-      rebuild_masks(ci);
-    }
-    // A conflict-free schedule has at most one transmission per node per
-    // slot, so the removed endpoints are free now; scanning the survivors
-    // of every cell of the slot (a cell not visited yet may still hold
-    // removed transmissions) keeps the index right for any add() history.
-    const std::size_t slot_cell = cell_index(p.slot, 0);
-    for (const node_id node : {p.tx.sender, p.tx.receiver}) {
-      bool kept_busy = false;
-      for (offset_t c = 0; c < num_offsets_; ++c)
-        for (const transmission& tx : cells_[slot_cell + c])
-          kept_busy |= !removed_flow(tx) &&
-                       (tx.sender == node || tx.receiver == node);
-      if (!kept_busy) clear_busy(node, p.slot);
-    }
-  }
-  const std::size_t removed = placements_.size() - kept;
-  placements_.erase(placements_.begin() + static_cast<std::ptrdiff_t>(kept),
-                    placements_.end());
-  return removed;
+  const auto bottom =
+      std::find_if(placements_.begin(), placements_.end(), removed_flow);
+  if (bottom == placements_.end()) return 0;
+  // Survivors above the first removed placement, re-added in placement
+  // order once the stack is popped back to it.
+  std::vector<placement> survivors;
+  std::copy_if(bottom + 1, placements_.end(), std::back_inserter(survivors),
+               [&](const placement& p) { return !removed_flow(p); });
+  const std::size_t before = placements_.size();
+  const auto keep = static_cast<std::size_t>(bottom - placements_.begin());
+  while (placements_.size() > keep) pop_placement();
+  for (const placement& p : survivors) add(p.tx, p.slot, p.offset);
+  return before - placements_.size();
 }
 
 }  // namespace wsan::tsch

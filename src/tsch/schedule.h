@@ -6,10 +6,14 @@
 // itself is policy-free — constraints are enforced by the scheduler and
 // re-checked by validate_schedule().
 //
-// The cells are the only per-slot store: a slot's transmissions (T_s in
-// the paper) are the union of its cells' (T_sc). Besides the cells and
-// the placements() list, the schedule maintains an incremental
-// occupancy index updated by add():
+// placements() is the only per-transmission store: a stack of
+// placement records in insertion order. A cell (T_sc in the paper) is a
+// chain through that stack — each placement links to the previous and
+// next placement of its cell, and each cell keeps its head, tail and
+// load — so cell(s, c) walks the cell's transmissions in insertion
+// order, and a slot's transmissions (T_s) are the union of its cells.
+// Besides the chains, the schedule maintains an incremental occupancy
+// index updated by add():
 //   * per-node busy-slot bitsets (one bit per slot for every node that
 //     sends or receives in it), so "does tx conflict with slot s" is two
 //     O(1) bit tests instead of a scan of the slot's cells — two
@@ -21,17 +25,17 @@
 //     sends, respectively receives, in the cell), so constraint 2b for
 //     a whole cell is a few word operations against the reuse graph's
 //     hop balls (graph::hop_matrix::ball) instead of a distance lookup
-//     per occupant. add() sets the bits; remove_flows_from() rebuilds
-//     the masks of every cell it touches from the survivors. The mask
-//     width grows with the largest node id added, like the busy-slot
-//     rows.
-// The index is derived state only; the cells remain the ground truth,
-// and the reference scans (core's naive find_slot and Eq. 1,
-// validate_schedule) read them, never the index.
+//     per occupant. add() sets the bits; removing a placement rebuilds
+//     its cell's masks from the chain. The mask width grows with the
+//     largest node id added, like the busy-slot rows.
+// The index is derived state only; the chains over placements() remain
+// the ground truth, and the reference scans (core's naive find_slot and
+// Eq. 1, validate_schedule) read them, never the index.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <numeric>
+#include <iterator>
 #include <vector>
 
 #include "common/error.h"
@@ -42,46 +46,127 @@ namespace wsan::tsch {
 
 class schedule {
  public:
+  /// A placement record, in insertion order.
+  struct placement {
+    transmission tx;
+    slot_t slot = k_invalid_slot;
+    offset_t offset = k_invalid_offset;
+
+    friend bool operator==(const placement&, const placement&) = default;
+  };
+
+ private:
+  /// Index into placements(); k_none ends a chain.
+  using link_t = std::int32_t;
+  static constexpr link_t k_none = -1;
+  /// A placement's neighbours in its cell's chain.
+  struct link {
+    link_t prev = k_none;
+    link_t next = k_none;
+  };
+
+ public:
+  /// One cell's transmissions (T_sc in the paper), in the order they
+  /// were added: a forward walk along the cell's chain through
+  /// placements(). size() and empty() are O(1). The view is invalidated
+  /// by the next add() or remove_flows_from().
+  class cell_view {
+   public:
+    class iterator {
+     public:
+      using iterator_category = std::forward_iterator_tag;
+      using value_type = transmission;
+      using difference_type = std::ptrdiff_t;
+      using pointer = const transmission*;
+      using reference = const transmission&;
+
+      iterator() = default;
+      reference operator*() const { return placements_[at_].tx; }
+      pointer operator->() const { return &placements_[at_].tx; }
+      iterator& operator++() {
+        at_ = links_[at_].next;
+        return *this;
+      }
+      iterator operator++(int) {
+        iterator old = *this;
+        ++*this;
+        return old;
+      }
+      friend bool operator==(const iterator& a, const iterator& b) {
+        return a.at_ == b.at_;
+      }
+
+     private:
+      friend class cell_view;
+      iterator(const placement* placements, const link* links, link_t at)
+          : placements_(placements), links_(links), at_(at) {}
+      const placement* placements_ = nullptr;
+      const link* links_ = nullptr;
+      link_t at_ = k_none;
+    };
+
+    iterator begin() const { return {placements_, links_, head_}; }
+    iterator end() const { return {placements_, links_, k_none}; }
+    std::size_t size() const { return static_cast<std::size_t>(load_); }
+    bool empty() const { return load_ == 0; }
+    /// The cell's first transmission; the cell must not be empty.
+    const transmission& front() const { return placements_[head_].tx; }
+
+   private:
+    friend class schedule;
+    cell_view(const placement* placements, const link* links, link_t head,
+              int load)
+        : placements_(placements), links_(links), head_(head), load_(load) {}
+    const placement* placements_;
+    const link* links_;
+    link_t head_;
+    int load_;
+  };
+
   schedule() = default;
   schedule(slot_t num_slots, int num_offsets);
 
   slot_t num_slots() const { return num_slots_; }
   int num_offsets() const { return num_offsets_; }
 
-  /// Places a transmission at (slot, offset). No constraint checking —
-  /// that is the scheduler's job.
+  /// Places a transmission at (slot, offset): pushes it onto
+  /// placements() and appends it to the cell's chain. No constraint
+  /// checking — that is the scheduler's job.
   void add(const transmission& tx, slot_t slot, offset_t offset);
 
-  /// Removes every placement of the flows with id >= `first` in one pass
-  /// — the eviction and rollback primitive of incremental
-  /// delta-scheduling (core::delta_scheduler), where those flows are the
-  /// lower-priority suffix. Cost is O(placements + removed x slot
-  /// occupancy): each removed placement leaves its cell, and its
-  /// endpoints' busy bits are cleared unless a survivor in one of the
-  /// slot's cells uses the node (correct even if the caller ever placed
-  /// conflicting transmissions). The relative order of the surviving
-  /// placements() is preserved. Returns the number of placements removed
-  /// (0 when no flow id reaches `first`).
+  /// Removes every placement of the flows with id >= `first` — the
+  /// eviction and rollback primitive of incremental delta-scheduling
+  /// (core::delta_scheduler), where those flows are the lower-priority
+  /// suffix. Pops placements() back to the first removed placement,
+  /// each pop the exact inverse of its add() (the cell's masks are
+  /// rebuilt from its chain, and each endpoint's busy bit is cleared
+  /// unless a remaining transmission in one of the slot's cells uses
+  /// the node, so any add() history stays consistent), then re-adds the
+  /// survivors that were above it in placement order. Flow-major
+  /// schedules, as the delta scheduler keeps, have no such survivors.
+  /// The relative order of the surviving placements(), and so of each
+  /// cell's survivors, is preserved. Returns the number of placements
+  /// removed (0 when no flow id reaches `first`).
   std::size_t remove_flows_from(flow_id first);
 
   /// Transmissions already assigned to one cell (T_sc in the paper).
-  const std::vector<transmission>& cell(slot_t slot, offset_t offset) const {
-    return cells_[cell_index(slot, offset)];
+  cell_view cell(slot_t slot, offset_t offset) const {
+    const chain& ch = chains_[cell_index(slot, offset)];
+    return {placements_.data(), links_.data(), ch.head, ch.load};
   }
 
   /// Transmissions in the cell (|T_sc|). O(1).
   int cell_load(slot_t slot, offset_t offset) const {
-    return static_cast<int>(cell(slot, offset).size());
+    return chains_[cell_index(slot, offset)].load;
   }
 
   /// Transmissions in the slot across every offset (|T_s|): the sum of
   /// its cells' loads. O(offsets).
   int slot_load(slot_t slot) const {
-    const auto* cells = cells_.data() + cell_index(slot, 0);
-    return std::accumulate(cells, cells + num_offsets_, 0,
-                           [](int sum, const std::vector<transmission>& c) {
-                             return sum + static_cast<int>(c.size());
-                           });
+    const chain* cells = chains_.data() + cell_index(slot, 0);
+    int load = 0;
+    for (int c = 0; c < num_offsets_; ++c) load += cells[c].load;
+    return load;
   }
 
   // ------------------------------------------------ occupancy index --
@@ -136,8 +221,8 @@ class schedule {
 
   /// The full-slot bitset, words_per_node() words: bit k is set iff
   /// every offset of slot k holds a transmission. add() sets a slot's
-  /// bit when its last empty cell fills; remove_flows_from() clears it
-  /// when a cell empties.
+  /// bit when its last empty cell fills; removing a placement clears it
+  /// when its cell empties.
   const std::uint64_t* full_slot_words() const { return full_.data(); }
 
   /// True iff every offset of the slot holds a transmission. O(1).
@@ -166,14 +251,8 @@ class schedule {
     return cell_senders(slot, offset) + mask_words_;
   }
 
-  /// A placement record, in insertion order.
-  struct placement {
-    transmission tx;
-    slot_t slot = k_invalid_slot;
-    offset_t offset = k_invalid_offset;
-
-    friend bool operator==(const placement&, const placement&) = default;
-  };
+  /// Every placement, in insertion order: the schedule's one
+  /// per-transmission store.
   const std::vector<placement>& placements() const { return placements_; }
 
   std::size_t num_transmissions() const { return placements_.size(); }
@@ -195,18 +274,33 @@ class schedule {
     return std::uint64_t{1} << (static_cast<std::size_t>(slot) % k_word_bits);
   }
   void mark_busy(node_id node, slot_t slot);
-  void clear_busy(node_id node, slot_t slot);
+  /// Clears the node's busy bit in the slot unless a transmission in
+  /// one of the slot's cells still sends or receives with it, read from
+  /// the cells' node masks.
+  void release_busy(node_id node, slot_t slot);
   /// Widens the cell node masks to hold `node`.
   void fit_masks(node_id node);
   /// Sets tx's sender and receiver bits in cell `ci`'s node masks.
   void mask_in(std::size_t ci, const transmission& tx);
-  /// Recomputes cell `ci`'s node masks from its transmissions.
+  /// Recomputes cell `ci`'s node masks from its chain.
   void rebuild_masks(std::size_t ci);
+  /// Removes the last placement: the exact inverse of the add() that
+  /// placed it, which left it its cell's tail.
+  void pop_placement();
+
+  /// A cell's chain through placements_: first and last placement, and
+  /// the number of placements in between (|T_sc|).
+  struct chain {
+    link_t head = k_none;
+    link_t tail = k_none;
+    int load = 0;
+  };
 
   slot_t num_slots_ = 0;
   int num_offsets_ = 0;
-  std::vector<std::vector<transmission>> cells_;  // slots x offsets
   std::vector<placement> placements_;
+  std::vector<link> links_;    // one per placement, its cell neighbours
+  std::vector<chain> chains_;  // slots x offsets
   std::size_t words_per_node_ = 0;
   std::vector<std::uint64_t> node_busy_;  // nodes x words_per_node_
   std::vector<std::uint64_t> full_;       // words_per_node_ words

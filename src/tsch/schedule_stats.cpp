@@ -23,14 +23,14 @@ histogram reuse_hop_count_histogram(const schedule& sched,
   histogram hist;
   for (slot_t s = 0; s < sched.num_slots(); ++s) {
     for (offset_t c = 0; c < sched.num_offsets(); ++c) {
-      const auto& cell = sched.cell(s, c);
+      const auto cell = sched.cell(s, c);
       if (cell.size() < 2) continue;
       int min_hops = k_infinite_hops;
-      for (std::size_t i = 0; i < cell.size(); ++i) {
-        for (std::size_t j = 0; j < cell.size(); ++j) {
+      for (auto i = cell.begin(); i != cell.end(); ++i) {
+        for (auto j = cell.begin(); j != cell.end(); ++j) {
           if (i == j) continue;
-          min_hops = std::min(
-              min_hops, reuse_hops.hops(cell[i].sender, cell[j].receiver));
+          min_hops =
+              std::min(min_hops, reuse_hops.hops(i->sender, j->receiver));
         }
       }
       if (min_hops != k_infinite_hops) hist.add(min_hops);
@@ -64,7 +64,7 @@ std::size_t links_in_reuse_count(const schedule& sched) {
   std::set<std::pair<node_id, node_id>> links;
   for (slot_t s = 0; s < sched.num_slots(); ++s) {
     for (offset_t c = 0; c < sched.num_offsets(); ++c) {
-      const auto& cell = sched.cell(s, c);
+      const auto cell = sched.cell(s, c);
       if (cell.size() < 2) continue;
       for (const auto& tx : cell) links.insert({tx.sender, tx.receiver});
     }

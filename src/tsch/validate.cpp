@@ -33,7 +33,7 @@ validation_result validate_schedule(const schedule& sched,
   for (slot_t s = 0; s < sched.num_slots(); ++s) {
     txs.clear();
     for (offset_t c = 0; c < sched.num_offsets(); ++c) {
-      const auto& cell = sched.cell(s, c);
+      const auto cell = sched.cell(s, c);
       txs.insert(txs.end(), cell.begin(), cell.end());
     }
     for (std::size_t i = 0; i < txs.size(); ++i) {
@@ -51,7 +51,7 @@ validation_result validate_schedule(const schedule& sched,
   // 2. Channel constraints within each cell.
   for (slot_t s = 0; s < sched.num_slots(); ++s) {
     for (offset_t c = 0; c < sched.num_offsets(); ++c) {
-      const auto& cell = sched.cell(s, c);
+      const auto cell = sched.cell(s, c);
       if (cell.size() < 2) continue;
       if (options.min_reuse_hops == k_infinite_hops) {
         std::ostringstream os;
@@ -60,15 +60,15 @@ validation_result validate_schedule(const schedule& sched,
         result.fail(os.str());
         continue;
       }
-      for (std::size_t i = 0; i < cell.size(); ++i) {
-        for (std::size_t j = 0; j < cell.size(); ++j) {
+      for (auto i = cell.begin(); i != cell.end(); ++i) {
+        for (auto j = cell.begin(); j != cell.end(); ++j) {
           if (i == j) continue;
-          const int d = reuse_hops.hops(cell[i].sender, cell[j].receiver);
+          const int d = reuse_hops.hops(i->sender, j->receiver);
           if (d < options.min_reuse_hops) {
             std::ostringstream os;
             os << "slot " << s << " offset " << c << ": sender of "
-               << describe(cell[i]) << " is only " << d
-               << " hops from receiver of " << describe(cell[j])
+               << describe(*i) << " is only " << d
+               << " hops from receiver of " << describe(*j)
                << " (minimum " << options.min_reuse_hops << ")";
             result.fail(os.str());
           }

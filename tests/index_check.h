@@ -1,5 +1,6 @@
-// Occupancy-index check shared by the schedule and fleet suites: every
-// part of the schedule's index against the ground-truth cells.
+// Occupancy-index check shared by the schedule and fleet suites: the
+// cells against placements(), and every part of the schedule's index
+// against the cells.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -12,6 +13,37 @@
 #include "tsch/schedule.h"
 
 namespace wsan::tsch {
+
+/// Expects every cell(s, c) to yield exactly the placements at (s, c),
+/// in placements() order, with size() and cell_load() its length. The
+/// walk stops after num_transmissions() + 1 steps, so a chain that runs
+/// on past its cell fails instead of looping.
+inline void expect_cells_follow_placements(const schedule& sched) {
+  const auto offsets = static_cast<std::size_t>(sched.num_offsets());
+  std::vector<std::vector<transmission>> expected(
+      static_cast<std::size_t>(sched.num_slots()) * offsets);
+  for (const auto& p : sched.placements())
+    expected[static_cast<std::size_t>(p.slot) * offsets +
+             static_cast<std::size_t>(p.offset)]
+        .push_back(p.tx);
+  for (slot_t s = 0; s < sched.num_slots(); ++s) {
+    for (offset_t c = 0; c < sched.num_offsets(); ++c) {
+      const auto cell = sched.cell(s, c);
+      std::vector<transmission> got;
+      for (auto it = cell.begin();
+           it != cell.end() && got.size() <= sched.num_transmissions(); ++it)
+        got.push_back(*it);
+      EXPECT_EQ(got, expected[static_cast<std::size_t>(s) * offsets +
+                              static_cast<std::size_t>(c)])
+          << "cell (" << s << ", " << c << ") vs placements()";
+      EXPECT_EQ(cell.size(), got.size()) << "cell (" << s << ", " << c << ")";
+      EXPECT_EQ(cell.empty(), got.empty())
+          << "cell (" << s << ", " << c << ")";
+      EXPECT_EQ(sched.cell_load(s, c), static_cast<int>(got.size()))
+          << "cell (" << s << ", " << c << ")";
+    }
+  }
+}
 
 /// Expects every cell's node masks to equal the masks rebuilt from
 /// cell(s, c), and the mask width to hold every node in the cells.
@@ -65,11 +97,13 @@ inline void expect_busy_bits_match(const schedule& sched) {
   }
 }
 
-/// Checks every part of the occupancy index against the cells: the busy
-/// bits both ways, slot_load is the slot's cell sizes summed, a slot is
-/// full iff none of its cells is empty, and each cell's node masks hold
-/// exactly its senders and receivers.
+/// Checks the cells against placements(), then every part of the
+/// occupancy index against the cells: the busy bits both ways,
+/// slot_load is the slot's cell sizes summed, a slot is full iff none
+/// of its cells is empty, and each cell's node masks hold exactly its
+/// senders and receivers.
 inline void expect_index_consistent(const schedule& sched) {
+  expect_cells_follow_placements(sched);
   expect_busy_bits_match(sched);
   for (slot_t s = 0; s < sched.num_slots(); ++s) {
     bool every_offset_used = true;

@@ -222,6 +222,39 @@ TEST(ScenarioEngine, ReadmissionShedsFromTheBackAndKeepsUidsAligned) {
   EXPECT_GT(shed, 0) << "no epoch shed: the test exercises nothing";
 }
 
+TEST(ScenarioEngine, InitialShedIsCountedInEpochZero) {
+  // RC on one channel cannot fit 60 generated flows on WUSTL, so the
+  // constructor sheds from the back before epoch 0. Epoch 0's record
+  // and its series window count those flows; a later epoch counts only
+  // what its own re-admission sheds.
+  const auto topology = topo::make_wustl(2);
+  scenario_config config;
+  config.epochs = 2;
+  config.seed = 1;
+  config.flow_params.num_flows = 60;
+  config.flow_params.type = flow::traffic_type::peer_to_peer;
+  config.flow_params.period_min_exp = 0;
+  config.flow_params.period_max_exp = 0;
+  config.departure_rate = 0.0;
+  config.arrivals.rate = 0.0;
+  config.arrivals.max_flows = 60;
+  config.churn.crash_rate = 0.0;
+  config.manager.num_channels = 1;
+  config.manager.scheduler = core::make_config(core::algorithm::rc, 1);
+  config.sim.probes_per_run = 1;
+  scenario_engine engine(topology, config);
+  const int kept = static_cast<int>(engine.flows().size());
+  ASSERT_EQ(engine.flow_uids().size(), engine.flows().size());
+  ASSERT_LT(kept, 60) << "the initial population fits: nothing is shed";
+
+  const auto first = engine.step();
+  EXPECT_EQ(first.num_flows, kept);
+  EXPECT_EQ(first.shed_for_schedulability, 60 - kept);
+  EXPECT_DOUBLE_EQ(epoch_window(first).values.at("shed"), 60 - kept);
+  const auto second = engine.step();
+  EXPECT_EQ(second.shed_for_schedulability, kept - second.num_flows);
+}
+
 TEST(SlotSwapper, PreservesValidityOnBothTestbeds) {
   struct testbed_case {
     const char* name;

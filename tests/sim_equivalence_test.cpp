@@ -161,8 +161,9 @@ const world& ra_cross_link_world() {
     std::pair<slot_t, offset_t> free_cell{-1, -1};
     for (slot_t s = 0; s < hp; ++s) {
       for (offset_t c = 0; c < x.sched.num_offsets(); ++c) {
-        const auto& cell = x.sched.cell(s, c);
-        if (cell.size() >= 2 && shared.empty()) shared = cell;
+        const auto cell = x.sched.cell(s, c);
+        if (cell.size() >= 2 && shared.empty())
+          shared.assign(cell.begin(), cell.end());
         if (cell.empty() && free_cell.first < 0) free_cell = {s, c};
       }
     }
@@ -477,7 +478,8 @@ std::size_t interned_coordinates(const world& w, int runs) {
   std::set<std::tuple<node_id, node_id, int>> cross;
   for (slot_t s = 0; s < hp; ++s) {
     for (offset_t c = 0; c < w.sched.num_offsets(); ++c) {
-      const auto& cell = w.sched.cell(s, c);
+      const auto view = w.sched.cell(s, c);
+      const std::vector<tsch::transmission> cell(view.begin(), view.end());
       for (std::size_t i = 0; i < cell.size(); ++i) {
         links.insert({cell[i].sender, cell[i].receiver});
         for (std::size_t j = 0; j < cell.size(); ++j) {

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <set>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/constraints.h"
@@ -236,6 +237,28 @@ TEST(Schedule, CellNodeMasksGrowAndFollowRemovals) {
   EXPECT_EQ(s.cell_receivers(64, 0)[0], std::uint64_t{1} << 5);
   EXPECT_EQ(s.cell_senders(64, 1)[1], 0u);
   EXPECT_EQ(s.cell_receivers(69, 1)[2], 0u);
+  expect_index_consistent(s);
+}
+
+TEST(Schedule, RemoveFlowsFromKeepsSurvivorsInCellOrder) {
+  // Survivors above the first removed placement are re-added in
+  // placement order, so a cell keeps its survivors in their old
+  // relative order, and so does placements().
+  schedule s(4, 1);
+  s.add(make_tx(0, 1, /*f=*/2), 0, 0);  // the first removed placement
+  s.add(make_tx(2, 3, /*f=*/0), 0, 0);
+  s.add(make_tx(4, 5, /*f=*/1), 1, 0);
+  s.add(make_tx(6, 7, /*f=*/1), 0, 0);
+  s.add(make_tx(8, 9, /*f=*/3), 0, 0);
+  s.add(make_tx(10, 11, /*f=*/0), 0, 0);
+
+  ASSERT_EQ(s.remove_flows_from(2), 2u);
+  std::vector<node_id> cell_senders;
+  for (const auto& tx : s.cell(0, 0)) cell_senders.push_back(tx.sender);
+  EXPECT_EQ(cell_senders, (std::vector<node_id>{2, 6, 10}));
+  std::vector<node_id> placed_senders;
+  for (const auto& p : s.placements()) placed_senders.push_back(p.tx.sender);
+  EXPECT_EQ(placed_senders, (std::vector<node_id>{2, 4, 6, 10}));
   expect_index_consistent(s);
 }
 
