@@ -228,37 +228,33 @@ std::vector<recovery_cycle> run_recovery_cycles(
   const auto fsp =
       p2p_params(args.get_int("flows", 50), 0, 0);
   rng gen(options.seed_or(31));
-  flow::flow_set set;
   for (int attempt = 0;; ++attempt) {
-    set = manager.generate_workload(fsp, gen);
-    if (manager.admit(set.flows).schedulable) break;
+    if (manager.assign(manager.generate_workload(fsp, gen).flows)) break;
     if (attempt == 49)
       throw std::runtime_error("recovery: workload unschedulable; lower "
                                "--flows");
   }
   std::vector<recovery_cycle> rows;
-  auto scheduled = manager.admit(set.flows);
   for (int cycle = 0; cycle <= cycles; ++cycle) {
     recovery_cycle row;
     row.isolated = manager.isolated_links().size();
-    row.schedulable = scheduled.schedulable;
+    row.schedulable = manager.schedulable();
     rows.push_back(row);
-    if (!scheduled.schedulable) break;
+    if (!row.schedulable) break;
     sim::sim_config sim_config;
     sim_config.runs = args.get_int("runs", 72);
     sim_config.seed = 99;
-    const auto result =
-        sim::run_simulation(manager.view().topology, scheduled.sched,
-                            set.flows, manager.view().channels, sim_config);
-    rows.back().reusing_cells = tsch::reusing_cell_count(scheduled.sched);
+    const auto result = sim::run_simulation(
+        manager.view().topology, manager.schedule(), manager.flows(),
+        manager.view().channels, sim_config);
+    rows.back().reusing_cells = tsch::reusing_cell_count(manager.schedule());
     rows.back().pdr = stats::make_box_stats(result.flow_pdr);
     for (const auto& report : detect::classify_links(result.links, {}))
       rows.back().low_prr_links +=
           report.verdict != detect::link_verdict::meets_requirement ? 1 : 0;
     if (cycle == cycles) break;
-    const auto outcome = manager.maintain(set.flows, result.links);
-    if (!outcome.rescheduled) break;  // nothing left to repair
-    scheduled = *outcome.repaired;
+    // maintain() reschedules the held workload when it isolates a link.
+    if (!manager.maintain(result.links).rescheduled) break;  // nothing left
   }
   return rows;
 }

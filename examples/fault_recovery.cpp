@@ -82,26 +82,24 @@ int run(int argc, char** argv) {
   rng gen(seed);
   const auto set = manager.generate_workload(params, gen);
 
-  auto scheduled = manager.admit(set.flows);
-  if (!scheduled.schedulable) {
+  if (!manager.assign(set.flows)) {
     std::cout << "Workload rejected at admission; reduce --flows.\n";
     return 1;
   }
-  auto current_flows = set.flows;
 
-  const node_id victim = pick_relay(current_flows);
+  const node_id victim = pick_relay(manager.flows());
   if (victim == k_invalid_node) {
     std::cout << "No pure relay node in this workload; change --seed.\n";
     return 1;
   }
   int carried = 0;
-  for (const auto& f : current_flows)
+  for (const auto& f : manager.flows())
     for (const auto& l : f.route)
       if (l.sender == victim || l.receiver == victim) {
         ++carried;
         break;
       }
-  std::cout << "Admitted " << current_flows.size() << " flows on "
+  std::cout << "Admitted " << manager.flows().size() << " flows on "
             << manager.view().topology.num_nodes() << " nodes; node "
             << victim << " relays for " << carried
             << " flows and will crash at epoch 1.\n\n";
@@ -119,23 +117,16 @@ int run(int argc, char** argv) {
     sim_config.faults =
         sim::slice_fault_plan(plan, epoch * runs_per_epoch, runs_per_epoch);
     const auto observed = sim::run_simulation(
-        manager.view().topology, scheduled.sched, current_flows,
+        manager.view().topology, manager.schedule(), manager.flows(),
         manager.view().channels, sim_config);
     const auto box = stats::make_box_stats(observed.flow_pdr);
 
-    const auto outcome = manager.recover(current_flows, observed.links);
+    const auto outcome = manager.recover(observed.links);
     std::string action = "none";
     if (outcome.rescheduled) {
-      if (outcome.repaired->schedulable) {
-        scheduled = *outcome.repaired;
-        current_flows = outcome.surviving_flows;
-        action = "rerouted + redistributed";
-        if (!outcome.shed_flows.empty() ||
-            !outcome.unroutable_flows.empty())
-          action += " (shed load)";
-      } else {
-        action = "repair failed";
-      }
+      action = "rerouted + redistributed";
+      if (!outcome.shed_flows.empty() || !outcome.unroutable_flows.empty())
+        action += " (shed load)";
     } else if (!outcome.silent_nodes.empty()) {
       action = "watchdog counting";
     }

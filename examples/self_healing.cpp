@@ -38,36 +38,36 @@ int run(int argc, char** argv) {
   rng gen(seed);
   const auto set = manager.generate_workload(params, gen);
 
-  auto scheduled = manager.admit(set.flows);
-  if (!scheduled.schedulable) {
+  if (!manager.assign(set.flows)) {
     std::cout << "Workload rejected at admission; reduce --flows.\n";
     return 1;
   }
   std::cout << "Admitted " << set.flows.size()
             << " flows under aggressive reuse ("
-            << tsch::reusing_cell_count(scheduled.sched)
+            << tsch::reusing_cell_count(manager.schedule())
             << " reusing cells).\n\n";
 
+  // The schedule the network runs: a repair that does not fit is not
+  // distributed, so the network keeps the last one that did.
+  auto running = manager.schedule();
   table t({"epoch", "median PDR", "worst PDR", "rejected links",
            "isolated total", "action"});
   for (int cycle = 0; cycle < cycles; ++cycle) {
     sim::sim_config sim_config;
     sim_config.runs = 36;
     sim_config.seed = seed;  // the RF world is static; drift persists
-    const auto observed = sim::run_simulation(
-        manager.view().topology, scheduled.sched, set.flows,
-        manager.view().channels, sim_config);
+    const auto observed =
+        sim::run_simulation(manager.view().topology, running, manager.flows(),
+                            manager.view().channels, sim_config);
     const auto box = stats::make_box_stats(observed.flow_pdr);
 
-    const auto outcome = manager.maintain(set.flows, observed.links);
+    const auto outcome = manager.maintain(observed.links);
     std::string action = "none";
-    if (outcome.rescheduled) {
-      if (outcome.repaired->schedulable) {
-        scheduled = *outcome.repaired;
-        action = "rescheduled";
-      } else {
-        action = "repair failed (capacity)";
-      }
+    if (outcome.rescheduled && manager.schedulable()) {
+      running = manager.schedule();
+      action = "rescheduled";
+    } else if (outcome.rescheduled) {
+      action = "repair failed (capacity)";
     }
     t.add_row({cell(cycle), cell(box.median, 3), cell(box.min, 3),
                cell(outcome.newly_isolated.size()),

@@ -10,16 +10,31 @@
 namespace wsan::core {
 
 delta_scheduler::delta_scheduler(const graph::hop_matrix& reuse_hops,
-                                 scheduler_config config)
-    : reuse_hops_(&reuse_hops), config_(std::move(config)) {
+                                 scheduler_config config,
+                                 std::vector<flow::flow> flows)
+    : reuse_hops_(&reuse_hops),
+      config_(std::move(config)),
+      flows_(std::move(flows)) {
   validate_config(config_);
-}
-
-std::size_t delta_scheduler::placements_of(flow_id id) const {
-  std::size_t n = 0;
-  for (const auto& p : sched_.placements())
-    if (p.tx.flow == id) ++n;
-  return n;
+  if (flows_.empty()) return;
+  OBS_SPAN("core.delta.build");
+  for (std::size_t i = 0; i < flows_.size(); ++i) {
+    flow::validate_flow(flows_[i]);
+    WSAN_REQUIRE(flows_[i].id == static_cast<flow_id>(i),
+                 "flows must be in priority order with dense ids");
+  }
+  // schedule_flows' loop: each flow in priority order over the whole
+  // hyperperiod, stopping at the first that does not fit.
+  sched_ = tsch::schedule(flow::hyperperiod(flows_), config_.num_channels);
+  rho_.resize(flows_.size());
+  scheduler_stats stats;
+  for (; placed_ < flows_.size(); ++placed_) {
+    auto& rho = rho_[placed_];
+    if (!resume(sched_, flows_[placed_], rho, stats)) break;
+    record_placed_flow(flows_[placed_], rho.back(),
+                       static_cast<int>(rho.size()));
+  }
+  flush_scheduler_metrics(stats, schedulable());
 }
 
 bool delta_scheduler::resume(tsch::schedule& sched, const flow::flow& f,
@@ -97,21 +112,46 @@ delta_scheduler::admit_outcome delta_scheduler::admit_flow(flow::flow f) {
   return out;
 }
 
-delta_scheduler::evict_outcome delta_scheduler::evict_flow(flow_id id) {
+delta_scheduler::evict_outcome delta_scheduler::evict_flows(
+    std::span<const flow_id> ids) {
   OBS_SPAN("core.delta.evict");
+  for (std::size_t k = 1; k < ids.size(); ++k)
+    WSAN_REQUIRE(ids[k - 1] < ids[k], "evicted ids must be ascending");
   evict_outcome out;
-  if (id < 0 || static_cast<std::size_t>(id) >= flows_.size()) return out;
+  if (ids.empty() || ids.front() < 0 ||
+      static_cast<std::size_t>(ids.back()) >= flows_.size())
+    return out;
   out.evicted = true;
-  out.freed = placements_of(id);
+  // Placements are flow-major, so one merge pass counts the freed ones.
+  std::size_t next = 0;
+  for (const auto& p : sched_.placements()) {
+    while (next < ids.size() && ids[next] < p.tx.flow) ++next;
+    if (next == ids.size()) break;
+    if (ids[next] == p.tx.flow) ++out.freed;
+  }
 
-  // Replay from the evicted flow's rank, or from the failed flow's when
-  // the base is incomplete: every flow before that is complete and did
-  // not see either.
-  const std::size_t start = std::min(static_cast<std::size_t>(id), placed_);
-  flows_.erase(flows_.begin() + id);
-  rho_.erase(rho_.begin() + id);
-  for (std::size_t i = static_cast<std::size_t>(id); i < flows_.size(); ++i)
-    flows_[i].id = static_cast<flow_id>(i);
+  // Replay from the lowest evicted flow's rank, or from the failed
+  // flow's when the base is incomplete: every flow before that is
+  // complete and saw none of them.
+  const auto first = static_cast<std::size_t>(ids.front());
+  const std::size_t start = std::min(first, placed_);
+  // Compact the survivors after `first` over the evicted slots and
+  // renumber them. The swap moves their rho buffers, which the replay
+  // below clears and refills, so no eviction allocates.
+  std::size_t kept = first;
+  next = 0;
+  for (std::size_t i = first; i < flows_.size(); ++i) {
+    if (next < ids.size() && static_cast<std::size_t>(ids[next]) == i) {
+      ++next;
+      continue;
+    }
+    flows_[kept] = std::move(flows_[i]);
+    flows_[kept].id = static_cast<flow_id>(kept);
+    std::swap(rho_[kept], rho_[i]);
+    ++kept;
+  }
+  flows_.resize(kept);
+  rho_.resize(kept);
 
   scheduler_stats stats;
   placed_ = start;
@@ -120,11 +160,11 @@ delta_scheduler::evict_outcome delta_scheduler::evict_flow(flow_id id) {
   } else {
     const slot_t hp = flow::hyperperiod(flows_);
     if (hp == sched_.num_slots()) {
-      // One pass frees the evicted flow and the suffix (old ids >=
+      // One pass frees the evicted flows and the suffix (old ids >=
       // start; the prefix ids did not move).
       sched_.remove_flows_from(static_cast<flow_id>(start));
     } else {
-      // Hyperperiod shrink (the evicted flow alone carried the longest
+      // Hyperperiod shrink (only evicted flows carried the longest
       // period): the prefix's placements below the new hyperperiod are
       // the new oracle's, and its rho after the last surviving instance
       // is where a later growth resumes.

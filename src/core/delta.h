@@ -32,22 +32,27 @@
 //     (tsch::schedule::remove_flows_from) and replays the suffix; when
 //     the hyperperiod shrinks, the prefix keeps its placements below the
 //     new hyperperiod;
-//   * a state that is not a complete schedule (a previous replay failed
-//     at some flow) is the oracle's partial schedule: the flows before
-//     the failed one are complete and canonical, so an eviction replays
-//     from the earlier of the evicted and the failed flow, and an
-//     admission is refused outright (the prefix fails whatever joins at
-//     the lowest priority).
+//   * evicting several flows at once (a batch) frees them and the suffix
+//     after the lowest of them in the same one pass and replays the
+//     survivors of that suffix once;
+//   * a state that is not a complete schedule (a build or a replay
+//     failed at some flow) is the oracle's partial schedule: the flows
+//     before the failed one are complete and canonical, so an eviction
+//     replays from the earlier of the lowest evicted and the failed
+//     flow, and an admission is refused outright (the prefix fails
+//     whatever joins at the lowest priority).
 //
 // The class maintains the canonical invariant that its (schedule,
 // schedulable) state always equals the schedule_flows result for its
 // current flow set, so the full reschedule stays available as an
 // equivalence oracle (tests/fleet_equivalence_test.cpp asserts
-// placement-level identity after randomized admit/evict traces). No
-// request falls back to a full rerun.
+// placement-level identity after randomized admit/evict traces). Only
+// construction from a flow set runs the greedy over every flow, exactly
+// as schedule_flows does; no admission or eviction falls back to it.
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "core/scheduler.h"
@@ -60,8 +65,17 @@ class delta_scheduler {
   /// lifetime (isolation changes require a rebuild; use a fresh
   /// instance). Throws std::invalid_argument when config is unusable
   /// (validate_config).
+  ///
+  /// `flows` seeds the state: they are scheduled as schedule_flows
+  /// schedules them, placement for placement and verdict for verdict, so
+  /// a set that does not fit leaves an incomplete base (the failed
+  /// flow's partial placements stay, later flows are not attempted).
+  /// They must be in priority order with dense ids, as schedule_flows
+  /// requires (std::invalid_argument otherwise); an empty set is the
+  /// empty schedule.
   delta_scheduler(const graph::hop_matrix& reuse_hops,
-                  scheduler_config config);
+                  scheduler_config config,
+                  std::vector<flow::flow> flows = {});
 
   struct admit_outcome {
     /// False: the flow does not fit (state unchanged). The verdict
@@ -79,16 +93,23 @@ class delta_scheduler {
   admit_outcome admit_flow(flow::flow f);
 
   struct evict_outcome {
-    /// False: no flow with that id (state unchanged).
+    /// False: no id given, or an id names no flow (state unchanged).
     bool evicted = false;
-    /// The evicted flow's placements freed from the grid.
+    /// The evicted flows' placements freed from the grid.
     std::size_t freed = 0;
     /// Lower-priority flows replayed to restore canonicity.
     std::size_t rescheduled_flows = 0;
   };
 
+  /// Evicts the flows with dense ids `ids`, which must be strictly
+  /// ascending (std::invalid_argument otherwise). The survivors keep
+  /// their order and are renumbered densely, and the suffix is replayed
+  /// once, from the lowest evicted id (or from the failed flow of an
+  /// incomplete base, when that comes first).
+  evict_outcome evict_flows(std::span<const flow_id> ids);
+
   /// Evicts the flow with dense id `id`; higher ids shift down by one.
-  evict_outcome evict_flow(flow_id id);
+  evict_outcome evict_flow(flow_id id) { return evict_flows({&id, 1}); }
 
   /// Current flow set in priority order with dense ids.
   const std::vector<flow::flow>& flows() const { return flows_; }
@@ -96,16 +117,18 @@ class delta_scheduler {
   /// schedule_result::sched being complete iff schedulable).
   const tsch::schedule& sched() const { return sched_; }
   /// True iff every flow in flows() is fully placed. Can only be false
-  /// after an eviction whose repair failed — a greedy scheduling
-  /// anomaly; admissions never leave a false state behind because they
-  /// roll back.
+  /// after a construction whose flow set does not fit or an eviction
+  /// whose repair failed (a greedy scheduling anomaly); admissions never
+  /// leave a false state behind because they roll back.
   bool schedulable() const { return placed_ == flows_.size(); }
+  /// Leading flows fully placed: size() when schedulable(), else the id
+  /// of the flow that failed (schedule_result::first_failed_flow).
+  std::size_t placed() const { return placed_; }
   const scheduler_config& config() const { return config_; }
   std::size_t size() const { return flows_.size(); }
   bool empty() const { return flows_.empty(); }
 
  private:
-  std::size_t placements_of(flow_id id) const;
   /// Places f's instances from rho.size() up to the end of `sched`'s
   /// hyperperiod, resuming from rho.back() (infinite for a fresh flow)
   /// and appending the rho in force after each instance.

@@ -71,28 +71,6 @@ bool is_connected(const graph& g) {
                       [](int d) { return d == k_infinite_hops; });
 }
 
-std::vector<int> connected_components(const graph& g) {
-  std::vector<int> label(static_cast<std::size_t>(g.num_nodes()), -1);
-  int next = 0;
-  for (node_id start = 0; start < g.num_nodes(); ++start) {
-    if (label[static_cast<std::size_t>(start)] != -1) continue;
-    std::queue<node_id> queue;
-    label[static_cast<std::size_t>(start)] = next;
-    queue.push(start);
-    while (!queue.empty()) {
-      const node_id u = queue.front();
-      queue.pop();
-      for (node_id v : g.neighbors(u)) {
-        if (label[static_cast<std::size_t>(v)] != -1) continue;
-        label[static_cast<std::size_t>(v)] = next;
-        queue.push(v);
-      }
-    }
-    ++next;
-  }
-  return label;
-}
-
 int diameter(const graph& g) {
   int best = 0;
   for (node_id u = 0; u < g.num_nodes(); ++u) {

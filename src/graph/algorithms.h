@@ -1,4 +1,5 @@
-// Graph algorithms: BFS distances, shortest paths, components, diameter.
+// Graph algorithms: BFS distances, shortest paths, connectivity,
+// diameter, node removal.
 #pragma once
 
 #include <algorithm>
@@ -33,9 +34,6 @@ std::optional<std::vector<node_id>> shortest_path_weighted(
 
 /// True iff all nodes are reachable from node 0 (or the graph is empty).
 bool is_connected(const graph& g);
-
-/// Connected component label per node (labels are dense from 0).
-std::vector<int> connected_components(const graph& g);
 
 /// Maximum finite shortest-path distance between any two nodes. For a
 /// disconnected graph, the diameter of the largest distances among

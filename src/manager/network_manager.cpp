@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <numeric>
+#include <utility>
 
 #include "common/error.h"
 #include "flow/router.h"
@@ -13,18 +15,29 @@
 
 namespace wsan::manager {
 
+namespace {
+
+/// The stored configuration: the scheduler's channel count follows the
+/// manager's.
+manager_config synced(manager_config config) {
+  config.scheduler.num_channels = config.num_channels;
+  return config;
+}
+
+}  // namespace
+
 network_manager::network_manager(topo::topology topology,
                                  manager_config config)
-    : config_(std::move(config)),
-      view_(graph::make_network_view(std::move(topology),
-                                     phy::channels(config_.num_channels))) {
-  config_.scheduler.num_channels = config_.num_channels;
-  // Isolation state has exactly one owner: isolated_. Links the caller
-  // pre-seeded into the scheduler config are adopted here, and the
-  // stored config's set stays empty from now on (see
-  // effective_scheduler_config).
-  isolated_ = std::move(config_.scheduler.isolated_links);
-  config_.scheduler.isolated_links.clear();
+    : config_(synced(std::move(config))),
+      view_(std::make_shared<const graph::network_view>(
+          graph::make_network_view(std::move(topology),
+                                   phy::channels(config_.num_channels)))),
+      // Isolation state has exactly one owner: isolated_. Links the
+      // caller pre-seeded into the scheduler config are adopted here,
+      // and the stored config's set stays empty from now on (see
+      // effective_scheduler_config).
+      isolated_(std::exchange(config_.scheduler.isolated_links, {})),
+      held_(view_->reuse_hops, effective_scheduler_config()) {
   WSAN_REQUIRE(config_.watchdog_epochs >= 1,
                "watchdog must allow at least one missed epoch");
 }
@@ -38,7 +51,7 @@ core::scheduler_config network_manager::effective_scheduler_config()
 
 flow::flow_set network_manager::generate_workload(
     const flow::flow_set_params& params, rng& gen) const {
-  return flow::generate_flow_set(view_.comm, params, gen);
+  return flow::generate_flow_set(view_->comm, params, gen);
 }
 
 core::schedule_result network_manager::admit(
@@ -52,7 +65,7 @@ core::schedule_result network_manager::admit(
   const auto start = obs::enabled()
                          ? std::chrono::steady_clock::now()
                          : std::chrono::steady_clock::time_point{};
-  auto result = core::schedule_flows(flows, view_.reuse_hops,
+  auto result = core::schedule_flows(flows, view_->reuse_hops,
                                      effective_scheduler_config());
   if (obs::enabled())
     admit_hist.observe(
@@ -68,27 +81,52 @@ core::schedule_result network_manager::admit(
   return result;
 }
 
-core::schedule_result network_manager::admit_shedding(
-    std::vector<flow::flow>& flows) const {
-  while (!flows.empty()) {
-    auto result = admit(flows);
-    if (result.schedulable) return result;
-    flows.pop_back();
-  }
-  core::schedule_result empty;
-  empty.schedulable = true;  // the empty workload trivially fits
-  return empty;
+bool network_manager::assign(std::vector<flow::flow> flows) {
+  held_ = core::delta_scheduler(view_->reuse_hops,
+                                effective_scheduler_config(),
+                                std::move(flows));
+  return held_.schedulable();
 }
 
-void network_manager::blacklist_channels(
-    const std::vector<channel_t>& blacklist) {
-  auto channels = phy::channels_excluding(config_.num_channels, blacklist);
-  view_ = graph::make_network_view(std::move(view_.topology),
-                                   std::move(channels));
+bool network_manager::admit_flow(flow::flow f) {
+  const std::size_t offered = held_.size() + 1;
+  const bool admitted = held_.admit_flow(std::move(f)).admitted;
+  if (obs::events_enabled())
+    obs::emit(admitted ? obs::severity::info : obs::severity::warning,
+              "manager", "admission",
+              {{"flows", offered}, {"schedulable", admitted}});
+  return admitted;
+}
+
+void network_manager::evict_flows(std::span<const flow_id> ids) {
+  WSAN_REQUIRE(held_.evict_flows(ids).evicted || ids.empty(),
+               "evicted flow id out of range");
+}
+
+std::size_t network_manager::shed_to_fit() {
+  if (held_.schedulable()) return 0;
+  // One eviction from the first flow that failed keeps the longest
+  // complete prefix. That flow failed on the whole workload's
+  // hyperperiod, a multiple of its own prefix's, and a later block can
+  // fail where the first fits (RC's rho carries across blocks). So the
+  // tail is re-admitted in order until the first refusal, which is
+  // usually the failed flow itself: that keeps the longest prefix that
+  // fits on its own hyperperiod, and no longer one fits, because a
+  // failing prefix fails on every multiple of its hyperperiod.
+  const auto first = static_cast<flow_id>(held_.placed());
+  std::vector<flow::flow> tail(held_.flows().begin() + first,
+                               held_.flows().end());
+  std::vector<flow_id> ids(tail.size());
+  std::iota(ids.begin(), ids.end(), first);
+  held_.evict_flows(ids);
+  std::size_t kept = 0;
+  while (kept < tail.size() &&
+         held_.admit_flow(std::move(tail[kept])).admitted)
+    ++kept;
+  return tail.size() - kept;
 }
 
 network_manager::maintenance_outcome network_manager::maintain(
-    const std::vector<flow::flow>& flows,
     const std::map<sim::link_key, sim::link_observations>& observations) {
   OBS_SPAN("manager.maintain");
   maintenance_outcome outcome;
@@ -107,22 +145,15 @@ network_manager::maintenance_outcome network_manager::maintain(
   if (!outcome.newly_isolated.empty()) {
     // The flagged links are already merged into isolated_ above, so the
     // one effective config covers them; no second merge to drift from.
+    // The scheduler's config is fixed per instance, so the held
+    // workload is rebuilt under it.
     outcome.rescheduled = true;
-    outcome.repaired = core::schedule_flows(flows, view_.reuse_hops,
-                                            effective_scheduler_config());
+    assign(held_.flows());
   }
   return outcome;
 }
 
-void network_manager::mark_dead(node_id node) {
-  WSAN_REQUIRE(node >= 0 && node < view_.topology.num_nodes(),
-               "node id out of range");
-  dead_.insert(node);
-  silent_epochs_.erase(node);
-}
-
 network_manager::recovery_outcome network_manager::recover(
-    const std::vector<flow::flow>& flows,
     const std::map<sim::link_key, sim::link_observations>& observations) {
   OBS_SPAN("manager.recover");
   recovery_outcome outcome;
@@ -153,6 +184,7 @@ network_manager::recovery_outcome network_manager::recover(
   // Watchdog: every sender in the routed workload owes health reports
   // (it reports its outgoing links' statistics). Nodes still declared
   // dead owe nothing.
+  const auto& flows = held_.flows();
   std::set<node_id> expected;
   for (const auto& f : flows)
     for (const auto& l : f.route)
@@ -184,11 +216,13 @@ network_manager::recovery_outcome network_manager::recover(
                    {"silent_epochs", silent}});
     }
   }
+  if (!outcome.rehabilitated.empty() || !outcome.newly_dead.empty())
+    live_comm_ = dead_.empty() ? graph::graph()
+                               : graph::remove_nodes(view_->comm, dead_);
   if (outcome.newly_dead.empty()) return outcome;
 
   // Recovery: route the workload around the dead set, drop what cannot
   // be carried, then shed by priority until the remainder fits.
-  const auto pruned = graph::remove_nodes(view_.comm, dead_);
   std::vector<flow::flow> survivors;
   std::vector<flow_id> input_ids;
   for (const auto& f : flows) {
@@ -202,7 +236,7 @@ network_manager::recovery_outcome network_manager::recover(
       input_ids.push_back(f.id);
       continue;
     }
-    const auto rerouted = flow::reroute_flow(pruned, f, dead_);
+    const auto rerouted = flow::reroute_flow(live_comm(), f, dead_);
     if (!rerouted) {
       outcome.unroutable_flows.push_back(f.id);
       obs::add_counter("manager.flows_unroutable");
@@ -230,20 +264,19 @@ network_manager::recovery_outcome network_manager::recover(
   for (std::size_t i = 0; i < survivors.size(); ++i)
     survivors[i].id = static_cast<flow_id>(i);
 
-  auto repaired = admit_shedding(survivors);
-  // Shedding popped the tail, lowest priority first.
-  for (std::size_t i = input_ids.size(); i-- > survivors.size();) {
+  assign(std::move(survivors));
+  const std::size_t kept = input_ids.size() - shed_to_fit();
+  // Shedding dropped the tail, lowest priority first.
+  for (std::size_t i = input_ids.size(); i-- > kept;) {
     outcome.shed_flows.push_back(input_ids[i]);
     obs::add_counter("manager.flows_shed");
     if (obs::events_enabled())
       obs::emit(obs::severity::warning, "manager", "flow_shed",
                 {{"flow", input_ids[i]}, {"epoch", outcome.epoch}});
   }
-  input_ids.resize(survivors.size());
-  outcome.surviving_flows = std::move(survivors);
+  input_ids.resize(kept);
   outcome.surviving_input_ids = std::move(input_ids);
   outcome.rescheduled = true;
-  outcome.repaired = std::move(repaired);
   return outcome;
 }
 

@@ -2,18 +2,21 @@
 //
 // The manager owns the network lifecycle: it holds the collected
 // topology, derives the communication and channel-reuse graphs, routes
-// and schedules workloads, consumes the nodes' health reports, runs the
-// reliability-degradation classifier, and repairs the schedule by
-// isolating links that channel reuse degrades. This facade is the
+// and schedules its admitted workload, consumes the nodes' health
+// reports, runs the reliability-degradation classifier, and repairs the
+// schedule by isolating links that channel reuse degrades and by routing
+// around nodes its watchdog declares dead. This facade is the
 // public entry point a deployment would use; the lower-level modules
 // remain available for research workflows.
 #pragma once
 
 #include <map>
-#include <optional>
+#include <memory>
 #include <set>
+#include <span>
 #include <vector>
 
+#include "core/delta.h"
 #include "core/scheduler.h"
 #include "detect/detector.h"
 #include "flow/flow_generator.h"
@@ -43,63 +46,97 @@ class network_manager {
  public:
   /// Builds the manager from a collected topology: derives the channel
   /// list and the network view on it (both graphs and the reuse-graph
-  /// hop matrix).
+  /// hop matrix). The held workload starts empty.
   network_manager(topo::topology topology, manager_config config);
 
   /// The topology, channel list, communication graph, channel-reuse
   /// graph and its hop matrix the manager routes and schedules on.
-  const graph::network_view& view() const { return view_; }
+  const graph::network_view& view() const { return *view_; }
+  /// G_c without the edges of dead nodes (ids preserved): the graph
+  /// arrivals and repairs are routed on. G_c itself while no node is
+  /// dead; rebuilt only when the dead set changes.
+  const graph::graph& live_comm() const {
+    return dead_.empty() ? view_->comm : live_comm_;
+  }
   const core::link_set& isolated_links() const { return isolated_; }
 
   /// Generates a random workload on this network (routes included).
   flow::flow_set generate_workload(const flow::flow_set_params& params,
                                    rng& gen) const;
 
-  /// Admits a workload: schedules it under the configured policy plus
-  /// any accumulated link isolations. The result's schedulable flag is
-  /// the admission decision.
+  /// The reference admission: schedules `flows` from scratch
+  /// (core::schedule_flows) under the configured policy plus the
+  /// accumulated link isolations. The result's schedulable flag is the
+  /// admission decision. The held workload below equals admit(flows())
+  /// after every operation.
   core::schedule_result admit(const std::vector<flow::flow>& flows) const;
 
-  /// Shed-to-fit admission: admits `flows` and, while the result is
-  /// unschedulable, drops the last (lowest-priority) flow and admits
-  /// again. `flows` must hold dense ids in priority order (admit throws
-  /// std::invalid_argument otherwise, before anything is dropped); on
-  /// return it holds the kept prefix, so the shed flows are the input's
-  /// tail. The drop order is fixed by the priority assignment, so two
-  /// managers looking at the same workload shed the same flows. An
-  /// empty remainder is a schedulable empty result.
-  core::schedule_result admit_shedding(std::vector<flow::flow>& flows) const;
+  // -- The held workload ---------------------------------------------
+  // The admitted workload and its schedule live in one
+  // core::delta_scheduler: arrivals, departures and shedding repair it
+  // in place, and an isolation or a reroute rebuilds it.
 
-  /// One maintenance cycle (a health-report epoch): classify every
-  /// reuse-associated link from the reported observations; if any link
-  /// is degraded by channel reuse, isolate it and recompute the
-  /// schedule.
+  /// Hands the manager its workload: replaces the held workload with
+  /// `flows` (dense ids in priority order; std::invalid_argument
+  /// otherwise, and the held workload is unchanged) scheduled as admit
+  /// schedules them. Returns schedulable(); a workload that does not
+  /// fit is held as admit leaves it, ready for shed_to_fit.
+  bool assign(std::vector<flow::flow> flows);
+  /// The held flows: dense ids in priority order.
+  const std::vector<flow::flow>& flows() const { return held_.flows(); }
+  /// Their schedule; complete iff schedulable().
+  const tsch::schedule& schedule() const { return held_.sched(); }
+  bool schedulable() const { return held_.schedulable(); }
+  /// Leading held flows fully placed: flows().size() when schedulable(),
+  /// else the id of the flow that failed.
+  std::size_t placed() const { return held_.placed(); }
+
+  /// Admits `f` as the held workload's new lowest-priority flow (the
+  /// next dense id). Refused, with nothing changed, when the held
+  /// workload plus f does not fit — the verdict of admit on them.
+  bool admit_flow(flow::flow f);
+
+  /// Evicts the held flows with ids `ids` (strictly ascending, each a
+  /// held id; std::invalid_argument otherwise). The rest keep their
+  /// order under dense ids.
+  void evict_flows(std::span<const flow_id> ids);
+
+  /// Shed-to-fit: drops the held workload's lowest-priority flows until
+  /// the rest is schedulable and returns how many it dropped — the tail
+  /// of flows(), since ids are priority ranks. The drop order is fixed
+  /// by the priority assignment, so two managers holding the same
+  /// workload shed the same flows; an empty remainder is schedulable.
+  std::size_t shed_to_fit();
+
+  /// One maintenance cycle (a health-report epoch) on the held
+  /// workload: classify every reuse-associated link from the reported
+  /// observations; if any link is degraded by channel reuse, isolate it
+  /// and reschedule the held workload under the new isolation set.
   struct maintenance_outcome {
     std::vector<detect::link_report> reports;
     core::link_set newly_isolated;
+    /// True iff the held workload was rescheduled; schedulable() says
+    /// whether it still fits.
     bool rescheduled = false;
-    /// The repaired schedule when rescheduled is true.
-    std::optional<core::schedule_result> repaired;
   };
 
   maintenance_outcome maintain(
-      const std::vector<flow::flow>& flows,
       const std::map<sim::link_key, sim::link_observations>& observations);
 
-  /// One fault-recovery epoch. The watchdog side: every node that
-  /// appears as a sender in the flows' routes is expected to deliver
-  /// health reports (it is the reporter of its outgoing links); a node
-  /// whose reports miss `watchdog_epochs` consecutive epochs is declared
-  /// dead. The recovery side: flows riding a dead node are re-routed
-  /// around it on the pruned communication graph; flows whose endpoint
-  /// or access-point infrastructure died are dropped; and when the
-  /// repaired workload no longer fits, load is shed in priority order
-  /// (admit_shedding) until the remainder is schedulable.
+  /// One fault-recovery epoch on the held workload. The watchdog side:
+  /// every node that appears as a sender in the flows' routes is
+  /// expected to deliver health reports (it is the reporter of its
+  /// outgoing links); a node whose reports miss `watchdog_epochs`
+  /// consecutive epochs is declared dead. The recovery side: flows
+  /// riding a dead node are re-routed around it on live_comm(); flows
+  /// whose endpoint or access-point infrastructure died are dropped; the
+  /// survivors become the held workload, and when it no longer fits,
+  /// load is shed in priority order (shed_to_fit).
   ///
-  /// Every flow id in the outcome is an id of the `flows` argument.
-  /// surviving_flows are renumbered densely, so a caller that feeds them
-  /// into a later recover() keeps its own map back to the flows it first
-  /// admitted (surviving_input_ids composes into it).
+  /// Every flow id in the outcome is an id of flows() as the call found
+  /// it. The survivors are renumbered densely, so a caller that keeps
+  /// its own map back to the flows it first assigned composes
+  /// surviving_input_ids into it.
   struct recovery_outcome {
     /// Maintenance epoch index (0-based, counts recover() calls).
     int epoch = 0;
@@ -109,8 +146,8 @@ class network_manager {
     std::vector<node_id> newly_dead;
     /// Previously-dead nodes whose health reports resumed this epoch.
     /// They are removed from the dead set immediately (a reporting node
-    /// is alive by definition); re-routing flows back over them is the
-    /// caller's decision at the next admission.
+    /// is alive by definition) and from live_comm()'s; routing held
+    /// flows back over them is the caller's decision (assign).
     std::vector<node_id> rehabilitated;
     /// Consecutive silent epochs before the declaration (0 when no node
     /// was declared dead this epoch) — the detection latency.
@@ -123,65 +160,42 @@ class network_manager {
     /// Input ids of flows shed for schedulability, in drop order
     /// (lowest priority first).
     std::vector<flow_id> shed_flows;
-    /// True iff a node died this epoch and a new schedule was computed.
+    /// True iff a node died this epoch and the held workload was
+    /// repaired: flows() and schedule() are the survivors' (schedulable).
     bool rescheduled = false;
-    /// The repaired schedule (for surviving_flows) when rescheduled.
-    std::optional<core::schedule_result> repaired;
-    /// Surviving workload with dense re-assigned ids (priority order
-    /// preserved) — what the manager distributes next.
-    std::vector<flow::flow> surviving_flows;
-    /// Input id of each surviving flow, aligned with surviving_flows.
+    /// Input id of each held flow after the call, aligned with flows().
+    /// Empty when nothing was rescheduled.
     std::vector<flow_id> surviving_input_ids;
   };
 
   /// Feeds one epoch of health reports to the watchdog and repairs the
-  /// network when nodes are declared dead. `observations` are this
-  /// epoch's reports only (one simulator execution per epoch, as in
-  /// maintain()).
+  /// held workload when nodes are declared dead. `observations` are
+  /// this epoch's reports only (one simulator execution per epoch, as
+  /// in maintain()).
   recovery_outcome recover(
-      const std::vector<flow::flow>& flows,
       const std::map<sim::link_key, sim::link_observations>& observations);
 
-  /// Nodes the watchdog (or an operator via mark_dead) declared dead.
+  /// Nodes the watchdog declared dead.
   const std::set<node_id>& dead_nodes() const { return dead_; }
-
-  /// Declares a node dead out-of-band (operator knowledge, e.g. a
-  /// planned decommissioning). The next recover() routes around it.
-  void mark_dead(node_id node);
-
-  /// Forgets all deaths and watchdog counters (e.g. after the field
-  /// crew replaced the hardware).
-  void reset_watchdog() {
-    dead_.clear();
-    silent_epochs_.clear();
-  }
-
-  /// Drops all accumulated isolations (e.g. after the interference
-  /// environment changed and the links were re-validated).
-  void reset_isolations() { isolated_.clear(); }
-
-  /// Blacklists channels (TSCH channel blacklisting, Section III-A —
-  /// e.g. the four channels a diagnosed WiFi access point jams) and
-  /// rebuilds the network view from the remaining spectrum. Existing
-  /// schedules must be re-admitted afterwards; accumulated isolations
-  /// are kept (they describe node geometry, not channels). Throws if
-  /// fewer than num_channels usable channels remain.
-  void blacklist_channels(const std::vector<channel_t>& blacklist);
 
  private:
   /// The scheduler configuration every scheduling path must use:
   /// config_.scheduler with the manager-owned isolation set applied.
   /// isolated_ is the single owner of isolation state — the stored
   /// config's own isolated_links is drained into it at construction
-  /// and stays empty from then on, so admit/maintain/recover cannot
-  /// diverge on which links are isolated.
+  /// and stays empty from then on, so admit and the held workload
+  /// cannot diverge on which links are isolated.
   core::scheduler_config effective_scheduler_config() const;
 
   manager_config config_;
-  graph::network_view view_;
+  /// Shared and immutable: held_ points into its hop matrix, so the
+  /// view must not move when the manager does.
+  std::shared_ptr<const graph::network_view> view_;
   core::link_set isolated_;
+  core::delta_scheduler held_;  // == admit(held_.flows()) at all times
   // Fault-recovery state.
   std::set<node_id> dead_;
+  graph::graph live_comm_;                // G_c minus dead_ (non-empty)
   std::map<node_id, int> silent_epochs_;  // consecutive missed epochs
   int epoch_ = 0;                         // recover() calls so far
 };

@@ -1,6 +1,5 @@
 #include "phy/channel.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/error.h"
@@ -27,23 +26,6 @@ std::vector<channel_t> channels(int count) {
   std::vector<channel_t> out;
   out.reserve(static_cast<std::size_t>(count));
   for (int i = 0; i < count; ++i) out.push_back(k_first_channel + i);
-  return out;
-}
-
-std::vector<channel_t> channels_excluding(
-    int count, const std::vector<channel_t>& blacklist) {
-  WSAN_REQUIRE(count >= 1 && count <= k_max_channels,
-               "channel count must be in [1, 16]");
-  std::vector<channel_t> out;
-  for (channel_t ch = k_first_channel;
-       ch <= k_last_channel && static_cast<int>(out.size()) < count;
-       ++ch) {
-    if (std::find(blacklist.begin(), blacklist.end(), ch) ==
-        blacklist.end())
-      out.push_back(ch);
-  }
-  WSAN_REQUIRE(static_cast<int>(out.size()) == count,
-               "blacklist leaves too few channels");
   return out;
 }
 

@@ -28,13 +28,6 @@ int channel_index(channel_t ch);
 /// the set used in the paper's reliability experiments.
 std::vector<channel_t> channels(int count);
 
-/// The first `count` usable channels starting at 11, skipping the
-/// blacklist — TSCH blacklisting of channels with extreme noise
-/// (Section III-A), e.g. after WiFi interference is diagnosed. Throws if
-/// fewer than `count` channels remain.
-std::vector<channel_t> channels_excluding(
-    int count, const std::vector<channel_t>& blacklist);
-
 /// True iff the given 802.15.4 channel overlaps the 22 MHz-wide WiFi
 /// (802.11b/g) channel. WiFi channel 1 (2412 MHz center) overlaps
 /// 802.15.4 channels 11-14; WiFi 6 overlaps 16-19; WiFi 11 overlaps 21-24.

@@ -8,7 +8,6 @@
 
 #include "common/error.h"
 #include "detect/detector.h"
-#include "graph/algorithms.h"
 #include "obs/events.h"
 #include "obs/metrics.h"
 #include "tsch/randomize.h"
@@ -55,21 +54,19 @@ scenario_engine::scenario_engine(topo::topology topology,
                "recovery needs at least one attempt");
   if (config_.flow_params.num_flows > 0) {
     rng gen(derive_seed(config_.seed, 0, k_stream_init));
-    auto fs = mgr_.generate_workload(config_.flow_params, gen);
-    flows_ = std::move(fs.flows);
+    auto flows = mgr_.generate_workload(config_.flow_params, gen).flows;
     // The backpressure cap binds at all times, the initial population
     // included: keep the highest-priority prefix (ids are dense ranks).
-    if (static_cast<int>(flows_.size()) > config_.arrivals.max_flows)
-      flows_.resize(static_cast<std::size_t>(config_.arrivals.max_flows));
-    uids_.reserve(flows_.size());
-    for (std::size_t i = 0; i < flows_.size(); ++i)
+    if (static_cast<int>(flows.size()) > config_.arrivals.max_flows)
+      flows.resize(static_cast<std::size_t>(config_.arrivals.max_flows));
+    uids_.reserve(flows.size());
+    for (std::size_t i = 0; i < flows.size(); ++i)
       uids_.push_back(next_uid_++);
     // Shed-to-fit: the initial population is a demand, not a guarantee.
     // Epoch 0's record counts what it dropped.
-    const std::size_t demand = flows_.size();
-    mgr_.admit_shedding(flows_);
-    initial_shed_ = static_cast<int>(demand - flows_.size());
-    uids_.resize(flows_.size());
+    mgr_.assign(std::move(flows));
+    initial_shed_ = static_cast<int>(mgr_.shed_to_fit());
+    uids_.resize(mgr_.flows().size());
   }
 }
 
@@ -111,24 +108,22 @@ epoch_record scenario_engine::step() {
     }
   }
 
-  // -- 2. flow departures ---------------------------------------------
-  if (config_.departure_rate > 0.0 && !flows_.empty()) {
+  // -- 2. flow departures (one batch eviction) -------------------------
+  if (config_.departure_rate > 0.0 && !mgr_.flows().empty()) {
     rng gen(derive_seed(config_.seed, static_cast<std::uint64_t>(e),
                         k_stream_departure));
-    std::vector<flow::flow> kept;
-    std::vector<std::uint64_t> kept_uids;
-    for (std::size_t i = 0; i < flows_.size(); ++i) {
+    std::vector<flow_id> departed;
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < uids_.size(); ++i) {
       if (gen.bernoulli(config_.departure_rate)) {
-        ++rec.departures;
+        departed.push_back(static_cast<flow_id>(i));
         continue;
       }
-      kept.push_back(flows_[i]);
-      kept_uids.push_back(uids_[i]);
+      uids_[kept++] = uids_[i];
     }
-    flows_ = std::move(kept);
-    uids_ = std::move(kept_uids);
-    for (std::size_t i = 0; i < flows_.size(); ++i)
-      flows_[i].id = static_cast<flow_id>(i);
+    uids_.resize(kept);
+    if (!departed.empty()) mgr_.evict_flows(departed);
+    rec.departures = static_cast<int>(departed.size());
   }
 
   // -- 3. flow arrivals (Poisson; backpressure before generation) -----
@@ -138,7 +133,8 @@ epoch_record scenario_engine::step() {
     const int offered = poisson_draw(gen, config_.arrivals.rate);
     rec.arrivals_offered = offered;
     for (int a = 0; a < offered; ++a) {
-      if (static_cast<int>(flows_.size()) >= config_.arrivals.max_flows) {
+      if (static_cast<int>(mgr_.flows().size()) >=
+          config_.arrivals.max_flows) {
         // Overloaded: reject without generating (and without consuming
         // generation draws) — backpressure must stay cheap when the
         // arrival process outpaces admission.
@@ -148,52 +144,52 @@ epoch_record scenario_engine::step() {
       }
       auto params = config_.flow_params;
       params.num_flows = 1;
-      const auto pruned =
-          graph::remove_nodes(mgr_.view().comm, mgr_.dead_nodes());
       flow::flow_set fs;
       try {
-        fs = flow::generate_flow_set(pruned, params, gen);
+        fs = flow::generate_flow_set(mgr_.live_comm(), params, gen);
       } catch (const std::runtime_error&) {
         ++rec.rejected_unroutable;
         obs::add_counter("scenario.rejected_unroutable");
         continue;
       }
-      flow::flow candidate = std::move(fs.flows.front());
-      candidate.id = static_cast<flow_id>(flows_.size());
-      flows_.push_back(std::move(candidate));
-      const auto tentative = mgr_.admit(flows_);
-      if (tentative.schedulable) {
+      if (mgr_.admit_flow(std::move(fs.flows.front()))) {
         uids_.push_back(next_uid_++);
         ++rec.arrivals_accepted;
       } else {
-        flows_.pop_back();
         ++rec.rejected_admission;
         obs::add_counter("scenario.rejected_admission");
       }
     }
   }
 
-  // -- 4. (re-)admission of the edited workload, shedding to fit ------
-  const std::size_t demand = flows_.size();
-  auto admitted = mgr_.admit_shedding(flows_);
-  rec.shed_for_schedulability += static_cast<int>(demand - flows_.size());
+  // -- 4. shed the edited workload to fit ------------------------------
+  // Every edit above rescheduled the held workload in place, so one that
+  // fits costs nothing here. Isolations from the previous epoch's
+  // re-detection, or a departure whose replay fails (a greedy anomaly),
+  // can leave it unable to fit.
+  const std::size_t shed = mgr_.shed_to_fit();
+  rec.shed_for_schedulability += static_cast<int>(shed);
   if (e == 0) rec.shed_for_schedulability += initial_shed_;
-  uids_.resize(flows_.size());
-  rec.schedulable = admitted.schedulable;
+  uids_.resize(mgr_.flows().size());
+  rec.schedulable = mgr_.schedulable();
 
   // -- 5. SlotSwapper randomization -----------------------------------
-  tsch::schedule executed = std::move(admitted.sched);
-  if (config_.jammer.randomize && rec.schedulable && !flows_.empty()) {
+  // The executed frame is a copy: maintain and recover below repair the
+  // held schedule while the digest reads the one that ran.
+  tsch::schedule executed;
+  if (config_.jammer.randomize && rec.schedulable && !mgr_.flows().empty()) {
     rng gen(derive_seed(config_.seed, static_cast<std::uint64_t>(e),
                         k_stream_swap));
-    auto randomized = tsch::randomize_slots(executed, flows_, gen,
-                                            config_.jammer.swap_attempts);
+    auto randomized = tsch::randomize_slots(mgr_.schedule(), mgr_.flows(),
+                                            gen, config_.jammer.swap_attempts);
     rec.swaps_attempted = randomized.swaps_attempted;
     rec.swaps_applied = randomized.swaps_applied;
     executed = std::move(randomized.sched);
+  } else {
+    executed = mgr_.schedule();
   }
 
-  const bool have_traffic = rec.schedulable && !flows_.empty() &&
+  const bool have_traffic = rec.schedulable && !mgr_.flows().empty() &&
                             executed.num_transmissions() > 0;
 
   // -- 6. jammer prediction (pure function of the previous frame) -----
@@ -235,25 +231,25 @@ epoch_record scenario_engine::step() {
                           k_stream_sim);
     if (e < config_.interferer_onset_epoch) sc.interferers.clear();
     sc.faults = sim::slice_fault_plan(global_faults_, run0, rpe);
-    sim_result = sim::run_simulation(mgr_.view().topology, executed, flows_,
-                                     mgr_.view().channels, sc);
+    sim_result = sim::run_simulation(mgr_.view().topology, executed,
+                                     mgr_.flows(), mgr_.view().channels, sc);
     rec.pdr = sim_result.network_pdr();
   }
 
   if (have_traffic) {
     // -- 8. online re-detection (maintain) ----------------------------
-    const auto maintenance = mgr_.maintain(flows_, sim_result.links);
+    const auto maintenance = mgr_.maintain(sim_result.links);
     for (const auto& report : maintenance.reports)
       if (report.verdict == detect::link_verdict::degraded_by_reuse)
         ++rec.rejected_links;
     rec.newly_isolated =
         static_cast<int>(maintenance.newly_isolated.size());
-    // An unschedulable repair is resolved by next epoch's re-admission
-    // (shed-to-fit); the epoch in flight keeps its executed schedule.
+    // An unschedulable repair is resolved by next epoch's shed-to-fit;
+    // the epoch in flight keeps its executed schedule.
 
     // -- 9. watchdog recovery under bounded retry-with-backoff --------
-    // recover() reports ids of flows_ (dense ranks); the engine owns the
-    // identity that survives renumbering (uids_).
+    // recover() reports ids of the held flows (dense ranks); the engine
+    // owns the identity that survives renumbering (uids_).
     bool recovered = false;
     for (int attempt = 0;
          attempt < config_.retry.max_attempts && !recovered; ++attempt) {
@@ -265,7 +261,7 @@ epoch_record scenario_engine::step() {
         obs::add_counter("scenario.recovery_retries");
         continue;
       }
-      auto outcome = mgr_.recover(flows_, sim_result.links);
+      const auto outcome = mgr_.recover(sim_result.links);
       recovered = true;
       rec.newly_dead = outcome.newly_dead;
       rec.rehabilitated = outcome.rehabilitated;
@@ -279,12 +275,11 @@ epoch_record scenario_engine::step() {
           static_cast<int>(outcome.unroutable_flows.size());
       rec.recovery_shed = static_cast<int>(outcome.shed_flows.size());
       if (outcome.rescheduled) {
-        std::vector<std::uint64_t> surviving_uids;
-        surviving_uids.reserve(outcome.surviving_input_ids.size());
-        for (const flow_id id : outcome.surviving_input_ids)
-          surviving_uids.push_back(uids_[static_cast<std::size_t>(id)]);
-        flows_ = std::move(outcome.surviving_flows);
-        uids_ = std::move(surviving_uids);
+        // Survivors keep their order, so their uids compact in place.
+        for (std::size_t i = 0; i < outcome.surviving_input_ids.size(); ++i)
+          uids_[i] = uids_[static_cast<std::size_t>(
+              outcome.surviving_input_ids[i])];
+        uids_.resize(outcome.surviving_input_ids.size());
       }
     }
     rec.recovery_failed = !recovered;
@@ -292,7 +287,7 @@ epoch_record scenario_engine::step() {
   }
 
   // -- bookkeeping for the next epoch ---------------------------------
-  rec.num_flows = static_cast<int>(flows_.size());
+  rec.num_flows = static_cast<int>(mgr_.flows().size());
   prev_busy_.clear();
   if (have_traffic) {
     for (slot_t s = 0; s < executed.num_slots(); ++s) {
@@ -300,7 +295,6 @@ epoch_record scenario_engine::step() {
       if (load > 0) prev_busy_.emplace_back(load, s);
     }
   }
-  prev_num_slots_ = executed.num_slots();
 
   rec.digest = chain_digest(rec, executed);
   digest_ = rec.digest;
@@ -392,10 +386,11 @@ obs::series scenario_series(const scenario_result& result) {
 std::uint64_t scenario_engine::chain_digest(
     const epoch_record& rec, const tsch::schedule& executed) const {
   std::uint64_t h = digest_;
+  const auto& flows = mgr_.flows();
   fnv(h, static_cast<std::uint64_t>(rec.epoch));
-  fnv(h, static_cast<std::uint64_t>(flows_.size()));
-  for (std::size_t i = 0; i < flows_.size(); ++i) {
-    const auto& f = flows_[i];
+  fnv(h, static_cast<std::uint64_t>(flows.size()));
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    const auto& f = flows[i];
     fnv(h, uids_[i]);
     fnv(h, static_cast<std::uint64_t>(f.id));
     fnv(h, static_cast<std::uint64_t>(f.source));

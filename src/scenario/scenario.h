@@ -10,17 +10,18 @@
 // lifecycle:
 //
 //   1. ground-truth node churn   (crash / revival processes)
-//   2. flow departures           (per-flow Bernoulli)
+//   2. flow departures           (per-flow Bernoulli; one batch
+//                                 eviction from the held workload)
 //   3. flow arrivals             (Poisson, with admission control and
 //                                 backpressure when the network is full)
-//   4. scheduling + SlotSwapper randomization (tsch::randomize_slots)
+//   4. shed-to-fit + SlotSwapper randomization (tsch::randomize_slots)
 //   5. jammer prediction         (previous epoch's busiest slots ->
 //                                 sim::fault_plan jam records)
 //   6. one health-report epoch of simulation (PRR drift via per-epoch
 //                                 PHY streams; faults via
 //                                 sim::slice_fault_plan)
 //   7. online re-detection       (manager::maintain -> link isolation
-//                                 feeds the next reschedule)
+//                                 reschedules the held workload)
 //   8. watchdog recovery         (manager::recover under bounded
 //                                 retry-with-backoff; shedding when the
 //                                 survivors no longer fit)
@@ -64,7 +65,8 @@ inline constexpr std::uint64_t k_stream_sim = 5;        ///< per-epoch PHY
 /// independently generated single flow. Admission control is two-staged:
 /// backpressure (the workload is at max_flows — reject before even
 /// generating, keeping overload handling O(1) per rejected arrival) and
-/// schedulability (the tentative admit with the new flow appended fails).
+/// schedulability (the manager's admit_flow refuses the new
+/// lowest-priority flow).
 struct arrival_config {
   double rate = 1.0;   ///< Poisson mean arrivals per epoch; 0 disables
   /// Backpressure cap on the concurrent workload. Binds at all times:
@@ -155,10 +157,10 @@ struct epoch_record {
   int arrivals_accepted = 0;
   int rejected_backpressure = 0;  ///< workload at max_flows
   int rejected_unroutable = 0;    ///< no route on the pruned graph
-  int rejected_admission = 0;     ///< tentative schedule did not fit
+  int rejected_admission = 0;     ///< the workload plus it did not fit
   int departures = 0;
-  /// Flows dropped to fit: at this epoch's re-admission and, in epoch
-  /// 0, by the initial admission of the constructor.
+  /// Flows dropped to fit: by this epoch's shed-to-fit and, in epoch 0,
+  /// by the initial admission of the constructor.
   int shed_for_schedulability = 0;
 
   // Ground-truth node churn.
@@ -242,14 +244,15 @@ obs::series scenario_series(const scenario_result& result);
 
 class scenario_engine {
  public:
-  /// Builds the manager for the topology and admits the initial
+  /// Builds the manager for the topology and hands it the initial
   /// workload (stream k_stream_init of epoch 0). Shedding applies if
   /// the initial population does not fit; epoch 0's
   /// shed_for_schedulability counts the flows it drops.
   scenario_engine(topo::topology topology, scenario_config config);
 
   const manager::network_manager& manager() const { return mgr_; }
-  const std::vector<flow::flow>& flows() const { return flows_; }
+  /// The current workload: the manager's held flows.
+  const std::vector<flow::flow>& flows() const { return mgr_.flows(); }
   /// Scenario-stable identity of each current flow, aligned with
   /// flows() — survives the dense renumbering of recovery and churn.
   const std::vector<std::uint64_t>& flow_uids() const { return uids_; }
@@ -275,9 +278,8 @@ class scenario_engine {
                              const tsch::schedule& executed) const;
 
   scenario_config config_;
-  manager::network_manager mgr_;
-  std::vector<flow::flow> flows_;    // dense ids == priority ranks
-  std::vector<std::uint64_t> uids_;  // aligned with flows_
+  manager::network_manager mgr_;     // holds the workload and schedule
+  std::vector<std::uint64_t> uids_;  // aligned with mgr_.flows()
   std::uint64_t next_uid_ = 0;
   int initial_shed_ = 0;  // flows the constructor shed, counted in epoch 0
   int epoch_ = 0;
@@ -289,7 +291,6 @@ class scenario_engine {
   // Previous epoch's executed frame, as the jammer observed it:
   // (load, slot) of every busy slot.
   std::vector<std::pair<int, slot_t>> prev_busy_;
-  slot_t prev_num_slots_ = 0;
   std::uint64_t digest_ = 1469598103934665603ULL;  // FNV offset basis
 };
 

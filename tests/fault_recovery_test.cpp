@@ -104,7 +104,7 @@ class FaultRecoveryTest : public ::testing::Test {
 
 TEST_F(FaultRecoveryTest, WatchdogDeclaresDeathAfterConsecutiveSilence) {
   const auto set = workload(12, 11);
-  ASSERT_TRUE(manager_.admit(set.flows).schedulable);
+  ASSERT_TRUE(manager_.assign(set.flows));
   const node_id victim = some_expected_relay(set.flows);
   ASSERT_NE(victim, k_invalid_node);
 
@@ -112,28 +112,31 @@ TEST_F(FaultRecoveryTest, WatchdogDeclaresDeathAfterConsecutiveSilence) {
   mute(reports, victim);
 
   // First silent epoch: counting, not yet dead (watchdog_epochs == 2).
-  const auto first = manager_.recover(set.flows, reports);
+  const auto first = manager_.recover(reports);
   EXPECT_EQ(first.silent_nodes, std::vector<node_id>{victim});
   EXPECT_TRUE(first.newly_dead.empty());
   EXPECT_FALSE(first.rescheduled);
   EXPECT_TRUE(manager_.dead_nodes().empty());
 
   // Second consecutive silent epoch: declared dead, repair computed.
-  const auto second = manager_.recover(set.flows, reports);
+  const auto second = manager_.recover(reports);
   EXPECT_EQ(second.newly_dead, std::vector<node_id>{victim});
   EXPECT_EQ(second.detection_latency_epochs, 2);
   EXPECT_TRUE(second.rescheduled);
   EXPECT_EQ(manager_.dead_nodes().count(victim), 1u);
 
   // A dead node owes no reports: no further silence, no re-declaration.
-  const auto third = manager_.recover(set.flows, reports);
+  // The held workload now routes around it, and its senders report.
+  auto rerouted = healthy_reports(manager_.flows());
+  mute(rerouted, victim);
+  const auto third = manager_.recover(rerouted);
   EXPECT_TRUE(third.silent_nodes.empty());
   EXPECT_TRUE(third.newly_dead.empty());
 }
 
 TEST_F(FaultRecoveryTest, HeardEpochResetsTheWatchdogCounter) {
   const auto set = workload(12, 11);
-  ASSERT_TRUE(manager_.admit(set.flows).schedulable);
+  ASSERT_TRUE(manager_.assign(set.flows));
   const node_id victim = some_expected_relay(set.flows);
   ASSERT_NE(victim, k_invalid_node);
 
@@ -141,12 +144,12 @@ TEST_F(FaultRecoveryTest, HeardEpochResetsTheWatchdogCounter) {
   auto muted = healthy;
   mute(muted, victim);
 
-  manager_.recover(set.flows, muted);    // silent: counter 1
-  manager_.recover(set.flows, healthy);  // heard: counter resets
-  const auto after = manager_.recover(set.flows, muted);  // counter 1 again
+  manager_.recover(muted);    // silent: counter 1
+  manager_.recover(healthy);  // heard: counter resets
+  const auto after = manager_.recover(muted);  // counter 1 again
   EXPECT_TRUE(after.newly_dead.empty());
   EXPECT_TRUE(manager_.dead_nodes().empty());
-  const auto declared = manager_.recover(set.flows, muted);  // counter 2
+  const auto declared = manager_.recover(muted);  // counter 2
   EXPECT_EQ(declared.newly_dead, std::vector<node_id>{victim});
 }
 
@@ -156,37 +159,49 @@ TEST_F(FaultRecoveryTest, FlappingNodeIsRehabilitatedWhenReportsResume) {
   // expected-reporter set, so hearing from one changed nothing and the
   // manager routed around healthy hardware forever.
   const auto set = workload(12, 11);
-  ASSERT_TRUE(manager_.admit(set.flows).schedulable);
+  ASSERT_TRUE(manager_.assign(set.flows));
   const node_id victim = some_expected_relay(set.flows);
   ASSERT_NE(victim, k_invalid_node);
 
-  const auto healthy = healthy_reports(set.flows);
-  auto muted = healthy;
-  mute(muted, victim);
+  // Every live node reports: the senders of the original workload and of
+  // the held one, which a reroute around the victim changes.
+  const auto reports = [&](bool victim_silent) {
+    auto senders = set.flows;
+    senders.insert(senders.end(), manager_.flows().begin(),
+                   manager_.flows().end());
+    auto out = healthy_reports(senders);
+    if (victim_silent) mute(out, victim);
+    return out;
+  };
+  const auto muted = [&] { return reports(true); };
+  const auto healthy = [&] { return reports(false); };
 
-  manager_.recover(set.flows, muted);  // counter 1
-  const auto declared = manager_.recover(set.flows, muted);  // dead
+  manager_.recover(muted());  // counter 1
+  const auto declared = manager_.recover(muted());  // dead
   ASSERT_EQ(declared.newly_dead, std::vector<node_id>{victim});
   ASSERT_EQ(manager_.dead_nodes().count(victim), 1u);
 
-  // The node comes back: its reports resume (the original workload
-  // still names it as a sender), and the very next epoch removes it
-  // from the dead set.
-  const auto revived = manager_.recover(set.flows, healthy);
+  // The node comes back: its reports resume, and the very next epoch
+  // removes it from the dead set.
+  const auto revived = manager_.recover(healthy());
   EXPECT_EQ(revived.rehabilitated, std::vector<node_id>{victim});
   EXPECT_TRUE(revived.newly_dead.empty());
   EXPECT_TRUE(manager_.dead_nodes().empty());
+  EXPECT_EQ(&manager_.live_comm(), &manager_.view().comm);
 
-  // Rehabilitation also resets the silence counter: declaring it dead
+  // Routing flows back over it is the caller's decision: the original
+  // workload, which names it as a sender, is handed over again.
+  // Rehabilitation also reset the silence counter: declaring it dead
   // again takes the full watchdog_epochs of fresh silence.
-  const auto flap1 = manager_.recover(set.flows, muted);
+  ASSERT_TRUE(manager_.assign(set.flows));
+  const auto flap1 = manager_.recover(muted());
   EXPECT_TRUE(flap1.newly_dead.empty());
-  const auto flap2 = manager_.recover(set.flows, muted);
+  const auto flap2 = manager_.recover(muted());
   EXPECT_EQ(flap2.newly_dead, std::vector<node_id>{victim});
 
   // A second resume rehabilitates again — flapping never wedges the
   // dead set.
-  const auto revived2 = manager_.recover(set.flows, healthy);
+  const auto revived2 = manager_.recover(healthy());
   EXPECT_EQ(revived2.rehabilitated, std::vector<node_id>{victim});
   EXPECT_TRUE(manager_.dead_nodes().empty());
 }
@@ -196,7 +211,7 @@ TEST_F(FaultRecoveryTest, RevivalBeforeDeclarationIsNotRehabilitation) {
   // never dead: the counter resets but nothing is reported as
   // rehabilitated.
   const auto set = workload(12, 11);
-  ASSERT_TRUE(manager_.admit(set.flows).schedulable);
+  ASSERT_TRUE(manager_.assign(set.flows));
   const node_id victim = some_expected_relay(set.flows);
   ASSERT_NE(victim, k_invalid_node);
 
@@ -204,40 +219,18 @@ TEST_F(FaultRecoveryTest, RevivalBeforeDeclarationIsNotRehabilitation) {
   auto muted = healthy;
   mute(muted, victim);
 
-  manager_.recover(set.flows, muted);  // counter 1 of 2
-  const auto resumed = manager_.recover(set.flows, healthy);
+  manager_.recover(muted);  // counter 1 of 2
+  const auto resumed = manager_.recover(healthy);
   EXPECT_TRUE(resumed.rehabilitated.empty());
   EXPECT_TRUE(manager_.dead_nodes().empty());
 }
 
-TEST_F(FaultRecoveryTest, MarkDeadAndResetWatchdog) {
-  const auto set = workload(12, 11);
-  const node_id victim = some_expected_relay(set.flows);
-  ASSERT_NE(victim, k_invalid_node);
-
-  EXPECT_THROW(manager_.mark_dead(-1), std::invalid_argument);
-  EXPECT_THROW(manager_.mark_dead(manager_.view().topology.num_nodes()),
-               std::invalid_argument);
-
-  manager_.mark_dead(victim);
-  EXPECT_EQ(manager_.dead_nodes().count(victim), 1u);
-  // The next epoch routes around it without any silence.
-  const auto outcome = manager_.recover(set.flows, healthy_reports(set.flows));
-  EXPECT_TRUE(outcome.newly_dead.empty());
-  EXPECT_TRUE(std::find(outcome.silent_nodes.begin(),
-                        outcome.silent_nodes.end(),
-                        victim) == outcome.silent_nodes.end());
-
-  manager_.reset_watchdog();
-  EXPECT_TRUE(manager_.dead_nodes().empty());
-}
-
 TEST(FaultRecoveryLineage, SecondCrashReportsOriginalWorkloadIds) {
-  // recover() names flows by the ids of the workload it was given. After
-  // a first recovery dropped flow 0, the survivors come back renumbered
-  // densely, so a second recovery on them reports those dense ids. The
-  // caller names the flows of the original admission by composing each
-  // epoch's surviving_input_ids into its own map.
+  // recover() names flows by their ids in the held workload it found.
+  // After a first recovery dropped flow 0, the survivors are held
+  // renumbered densely, so a second recovery reports those dense ids.
+  // The caller names the flows of the original admission by composing
+  // each epoch's surviving_input_ids into its own map.
   auto config = rc_config();
   config.watchdog_epochs = 1;  // one silent epoch declares death
   network_manager manager(topo::make_wustl(), config);
@@ -248,33 +241,36 @@ TEST(FaultRecoveryLineage, SecondCrashReportsOriginalWorkloadIds) {
   params.period_max_exp = 0;
   rng gen(11);
   const auto set = manager.generate_workload(params, gen);
-  ASSERT_TRUE(manager.admit(set.flows).schedulable);
+  ASSERT_TRUE(manager.assign(set.flows));
 
   // Epoch 1: flow 0's source dies, so flow 0 (at least) is unroutable
-  // and the survivors are renumbered with shifted dense ids. The input
-  // was the original admission, so its ids are the original ids.
+  // and the survivors are renumbered with shifted dense ids. The held
+  // workload was the original admission, so its ids are the original
+  // ids.
   auto reports1 = healthy_reports(set.flows);
   mute(reports1, set.flows[0].source);
-  const auto out1 = manager.recover(set.flows, reports1);
+  const auto out1 = manager.recover(reports1);
   ASSERT_FALSE(out1.newly_dead.empty());
   ASSERT_TRUE(out1.rescheduled);
-  ASSERT_FALSE(out1.surviving_flows.empty());
-  ASSERT_LT(out1.surviving_flows.size(), set.flows.size());
+  const auto survivors1 = manager.flows();
+  ASSERT_FALSE(survivors1.empty());
+  ASSERT_LT(survivors1.size(), set.flows.size());
   const std::vector<flow_id> original_of = out1.surviving_input_ids;
-  ASSERT_EQ(original_of.size(), out1.surviving_flows.size());
+  ASSERT_EQ(original_of.size(), survivors1.size());
   const std::set<flow_id> originals(original_of.begin(), original_of.end());
   ASSERT_EQ(originals.count(0), 0u) << "flow 0 should have been dropped";
 
   // Survivor 0's dense id differs from its original id (original id 0
   // is gone, so original_of[0] >= 1).
   ASSERT_NE(original_of[0], 0);
-  const node_id victim2 = out1.surviving_flows[0].source;
+  const node_id victim2 = survivors1[0].source;
 
   // Epoch 2: that survivor's source dies. The outcome names it by its id
-  // in this epoch's input, and the caller's map names the original flow.
-  auto reports2 = healthy_reports(out1.surviving_flows);
+  // in this epoch's held workload, and the caller's map names the
+  // original flow.
+  auto reports2 = healthy_reports(survivors1);
   mute(reports2, victim2);
-  const auto out2 = manager.recover(out1.surviving_flows, reports2);
+  const auto out2 = manager.recover(reports2);
   ASSERT_FALSE(out2.newly_dead.empty());
   ASSERT_TRUE(out2.rescheduled);
   EXPECT_NE(std::find(out2.unroutable_flows.begin(),
@@ -283,8 +279,8 @@ TEST(FaultRecoveryLineage, SecondCrashReportsOriginalWorkloadIds) {
       << "survivor 0 was not reported under its input id";
 
   // Every id the second epoch reports — rerouted, unroutable, shed, or
-  // surviving — is an id of its input, and maps to a flow of the
-  // original admission that was still alive after epoch 1.
+  // surviving — is an id of the workload it found, and maps to a flow of
+  // the original admission that was still alive after epoch 1.
   const auto maps_to_original = [&](const std::vector<flow_id>& ids) {
     return std::all_of(ids.begin(), ids.end(), [&](flow_id id) {
       return id >= 0 && static_cast<std::size_t>(id) < original_of.size() &&
@@ -297,13 +293,14 @@ TEST(FaultRecoveryLineage, SecondCrashReportsOriginalWorkloadIds) {
   EXPECT_TRUE(maps_to_original(out2.surviving_input_ids));
   // The surviving ids name the flows they claim to: same endpoints and
   // period as the input flow of that id.
-  ASSERT_EQ(out2.surviving_input_ids.size(), out2.surviving_flows.size());
-  for (std::size_t i = 0; i < out2.surviving_flows.size(); ++i) {
-    const auto& input = out1.surviving_flows[static_cast<std::size_t>(
-        out2.surviving_input_ids[i])];
-    EXPECT_EQ(out2.surviving_flows[i].source, input.source);
-    EXPECT_EQ(out2.surviving_flows[i].destination, input.destination);
-    EXPECT_EQ(out2.surviving_flows[i].period, input.period);
+  const auto& survivors2 = manager.flows();
+  ASSERT_EQ(out2.surviving_input_ids.size(), survivors2.size());
+  for (std::size_t i = 0; i < survivors2.size(); ++i) {
+    const auto& input =
+        survivors1[static_cast<std::size_t>(out2.surviving_input_ids[i])];
+    EXPECT_EQ(survivors2[i].source, input.source);
+    EXPECT_EQ(survivors2[i].destination, input.destination);
+    EXPECT_EQ(survivors2[i].period, input.period);
   }
 }
 
@@ -505,9 +502,8 @@ TEST(FaultRecoveryEndToEnd, CrashedRelayIsDetectedAndRoutedAround) {
   params.period_max_exp = 0;
   rng gen(8);
   const auto set = manager.generate_workload(params, gen);
-  auto scheduled = manager.admit(set.flows);
-  ASSERT_TRUE(scheduled.schedulable);
-  auto flows = set.flows;
+  ASSERT_TRUE(manager.assign(set.flows));
+  const auto& flows = manager.flows();
 
   const node_id victim = pick_relay(flows);
   ASSERT_NE(victim, k_invalid_node);
@@ -529,7 +525,7 @@ TEST(FaultRecoveryEndToEnd, CrashedRelayIsDetectedAndRoutedAround) {
   // Pre-fault baseline delivery per flow id.
   const auto& view = manager.view();
   const auto baseline =
-      sim::run_simulation(view.topology, scheduled.sched, flows,
+      sim::run_simulation(view.topology, manager.schedule(), flows,
                           view.channels, make_sim_config());
 
   // The victim crashes permanently at the start of epoch 1.
@@ -543,20 +539,18 @@ TEST(FaultRecoveryEndToEnd, CrashedRelayIsDetectedAndRoutedAround) {
     sim_config.faults = sim::slice_fault_plan(plan, epoch * runs_per_epoch,
                                               runs_per_epoch);
     const auto observed = sim::run_simulation(
-        view.topology, scheduled.sched, flows, view.channels, sim_config);
-    const auto outcome = manager.recover(flows, observed.links);
+        view.topology, manager.schedule(), flows, view.channels, sim_config);
+    const std::size_t before = flows.size();
+    const auto outcome = manager.recover(observed.links);
     if (!outcome.newly_dead.empty()) {
       ASSERT_EQ(outcome.newly_dead, std::vector<node_id>{victim});
       EXPECT_LE(outcome.detection_latency_epochs, config.watchdog_epochs);
       detected_epoch = epoch;
       ASSERT_TRUE(outcome.rescheduled);
-      ASSERT_TRUE(outcome.repaired.has_value());
-      ASSERT_TRUE(outcome.repaired->schedulable);
+      ASSERT_TRUE(manager.schedulable());
       // Some flows were rerouted; at most a few could not be saved.
       EXPECT_FALSE(outcome.rerouted_flows.empty());
-      EXPECT_GE(outcome.surviving_flows.size(), flows.size() / 2);
-      scheduled = *outcome.repaired;
-      flows = outcome.surviving_flows;
+      EXPECT_GE(flows.size(), before / 2);
       survivors_original_ids = outcome.surviving_input_ids;
       // No surviving route touches the dead node.
       for (const auto& f : flows)
@@ -577,7 +571,7 @@ TEST(FaultRecoveryEndToEnd, CrashedRelayIsDetectedAndRoutedAround) {
   auto post_config = make_sim_config();
   post_config.faults.crashes.push_back(sim::node_crash{victim, 0, -1});
   const auto post = sim::run_simulation(
-      view.topology, scheduled.sched, flows, view.channels, post_config);
+      view.topology, manager.schedule(), flows, view.channels, post_config);
   ASSERT_EQ(post.flow_pdr.size(), flows.size());
   for (std::size_t i = 0; i < flows.size(); ++i) {
     const auto original =

@@ -1,11 +1,12 @@
 // Equivalence oracle for incremental delta-scheduling and the fleet
 // service built on it (the PR's acceptance test).
 //
-// core::delta_scheduler claims a canonical invariant: after any sequence
-// of admit_flow/evict_flow calls, its (schedule, schedulable) state is
-// bit-identical to a from-scratch core::schedule_flows run over its
-// current flow set — same placements in the same insertion order, same
-// verdict. This suite drives randomized admit/evict traces on both
+// core::delta_scheduler claims a canonical invariant: when seeded with a
+// flow set and after any sequence of admit_flow/evict_flows calls, its
+// (schedule, schedulable) state is bit-identical to a from-scratch
+// core::schedule_flows run over its current flow set — same placements
+// in the same insertion order, same verdict. This suite drives
+// randomized admit/evict traces on both
 // testbeds (Indriya-80, WUSTL-60) and checks the oracle after every
 // single operation, plus the fleet-level determinism contract:
 // run_churn is bit-identical at any --jobs value and replay_tenant
@@ -17,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "alloc_count.h"
 #include "common/rng.h"
 #include "core/delta.h"
 #include "core/scheduler.h"
@@ -74,6 +76,11 @@ struct trace_summary {
   int evictions = 0;
   /// Evictions from a state that is not a complete schedule.
   int incomplete_evictions = 0;
+  /// Evictions of two or more flows in one batch.
+  int batch_evictions = 0;
+  /// Rebuilds from the flow set (the seeding constructor) that left an
+  /// incomplete base.
+  int incomplete_builds = 0;
   int growths = 0;
   int shrinks = 0;
   /// Largest count of placements in shared cells over the trace.
@@ -89,21 +96,58 @@ std::size_t shared_placements(const tsch::schedule& sched) {
   return n;
 }
 
+/// Expects `seeded` to hold `delta`'s state: same flows, verdict,
+/// placed prefix and placements in the same order.
+void expect_same_state(const core::delta_scheduler& seeded,
+                       const core::delta_scheduler& delta,
+                       const std::string& context) {
+  EXPECT_EQ(seeded.size(), delta.size()) << context;
+  EXPECT_EQ(seeded.schedulable(), delta.schedulable()) << context;
+  EXPECT_EQ(seeded.placed(), delta.placed()) << context;
+  EXPECT_EQ(seeded.sched().num_slots(), delta.sched().num_slots())
+      << context;
+  EXPECT_EQ(seeded.sched().placements(), delta.sched().placements())
+      << context << ": the rebuilt scheduler diverged";
+}
+
 /// Drives one randomized admit/evict trace against the oracle, drawing
 /// each admitted flow from `config.flow_params` with the given period
-/// octaves.
+/// octaves. With `batch`, an eviction takes each flow with probability
+/// 1/4 (at least one) in one evict_flows call. With `initial_flows`,
+/// the trace starts from that many flows seeded through the
+/// constructor, which leaves an incomplete base when they do not fit.
+///
+/// One scheduler, `delta`, lives through the whole trace and is checked
+/// against the oracle after every op, so a wrong rho history that shows
+/// only many ops later still fails. A second one, `seeded`, gets the
+/// same ops and is rebuilt from its flow set with the seeding
+/// constructor every fourth op: after every op it must hold `delta`'s
+/// state, so the constructor must reproduce both the placements and the
+/// history later ops resume from. Neither draws from `gen` on its own,
+/// so the trace is the same as with `delta` alone.
 trace_summary run_trace(const fleet_config& config, int period_min_exp,
-                        int period_max_exp, int ops) {
+                        int period_max_exp, int ops, bool batch = false,
+                        int initial_flows = 0) {
   const auto blueprint = make_blueprint(config);
-  core::delta_scheduler delta(blueprint.reuse_hops, blueprint.sched_config);
-
   flow::flow_set_params params = config.flow_params;
-  params.num_flows = 1;
   params.period_min_exp = period_min_exp;
   params.period_max_exp = period_max_exp;
-
   rng gen(config.seed);
   trace_summary sum;
+
+  params.num_flows = initial_flows;
+  const auto initial =
+      initial_flows > 0
+          ? flow::generate_flow_set(blueprint.comm, params, gen).flows
+          : std::vector<flow::flow>{};
+  core::delta_scheduler delta(blueprint.reuse_hops, blueprint.sched_config,
+                              initial);
+  core::delta_scheduler seeded(blueprint.reuse_hops, blueprint.sched_config,
+                               initial);
+  expect_canonical(delta, blueprint, config.testbed + " seeded");
+  expect_same_state(seeded, delta, config.testbed + " seeded");
+  if (!seeded.schedulable()) ++sum.incomplete_builds;
+  params.num_flows = 1;
   for (int op = 0; op < ops; ++op) {
     const std::string context =
         config.testbed + " op " + std::to_string(op);
@@ -128,6 +172,7 @@ trace_summary run_trace(const fleet_config& config, int period_min_exp,
       const auto out = delta.admit_flow(f);
       EXPECT_EQ(out.admitted, oracle_admits)
           << context << ": admission verdict diverged";
+      EXPECT_EQ(seeded.admit_flow(f).admitted, out.admitted) << context;
       if (out.admitted)
         ++sum.admissions;
       else if (delta.schedulable())
@@ -136,17 +181,37 @@ trace_summary run_trace(const fleet_config& config, int period_min_exp,
           delta.sched().num_slots() > slots_before)
         ++sum.growths;
     } else {
-      const auto victim = static_cast<flow_id>(
-          gen.uniform_int(0, static_cast<int>(delta.size()) - 1));
+      std::vector<flow_id> victims;
+      if (batch)
+        for (std::size_t i = 0; i < delta.size(); ++i)
+          if (gen.bernoulli(0.25)) victims.push_back(static_cast<flow_id>(i));
+      if (victims.empty())
+        victims.push_back(static_cast<flow_id>(
+            gen.uniform_int(0, static_cast<int>(delta.size()) - 1)));
+      std::size_t freed = 0;
+      for (const auto& p : delta.sched().placements())
+        freed += std::binary_search(victims.begin(), victims.end(),
+                                    p.tx.flow)
+                     ? 1
+                     : 0;
       if (!delta.schedulable()) ++sum.incomplete_evictions;
-      const auto out = delta.evict_flow(victim);
+      if (victims.size() > 1) ++sum.batch_evictions;
+      const auto out = delta.evict_flows(victims);
       EXPECT_TRUE(out.evicted) << context;
+      EXPECT_EQ(out.freed, freed) << context;
+      EXPECT_EQ(seeded.evict_flows(victims).freed, freed) << context;
       ++sum.evictions;
       if (!delta.empty() && delta.sched().num_slots() < slots_before)
         ++sum.shrinks;
     }
     const auto oracle = expect_canonical(delta, blueprint, context);
     tsch::expect_index_consistent(delta.sched());
+    if (op % 4 == 3) {
+      seeded = core::delta_scheduler(blueprint.reuse_hops, seeded.config(),
+                                     seeded.flows());
+      if (!seeded.schedulable()) ++sum.incomplete_builds;
+    }
+    expect_same_state(seeded, delta, context);
     if (delta.schedulable() && !delta.empty()) {
       sum.reuse_activations += oracle.stats.reuse_activations;
       sum.shared_placements =
@@ -199,8 +264,81 @@ TEST(DeltaEquivalence, ReuseHeavyTraceMatchesOracle) {
   EXPECT_GT(sum.reuse_activations, 0u);
   EXPECT_GT(sum.rollbacks, 0);
   EXPECT_GT(sum.incomplete_evictions, 0);
+  EXPECT_GT(sum.incomplete_builds, 0);
   EXPECT_GT(sum.growths, 0);
   EXPECT_GT(sum.shrinks, 0);
+}
+
+TEST(DeltaEquivalence, BatchEvictionMatchesOracle) {
+  // Departures in batches, as the scenario engine evicts an epoch's
+  // departures: one replay from the lowest departed id, also on
+  // incomplete bases and across shrinks. Two channels, and a seeded
+  // start of 40 flows that does not fit, so incomplete bases come both
+  // from the constructor and from failed replays.
+  fleet_config config;
+  config.testbed = "indriya";
+  config.num_channels = 2;
+  config.max_flows_per_tenant = 30;
+  config.flow_params.type = flow::traffic_type::peer_to_peer;
+  config.seed = 1;
+  const auto sum = run_trace(config, -1, 1, 160, /*batch=*/true,
+                             /*initial_flows=*/40);
+  EXPECT_GT(sum.batch_evictions, 0);
+  EXPECT_GT(sum.incomplete_evictions, 0);
+  EXPECT_GT(sum.incomplete_builds, 0);
+  EXPECT_GT(sum.growths, 0);
+  EXPECT_GT(sum.shrinks, 0);
+}
+
+TEST(DeltaEquivalence, BatchEvictionRejectsUnorderedIds) {
+  const auto config = small_config("wustl");
+  const auto blueprint = make_blueprint(config);
+  flow::flow_set_params params;
+  params.num_flows = 3;
+  rng gen(5);
+  core::delta_scheduler delta(
+      blueprint.reuse_hops, blueprint.sched_config,
+      flow::generate_flow_set(blueprint.comm, params, gen).flows);
+  const auto before = delta.sched().placements();
+  const std::vector<flow_id> unordered{2, 0};
+  const std::vector<flow_id> repeated{1, 1};
+  EXPECT_THROW(delta.evict_flows(unordered), std::invalid_argument);
+  EXPECT_THROW(delta.evict_flows(repeated), std::invalid_argument);
+  const std::vector<flow_id> past_end{1, 3};
+  EXPECT_FALSE(delta.evict_flows(past_end).evicted);
+  EXPECT_FALSE(delta.evict_flows({}).evicted);
+  EXPECT_EQ(delta.size(), 3u);
+  EXPECT_EQ(delta.sched().placements(), before);
+  expect_canonical(delta, blueprint, "refused batches");
+}
+
+TEST(DeltaAllocation, EvictionOnTheSameHyperperiodAllocatesNothing) {
+  // One period, so no eviction changes the hyperperiod: once the
+  // buffers have grown, evicting a flow frees it and replays the
+  // suffix without a heap allocation.
+  const auto config = small_config("indriya");
+  const auto blueprint = make_blueprint(config);
+  flow::flow_set_params params;
+  params.num_flows = 12;
+  params.period_min_exp = 0;
+  params.period_max_exp = 0;
+  rng gen(9);
+  const auto flows =
+      flow::generate_flow_set(blueprint.comm, params, gen).flows;
+  core::delta_scheduler delta(blueprint.reuse_hops, blueprint.sched_config,
+                              flows);
+  ASSERT_TRUE(delta.schedulable());
+  // Warm up: an eviction and the admission back leave every buffer at
+  // its size.
+  ASSERT_TRUE(delta.evict_flow(0).evicted);
+  ASSERT_TRUE(delta.admit_flow(flows[0]).admitted);
+  const auto before = test::g_allocations.load(std::memory_order_relaxed);
+  const auto out = delta.evict_flow(3);
+  const auto after = test::g_allocations.load(std::memory_order_relaxed);
+  ASSERT_TRUE(out.evicted);
+  EXPECT_GT(out.rescheduled_flows, 0u);
+  EXPECT_EQ(after - before, 0u);
+  expect_canonical(delta, blueprint, "after the counted eviction");
 }
 
 TEST(DeltaEquivalence, AdmissionRejectionRollsBackExactly) {

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -12,6 +13,7 @@
 #include "graph/graph.h"
 #include "graph/hop_matrix.h"
 #include "graph/reuse_graph.h"
+#include "phy/channel.h"
 #include "topo/testbeds.h"
 #include "topo/topology.h"
 
@@ -119,12 +121,9 @@ TEST(Algorithms, ConnectivityAndComponents) {
   g.add_edge(0, 1);
   g.add_edge(2, 3);
   EXPECT_FALSE(is_connected(g));
-  const auto labels = connected_components(g);
-  EXPECT_EQ(labels[0], labels[1]);
-  EXPECT_EQ(labels[2], labels[3]);
-  EXPECT_NE(labels[0], labels[2]);
   g.add_edge(1, 2);
   EXPECT_TRUE(is_connected(g));
+  EXPECT_TRUE(is_connected(graph(0)));
 }
 
 TEST(Algorithms, DiameterOfPathGraph) {
@@ -144,20 +143,33 @@ TEST(Algorithms, DiameterIgnoresUnreachablePairs) {
 // ---------------------------------------------------------- hop matrix --
 
 TEST(HopMatrix, MatchesBfs) {
+  // The matrix runs its searches over node bitsets, so graphs of one
+  // word, of exactly one and of several words, with unreachable nodes,
+  // plus both testbeds' channel-reuse graphs, against bfs_hops.
+  std::vector<graph> graphs{graph(0), graph(1), make_path(64)};
   rng gen(5);
-  graph g(20);
-  for (int e = 0; e < 40; ++e) {
-    const auto u = static_cast<node_id>(gen.uniform_int(0, 19));
-    const auto v = static_cast<node_id>(gen.uniform_int(0, 19));
-    if (u != v) g.add_edge(u, v);
+  for (const int n : {20, 63, 65, 130}) {
+    graph g(n);
+    for (int e = 0; e < 2 * n; ++e) {
+      const auto u = static_cast<node_id>(gen.uniform_int(0, n - 4));
+      const auto v = static_cast<node_id>(gen.uniform_int(0, n - 4));
+      if (u != v) g.add_edge(u, v);  // the last three stay isolated
+    }
+    graphs.push_back(g);
   }
-  const hop_matrix hm(g);
-  for (node_id u = 0; u < 20; ++u) {
-    const auto d = bfs_hops(g, u);
-    for (node_id v = 0; v < 20; ++v)
-      EXPECT_EQ(hm.hops(u, v), d[static_cast<std::size_t>(v)]);
+  for (const auto& topology : {topo::make_indriya(), topo::make_wustl()})
+    graphs.push_back(build_channel_reuse_graph(topology, phy::channels(4)));
+  for (const graph& g : graphs) {
+    const hop_matrix hm(g);
+    ASSERT_EQ(hm.num_nodes(), g.num_nodes());
+    for (node_id u = 0; u < g.num_nodes(); ++u) {
+      const auto d = bfs_hops(g, u);
+      for (node_id v = 0; v < g.num_nodes(); ++v)
+        ASSERT_EQ(hm.hops(u, v), d[static_cast<std::size_t>(v)])
+            << "n=" << g.num_nodes() << " " << u << " -> " << v;
+    }
+    EXPECT_EQ(hm.diameter(), diameter(g)) << "n=" << g.num_nodes();
   }
-  EXPECT_EQ(hm.diameter(), diameter(g));
 }
 
 TEST(HopMatrix, IsSymmetric) {
@@ -261,6 +273,48 @@ TEST(CommGraph, ThresholdBoundary) {
   opts.prr_threshold = std::nextafter(stored, 1.0);
   const auto g2 = build_communication_graph(t, {11}, opts);
   EXPECT_FALSE(g2.has_edge(0, 1));
+}
+
+TEST(CommGraph, NanPrrNeverRejectsALink) {
+  // topology::min_prr ignores a NaN channel, and so does the builder:
+  // a link is rejected only by a channel that reads below PRR_t.
+  auto t = three_node_topo();
+  const std::vector<channel_t> channels{11, 12, 13};
+  for (const channel_t ch : channels) {
+    t.set_prr(0, 1, ch, 0.95);
+    t.set_prr(1, 0, ch, 0.95);
+  }
+  t.set_rssi_dbm(0, 1, 12, std::nan(""));
+  ASSERT_TRUE(std::isnan(t.prr(0, 1, 12)));
+  EXPECT_GE(t.min_prr(0, 1, channels), 0.9);
+  EXPECT_TRUE(build_communication_graph(t, channels).has_edge(0, 1));
+  t.set_prr(1, 0, 13, 0.5);
+  EXPECT_FALSE(build_communication_graph(t, channels).has_edge(0, 1));
+}
+
+TEST(CommGraph, MatchesTheMinPrrDefinitionOnTestbeds) {
+  // Edge for edge, the builder equals its definition (min_prr over the
+  // channels, both directions) on both testbeds at several seeds and
+  // channel counts.
+  for (const std::string name : {"indriya", "wustl"})
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      const auto topology = topo::make_named_testbed(name, seed);
+      for (const int count : {1, 2, 4, 8, 16}) {
+        const auto channels = phy::channels(count);
+        const auto g = build_communication_graph(topology, channels);
+        std::size_t edges = 0;
+        for (node_id u = 0; u < topology.num_nodes(); ++u)
+          for (node_id v = u + 1; v < topology.num_nodes(); ++v) {
+            const bool defined = topology.min_prr(u, v, channels) >= 0.9 &&
+                                 topology.min_prr(v, u, channels) >= 0.9;
+            edges += defined ? 1 : 0;
+            ASSERT_EQ(g.has_edge(u, v), defined)
+                << name << " seed " << seed << " channels " << count << " "
+                << u << "-" << v;
+          }
+        EXPECT_EQ(g.num_edges(), edges);
+      }
+    }
 }
 
 TEST(ReuseGraph, AnyDirectionAnyChannelCreatesEdge) {

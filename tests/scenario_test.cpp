@@ -222,6 +222,113 @@ TEST(ScenarioEngine, ReadmissionShedsFromTheBackAndKeepsUidsAligned) {
   EXPECT_GT(shed, 0) << "no epoch shed: the test exercises nothing";
 }
 
+/// The churn benchmark point (Indriya-80, 8 channels, SlotSwapper on).
+scenario_config bench_point_config(std::uint64_t seed) {
+  scenario_config config;
+  config.epochs = 12;
+  config.runs_per_epoch = 18;
+  config.seed = seed;
+  config.flow_params.num_flows = 8;
+  config.flow_params.type = flow::traffic_type::peer_to_peer;
+  config.flow_params.period_min_exp = 0;
+  config.flow_params.period_max_exp = 1;
+  config.departure_rate = 0.1;
+  config.arrivals.rate = 1.5;
+  config.arrivals.max_flows = 12;
+  config.churn.crash_rate = 0.01;
+  config.churn.revival_rate = 0.3;
+  config.jammer.enabled = true;
+  config.jammer.jam_slots = 3;
+  config.jammer.randomize = true;
+  config.jammer.swap_attempts = 128;
+  config.manager.num_channels = 8;
+  config.manager.scheduler = core::make_config(core::algorithm::rc, 8);
+  config.manager.watchdog_epochs = 2;
+  config.sim.probes_per_run = 1;
+  return config;
+}
+
+/// A stress point: few channels, one WiFi interferer per floor, a large
+/// initial population and heavy arrivals against a cap of 30, so
+/// isolations, refused admissions, shed-to-fit and recovery sheds all
+/// happen.
+scenario_config stress_config(const topo::topology& topology, int channels,
+                              int flows, std::uint64_t seed) {
+  scenario_config config;
+  config.epochs = 10;
+  config.runs_per_epoch = 6;
+  config.seed = seed;
+  config.flow_params.num_flows = flows;
+  config.flow_params.type = flow::traffic_type::peer_to_peer;
+  config.flow_params.period_min_exp = 0;
+  config.flow_params.period_max_exp = 1;
+  config.departure_rate = 0.05;
+  config.arrivals.rate = 2.5;
+  config.arrivals.max_flows = 30;
+  config.churn.crash_rate = 0.02;
+  config.churn.revival_rate = 0.3;
+  config.jammer.enabled = true;
+  config.jammer.jam_slots = 3;
+  config.jammer.randomize = true;
+  config.jammer.swap_attempts = 64;
+  config.manager.num_channels = channels;
+  config.manager.scheduler = core::make_config(core::algorithm::rc, channels);
+  config.manager.watchdog_epochs = 2;
+  config.sim.interferers = sim::one_interferer_per_floor(topology);
+  config.sim.probes_per_run = 1;
+  return config;
+}
+
+TEST(ScenarioEngine, PinnedTrajectoriesKeepTheirDigests) {
+  // Final digests pinned from the engine that re-ran schedule_flows for
+  // every arrival and epoch: the manager's held workload must reproduce
+  // each trajectory bit for bit.
+  const auto indriya = topo::make_indriya();
+  EXPECT_EQ(scenario_engine(indriya, bench_point_config(1)).run().final_digest,
+            0x76d4e7a54c1f1032ULL)
+      << "bench point";
+
+  struct stress_case {
+    const char* testbed;
+    int channels;
+    int flows;
+    std::uint64_t seed;
+    std::uint64_t digest;
+  };
+  const stress_case cases[] = {
+      {"indriya", 2, 18, 2, 0x3ded0777b4688d56ULL},
+      {"indriya", 2, 23, 1, 0x9b419ece7527fd74ULL},
+      {"indriya", 3, 14, 2, 0x2b3ba34d924e6c88ULL},
+      {"indriya", 4, 23, 2, 0x52c0531e9f881ea3ULL},
+      {"wustl", 2, 23, 2, 0xb5ea363039d79a14ULL},
+  };
+  int isolated = 0;
+  int refused = 0;
+  int shed = 0;
+  int recovery_shed = 0;
+  for (const auto& c : cases) {
+    const auto topology = topo::make_named_testbed(c.testbed);
+    const auto result =
+        scenario_engine(topology,
+                        stress_config(topology, c.channels, c.flows, c.seed))
+            .run();
+    EXPECT_EQ(result.final_digest, c.digest)
+        << c.testbed << " " << c.channels << " channels, " << c.flows
+        << " flows, seed " << c.seed;
+    for (const auto& rec : result.epochs) {
+      isolated += rec.newly_isolated;
+      refused += rec.rejected_admission;
+      shed += rec.shed_for_schedulability;
+      recovery_shed += rec.recovery_shed;
+    }
+  }
+  // The pins cover every path that edits the held workload.
+  EXPECT_GT(isolated, 0);
+  EXPECT_GT(refused, 0);
+  EXPECT_GT(shed, 0);
+  EXPECT_GT(recovery_shed, 0);
+}
+
 TEST(ScenarioEngine, InitialShedIsCountedInEpochZero) {
   // RC on one channel cannot fit 60 generated flows on WUSTL, so the
   // constructor sheds from the back before epoch 0. Epoch 0's record

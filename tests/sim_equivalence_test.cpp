@@ -21,17 +21,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <cmath>
-#include <cstdlib>
+#include <cstdint>
 #include <map>
-#include <new>
 #include <set>
 #include <string>
 #include <tuple>
 #include <utility>
 
+#include "alloc_count.h"
 #include "common/rng.h"
 #include "core/scheduler.h"
 #include "flow/flow_generator.h"
@@ -41,42 +40,6 @@
 #include "sim/simulator.h"
 #include "topo/merge.h"
 #include "topo/testbeds.h"
-
-// ------------------------------------------------- counting allocator --
-// Program-wide operator new/delete replacement (this test is its own
-// binary). Uses malloc/free so ASan/TSan interception still works, and
-// relaxed atomics so the counter itself is data-race free.
-
-namespace {
-std::atomic<std::uint64_t> g_allocations{0};
-}  // namespace
-
-// The scalar replacements stay out of line. Inlined, GCC 12 sees the
-// malloc inside operator new reach operator delete, or operator new's
-// pointer reach the free inside operator delete, and raises
-// -Wmismatched-new-delete.
-[[gnu::noinline]] void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-// The nothrow forms (std::stable_sort's temporary buffer) must come
-// from malloc too: the replaced deletes free every pointer.
-[[gnu::noinline]] void* operator new(std::size_t size,
-                                     const std::nothrow_t&) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size == 0 ? 1 : size);
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  return ::operator new(size, std::nothrow);
-}
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace wsan {
 namespace {
@@ -521,10 +484,10 @@ TEST(Simulator, FadeKernelsCountInternedCoordinates) {
 
 std::uint64_t allocations_during(const world& w,
                                  const sim::sim_config& config) {
-  const auto before = g_allocations.load(std::memory_order_relaxed);
+  const auto before = test::g_allocations.load(std::memory_order_relaxed);
   const auto result =
       sim::run_simulation(w.topology, w.sched, w.flows, w.channels, config);
-  const auto after = g_allocations.load(std::memory_order_relaxed);
+  const auto after = test::g_allocations.load(std::memory_order_relaxed);
   EXPECT_GT(result.instances_released, 0);
   return after - before;
 }

@@ -588,13 +588,11 @@ int cmd_faults(const cli_args& args) {
   obs_options.trace_path = args.get("trace", "");
   exp::obs_session session(obs_options);
 
-  auto scheduled = manager.admit(set.flows);
-  if (!scheduled.schedulable) {
+  if (!manager.assign(set.flows)) {
     std::cout << "UNSCHEDULABLE at admission (first failing flow "
-              << scheduled.first_failed_flow << ")\n";
+              << manager.placed() << ")\n";
     return 1;
   }
-  auto flows = set.flows;
 
   table t({"epoch", "network PDR", "silent", "dead", "rerouted", "shed",
            "action"});
@@ -608,19 +606,14 @@ int cmd_faults(const cli_args& args) {
           sim::one_interferer_per_floor(view.topology, 0.3, 8.0);
     sim_config.faults = sim::slice_fault_plan(plan, epoch * runs_per_epoch,
                                               runs_per_epoch);
-    const auto observed = sim::run_simulation(
-        view.topology, scheduled.sched, flows, view.channels, sim_config);
+    const auto observed =
+        sim::run_simulation(view.topology, manager.schedule(),
+                            manager.flows(), view.channels, sim_config);
 
-    const auto outcome = manager.recover(flows, observed.links);
+    const auto outcome = manager.recover(observed.links);
     std::string action = "none";
     if (outcome.rescheduled) {
-      if (outcome.repaired->schedulable) {
-        scheduled = *outcome.repaired;
-        flows = outcome.surviving_flows;
-        action = "rerouted + redistributed";
-      } else {
-        action = "repair failed";
-      }
+      action = "rerouted + redistributed";
     } else if (!outcome.silent_nodes.empty()) {
       action = "watchdog counting";
     }
@@ -639,7 +632,7 @@ int cmd_faults(const cli_args& args) {
   }
   t.print(std::cout);
   std::cout << manager.dead_nodes().size()
-            << " node(s) declared dead; " << flows.size() << " of "
+            << " node(s) declared dead; " << manager.flows().size() << " of "
             << set.flows.size() << " flows still scheduled.\n";
   session.finish();
   session.print_summary(std::cout);
